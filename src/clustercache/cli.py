@@ -77,12 +77,24 @@ class Scenario:
             )
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must be non-empty")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise ConfigError(f"sweep grid values must be finite, got {self.grid}")
         if list(self.grid) != sorted(self.grid):
             raise ConfigError("sweep grid must be sorted ascending")
         if self.mc_trials < 1:
             raise ConfigError("mc_trials must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.r0_over_w1 < math.inf:
+            raise ConfigError("r0_over_w1 must be non-negative and finite")
+        if self.delay_k < 1:
+            raise ConfigError("delay k must be at least 1")
+        if not 0 <= self.zeta_tot < math.inf:
+            raise ConfigError("zeta_tot must be non-negative and finite")
         if not 0 < self.bandwidth_fraction < 1:
             raise ConfigError("bandwidth_fraction must lie in (0, 1)")
+        if self.bcd_restarts < 1:
+            raise ConfigError("delay restarts must be at least 1")
 
 
 def _dbm_to_watts(dbm: float) -> float:
@@ -255,7 +267,7 @@ def load_scenario(path) -> Scenario:
         )
     except KeyError as exc:
         raise ConfigError(f"scenario file is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario value: {exc}") from exc
 
 
@@ -304,8 +316,7 @@ def _fmt(x) -> str:
 
 def _offload_point(scenario: Scenario, value: float) -> dict:
     cfg, lib = _apply_sweep(scenario, value)
-    w1 = cfg.w_total * scenario.bandwidth_fraction
-    prob = stochgeo.prob_rate_exceeds(cfg, scenario.r0_over_w1, w1).value
+    prob = stochgeo.prob_rate_exceeds(cfg, scenario.r0_over_w1).value
     pc = optimize.optimize_offloading(cfg, lib, prob)
     rows = {
         "value": value,
@@ -405,12 +416,9 @@ def _validate_rows(scenario: Scenario) -> list:
         for theta_db in (0.0, 3.0):
             point = cfg.replace(sigma=sigma, theta=_db_to_linear(theta_db))
             tag = f"prob_rate_exceeds sigma={sigma:g} theta_db={theta_db:g}"
-            analytic = stochgeo.prob_rate_exceeds(
-                point, scenario.r0_over_w1, point.w_total / 2.0
-            ).value
+            analytic = stochgeo.prob_rate_exceeds(point, scenario.r0_over_w1).value
             mc = montecarlo.mc_prob_rate_exceeds(
-                point, scenario.r0_over_w1, point.w_total / 2.0, trials,
-                _point_seed(scenario.seed, tag),
+                point, scenario.r0_over_w1, trials, _point_seed(scenario.seed, tag)
             )
             add(tag, analytic, mc.mean, mc.half_width_95, 0.02)
 

@@ -11,6 +11,7 @@ per-device cache stores exactly ``M`` files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,9 @@ class NetworkConfig:
     access_p: float
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.alpha > 2:
             raise ConfigError(f"alpha must exceed 2, got {self.alpha}")
         if not 0 <= self.access_p <= 1:
@@ -122,14 +126,14 @@ class ContentLibrary:
                 f"cache_size must satisfy 0 < M < N_f, got M={self.cache_size}, "
                 f"N_f={self.n_files}"
             )
-        if abs(q.sum() - 1.0) > 1e-12:
+        if not abs(q.sum() - 1.0) <= 1e-12:
             raise ConfigError(f"popularity must sum to 1, got {q.sum()!r}")
-        if np.any(q < 0):
+        if not np.all(q >= 0):
             raise ConfigError("popularity entries must be non-negative")
         if np.any(np.diff(q) > 1e-15):
             raise ConfigError("popularity must be non-increasing in file index")
-        if np.any(s <= 0):
-            raise ConfigError("all file sizes must be positive")
+        if not np.all((s > 0) & np.isfinite(s)):
+            raise ConfigError("all file sizes must be positive and finite")
         q.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "popularity", q)
@@ -218,8 +222,8 @@ def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
     """
     if n_files < 1:
         raise ConfigError(f"n_files must be at least 1, got {n_files}")
-    if beta < 0:
-        raise ConfigError(f"beta must be non-negative, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise ConfigError(f"beta must be non-negative and finite, got {beta}")
     ranks = np.arange(1, n_files + 1, dtype=float)
     weights = ranks ** (-beta)
     return weights / weights.sum()

@@ -214,7 +214,6 @@ def _estimate(hits: int, trials: int, seed: int) -> McEstimate:
 def mc_prob_rate_exceeds(
     cfg: NetworkConfig,
     r0_over_w1: float,
-    w1: float,
     trials: int,
     seed: int,
     region_radius: float | None = None,

@@ -11,9 +11,25 @@ Rayleigh(sqrt(2)*sigma) draws).
 
 Numerical conventions
 ---------------------
-* All integrals use adaptive Gauss-Kronrod quadrature (absolute
-  tolerance 1e-9, relative 1e-7) with a subdivision cap that bounds each
-  integral to roughly 1e6 evaluations; non-convergence raises
+* Coverage probabilities (:func:`prob_rate_exceeds`,
+  :func:`d2d_coverage_conditional`) come from one table per
+  :class:`NetworkConfig`, built with fixed-order Gauss-Legendre panels:
+  serving distances r on [0, 14 sigma] with breaks where r, and where the
+  kernel knee theta**(1/alpha) * r, passes sigma, 2 sigma and 4 sigma; at
+  each r, log L_inter(r) and the intra-cluster integral I(r) with
+  L_intra = exp(-intensity * I). A coverage is the contraction
+  sum_r w(r) f_R(r) exp(log L_inter(r) - intensity * I(r)), so one table
+  serves P(R1 > R0) (intensity p*nbar) and every cluster size k
+  (intensity p*k).
+* Every table is built with two rules of different order on the same
+  panels. A coverage whose two values differ by more than
+  max(1e-9, 1e-7 * value) is recomputed once with a higher-order pair;
+  if they still differ, :class:`~clustercache.errors.NumericFailure`
+  reports both values. A table with a non-finite entry raises it too.
+* :func:`laplace_inter` and :func:`laplace_intra` keep adaptive
+  Gauss-Kronrod quadrature (absolute tolerance 1e-9, relative 1e-7, a
+  subdivision cap of roughly 1e6 evaluations per integral) and serve as
+  the reference the tables are tested against; non-convergence raises
   :class:`~clustercache.errors.NumericFailure` with diagnostics.
 * Semi-infinite ranges are mapped through v = c*t/(1-t); ranges with an
   exponentially decaying weight are truncated where the weight falls
@@ -27,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -59,6 +76,18 @@ _QUAD_LIMIT = 200
 _RAYLEIGH_CUTOFF = 14.0
 # Rice(v, sigma) mass outside v +/- 12*sigma is below 1e-30.
 _RICE_WINDOW = 12.0
+# Gauss-Legendre points per panel of the coverage tables, as (r, t, u):
+# serving distance, mapped cluster-center distance, and interferer
+# distance (Rice window and intra-cluster integral). Each level pairs a
+# rule with a lower-order one on the same panels; their gap is the error
+# estimate, and the second level is tried when the first exceeds it.
+_RULE_PAIRS = (
+    ((16, 16, 48), (12, 12, 32)),
+    ((24, 24, 64), (16, 16, 48)),
+)
+# Serving distances per table chunk are capped so no temporary holds more
+# than about this many doubles.
+_CHUNK_DOUBLES = 65536
 
 
 @dataclass(frozen=True)
@@ -131,21 +160,23 @@ def serving_distance_pdf(r, sigma: float):
     return out if out.ndim else float(out)
 
 
-def rice_pdf(u, v: float, sigma: float):
+def rice_pdf(u, v, sigma: float):
     """Rice density of the distance from the origin to a point Gaussian
-    (std ``sigma``) around a center at distance ``v``.
+    (std ``sigma``) around a center at distance ``v`` (``u`` and ``v``
+    broadcast against each other).
 
     Uses the exponentially scaled Bessel I0 so u*v/sigma^2 beyond ~700
     cannot overflow: (u/s^2) exp(-(u-v)^2 / 2s^2) I0e(u v / s^2).
     """
     if sigma <= 0:
         raise ConfigError("sigma must be positive")
-    if v < 0:
+    if np.any(np.asarray(v) < 0):
         raise ConfigError("v must be non-negative")
     u = np.asarray(u, dtype=float)
     s2 = sigma**2
-    out = (u / s2) * np.exp(-((u - v) ** 2) / (2.0 * s2)) * special.i0e(u * v / s2)
-    out = np.where(u < 0, 0.0, out)
+    # max(u, 0) makes the density vanish for u < 0.
+    out = (np.maximum(u, 0.0) / s2) * np.exp((u - v) ** 2 / (-2.0 * s2)) \
+        * special.i0e(u * v / s2)
     return out if out.ndim else float(out)
 
 
@@ -155,35 +186,44 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def _gl_panel(fn, a: float, b: float, n: int) -> float:
-    x, w = _gl_nodes(n)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return half * float(w @ fn(mid + half * x))
+def _gl_panels(edges, n: int):
+    """Nodes of n-point Gauss-Legendre panels between the consecutive
+    entries on the last axis of ``edges``, shape (..., panels, n), and the
+    half width of each panel, shape (..., panels)."""
+    x, _ = _gl_nodes(n)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges, axis=-1)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    return mid[..., None] + half[..., None] * x, half
 
 
-def _phi(s_sir: float, v: float, sigma: float, alpha: float) -> float:
+def _gl_rule(edges, n: int):
+    """:func:`_gl_panels` as flat nodes and weights: the panels of each
+    leading index are laid out along the last axis."""
+    nodes, half = _gl_panels(edges, n)
+    shape = nodes.shape[:-2] + (-1,)
+    return nodes.reshape(shape), (half[..., None] * _gl_nodes(n)[1]).reshape(shape)
+
+
+def _phi(s_sir, v, sigma: float, alpha: float, n: int = 96):
     """E[ s/(s + U^alpha) ] for U ~ Rice(v, sigma), with s = theta*r^alpha.
 
-    The Rice mass lives in a +/- 12 sigma window around v; the kernel
-    transitions around u = s**(1/alpha), so the window is split there to
-    keep fixed-order panels accurate.
+    ``s_sir`` and ``v`` broadcast against each other. The Rice mass lives
+    in a +/- 12 sigma window around v; the kernel transitions around
+    u = s**(1/alpha), so the window is split there (at its midpoint when
+    the knee lies outside) and each half gets an n-point rule.
     """
-    if s_sir == 0.0:
-        return 0.0
-    lo = max(0.0, v - _RICE_WINDOW * sigma)
+    s_sir, v = np.broadcast_arrays(np.asarray(s_sir, dtype=float),
+                                   np.asarray(v, dtype=float))
+    lo = np.maximum(0.0, v - _RICE_WINDOW * sigma)
     hi = v + _RICE_WINDOW * sigma
     knee = s_sir ** (1.0 / alpha)
-    edges = [lo, hi]
-    if lo < knee < hi:
-        edges.insert(1, knee)
-
-    def integrand(u):
-        return (s_sir / (s_sir + u**alpha)) * rice_pdf(u, v, sigma)
-
-    return sum(
-        _gl_panel(integrand, a, b, 96) for a, b in zip(edges[:-1], edges[1:])
-    )
+    split = np.where((lo < knee) & (knee < hi), knee, 0.5 * (lo + hi))
+    u, half = _gl_panels(np.stack([lo, split, hi], axis=-1), n)
+    s_sir = s_sir[..., None, None]
+    f = s_sir / (s_sir + u**alpha)
+    f *= rice_pdf(u, v[..., None, None], sigma)
+    return ((f @ _gl_nodes(n)[1]) * half).sum(axis=-1)
 
 
 def _checked_quad(fn, a, b, *, points=None, what: str, atol=ATOL, rtol=RTOL) -> float:
@@ -259,26 +299,96 @@ def laplace_intra(s, intensity: float, sigma: float, alpha: float) -> float:
     return float(np.exp(-intensity * integral))
 
 
-def _d2d_coverage(cfg: NetworkConfig, intra_intensity: float, what: str) -> float:
-    sigma = cfg.sigma
+class _RuleTable(NamedTuple):
+    """One quadrature rule tabulated over the serving distance r."""
 
-    def integrand(r):
-        arg = LaplaceArg.from_link(cfg.theta, r, cfg.alpha, cfg.p_d)
-        return (
-            serving_distance_pdf(r, sigma)
-            * laplace_inter(arg, cfg)
-            * laplace_intra(arg, intra_intensity, sigma, cfg.alpha)
-        )
+    weights: np.ndarray  # w(r) * f_R(r)
+    log_inter: np.ndarray  # log L_inter(theta * r**alpha)
+    intra: np.ndarray  # I(r), with L_intra = exp(-intensity * I(r))
 
+    def coverage(self, intensity: float) -> float:
+        return float(self.weights @ np.exp(self.log_inter - intensity * self.intra))
+
+
+def _log_inter(s_sir: np.ndarray, cfg: NetworkConfig, n_t: int, n_u: int) -> np.ndarray:
+    """log L_inter at each SIR argument, on the panels of :func:`laplace_inter`."""
+    sigma, alpha = cfg.sigma, cfg.alpha
+    knee = s_sir ** (1.0 / alpha)
+    scale = knee + 13.0 * sigma
+    # Breaks at v = sigma, knee and knee + 13 sigma (t = 1/2) of v = c*t/(1-t).
+    t_sigma, t_knee = sigma / (scale + sigma), knee / (scale + knee)
+    edges = np.stack([np.zeros_like(knee), np.minimum(t_sigma, t_knee),
+                      np.maximum(t_sigma, t_knee), np.full_like(knee, 0.5),
+                      np.ones_like(knee)], axis=-1)
+    t, w = _gl_rule(edges, n_t)
+    scale = scale[:, None]
+    v = scale * t / (1.0 - t)
+    w *= scale / (1.0 - t) ** 2 * v
+    phi = _phi(s_sir[:, None], v, sigma, alpha, n_u)
+    exponent = (w * -np.expm1(-cfg.access_p * cfg.n_bar * phi)).sum(axis=-1)
+    return -2.0 * math.pi * cfg.lambda_p * exponent
+
+
+def _intra_integral(s_sir: np.ndarray, sigma: float, alpha: float, n: int) -> np.ndarray:
+    """I at each SIR argument, on the panels of :func:`laplace_intra`."""
     hi = _RAYLEIGH_CUTOFF * sigma
-    value = _checked_quad(
-        integrand, 0.0, hi, points=[sigma, 2.0 * sigma, 4.0 * sigma], what=what
-    )
-    return value
+    knee = np.minimum(s_sir ** (1.0 / alpha), hi)
+    edges = np.stack([np.zeros_like(knee), np.minimum(knee, sigma),
+                      np.maximum(knee, sigma), np.full_like(knee, hi)], axis=-1)
+    h, w = _gl_rule(edges, n)
+    s_sir = s_sir[:, None]
+    return (w * s_sir / (s_sir + h**alpha) * serving_distance_pdf(h, sigma)).sum(axis=-1)
+
+
+def _rule_table(cfg: NetworkConfig, rule) -> _RuleTable:
+    n_r, n_t, n_u = rule
+    sigma, alpha = cfg.sigma, cfg.alpha
+    # Panels break where r, and where the kernel knee theta**(1/alpha) * r,
+    # passes sigma, 2 sigma and 4 sigma; at large theta the coverage
+    # integrand lives on the second, much shorter scale.
+    cut = _RAYLEIGH_CUTOFF * sigma
+    breaks = sigma * np.array([1.0, 2.0, 4.0])
+    breaks = np.concatenate([breaks, breaks * cfg.theta ** (-1.0 / alpha)])
+    r, w = _gl_rule(np.unique(np.concatenate([[0.0, cut], breaks[breaks < cut]])), n_r)
+    s_sir = cfg.theta * r**alpha
+    # The Rice kernel of one serving distance spans 4 t panels x 2 u panels.
+    chunk = max(1, _CHUNK_DOUBLES // (8 * n_t * n_u))
+    log_inter = np.concatenate([
+        _log_inter(s_sir[i:i + chunk], cfg, n_t, n_u)
+        for i in range(0, r.size, chunk)
+    ])
+    return _RuleTable(w * serving_distance_pdf(r, sigma), log_inter,
+                      _intra_integral(s_sir, sigma, alpha, n_u))
 
 
 @lru_cache(maxsize=512)
-def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float, w1: float) -> CoverageResult:
+def _coverage_table(cfg: NetworkConfig, level: int = 0) -> tuple:
+    """The (high, low) order rule tables of ``_RULE_PAIRS[level]``."""
+    tables = tuple(_rule_table(cfg, rule) for rule in _RULE_PAIRS[level])
+    for table in tables:
+        for array in table:
+            if not np.isfinite(array).all():
+                raise NumericFailure(f"coverage table for {cfg} has non-finite entries")
+            array.setflags(write=False)  # shared by every caller through the cache
+    return tables
+
+
+def _coverage(cfg: NetworkConfig, intensity: float, what: str) -> float:
+    """Serving-distance average of L_inter * L_intra at ``intensity``."""
+    for level in range(len(_RULE_PAIRS)):
+        high, low = (table.coverage(intensity) for table in _coverage_table(cfg, level))
+        tol = max(ATOL, RTOL * abs(high))
+        if abs(high - low) <= tol:
+            return high
+    raise NumericFailure(
+        f"quadrature for {what} did not converge: fixed-order rules "
+        f"{_RULE_PAIRS[-1]} give {high!r} and {low!r}, "
+        f"difference {abs(high - low)!r} exceeds tolerance {tol!r}"
+    )
+
+
+@lru_cache(maxsize=512)
+def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float) -> CoverageResult:
     """Probability that the D2D link rate exceeds the threshold R0.
 
     Under fixed-rate transmission the event reduces to an SIR outage
@@ -289,15 +399,13 @@ def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float, w1: float) -> Cover
     """
     if r0_over_w1 < 0:
         raise ConfigError("r0_over_w1 must be non-negative")
-    if w1 < 0:
-        raise ConfigError("w1 must be non-negative")
     spectral_capacity = cfg.access_p * math.log2(1.0 + cfg.theta)
     if not spectral_capacity > r0_over_w1:
         raise InfeasibleAccessProbability(
             f"access_p * log2(1 + theta) = {spectral_capacity:.6g} bits/s/Hz "
             f"does not exceed R0/W1 = {r0_over_w1:.6g} bits/s/Hz"
         )
-    value = _d2d_coverage(cfg, cfg.access_p * cfg.n_bar, "P(R1 > R0)")
+    value = _coverage(cfg, cfg.access_p * cfg.n_bar, "P(R1 > R0)")
     return CoverageResult(value=value, method="analytic")
 
 
@@ -314,7 +422,7 @@ def d2d_coverage_conditional(cfg: NetworkConfig, k: int) -> CoverageResult:
         raise ConfigError(f"k must be at least 1, got {k}")
     if cfg.access_p == 0.0:
         return CoverageResult(value=1.0, method="analytic", degenerate=True)
-    value = _d2d_coverage(cfg, cfg.access_p * k, f"D2D coverage | k={k}")
+    value = _coverage(cfg, cfg.access_p * k, f"D2D coverage | k={k}")
     return CoverageResult(value=value, method="analytic")
 
 

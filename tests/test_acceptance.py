@@ -85,9 +85,9 @@ def test_criterion_01_rate_probability_vs_monte_carlo(table1):
     for sigma in (10.0, 20.0, 30.0):
         for theta_db in (0.0, 3.0):
             cfg = table1.cfg.replace(sigma=sigma, theta=10 ** (theta_db / 10))
-            analytic = stochgeo.prob_rate_exceeds(cfg, 0.1, cfg.w_total / 2).value
+            analytic = stochgeo.prob_rate_exceeds(cfg, 0.1).value
             mc = montecarlo.mc_prob_rate_exceeds(
-                cfg, 0.1, cfg.w_total / 2, 100_000,
+                cfg, 0.1, 100_000,
                 seed=int(1000 * sigma + theta_db),
             )
             gap = abs(analytic - mc.mean)
@@ -182,7 +182,7 @@ def test_criterion_05_scheme_dominance(table1, bcd_beta_sweep):
 
     # Offloading: the optimized policy dominates; the proportional scheme
     # at least approximately dominates deterministic top-M caching.
-    prob = stochgeo.prob_rate_exceeds(cfg, 0.1, cfg.w_total / 2).value
+    prob = stochgeo.prob_rate_exceeds(cfg, 0.1).value
     for beta in (0.0, 0.5, 1.0, 1.5, 2.0):
         lib = ContentLibrary.zipf(500, beta, 10)
         pc = optimize.optimize_offloading(cfg, lib, prob).objective
@@ -330,19 +330,17 @@ def test_criterion_08_monotonicity_suite(table1, bcd_beta_sweep):
         return all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
 
     in_sigma = [
-        stochgeo.prob_rate_exceeds(cfg.replace(sigma=s), 0.1, cfg.w_total / 2).value
+        stochgeo.prob_rate_exceeds(cfg.replace(sigma=s), 0.1).value
         for s in (10.0, 20.0, 30.0, 40.0, 50.0)
     ]
     # The theta grid needs an access probability feasible across the whole
     # grid (p log2(1+theta) > R0/W1 fails at theta=0.5 for the default p).
     in_theta = [
-        stochgeo.prob_rate_exceeds(cfg.replace(theta=t, access_p=0.5), 0.1,
-                                   cfg.w_total / 2).value
+        stochgeo.prob_rate_exceeds(cfg.replace(theta=t, access_p=0.5), 0.1).value
         for t in (0.5, 1.0, 2.0, 4.0, 8.0)
     ]
     in_lambda = [
-        stochgeo.prob_rate_exceeds(cfg.replace(lambda_p=l * 1e-6), 0.1,
-                                   cfg.w_total / 2).value
+        stochgeo.prob_rate_exceeds(cfg.replace(lambda_p=l * 1e-6), 0.1).value
         for l in (5.0, 10.0, 20.0, 40.0, 80.0)
     ]
     for name, seq in (("sigma", in_sigma), ("theta", in_theta),

@@ -74,6 +74,20 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             replace(base, sweep_variable="bandwidth")
 
+    def test_scenario_rejects_non_finite_grid(self):
+        with pytest.raises(ConfigError, match="finite"):
+            replace(default_table1(), grid=(20.0, float("nan"), 10.0))
+        with pytest.raises(ConfigError, match="finite"):
+            replace(default_table1(), grid=(1.0, float("inf")))
+
+    def test_overflowing_decibels_reported(self, tmp_path):
+        mapping = scenario_to_mapping(default_table1())
+        mapping["network"]["theta_db"] = 1e5
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError):
+            load_scenario(path)
+
     def test_db_fields_are_exclusive(self, tmp_path):
         mapping = scenario_to_mapping(default_table1())
         mapping["network"]["theta"] = 1.0  # both theta and theta_db present

@@ -1,5 +1,7 @@
 """Domain types, Zipf popularity, placement sampler, baseline schemes."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -125,6 +127,19 @@ class TestDomainTypes:
                     dict(sigma=-1.0), dict(lambda_p=0.0), dict(n_bar=0.0)):
             with pytest.raises(ConfigError):
                 NetworkConfig(**{**TABLE1, **bad})
+
+    @pytest.mark.parametrize("field", ["theta", "sigma", "lambda_p", "p_b", "w_total"])
+    def test_network_config_rejects_infinity(self, field):
+        with pytest.raises(ConfigError, match="finite"):
+            NetworkConfig(**{**TABLE1, field: math.inf})
+
+    def test_library_rejects_non_finite_values(self):
+        with pytest.raises(ConfigError):
+            ContentLibrary.zipf(50, math.nan, 5)
+        with pytest.raises(ConfigError):
+            ContentLibrary.zipf(50, math.inf, 5)
+        with pytest.raises(ConfigError):
+            ContentLibrary.zipf(50, 1.0, 5, mean_size_mbits=math.nan)
 
     def test_library_invariants(self):
         with pytest.raises(ConfigError):  # cache as large as the catalog

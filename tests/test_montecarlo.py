@@ -70,17 +70,17 @@ class TestSampleTcp:
 
 class TestDeterminism:
     def test_identical_seed_identical_estimate(self, table1_cfg):
-        a = mc_prob_rate_exceeds(table1_cfg, 0.1, 10e6, 5000, seed=99)
-        b = mc_prob_rate_exceeds(table1_cfg, 0.1, 10e6, 5000, seed=99)
+        a = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=99)
+        b = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=99)
         assert a == b
 
     def test_different_seed_different_estimate(self, table1_cfg):
-        a = mc_prob_rate_exceeds(table1_cfg, 0.1, 10e6, 5000, seed=99)
-        b = mc_prob_rate_exceeds(table1_cfg, 0.1, 10e6, 5000, seed=100)
+        a = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=99)
+        b = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=100)
         assert a.mean != b.mean
 
     def test_half_width_formula(self, table1_cfg):
-        est = mc_prob_rate_exceeds(table1_cfg, 0.1, 10e6, 5000, seed=99)
+        est = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=99)
         n = est.samples
         std = math.sqrt(n / (n - 1) * est.mean * (1 - est.mean))
         assert est.half_width_95 == pytest.approx(1.96 * std / math.sqrt(n))
@@ -90,23 +90,22 @@ class TestDeterminism:
 class TestProbRateExceedsMc:
     def test_certain_coverage_at_tiny_threshold(self, table1_cfg):
         cfg = table1_cfg.replace(theta=1e-9)
-        est = mc_prob_rate_exceeds(cfg, 0.0, 10e6, 2000, seed=5)
+        est = mc_prob_rate_exceeds(cfg, 0.0, 2000, seed=5)
         assert est.mean > 0.999
 
     def test_interference_dominated_limit(self, table1_cfg):
         cfg = table1_cfg.replace(access_p=1.0, lambda_p=5e-3, n_bar=20.0)
-        est = mc_prob_rate_exceeds(cfg, 0.1, 10e6, 2000, seed=5)
+        est = mc_prob_rate_exceeds(cfg, 0.1, 2000, seed=5)
         assert est.mean < 0.02
 
     def test_matches_analytic(self, table1_cfg):
-        est = mc_prob_rate_exceeds(table1_cfg, 0.1, 10e6, 20000, seed=31)
-        analytic = prob_rate_exceeds(table1_cfg, 0.1, 10e6).value
+        est = mc_prob_rate_exceeds(table1_cfg, 0.1, 20000, seed=31)
+        analytic = prob_rate_exceeds(table1_cfg, 0.1).value
         assert abs(est.mean - analytic) < 0.02
 
     def test_feasibility_enforced(self, table1_cfg):
         with pytest.raises(InfeasibleAccessProbability):
-            mc_prob_rate_exceeds(table1_cfg.replace(access_p=0.01), 0.1, 10e6,
-                                 100, seed=1)
+            mc_prob_rate_exceeds(table1_cfg.replace(access_p=0.01), 0.1, 100, seed=1)
 
 
 class TestConditionalCoverageMc:

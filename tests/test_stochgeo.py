@@ -32,6 +32,7 @@ from clustercache.stochgeo import (
     rice_pdf,
     serving_distance_pdf,
 )
+from clustercache import stochgeo
 from clustercache.stochgeo import _checked_quad
 
 from conftest import TABLE1
@@ -160,8 +161,7 @@ class TestLaplaceTransforms:
 class TestProbRateExceeds:
     def test_outage_certain_at_huge_threshold(self, table1_cfg):
         values = [
-            prob_rate_exceeds(table1_cfg.replace(theta=t, access_p=0.5), 0.1,
-                              10e6).value
+            prob_rate_exceeds(table1_cfg.replace(theta=t, access_p=0.5), 0.1).value
             for t in (1.0, 10.0, 100.0, 1e4, 1e6)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -171,14 +171,14 @@ class TestProbRateExceeds:
         # Larger spread means longer serving links and closer interferers.
         cfg = NetworkConfig(**{**TABLE1, "n_bar": 12.0, "sigma": 30.0})
         values = [
-            prob_rate_exceeds(cfg.replace(sigma=s), 0.1, 10e6).value
+            prob_rate_exceeds(cfg.replace(sigma=s), 0.1).value
             for s in (10.0, 20.0, 30.0, 40.0, 50.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_decreasing_in_cluster_population(self, table1_cfg):
         values = [
-            prob_rate_exceeds(table1_cfg.replace(n_bar=n), 0.1, 10e6).value
+            prob_rate_exceeds(table1_cfg.replace(n_bar=n), 0.1).value
             for n in (2.0, 4.0, 8.0, 16.0, 32.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -186,14 +186,14 @@ class TestProbRateExceeds:
     def test_decreasing_in_access_probability(self, table1_cfg):
         # More simultaneous transmitters only add interference.
         values = [
-            prob_rate_exceeds(table1_cfg.replace(access_p=p), 0.1, 10e6).value
+            prob_rate_exceeds(table1_cfg.replace(access_p=p), 0.1).value
             for p in (0.2, 0.4, 0.6, 0.8, 1.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_infeasible_access_probability(self, table1_cfg):
         with pytest.raises(InfeasibleAccessProbability):
-            prob_rate_exceeds(table1_cfg.replace(access_p=0.05), 0.1, 10e6)
+            prob_rate_exceeds(table1_cfg.replace(access_p=0.05), 0.1)
 
 
 class TestConditionalCoverage:
@@ -224,6 +224,93 @@ class TestConditionalCoverage:
     def test_rejects_empty_cluster(self, table1_cfg):
         with pytest.raises(ConfigError):
             d2d_coverage_conditional(table1_cfg, 0)
+
+
+def _adaptive_coverage(cfg, intensity):
+    """The coverage integral by adaptive quadrature of the public transforms."""
+
+    def integrand(r):
+        arg = LaplaceArg.from_link(cfg.theta, r, cfg.alpha, cfg.p_d)
+        return (serving_distance_pdf(r, cfg.sigma) * laplace_inter(arg, cfg)
+                * laplace_intra(arg, intensity, cfg.sigma, cfg.alpha))
+
+    sigma = cfg.sigma
+    breaks = [sigma, 2 * sigma, 4 * sigma]
+    breaks += [b * cfg.theta ** (-1 / cfg.alpha) for b in breaks]
+    value, _ = quad(integrand, 0, 14 * sigma,
+                    points=[b for b in breaks if b < 14 * sigma], limit=200,
+                    epsabs=1e-12, epsrel=1e-10)
+    return value
+
+
+# Validate's six (sigma, theta) points, both ends of alpha, a high threshold,
+# both ends of sigma, a dense network and a crowded cluster.
+ENGINE_CONFIGS = {
+    **{f"sigma={s:g},theta_db={t:g}": dict(sigma=s, theta=10 ** (t / 10))
+       for s in (10.0, 20.0, 30.0) for t in (0.0, 3.0)},
+    "alpha=3": dict(alpha=3.0),
+    "alpha=6": dict(alpha=6.0),
+    "theta=10,p=0.5": dict(theta=10.0, access_p=0.5),
+    "theta=1e4,p=0.5": dict(theta=1e4, access_p=0.5),
+    "sigma=2": dict(sigma=2.0),
+    "sigma=50,lambda=200/km2": dict(sigma=50.0, lambda_p=200e-6),
+    "n_bar=40,p=0.5": dict(n_bar=40.0, access_p=0.5),
+}
+STRESS = dict(sigma=50.0, lambda_p=200e-6)
+
+
+@pytest.fixture()
+def fresh_coverage_caches():
+    # Tables built under patched rules must not leak into later tests.
+    yield
+    for fn in (stochgeo._coverage_table, prob_rate_exceeds, d2d_coverage_conditional):
+        fn.cache_clear()
+
+
+class TestCoverageEngine:
+    @pytest.mark.parametrize("overrides", ENGINE_CONFIGS.values(), ids=ENGINE_CONFIGS)
+    def test_matches_adaptive_oracle(self, table1_cfg, overrides):
+        cfg = table1_cfg.replace(**overrides)
+        got = prob_rate_exceeds(cfg, 0.1).value
+        expected = _adaptive_coverage(cfg, cfg.access_p * cfg.n_bar)
+        assert abs(got - expected) <= max(1e-9, 1e-7 * expected)
+
+    def test_one_table_serves_every_coverage(self, table1_cfg):
+        cfg = table1_cfg.replace(sigma=17.25)
+        misses = stochgeo._coverage_table.cache_info().misses
+        prob_rate_exceeds(cfg, 0.1)
+        for k in range(1, 13):
+            d2d_coverage_conditional(cfg, k)
+        assert stochgeo._coverage_table.cache_info().misses == misses + 1
+
+    def test_stress_config_escalates(self, table1_cfg, monkeypatch):
+        cfg = table1_cfg.replace(**STRESS)
+        levels = []
+        table = stochgeo._coverage_table
+
+        def recording(cfg, level=0):
+            levels.append(level)
+            return table(cfg, level)
+
+        monkeypatch.setattr(stochgeo, "_coverage_table", recording)
+        intensity = cfg.access_p * cfg.n_bar
+        value = stochgeo._coverage(cfg, intensity, "stress")
+        assert levels == [0, 1]
+        assert value == table(cfg, 1)[0].coverage(intensity)
+
+    def test_disagreeing_rules_raise(self, table1_cfg, monkeypatch,
+                                     fresh_coverage_caches):
+        monkeypatch.setattr(stochgeo, "_RULE_PAIRS",
+                            (((3, 3, 4), (2, 2, 2)), ((4, 4, 6), (3, 3, 4))))
+        with pytest.raises(NumericFailure, match="give .* and .*exceeds tolerance"):
+            prob_rate_exceeds(table1_cfg.replace(sigma=23.5), 0.1)
+
+    def test_non_finite_table_raises(self, table1_cfg, monkeypatch,
+                                     fresh_coverage_caches):
+        monkeypatch.setattr(stochgeo, "_log_inter",
+                            lambda s_sir, cfg, n_t, n_u: np.full(s_sir.shape, np.nan))
+        with pytest.raises(NumericFailure, match="non-finite"):
+            d2d_coverage_conditional(table1_cfg.replace(sigma=23.5), 3)
 
 
 class TestBsCoverage:
