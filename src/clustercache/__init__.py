@@ -28,13 +28,11 @@ from .model import (
     zipf_popularity,
 )
 from .montecarlo import (
-    ClusterRealization,
     ConditionalCoveragePair,
     McEstimate,
     mc_coverage_conditional,
     mc_coverage_single_link,
     mc_prob_rate_exceeds,
-    sample_tcp,
 )
 from .optimize import (
     BandwidthAllocation,

@@ -42,7 +42,6 @@ __all__ = ["Scenario", "default_table1", "load_scenario", "run_scenario", "main"
 _TASKS = ("offload", "energy", "delay", "validate")
 _SWEEP_VARIABLES = ("beta", "sigma", "lambda_p", "n_bar", "p", "theta")
 _SCHEMA_LINE = "# schema=1"
-_POISSON_TAIL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -330,19 +329,6 @@ def _offload_point(scenario: Scenario, value: float) -> dict:
     return rows
 
 
-def _poisson_weights(n_bar: float):
-    weight = math.exp(-n_bar)
-    cumulative = weight
-    k = 0
-    while cumulative < 1.0 - _POISSON_TAIL:
-        k += 1
-        weight *= n_bar / k
-        cumulative += weight
-        yield k, weight
-        if k > 200 * (1 + n_bar):
-            return
-
-
 def _energy_point(scenario: Scenario, value: float) -> dict:
     cfg, lib = _apply_sweep(scenario, value)
     w1 = cfg.w_total * scenario.bandwidth_fraction
@@ -351,7 +337,7 @@ def _energy_point(scenario: Scenario, value: float) -> dict:
     zipf = baseline_policy("zipf-proportional", lib)
     cpf = baseline_policy("cpf", lib)
     e_pc = e_zipf = e_cpf = 0.0
-    for k, weight in _poisson_weights(cfg.n_bar):
+    for k, weight in optimize._poisson_weights(cfg.n_bar):
         r1 = stochgeo.average_rate(
             w1, cfg.theta, stochgeo.d2d_coverage_conditional(cfg, k)
         )
@@ -402,14 +388,18 @@ def _validate_rows(scenario: Scenario) -> list:
     rows = []
 
     def add(quantity, analytic, reference, half_width, tolerance):
-        diff = abs(analytic - reference)
+        signed_diff = analytic - reference
         rows.append({
             "quantity": quantity,
             "analytic": analytic,
             "mc_mean": reference,
             "mc_hw95": half_width,
-            "pass": bool(diff < tolerance),
+            "pass": bool(abs(signed_diff) < tolerance),
             "error": "",
+            "signed_diff": signed_diff,
+            # Deviation in standard errors of the simulation; empty for a
+            # row whose reference is not simulated.
+            "z_score": signed_diff / (half_width / 1.96) if half_width > 0 else "",
         })
 
     for sigma in (10.0, 20.0, 30.0):
@@ -461,7 +451,8 @@ _TASK_COLUMNS = {
     "energy": ("value", "e_pc_j", "e_zipf_j", "e_cpf_j", "error"),
     "delay": ("value", "d_bcd_s", "w1_opt_hz", "d_zipf_eqsplit_s",
               "zipf_eqsplit_stable", "error"),
-    "validate": ("quantity", "analytic", "mc_mean", "mc_hw95", "pass", "error"),
+    "validate": ("quantity", "analytic", "mc_mean", "mc_hw95", "pass", "error",
+                 "signed_diff", "z_score"),
 }
 
 _POINT_FUNCTIONS = {

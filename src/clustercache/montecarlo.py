@@ -13,8 +13,21 @@ Construction per trial (typical receiver at the origin):
 * remote cluster centers form a Poisson process in a disk whose radius
   defaults to max(15*sigma, 5/sqrt(pi*lambda_p)), large enough that the
   truncated interference is negligible for alpha >= 3;
-* every potential interferer transmits independently with the ALOHA
-  probability and fades independently.
+* only active transmitters are drawn. Poisson(n_bar) members that each
+  transmit independently with the ALOHA probability p are, by the
+  thinning theorem, Poisson(p*n_bar) active members, so remote clusters
+  and the ``aloha`` local mode draw Poisson(p*n_bar) active members per
+  cluster, the ``binomial`` local mode Binomial(k-1, p) and the
+  ``poisson_pk`` mode Poisson(p*k); the single-link model has exactly
+  one active member per remote cluster;
+* each remote center is drawn at radius R*sqrt(U) on the +x axis. The
+  interference at the origin depends only on the members' distances,
+  member offsets are i.i.d. isotropic Gaussians and clusters are
+  independent, so rotating each remote cluster about the origin leaves
+  the law of the interference unchanged and the angle need not be drawn;
+* every active transmitter fades independently; a contribution is
+  fade * d2**(-alpha/2) with d2 the squared distance, so no square root
+  is taken.
 
 Trials are processed in fixed-size batches; each batch draws its own
 generator from the master seed (counter-based Philox), so estimates are
@@ -34,10 +47,8 @@ from .model import NetworkConfig
 
 __all__ = [
     "McEstimate",
-    "ClusterRealization",
     "ConditionalCoveragePair",
     "default_region_radius",
-    "sample_tcp",
     "mc_prob_rate_exceeds",
     "mc_coverage_conditional",
     "mc_coverage_single_link",
@@ -75,21 +86,9 @@ class ConditionalCoveragePair:
     poisson_approx: McEstimate
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterRealization:
-    """One draw of the cluster process: centers and per-cluster offsets."""
-
-    centers: np.ndarray  # (n_clusters, 2), meters
-    members: tuple  # tuple of (m_i, 2) offset arrays relative to the center
-
-
 def default_region_radius(cfg: NetworkConfig) -> float:
     """Simulation disk radius keeping truncation bias negligible."""
     return max(15.0 * cfg.sigma, 5.0 / math.sqrt(math.pi * cfg.lambda_p))
-
-
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _batch_generators(seed: int, n_batches: int):
@@ -99,51 +98,40 @@ def _batch_generators(seed: int, n_batches: int):
     ]
 
 
-def _disk_points(rng, n: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(n))
-    a = rng.random(n) * (2.0 * math.pi)
-    return np.column_stack([r * np.cos(a), r * np.sin(a)])
+def _member_interference(rng, cfg: NetworkConfig, owner: np.ndarray,
+                         cx: np.ndarray, cy: np.ndarray | None,
+                         active: np.ndarray, n: int) -> np.ndarray:
+    """Unit-power interference of the active cluster members, per trial.
 
-
-def sample_tcp(cfg: NetworkConfig, region_radius: float, rng_seed: int) -> ClusterRealization:
-    """Sample one Thomas-cluster realization in a disk around the origin."""
-    if region_radius <= 0:
-        raise ConfigError("region_radius must be positive")
-    rng = _generator(rng_seed)
-    n_clusters = int(rng.poisson(cfg.lambda_p * math.pi * region_radius**2))
-    centers = _disk_points(rng, n_clusters, region_radius)
-    counts = rng.poisson(cfg.n_bar, n_clusters)
-    members = tuple(
-        rng.normal(0.0, cfg.sigma, (int(m), 2)) for m in counts
-    )
-    return ClusterRealization(centers=centers, members=members)
+    Cluster j belongs to trial ``owner[j]``, has its center at
+    (``cx[j]``, ``cy[j]``) (on the x axis when ``cy`` is None) and
+    ``active[j]`` active members, each Gaussian-displaced from the
+    center with independent unit-mean exponential fading.
+    """
+    cluster = np.repeat(np.arange(active.size), active)
+    offsets = rng.normal(0.0, cfg.sigma, (2, cluster.size))
+    x = cx[cluster] + offsets[0]
+    y = offsets[1] if cy is None else cy[cluster] + offsets[1]
+    d2 = x * x + y * y
+    contrib = rng.exponential(1.0, cluster.size) * d2 ** (-0.5 * cfg.alpha)
+    return np.bincount(owner[cluster], weights=contrib, minlength=n)
 
 
 def _remote_interference(rng, cfg: NetworkConfig, n: int, radius: float,
                          single_link: bool) -> np.ndarray:
-    """Unit-power interference from all remote clusters, per trial."""
+    """Unit-power interference from all remote clusters, per trial.
+
+    Centers lie on the +x axis; the module docstring explains why that
+    leaves the law of the interference unchanged.
+    """
     counts = rng.poisson(cfg.lambda_p * math.pi * radius**2, n)
-    total = int(counts.sum())
-    trial_of_cluster = np.repeat(np.arange(n), counts)
-    centers = _disk_points(rng, total, radius)
+    owner = np.repeat(np.arange(n), counts)
+    cx = radius * np.sqrt(rng.random(owner.size))
     if single_link:
-        # Exactly one always-active transmitter per remote cluster.
-        pos = centers + rng.normal(0.0, cfg.sigma, (total, 2))
-        fade = rng.exponential(1.0, total)
-        dist = np.linalg.norm(pos, axis=1)
-        contrib = fade * dist ** (-cfg.alpha)
-        return np.bincount(trial_of_cluster, weights=contrib, minlength=n)
-    member_counts = rng.poisson(cfg.n_bar, total)
-    m_total = int(member_counts.sum())
-    cluster_of_member = np.repeat(np.arange(total), member_counts)
-    pos = centers[cluster_of_member] + rng.normal(0.0, cfg.sigma, (m_total, 2))
-    active = rng.random(m_total) < cfg.access_p
-    fade = rng.exponential(1.0, m_total)
-    dist = np.linalg.norm(pos, axis=1)
-    contrib = np.where(active, fade * dist ** (-cfg.alpha), 0.0)
-    return np.bincount(
-        trial_of_cluster[cluster_of_member], weights=contrib, minlength=n
-    )
+        active = np.ones(owner.size, dtype=np.int64)
+    else:
+        active = rng.poisson(cfg.access_p * cfg.n_bar, owner.size)
+    return _member_interference(rng, cfg, owner, cx, None, active, n)
 
 
 def _local_interference(rng, cfg: NetworkConfig, centers: np.ndarray,
@@ -153,24 +141,15 @@ def _local_interference(rng, cfg: NetworkConfig, centers: np.ndarray,
     if mode == "none":
         return np.zeros(n)
     if mode == "aloha":
-        counts = rng.poisson(cfg.n_bar, n)
-        thin = cfg.access_p
+        active = rng.poisson(cfg.access_p * cfg.n_bar, n)
     elif mode == "binomial":
-        counts = np.full(n, k - 1, dtype=np.int64)
-        thin = cfg.access_p
+        active = rng.binomial(k - 1, cfg.access_p, n)
     elif mode == "poisson_pk":
-        counts = rng.poisson(cfg.access_p * k, n)
-        thin = 1.0
+        active = rng.poisson(cfg.access_p * k, n)
     else:
         raise ConfigError(f"unknown intra-cluster mode {mode!r}")
-    total = int(counts.sum())
-    trial = np.repeat(np.arange(n), counts)
-    pos = centers[trial] + rng.normal(0.0, cfg.sigma, (total, 2))
-    active = rng.random(total) < thin if thin < 1.0 else np.ones(total, dtype=bool)
-    fade = rng.exponential(1.0, total)
-    dist = np.linalg.norm(pos, axis=1)
-    contrib = np.where(active, fade * dist ** (-cfg.alpha), 0.0)
-    return np.bincount(trial, weights=contrib, minlength=n)
+    return _member_interference(rng, cfg, np.arange(n), centers[:, 0],
+                                centers[:, 1], active, n)
 
 
 def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_mode: str,
@@ -184,13 +163,13 @@ def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_mode: str,
         done += n
         x0 = rng.normal(0.0, cfg.sigma, (n, 2))
         y0 = rng.normal(0.0, cfg.sigma, (n, 2))
-        serve_dist = np.linalg.norm(x0 + y0, axis=1)
+        serve_d2 = np.square(x0 + y0).sum(axis=1)
         interference = _local_interference(rng, cfg, x0, intra_mode, k)
         interference = interference + _remote_interference(
             rng, cfg, n, radius, single_link
         )
         fade0 = rng.exponential(1.0, n)
-        signal = fade0 * serve_dist ** (-cfg.alpha)
+        signal = fade0 * serve_d2 ** (-0.5 * cfg.alpha)
         # SIR > theta, written multiplicatively so empty interferer sets
         # (interference == 0) count as covered without dividing by zero.
         hits += int(np.count_nonzero(signal > cfg.theta * interference))

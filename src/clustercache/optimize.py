@@ -55,7 +55,6 @@ __all__ = [
 
 _BUDGET_TOL = 1e-9
 _BISECT_ITERATIONS = 120
-_RHO_MAX = 1.0 - 1e-9
 _STABILITY_MARGIN = 1.0 - 1e-6  # barrier margin on the strict inequalities
 _POISSON_TAIL = 1e-10
 
@@ -253,19 +252,29 @@ def average_energy(
     The sum is truncated where the remaining Poisson tail mass drops
     below 1e-10; the empty cluster consumes nothing.
     """
-    n_bar = cfg.n_bar
-    weight = math.exp(-n_bar)  # P(n = 0), zero energy
-    cumulative = weight
     total = 0.0
+    for k, weight in _poisson_weights(cfg.n_bar):
+        total += weight * energy_conditional(policy, lib, cfg, k, r1, r2)
+    return total
+
+
+def _poisson_weights(n_bar: float):
+    """(k, P(n = k)) for n ~ Poisson(n_bar), k = 1, 2, ...
+
+    Stops once the remaining tail mass drops below ``_POISSON_TAIL``
+    (or past k = 200 (1 + n_bar)); k = 0 is skipped because an empty
+    cluster contributes nothing to any of the mixtures.
+    """
+    weight = math.exp(-n_bar)
+    cumulative = weight
     k = 0
     while cumulative < 1.0 - _POISSON_TAIL:
         k += 1
         weight *= n_bar / k
         cumulative += weight
-        total += weight * energy_conditional(policy, lib, cfg, k, r1, r2)
+        yield k, weight
         if k > 200 * (1 + n_bar):
-            break
-    return total
+            return
 
 
 def _energy_policy_for_multiplier(v, x, k, cost_d2d, cost_bs):
@@ -425,7 +434,7 @@ def weighted_delay(
     for i in (0, 1):
         if zeta[i] == 0.0:
             continue
-        if mu[i] <= 0.0 or zeta[i] / mu[i] > _RHO_MAX:
+        if mu[i] <= 0.0 or zeta[i] / mu[i] > queueing._RHO_MAX:
             raise UnstableQueueError(queue=i + 1, zeta=zeta[i], mu=mu[i])
         total += zeta[i] / (mu[i] - zeta[i])
     return total / zeta_tot

@@ -1,5 +1,6 @@
 """Scenario parsing, CSV artifacts, exit codes, determinism."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -180,6 +181,28 @@ class TestRunScenario:
         third = (tmp_path / "v3" / "table1_validate.csv").read_bytes()
         assert third != first
 
+    def test_validate_diagnostic_columns(self, tmp_path):
+        # signed_diff and z_score are appended after the original columns;
+        # z_score is empty where the reference is not simulated.
+        sc = replace(default_table1(), mc_trials=2000,
+                     output_dir=str(tmp_path))
+        run_scenario(sc)
+        lines = (tmp_path / "table1_validate.csv").read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert lines[1].split(",") == ["quantity", "analytic", "mc_mean",
+                                       "mc_hw95", "pass", "error",
+                                       "signed_diff", "z_score"]
+        for row in rows:
+            diff = float(row["analytic"]) - float(row["mc_mean"])
+            assert float(row["signed_diff"]) == diff
+            hw = float(row["mc_hw95"])
+            if hw > 0:
+                assert float(row["z_score"]) == pytest.approx(diff / (hw / 1.96))
+            else:
+                assert row["z_score"] == ""
+        assert rows[12]["quantity"] == "single_link_reference_point"
+        assert rows[12]["z_score"] == ""
+
 
 class TestMainEntryPoint:
     def test_print_default_config(self, capsys):
@@ -201,6 +224,7 @@ class TestMainEntryPoint:
         failing_row = {
             "quantity": "forced", "analytic": 1.0, "mc_mean": 0.0,
             "mc_hw95": 0.0, "pass": False, "error": "",
+            "signed_diff": 1.0, "z_score": "",
         }
         monkeypatch.setattr(cli, "_validate_rows", lambda scenario: [failing_row])
         assert main(["validate", "--out", str(tmp_path)]) == 4
