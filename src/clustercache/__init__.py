@@ -52,7 +52,6 @@ from .queueing import (
     DelayModel,
     arrival_rates,
     build_delay_model,
-    mean_queue_length,
     mm1_mean_queue_length,
     per_queue_delay,
     service_coefficients,

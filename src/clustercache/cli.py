@@ -378,6 +378,9 @@ def _delay_point(scenario: Scenario, value: float) -> dict:
         "d_zipf_eqsplit_s": d_zipf,
         "zipf_eqsplit_stable": stable,
         "error": "",
+        "diagnostics": {"bcd_steps": len(trace.steps), "converged": trace.converged,
+                        "restarts_used": trace.restarts_used,
+                        "best_start": trace.best_start, "gap": trace.gap},
     }
 
 
@@ -528,6 +531,9 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
             "point_wall_times_s": timings,
             "total_wall_time_s": sum(timings),
         }
+        diagnostics = [r.get("diagnostics") for r in rows]  # None: failed point
+        if any(diagnostics):
+            summary["tasks"][task]["point_diagnostics"] = diagnostics
     (out / f"{scenario.name}_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

@@ -152,11 +152,18 @@ def _local_interference(rng, cfg: NetworkConfig, centers: np.ndarray,
                                 centers[:, 1], active, n)
 
 
-def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_mode: str,
-              k: int, single_link: bool, region_radius: float | None) -> int:
+def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_modes: tuple,
+              k: int, single_link: bool, region_radius: float | None) -> list:
+    """Covered-trial counts, one per intra-cluster mode in ``intra_modes``.
+
+    The serving link and the remote field are drawn once per trial and
+    shared by every mode (common random numbers). A batch draws them
+    around the first mode's local field, in the order used for one mode
+    alone, and the other modes' local fields last.
+    """
     radius = region_radius if region_radius is not None else default_region_radius(cfg)
     n_batches = (trials + _BATCH - 1) // _BATCH
-    hits = 0
+    hits = [0] * len(intra_modes)
     done = 0
     for rng in _batch_generators(seed, n_batches):
         n = min(_BATCH, trials - done)
@@ -164,15 +171,15 @@ def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_mode: str,
         x0 = rng.normal(0.0, cfg.sigma, (n, 2))
         y0 = rng.normal(0.0, cfg.sigma, (n, 2))
         serve_d2 = np.square(x0 + y0).sum(axis=1)
-        interference = _local_interference(rng, cfg, x0, intra_mode, k)
-        interference = interference + _remote_interference(
-            rng, cfg, n, radius, single_link
-        )
+        local = [_local_interference(rng, cfg, x0, intra_modes[0], k)]
+        remote = _remote_interference(rng, cfg, n, radius, single_link)
         fade0 = rng.exponential(1.0, n)
         signal = fade0 * serve_d2 ** (-0.5 * cfg.alpha)
-        # SIR > theta, written multiplicatively so empty interferer sets
-        # (interference == 0) count as covered without dividing by zero.
-        hits += int(np.count_nonzero(signal > cfg.theta * interference))
+        local += [_local_interference(rng, cfg, x0, mode, k) for mode in intra_modes[1:]]
+        for i, field in enumerate(local):
+            # SIR > theta, written multiplicatively so empty interferer sets
+            # (interference == 0) count as covered without dividing by zero.
+            hits[i] += int(np.count_nonzero(signal > cfg.theta * (field + remote)))
     return hits
 
 
@@ -211,7 +218,7 @@ def mc_prob_rate_exceeds(
             f"{cfg.access_p * math.log2(1.0 + cfg.theta):.6g} bits/s/Hz does "
             f"not exceed R0/W1 = {r0_over_w1:.6g} bits/s/Hz"
         )
-    hits = _sir_hits(cfg, trials, seed, "aloha", 0, False, region_radius)
+    (hits,) = _sir_hits(cfg, trials, seed, ("aloha",), 0, False, region_radius)
     return _estimate(hits, trials, seed)
 
 
@@ -224,27 +231,20 @@ def mc_coverage_conditional(
 ) -> ConditionalCoveragePair:
     """Simulate conditional D2D coverage for a cluster of exactly k devices.
 
-    Runs two simulations from independent substreams of ``seed``: the
-    exact model (serving device plus k-1 potential interferers, each
-    active with probability p) and the Poisson(p*k) interferer-count
+    Estimates, on the same serving links and remote clusters, the exact
+    model (serving device plus k-1 potential interferers, each active
+    with probability p) and the Poisson(p*k) interferer-count
     approximation used by the analytic expression.
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    seed_exact, seed_approx = (
-        int(s.generate_state(1, np.uint64)[0])
-        for s in np.random.SeedSequence(seed).spawn(2)
+    hits_exact, hits_approx = _sir_hits(
+        cfg, trials, seed, ("binomial", "poisson_pk"), k, False, region_radius
     )
-    exact = _estimate(
-        _sir_hits(cfg, trials, seed_exact, "binomial", k, False, region_radius),
-        trials, seed_exact,
-    )
-    approx = _estimate(
-        _sir_hits(cfg, trials, seed_approx, "poisson_pk", k, False, region_radius),
-        trials, seed_approx,
-    )
+    exact = _estimate(hits_exact, trials, seed)
+    approx = _estimate(hits_approx, trials, seed)
     return ConditionalCoveragePair(exact=exact, poisson_approx=approx)
 
 
@@ -261,5 +261,5 @@ def mc_coverage_single_link(
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    hits = _sir_hits(cfg, trials, seed, "none", 0, True, region_radius)
+    (hits,) = _sir_hits(cfg, trials, seed, ("none",), 0, True, region_radius)
     return _estimate(hits, trials, seed)

@@ -10,9 +10,11 @@
   with a closed-form interior branch.
 * Delay: minimise the weighted mean request delay jointly over the
   caching vector and the D2D/BS bandwidth split by block coordinate
-  descent; the bandwidth block has a closed form and the caching block
-  is a log-barrier interior-point descent restarted from multiple random
-  feasible policies.
+  descent. The bandwidth block has a closed form. The caching step
+  linearises the bandwidth-optimised delay in the D2D and BS request
+  fractions, solves the resulting energy-form problem exactly by the
+  same multiplier bisection and line-searches the segment towards it
+  (partial linearisation, a generalised conditional gradient step).
 
 The energy interior branch is derived from the stationarity of the
 implemented objective, b_i = 1 - [(v + k q_i S_i Pd/R1) /
@@ -37,6 +39,7 @@ from .errors import (
 )
 from .model import CachingPolicy, ContentLibrary, NetworkConfig, baseline_policy
 from . import queueing
+from .queueing import _arrival_fractions
 
 __all__ = [
     "KktSolution",
@@ -55,7 +58,6 @@ __all__ = [
 
 _BUDGET_TOL = 1e-9
 _BISECT_ITERATIONS = 120
-_STABILITY_MARGIN = 1.0 - 1e-6  # barrier margin on the strict inequalities
 _POISSON_TAIL = 1e-10
 
 
@@ -78,11 +80,18 @@ class BcdStep(NamedTuple):
 
 @dataclass(frozen=True)
 class BcdTrace:
-    """Iterates of the best block-coordinate-descent run."""
+    """Iterates of the best block-coordinate-descent run.
+
+    ``gap`` is the final linearisation gap grad D . (b - s), with s the
+    exact minimiser of the delay linearised at the returned point (zero
+    at a block minimum); ``best_start`` indexes the winning start.
+    """
 
     steps: tuple
     converged: bool
     restarts_used: int
+    gap: float
+    best_start: int
 
     @property
     def final_w1(self) -> float:
@@ -179,26 +188,41 @@ def optimize_offloading(
 
     grad_at_1 = q * (1.0 - (1.0 - math.exp(-n_bar)) * prob_r1)
     grad_at_0 = q * (1.0 + n_bar * prob_r1)
-    v_lo, v_hi = 0.0, float(grad_at_0.max()) * (1.0 + 1e-12)
-    b = np.zeros(lib.n_files)
-    iterations = 0
-    for iterations in range(1, _BISECT_ITERATIONS + 1):
-        v = 0.5 * (v_lo + v_hi)
-        b = _offload_policy_for_multiplier(v, q, n_bar, prob_r1, grad_at_1, grad_at_0)
-        total = b.sum()
-        if abs(total - m) <= 0.1 * _BUDGET_TOL:
-            break
-        if total > m:
-            v_lo = v
-        else:
-            v_hi = v
-    policy = CachingPolicy(b=_snap_budget(b, m), cache_size=m)
+    b, multiplier, iterations = _bisect_multiplier(
+        lambda v: _offload_policy_for_multiplier(
+            v, q, n_bar, prob_r1, grad_at_1, grad_at_0),
+        0.0, float(grad_at_0.max()) * (1.0 + 1e-12), m, decreasing=True,
+    )
+    policy = CachingPolicy(b=b, cache_size=m)
     return KktSolution(
         policy=policy,
-        multiplier=0.5 * (v_lo + v_hi),
+        multiplier=multiplier,
         objective=objective_offloading(policy, lib, n_bar, prob_r1),
         iterations=iterations,
     )
+
+
+def _bisect_multiplier(policy_at, v_lo, v_hi, m, decreasing):
+    """Bisect the budget multiplier of a separable three-branch KKT rule.
+
+    ``policy_at(v)`` returns the minimiser of the Lagrangian at
+    multiplier v: each b_i at 1, at 0 or at its interior stationary
+    point. Its sum is monotone in v, falling when ``decreasing`` and
+    rising otherwise; [v_lo, v_hi] must bracket sum(b) = M. Returns the
+    budget-snapped vector, the multiplier and the iteration count.
+    """
+    iterations = 0
+    for iterations in range(1, _BISECT_ITERATIONS + 1):
+        v = 0.5 * (v_lo + v_hi)
+        b = policy_at(v)
+        total = b.sum()
+        if abs(total - m) <= 0.1 * _BUDGET_TOL:
+            break
+        if (total > m) == decreasing:
+            v_lo = v
+        else:
+            v_hi = v
+    return _snap_budget(b, m), 0.5 * (v_lo + v_hi), iterations
 
 
 def _snap_budget(b: np.ndarray, budget: int) -> np.ndarray:
@@ -323,31 +347,30 @@ def optimize_energy(
         )
 
     x = lib.popularity * lib.sizes * 1e6  # q_i S_i in bits
-    # Gradient of the objective at the two box corners brackets the
-    # multiplier: all-zero policy at v below min gradient(b=0), all-one
-    # policy at v above max gradient(b=1).
-    grad_at_0 = -k * x * (k * cost_bs - (k - 1) * cost_d2d)
-    grad_at_1 = -k * x * cost_d2d
-    v_lo = float(grad_at_0.min()) * (1.0 + 1e-12)
-    v_hi = float(grad_at_1.max()) * (1.0 - 1e-12)
-    b = np.zeros(lib.n_files)
-    iterations = 0
-    for iterations in range(1, _BISECT_ITERATIONS + 1):
-        v = 0.5 * (v_lo + v_hi)
-        b = _energy_policy_for_multiplier(v, x, k, cost_d2d, cost_bs)
-        total = b.sum()
-        if abs(total - m) <= 0.1 * _BUDGET_TOL:
-            break
-        if total > m:
-            v_hi = v
-        else:
-            v_lo = v
-    policy = CachingPolicy(b=_snap_budget(b, m), cache_size=m)
+    b, multiplier, iterations = _energy_form_minimiser(x, k, cost_d2d, cost_bs, m)
+    policy = CachingPolicy(b=b, cache_size=m)
     return KktSolution(
         policy=policy,
-        multiplier=0.5 * (v_lo + v_hi),
+        multiplier=multiplier,
         objective=energy_conditional(policy, lib, cfg, k, r1, r2),
         iterations=iterations,
+    )
+
+
+def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
+    """(b, multiplier, iterations) minimising k sum_i x_i [((1-b_i) -
+    (1-b_i)^k) cost_d2d + (1-b_i)^k cost_bs] with sum(b) = M, b in [0, 1].
+
+    Convex when k >= 2, cost_bs > cost_d2d and x > 0. The gradients at
+    b = 0 and b = 1 bracket the multiplier.
+    """
+    grad_at_0 = -k * x * (k * cost_bs - (k - 1) * cost_d2d)
+    grad_at_1 = -k * x * cost_d2d
+    return _bisect_multiplier(
+        lambda v: _energy_policy_for_multiplier(v, x, k, cost_d2d, cost_bs),
+        float(grad_at_0.min()) * (1.0 + 1e-12),
+        float(grad_at_1.max()) * (1.0 - 1e-12),
+        m, decreasing=False,
     )
 
 
@@ -355,12 +378,45 @@ def optimize_energy(
 # Delay (joint caching and bandwidth minimisation)
 # ---------------------------------------------------------------------------
 
-def _arrival_fractions(b: np.ndarray, q: np.ndarray, k: int) -> tuple[float, float]:
-    miss = 1.0 - b
-    miss_k = miss**k
-    a1 = float(q @ (miss - miss_k))
-    a2 = float(q @ miss_k)
-    return max(a1, 0.0), a2
+def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
+    """(W1, weighted delay) for the D2D and BS request fractions a1, a2.
+
+    zeta_i = zeta_tot a_i; see ``weighted_delay`` for the delay and, when
+    ``w1`` is None, ``optimal_bandwidth`` for the closed-form W1*.
+    Raises NoStableSplitError when the stability interval is empty and
+    UnstableQueueError for a queue past ``queueing._RHO_MAX`` at W1.
+    """
+    zeta = (zeta_tot * a1, zeta_tot * a2)
+    if w1 is None and zeta == (0.0, 0.0):
+        w1 = w_total / 2.0
+    elif w1 is None:
+        lo = zeta[0] / o1
+        hi = w_total - zeta[1] / o2
+        if not lo < hi:
+            raise NoStableSplitError(
+                f"no bandwidth split stabilises both queues: need W1 > {lo:.6g} Hz "
+                f"and W1 < {hi:.6g} Hz out of {w_total:.6g} Hz"
+            )
+        if zeta[0] == 0.0:
+            w1 = lo
+        elif zeta[1] == 0.0:
+            w1 = w_total
+        else:
+            weight = math.sqrt(o1 * zeta[0] / (o2 * zeta[1]))
+            w1 = (zeta[0] + weight * (o2 * w_total - zeta[1])) / (o1 + weight * o2)
+        margin = min(1e-9 * w_total, 0.25 * (hi - lo))
+        w1 = float(min(max(w1, lo + margin), hi - margin))
+    if zeta_tot == 0.0:
+        return w1, 0.0
+    mu = (o1 * w1, o2 * (w_total - w1))
+    total = 0.0
+    for i in (0, 1):
+        if zeta[i] == 0.0:
+            continue
+        if mu[i] <= 0.0 or zeta[i] / mu[i] > queueing._RHO_MAX:
+            raise UnstableQueueError(queue=i + 1, zeta=zeta[i], mu=mu[i])
+        total += zeta[i] / (mu[i] - zeta[i])
+    return w1, total / zeta_tot
 
 
 def optimal_bandwidth(
@@ -385,26 +441,10 @@ def optimal_bandwidth(
     if zeta_tot < 0:
         raise ConfigError("zeta_tot must be non-negative")
     a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)
-    zeta_1 = zeta_tot * a1
-    zeta_2 = zeta_tot * a2
-    if zeta_1 == 0.0 and zeta_2 == 0.0:
-        return BandwidthAllocation(w1=w_total / 2.0, degenerate=True)
-    lo = zeta_1 / o1
-    hi = w_total - zeta_2 / o2
-    if not lo < hi:
-        raise NoStableSplitError(
-            f"no bandwidth split stabilises both queues: need W1 > {lo:.6g} Hz "
-            f"and W1 < {hi:.6g} Hz out of {w_total:.6g} Hz"
-        )
-    if zeta_1 == 0.0:
-        w1 = lo
-    elif zeta_2 == 0.0:
-        w1 = w_total
-    else:
-        weight = math.sqrt(o1 * zeta_1 / (o2 * zeta_2))
-        w1 = (zeta_1 + weight * (o2 * w_total - zeta_2)) / (o1 + weight * o2)
-    margin = min(1e-9 * w_total, 0.25 * (hi - lo))
-    return BandwidthAllocation(w1=float(min(max(w1, lo + margin), hi - margin)))
+    w1, _ = _split_delay(a1, a2, zeta_tot, o1, o2, w_total)
+    return BandwidthAllocation(
+        w1=w1, degenerate=zeta_tot * a1 == 0.0 and zeta_tot * a2 == 0.0
+    )
 
 
 def weighted_delay(
@@ -425,124 +465,74 @@ def weighted_delay(
     """
     if not 0 <= w1 <= w_total:
         raise ConfigError(f"w1 must lie in [0, {w_total}], got {w1}")
-    if zeta_tot == 0.0:
-        return 0.0
     a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)
-    zeta = (zeta_tot * a1, zeta_tot * a2)
-    mu = (o1 * w1, o2 * (w_total - w1))
-    total = 0.0
-    for i in (0, 1):
-        if zeta[i] == 0.0:
-            continue
-        if mu[i] <= 0.0 or zeta[i] / mu[i] > queueing._RHO_MAX:
-            raise UnstableQueueError(queue=i + 1, zeta=zeta[i], mu=mu[i])
-        total += zeta[i] / (mu[i] - zeta[i])
-    return total / zeta_tot
+    return _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1)[1]
 
 
-def _delay_objective(b, q, k, zeta_tot, mu1, mu2):
-    a1, a2 = _arrival_fractions(b, q, k)
-    z1, z2 = zeta_tot * a1, zeta_tot * a2
-    if z1 >= mu1 or z2 >= mu2:
-        return math.inf
-    total = 0.0
-    if z1 > 0:
-        total += z1 / (mu1 - z1)
-    if z2 > 0:
-        total += z2 / (mu2 - z2)
-    return total / zeta_tot if zeta_tot > 0 else 0.0
+def _optimised_delay(b, q, k, zeta_tot, o1, o2, w_total):
+    """(W1*(b), D(b, W1*(b))): the bandwidth-optimised delay at b.
 
-
-def _delay_gradient(b, q, k, zeta_tot, mu1, mu2):
-    miss = 1.0 - b
-    miss_km1 = miss ** (k - 1)
-    a1, a2 = _arrival_fractions(b, q, k)
-    z1, z2 = zeta_tot * a1, zeta_tot * a2
-    da1 = q * (k * miss_km1 - 1.0)
-    da2 = -k * q * miss_km1
-    dd_da1 = mu1 / (mu1 - z1) ** 2 if z1 < mu1 else math.inf
-    dd_da2 = mu2 / (mu2 - z2) ** 2 if z2 < mu2 else math.inf
-    return dd_da1 * da1 + dd_da2 * da2
-
-
-def _barrier_value(b, q, k, zeta_tot, mu1, mu2):
-    if np.any(b <= 0.0) or np.any(b >= 1.0):
-        return math.inf
-    a1, a2 = _arrival_fractions(b, q, k)
-    slack1 = mu1 * _STABILITY_MARGIN - zeta_tot * a1
-    slack2 = mu2 * _STABILITY_MARGIN - zeta_tot * a2
-    if slack1 <= 0.0 or slack2 <= 0.0:
-        return math.inf
-    return (
-        -float(np.log(b).sum() + np.log(1.0 - b).sum())
-        - math.log(slack1)
-        - math.log(slack2)
-    )
-
-
-def _barrier_gradient(b, q, k, zeta_tot, mu1, mu2):
-    miss = 1.0 - b
-    miss_km1 = miss ** (k - 1)
-    a1, a2 = _arrival_fractions(b, q, k)
-    slack1 = mu1 * _STABILITY_MARGIN - zeta_tot * a1
-    slack2 = mu2 * _STABILITY_MARGIN - zeta_tot * a2
-    da1 = q * (k * miss_km1 - 1.0)
-    da2 = -k * q * miss_km1
-    return (
-        -1.0 / b
-        + 1.0 / miss
-        + (zeta_tot / slack1) * da1
-        + (zeta_tot / slack2) * da2
-    )
-
-
-def _solve_caching_subproblem(b, q, k, zeta_tot, mu1, mu2, m):
-    """Local solve of the caching block by projected log-barrier descent.
-
-    Equality sum(b) = M is kept by projecting gradients onto the
-    zero-sum hyperplane; box and stability constraints sit in the
-    barrier. Returns the incumbent if the start violates the barrier
-    margins (the bandwidth block will keep making progress).
+    The delay is infinite where no bandwidth split stabilises the queues.
     """
-    n = b.size
-    # Pull strictly inside the box while preserving the budget.
-    z = (1.0 - 1e-3) * b + 1e-3 * (m / n)
-    if not math.isfinite(_barrier_value(z, q, k, zeta_tot, mu1, mu2)):
-        return b
+    a1, a2 = _arrival_fractions(b, q, k)
+    try:
+        return _split_delay(a1, a2, zeta_tot, o1, o2, w_total)
+    except (NoStableSplitError, UnstableQueueError):
+        return math.nan, math.inf
 
-    def total_objective(t, zz):
-        base = _delay_objective(zz, q, k, zeta_tot, mu1, mu2)
-        if not math.isfinite(base):
-            return math.inf
-        bar = _barrier_value(zz, q, k, zeta_tot, mu1, mu2)
-        return base + bar / t
 
-    t = 1.0
-    for _ in range(8):  # barrier parameter x10 per round
-        for _ in range(60):
-            grad = _delay_gradient(z, q, k, zeta_tot, mu1, mu2)
-            grad = grad + _barrier_gradient(z, q, k, zeta_tot, mu1, mu2) / t
-            direction = -(grad - grad.mean())
-            dir_norm = float(np.abs(direction).max())
-            if dir_norm < 1e-14:
-                break
-            # Largest step keeping the box margins, then Armijo backtracking.
-            step = min(1.0, 0.25 / dir_norm)
-            slope = float(grad @ direction)
-            current = total_objective(t, z)
-            accepted = False
-            for _ in range(40):
-                cand = z + step * direction
-                value = total_objective(t, cand)
-                if value <= current + 1e-4 * step * slope:
-                    z = cand
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-        t *= 10.0
-    return z
+def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
+    """Minimiser s of the delay linearised in (a1, a2) at (b, W1), and the
+    gap grad D . (b - s).
+
+    The delay depends on b only through a1 = sum q((1-b) - (1-b)^k) and
+    a2 = sum q (1-b)^k. With A = mu1/(mu1 - zeta_1)^2 and B =
+    mu2/(mu2 - zeta_2)^2, its partial derivatives in a1 and a2 (and, by
+    the envelope theorem at W1 = W1*(b), those of the bandwidth-optimised
+    delay), the linearisation sum q_i [A (1-b_i) + (B-A)(1-b_i)^k] has the
+    energy form and is minimised exactly by the multiplier bisection.
+    """
+    a1, a2 = _arrival_fractions(b, q, k)
+    mu1, mu2 = o1 * w1, o2 * (w_total - w1)
+    if zeta_tot == 0.0:
+        slope1 = slope2 = 0.0  # the delay is identically zero
+    else:
+        slope1 = mu1 / (mu1 - zeta_tot * a1) ** 2
+        slope2 = mu2 / (mu2 - zeta_tot * a2) ** 2
+    # Unrequested files trail (popularity is non-increasing) and stay out
+    # of the bisection, whose stationarity ratio divides by q_i.
+    live = int(np.count_nonzero(q))
+    s = np.zeros(q.size)
+    if k >= 2 and slope2 > slope1 and live > m:
+        s[:live] = _energy_form_minimiser(q[:live], k, slope1, slope2, m)[0]
+    else:
+        # Each term is concave in b_i when B <= A and linear when k = 1,
+        # so the minimum over {sum(b) = M, 0 <= b <= 1} is a vertex; every
+        # term falls by B q_i from b_i = 0 to 1, so the vertex caches the
+        # M most popular files (lowest index first among ties). It also
+        # solves the case of at most M requested files exactly.
+        s[:m] = 1.0
+    miss_km1 = (1.0 - b) ** (k - 1)
+    grad = q * (slope1 * (k * miss_km1 - 1.0) - slope2 * k * miss_km1)
+    return s, float(grad @ (b - s))
+
+
+def _golden_section(fn, tol):
+    """(x, fn(x)) at the golden-section minimum of ``fn`` on [0, 1]."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    x1, x2 = 1.0 - ratio, ratio
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = fn(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = fn(x2)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 def _stabilizable(b, q, k, zeta_tot, o1, o2, w_total) -> bool:
@@ -580,10 +570,11 @@ def optimize_delay_bcd(
 ) -> BcdTrace:
     """Minimise the weighted delay over (caching vector, bandwidth split).
 
-    Alternates the closed-form bandwidth allocation with a local interior
-    point solve of the caching block, keeps a caching step only when it
-    does not increase the delay (so the trace is non-increasing), and
-    returns the best run over ``restarts`` random feasible starts. When
+    Alternates the closed-form bandwidth allocation with a caching step
+    (exact minimiser of the delay linearised in the two arrival fractions,
+    then a line search on the bandwidth-optimised delay), keeps a caching
+    step only when it lowers the delay (so the trace is non-increasing),
+    and returns the best run over ``restarts`` feasible starts. When
     ``initial_policy`` is given it seeds the first run.
     """
     if k < 1:
@@ -609,10 +600,10 @@ def optimize_delay_bcd(
             f"neither the popular-files nor the uniform policy stabilises the "
             f"queues at zeta_tot = {zeta_tot:.6g} req/s"
         )
-    # Restart anchors stay interior (uniform, proportional): the caching
-    # block is an interior-point descent, so runs explore the same space
-    # the barrier can represent. The all-or-nothing corner b_i in {0, 1}
-    # (no D2D arrivals at all) is deliberately not an anchor.
+    # Restart anchors are the uniform and the proportional policies. The
+    # all-or-nothing corner b_i in {0, 1} (no D2D arrivals at all) needs
+    # no anchor: it is the caching step's vertex whenever the linearised
+    # delay is concave, and the line search always tries the full step.
     anchors = [
         b for b in (
             CachingPolicy(np.full(lib.n_files, m / lib.n_files), m).b,
@@ -638,37 +629,43 @@ def optimize_delay_bcd(
             _random_feasible_policy(rng, q, k, zeta_tot, o1, o2, w_total, m, anchors)
         )
 
-    best: tuple | None = None
-    for b0 in starts:
-        steps, converged = _bcd_run(
-            b0, q, lib, k, zeta_tot, o1, o2, w_total, m, tol, max_iterations
-        )
-        if best is None or steps[-1].delay < best[0][-1].delay:
-            best = (steps, converged)
-    assert best is not None
-    return BcdTrace(steps=tuple(best[0]), converged=best[1], restarts_used=len(starts))
+    best = None
+    for index, b0 in enumerate(starts):
+        run = _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m, tol, max_iterations)
+        if best is None or run[0][-1].delay < best[1][0][-1].delay:
+            best = (index, run)
+    best_start, (steps, converged, gap) = best
+    return BcdTrace(steps=tuple(steps), converged=converged,
+                    restarts_used=len(starts), gap=gap, best_start=best_start)
 
 
-def _bcd_run(b0, q, lib, k, zeta_tot, o1, o2, w_total, m, tol, max_iterations):
-    def policy_of(b):
-        return CachingPolicy(b=_snap_budget(b.copy(), m), cache_size=m)
+def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m, tol, max_iterations):
+    """One BCD run from b0: (steps, converged, final linearisation gap)."""
+    def delay_at(b):
+        return _optimised_delay(b, q, k, zeta_tot, o1, o2, w_total)
+
+    def step(b, w1, delay):
+        return BcdStep(w1=w1, policy=CachingPolicy(b=_snap_budget(b, m), cache_size=m),
+                       delay=delay)
 
     b = b0
-    w1 = optimal_bandwidth(policy_of(b), lib, k, zeta_tot, o1, o2, w_total).w1
-    delay = _delay_objective(b, q, k, zeta_tot, o1 * w1, o2 * (w_total - w1))
-    steps = [BcdStep(w1=w1, policy=policy_of(b), delay=delay)]
+    w1, delay = delay_at(b)
+    steps = [step(b, w1, delay)]
     converged = False
     for _ in range(max_iterations):
-        mu1, mu2 = o1 * w1, o2 * (w_total - w1)
-        candidate = _solve_caching_subproblem(b, q, k, zeta_tot, mu1, mu2, m)
-        if _delay_objective(candidate, q, k, zeta_tot, mu1, mu2) <= delay:
-            b = candidate
-        w1 = optimal_bandwidth(policy_of(b), lib, k, zeta_tot, o1, o2, w_total).w1
-        new_delay = _delay_objective(b, q, k, zeta_tot, o1 * w1, o2 * (w_total - w1))
-        steps.append(BcdStep(w1=w1, policy=policy_of(b), delay=new_delay))
+        s, _ = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)
+        gamma, value = _golden_section(lambda g: delay_at(b + g * (s - b))[1], 1e-10)
+        full = delay_at(s)[1]
+        if full <= value:
+            gamma, value = 1.0, full
+        if value < delay:
+            b = s if gamma == 1.0 else b + gamma * (s - b)
+        # The closed-form bandwidth step at the (possibly new) caching vector.
+        w1, new_delay = delay_at(b)
+        steps.append(step(b, w1, new_delay))
         if abs(delay - new_delay) <= tol * max(new_delay, 1e-300):
-            delay = new_delay
             converged = True
             break
         delay = new_delay
-    return steps, converged
+    gap = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)[1]
+    return steps, converged, gap

@@ -14,7 +14,6 @@ boundary in Mbits and are converted to bits here.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import ConfigError, UnstableQueueError
@@ -25,7 +24,6 @@ __all__ = [
     "DelayModel",
     "arrival_rates",
     "service_rate",
-    "mean_queue_length",
     "mm1_mean_queue_length",
     "per_queue_delay",
     "service_coefficients",
@@ -49,13 +47,16 @@ def arrival_rates(
         raise ConfigError(f"k must be at least 1, got {k}")
     if zeta_tot < 0:
         raise ConfigError("zeta_tot must be non-negative")
-    q = lib.popularity
-    miss = 1.0 - policy.b
-    zeta_2 = zeta_tot * float(q @ miss**k)
-    zeta_1 = zeta_tot * float(q @ (miss - miss**k))
-    zeta_1 = max(zeta_1, 0.0)
-    zeta_3 = zeta_tot - zeta_1 - zeta_2
-    return zeta_1, zeta_2, zeta_3
+    a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)
+    zeta_1, zeta_2 = zeta_tot * a1, zeta_tot * a2
+    return zeta_1, zeta_2, zeta_tot - zeta_1 - zeta_2
+
+
+def _arrival_fractions(b, q, k: int) -> tuple[float, float]:
+    """D2D and BS request fractions (a1, a2) of caching vector b."""
+    miss = 1.0 - b
+    miss_k = miss**k
+    return max(float(q @ (miss - miss_k)), 0.0), float(q @ miss_k)
 
 
 def service_rate(w: float, theta: float, coverage, s_bar_mbits: float) -> float:
@@ -71,29 +72,6 @@ def mm1_mean_queue_length(zeta: float, mu: float) -> float:
     """Mean number in system for an M/M/1 queue: rho / (1 - rho)."""
     rho = _utilisation(zeta, mu)
     return rho / (1.0 - rho)
-
-
-def mean_queue_length(zeta: float, mu: float) -> float:
-    """Mean queue length in the literal form rho + 2 rho^2 / (2 zeta (1-rho)).
-
-    This form does not reduce to the M/M/1 value rho/(1-rho) except at
-    zeta = 1 (the second term carries a stray 1/zeta); it is kept for
-    completeness and a RuntimeWarning is emitted whenever the two
-    disagree. Delay computations use per_queue_delay, which is exact.
-    """
-    rho = _utilisation(zeta, mu)
-    if rho == 0.0:
-        return 0.0
-    literal = rho + 2.0 * rho**2 / (2.0 * zeta * (1.0 - rho))
-    mm1 = mm1_mean_queue_length(zeta, mu)
-    if abs(literal - mm1) > 1e-9 * max(1.0, abs(mm1)):
-        warnings.warn(
-            f"queue-length form gives {literal:.6g} but M/M/1 gives {mm1:.6g} "
-            f"(zeta={zeta:.6g}, mu={mu:.6g}); delays use the exact 1/(mu-zeta)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return literal
 
 
 def per_queue_delay(zeta: float, mu: float) -> float:

@@ -133,6 +133,24 @@ class TestRunScenario:
         assert summary["tasks"]["offload"]["rows"] == len(sc.grid)
         assert len(summary["tasks"]["offload"]["point_wall_times_s"]) == len(sc.grid)
 
+    def test_delay_summary_diagnostics(self, tmp_path):
+        sc = _tiny_scenario(tmp_path, tasks=("delay",), grid=(0.5, 1.0))
+        assert run_scenario(sc) == 0
+        header = (tmp_path / "out" / "table1_delay.csv").read_text().splitlines()[1]
+        assert header == ("value,d_bcd_s,w1_opt_hz,d_zipf_eqsplit_s,"
+                          "zipf_eqsplit_stable,error")
+        summary = json.loads((tmp_path / "out" / "table1_summary.json").read_text())
+        points = summary["tasks"]["delay"]["point_diagnostics"]
+        assert len(points) == len(sc.grid)
+        for point in points:
+            assert set(point) == {"bcd_steps", "converged", "restarts_used",
+                                  "best_start", "gap"}
+            assert point["converged"] is True
+            assert point["bcd_steps"] >= 1
+            assert point["restarts_used"] == sc.bcd_restarts
+            assert 0 <= point["best_start"] < sc.bcd_restarts
+            assert np.isfinite(point["gap"])
+
     def test_energy_task_dominance(self, tmp_path):
         sc = _tiny_scenario(tmp_path, tasks=("energy",), grid=(0.5, 1.5))
         assert run_scenario(sc) == 0

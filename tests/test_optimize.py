@@ -11,6 +11,7 @@ Oracles used here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -572,3 +573,127 @@ class TestDelayBcd:
     def test_bandwidth_allocation_type(self):
         alloc = BandwidthAllocation(w1=5.0)
         assert not alloc.degenerate
+
+
+def _optimised_delay_of(policy, lib, k, zeta, o1, o2, w_total):
+    """Delay of a policy at its closed-form bandwidth split (public API only)."""
+    w1 = optimal_bandwidth(policy, lib, k, zeta, o1, o2, w_total).w1
+    return weighted_delay(policy, lib, k, zeta, w1, o1, o2, w_total)
+
+
+class TestSeparableCachingStep:
+    """The caching block: exact linearised step, fallback and certificate."""
+
+    @pytest.mark.parametrize("n_files, m, beta", [
+        (500, 10, 1.0),   # the benchmark's delay workload at beta = 1
+        (100, 4, 1.0),    # the acceptance delay library
+        (100, 4, 0.5),
+        (100, 4, 0.0),    # interior optimum: the convex branch certifies it
+    ])
+    def test_certificate_and_dominance(self, table1_cfg, n_files, m, beta):
+        lib = ContentLibrary.zipf(n_files, beta, m)
+        k, zeta = 8, 2.0
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        w = table1_cfg.w_total
+        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2, seed=1)
+        assert trace.converged
+        assert 0 <= trace.best_start < trace.restarts_used
+        assert abs(trace.gap) <= 1e-8 * trace.final_delay
+        rivals = [
+            baseline_policy("cpf", lib),  # the top-M corner
+            _policy(np.full(n_files, m / n_files), m),
+            baseline_policy("zipf-proportional", lib),
+        ]
+        for policy in rivals:
+            try:
+                rival = _optimised_delay_of(policy, lib, k, zeta, o1, o2, w)
+            except (NoStableSplitError, UnstableQueueError):
+                continue
+            assert trace.final_delay <= rival * (1 + 1e-12)
+
+    def _slopes(self, b, w1, lib, k, zeta, o1, o2, w_total):
+        a1, a2 = opt._arrival_fractions(b, lib.popularity, k)
+        mu1, mu2 = o1 * w1, o2 * (w_total - w1)
+        return mu1 / (mu1 - zeta * a1) ** 2, mu2 / (mu2 - zeta * a2) ** 2
+
+    def test_concave_case_falls_back_to_top_m(self, table1_cfg):
+        lib = ContentLibrary.zipf(100, 1.0, 4)
+        k, zeta = 8, 2.0
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        w = table1_cfg.w_total
+        b = baseline_policy("zipf-proportional", lib).b
+        # A small D2D share makes the D2D queue the expensive one: B <= A.
+        w1 = 0.2 * w
+        slope1, slope2 = self._slopes(b, w1, lib, k, zeta, o1, o2, w)
+        assert slope2 <= slope1
+        s, gap = opt._linearised_caching_step(b, w1, lib.popularity, k, zeta,
+                                              o1, o2, w, 4)
+        np.testing.assert_array_equal(s, baseline_policy("cpf", lib).b)
+        assert gap > 0
+        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=1,
+                                   initial_policy=_policy(b, 4))
+        delays = [step.delay for step in trace.steps]
+        assert all(after <= before for before, after in zip(delays, delays[1:]))
+
+    def test_single_device_falls_back_to_top_m(self, table1_cfg):
+        # k = 1: no D2D partner, the delay is linear in b and the top-M
+        # vertex is the exact optimum.
+        lib = ContentLibrary.zipf(100, 1.0, 4)
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        w = table1_cfg.w_total
+        b = baseline_policy("zipf-proportional", lib).b
+        s, _ = opt._linearised_caching_step(b, 0.5 * w, lib.popularity, 1, 2.0,
+                                            o1, o2, w, 4)
+        cpf = baseline_policy("cpf", lib).b
+        np.testing.assert_array_equal(s, cpf)
+        trace = optimize_delay_bcd(table1_cfg, lib, 1, 2.0, restarts=2, seed=1)
+        delays = [step.delay for step in trace.steps]
+        assert all(after <= before for before, after in zip(delays, delays[1:]))
+        np.testing.assert_array_equal(trace.final_policy.b, cpf)
+        assert trace.gap == 0.0
+
+    def test_convex_case_matches_energy_solver(self, table1_cfg):
+        # B > A and k >= 2: the step is the exact minimiser of the
+        # linearised delay, which no random feasible policy beats.
+        lib = ContentLibrary.zipf(50, 0.8, 4)
+        k, zeta = 8, 2.0
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        w = table1_cfg.w_total
+        b = np.full(50, 4 / 50)
+        w1 = optimal_bandwidth(_policy(b, 4), lib, k, zeta, o1, o2, w).w1
+        slope1, slope2 = self._slopes(b, w1, lib, k, zeta, o1, o2, w)
+        assert slope2 > slope1
+        s, gap = opt._linearised_caching_step(b, w1, lib.popularity, k, zeta,
+                                              o1, o2, w, 4)
+        assert s.sum() == pytest.approx(4.0, abs=1e-9)
+        assert gap > 0
+
+        def linearised(rows):
+            miss = 1.0 - rows
+            return (slope1 * (miss - miss**k) + slope2 * miss**k) @ lib.popularity
+
+        rows = random_box_simplex(np.random.default_rng(4), 400, 50, 4)
+        assert linearised(s[None, :])[0] <= linearised(rows).min() + 1e-12
+
+    def test_unrequested_files_are_not_cached(self, table1_cfg):
+        # Files of zero popularity take no part in the bisection (their
+        # stationarity ratio would divide by zero) and are never cached.
+        q = np.r_[np.arange(6, 0, -1) / 21.0, np.zeros(4)]
+        lib = ContentLibrary(10, 0.0, 2, q, np.ones(10))
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        w = table1_cfg.w_total
+        b = np.r_[np.full(6, 2 / 6), np.zeros(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w1 = optimal_bandwidth(_policy(b, 2), lib, 3, 0.8, o1, o2, w).w1
+            s, _ = opt._linearised_caching_step(b, w1, q, 3, 0.8, o1, o2, w, 2)
+            trace = optimize_delay_bcd(table1_cfg, lib, 3, 0.8, restarts=4, seed=1)
+        assert np.all(s[6:] == 0.0) and s.sum() == pytest.approx(2.0, abs=1e-9)
+        assert np.all(trace.final_policy.b[6:] == 0.0)
+
+    def test_zero_load_is_degenerate(self, table1_cfg):
+        lib = ContentLibrary.zipf(100, 1.0, 4)
+        trace = optimize_delay_bcd(table1_cfg, lib, 8, 0.0, restarts=2, seed=1)
+        assert trace.final_delay == 0.0
+        assert trace.converged
+        assert trace.gap == 0.0

@@ -10,7 +10,6 @@ from clustercache.model import CachingPolicy, ContentLibrary
 from clustercache.queueing import (
     arrival_rates,
     build_delay_model,
-    mean_queue_length,
     mm1_mean_queue_length,
     per_queue_delay,
     service_coefficients,
@@ -90,25 +89,15 @@ class TestServiceRate:
         assert two == pytest.approx(2 * one, rel=1e-14)
 
 
-class TestQueueLength:
-    def test_empty_queue(self):
-        assert mean_queue_length(0.0, 1.0) == 0.0
-
-    def test_agreement_at_unit_arrival_rate(self):
-        # zeta = 1, mu = 2: the literal form and M/M/1 both give 1.0.
-        assert mean_queue_length(1.0, 2.0) == pytest.approx(1.0)
+class TestMm1QueueLength:
+    def test_reference_values(self):
+        assert mm1_mean_queue_length(0.0, 1.0) == 0.0
         assert mm1_mean_queue_length(1.0, 2.0) == pytest.approx(1.0)
-
-    def test_divergence_is_flagged(self):
-        # zeta = 0.9, mu = 1: the literal form gives 9.9, M/M/1 gives 9.0.
-        with pytest.warns(RuntimeWarning, match="M/M/1"):
-            literal = mean_queue_length(0.9, 1.0)
-        assert literal == pytest.approx(9.9)
         assert mm1_mean_queue_length(0.9, 1.0) == pytest.approx(9.0)
 
     def test_unstable_rejected(self):
         with pytest.raises(UnstableQueueError):
-            mean_queue_length(2.0, 1.0)
+            mm1_mean_queue_length(2.0, 1.0)
 
 
 class TestPerQueueDelay:
