@@ -384,13 +384,26 @@ def _delay_point(scenario: Scenario, value: float) -> dict:
     }
 
 
+def _timed(fn, *args):
+    """(fn(*args), wall time in seconds)."""
+    started = time.perf_counter()
+    value = fn(*args)
+    return value, time.perf_counter() - started
+
+
 def _validate_rows(scenario: Scenario) -> list:
-    """Analytic-vs-Monte-Carlo validation table on the scenario parameters."""
+    """Analytic-vs-Monte-Carlo validation table on the scenario parameters.
+
+    Each row carries diagnostics for ``_summary.json``: the wall times of
+    its analytic and Monte Carlo computations (None where the row makes
+    none of its own), the trials behind ``mc_mean`` and trials per second.
+    """
     cfg = scenario.cfg
     trials = scenario.mc_trials
     rows = []
 
-    def add(quantity, analytic, reference, half_width, tolerance):
+    def add(quantity, analytic, reference, half_width, tolerance,
+            analytic_s, mc_s, row_trials):
         signed_diff = analytic - reference
         rows.append({
             "quantity": quantity,
@@ -403,49 +416,55 @@ def _validate_rows(scenario: Scenario) -> list:
             # Deviation in standard errors of the simulation; empty for a
             # row whose reference is not simulated.
             "z_score": signed_diff / (half_width / 1.96) if half_width > 0 else "",
+            "diagnostics": {
+                "analytic_s": analytic_s,
+                "mc_s": mc_s,
+                "trials": row_trials,
+                "trials_per_s": row_trials / mc_s if mc_s else None,
+            },
         })
 
     for sigma in (10.0, 20.0, 30.0):
         for theta_db in (0.0, 3.0):
             point = cfg.replace(sigma=sigma, theta=_db_to_linear(theta_db))
             tag = f"prob_rate_exceeds sigma={sigma:g} theta_db={theta_db:g}"
-            analytic = stochgeo.prob_rate_exceeds(point, scenario.r0_over_w1).value
-            mc = montecarlo.mc_prob_rate_exceeds(
-                point, scenario.r0_over_w1, trials, _point_seed(scenario.seed, tag)
-            )
-            add(tag, analytic, mc.mean, mc.half_width_95, 0.02)
+            analytic, analytic_s = _timed(stochgeo.prob_rate_exceeds, point,
+                                          scenario.r0_over_w1)
+            mc, mc_s = _timed(montecarlo.mc_prob_rate_exceeds, point,
+                              scenario.r0_over_w1, trials,
+                              _point_seed(scenario.seed, tag))
+            add(tag, analytic.value, mc.mean, mc.half_width_95, 0.02,
+                analytic_s, mc_s, trials)
 
     for sigma in (10.0, 20.0, 30.0):
         for lam_km2 in (10.0, 20.0):
             point = cfg.replace(sigma=sigma, lambda_p=lam_km2 * 1e-6)
             tag = f"single_link sigma={sigma:g} lambda_p_per_km2={lam_km2:g}"
-            analytic = stochgeo.d2d_coverage_single_link(point).value
-            mc = montecarlo.mc_coverage_single_link(
-                point, trials, _point_seed(scenario.seed, tag)
-            )
-            add(tag, analytic, mc.mean, mc.half_width_95, 0.02)
+            analytic, analytic_s = _timed(stochgeo.d2d_coverage_single_link, point)
+            mc, mc_s = _timed(montecarlo.mc_coverage_single_link, point, trials,
+                              _point_seed(scenario.seed, tag))
+            add(tag, analytic.value, mc.mean, mc.half_width_95, 0.02,
+                analytic_s, mc_s, trials)
 
     # Hand-derived reference: theta=1, alpha=4, sigma=10 m, 20 clusters/km^2
     # gives 1/(1 + 400 pi * 2e-5 * pi/2) ~= 0.962.
     ref_cfg = cfg.replace(sigma=10.0, theta=1.0, alpha=4.0, lambda_p=2e-5)
-    add(
-        "single_link_reference_point",
-        stochgeo.d2d_coverage_single_link(ref_cfg).value,
-        0.962,
-        0.0,
-        0.01,
-    )
+    analytic, analytic_s = _timed(stochgeo.d2d_coverage_single_link, ref_cfg)
+    add("single_link_reference_point", analytic.value, 0.962, 0.0, 0.01,
+        analytic_s, None, 0)
 
-    pair = montecarlo.mc_coverage_conditional(
-        cfg, 5, trials, _point_seed(scenario.seed, "conditional k=5")
-    )
-    analytic = stochgeo.d2d_coverage_conditional(cfg, 5).value
-    add("conditional_coverage k=5 (poisson approx)", analytic,
-        pair.poisson_approx.mean, pair.poisson_approx.half_width_95, 0.02)
+    pair, mc_s = _timed(montecarlo.mc_coverage_conditional, cfg, 5, trials,
+                        _point_seed(scenario.seed, "conditional k=5"))
+    analytic, analytic_s = _timed(stochgeo.d2d_coverage_conditional, cfg, 5)
+    add("conditional_coverage k=5 (poisson approx)", analytic.value,
+        pair.poisson_approx.mean, pair.poisson_approx.half_width_95, 0.02,
+        analytic_s, mc_s, trials)
     # Informational: the exact-vs-approximate gap quantifies the Poisson
-    # interferer-count assumption (measured ~3.3% at k=5, p=0.1).
+    # interferer-count assumption (measured ~3.3% at k=5, p=0.1). Both
+    # estimates come from the simulation timed on the row above.
     add("conditional_coverage k=5 (exact vs approx)", pair.exact.mean,
-        pair.poisson_approx.mean, pair.exact.half_width_95, 0.05)
+        pair.poisson_approx.mean, pair.exact.half_width_95, 0.05,
+        None, None, trials)
     return rows
 
 

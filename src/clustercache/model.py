@@ -304,12 +304,15 @@ def baseline_policy(kind: str, library: ContentLibrary) -> CachingPolicy:
 
 
 def _snap_budget(b: np.ndarray, budget: int) -> np.ndarray:
-    """Remove float drift in sum(b) by rescaling the interior entries."""
+    """Remove float drift in sum(b) by shifting the interior entries.
+
+    Entries within 1e-15 of a bound count as at the bound and are left
+    alone; the result is clipped to [0, 1].
+    """
     gap = budget - b.sum()
-    if gap == 0:
-        return b
-    interior = (b > 0) & (b < 1)
-    if interior.any():
-        b = b.copy()
-        b[interior] += gap / interior.sum()
+    if gap != 0.0:
+        interior = (b > 1e-15) & (b < 1.0 - 1e-15)
+        if interior.any():
+            b = b.copy()
+            b[interior] += gap / interior.sum()
     return np.clip(b, 0.0, 1.0)

@@ -15,11 +15,21 @@ Construction per trial (typical receiver at the origin):
   truncated interference is negligible for alpha >= 3;
 * only active transmitters are drawn. Poisson(n_bar) members that each
   transmit independently with the ALOHA probability p are, by the
-  thinning theorem, Poisson(p*n_bar) active members, so remote clusters
-  and the ``aloha`` local mode draw Poisson(p*n_bar) active members per
-  cluster, the ``binomial`` local mode Binomial(k-1, p) and the
-  ``poisson_pk`` mode Poisson(p*k); the single-link model has exactly
-  one active member per remote cluster;
+  thinning theorem, Poisson(mu) active members with mu = p*n_bar; the
+  ``aloha`` local mode draws that count, the ``binomial`` local mode
+  Binomial(k-1, p) and the ``poisson_pk`` mode Poisson(p*k);
+* only remote clusters with an active member are drawn. By the marking
+  theorem they form a Poisson process of intensity
+  lambda_p*(1 - exp(-mu)), and each holds a zero-truncated Poisson(mu)
+  number of active members, so the active field has exactly the law of
+  the full one. The single-link model draws every remote cluster, each
+  with its one always-active member;
+* counts other than the cluster counts come from one uniform each,
+  inverted through a CDF table cut where its tail mass drops below
+  1e-17. The exact and approximate local counts of the conditional
+  coverage invert the same uniform and share their members (the smaller
+  count takes a prefix of the larger), so the two models differ only
+  where their laws do;
 * each remote center is drawn at radius R*sqrt(U) on the +x axis. The
   interference at the origin depends only on the members' distances,
   member offsets are i.i.d. isotropic Gaussians and clusters are
@@ -30,7 +40,7 @@ Construction per trial (typical receiver at the origin):
   is taken.
 
 Trials are processed in fixed-size batches; each batch draws its own
-generator from the master seed (counter-based Philox), so estimates are
+SFC64 generator, spawned from ``SeedSequence(seed)``, so estimates are
 bit-identical for a given seed and the per-batch counts may be merged in
 any order.
 """
@@ -41,6 +51,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import ConfigError, InfeasibleAccessProbability
 from .model import NetworkConfig
@@ -55,6 +66,8 @@ __all__ = [
 ]
 
 _BATCH = 10_000
+# Tail mass below which the count tables of the inverse-CDF draws stop.
+_TAIL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -93,63 +106,120 @@ def default_region_radius(cfg: NetworkConfig) -> float:
 
 def _batch_generators(seed: int, n_batches: int):
     return [
-        np.random.Generator(np.random.Philox(child))
+        np.random.Generator(np.random.SFC64(child))
         for child in np.random.SeedSequence(seed).spawn(n_batches)
     ]
 
 
+def _poisson_cdf(mu: float, first: int) -> np.ndarray:
+    """CDF of Poisson(mu) conditioned on at least ``first`` events.
+
+    Evaluated at first, first + 1, ... and cut where the tail mass left
+    out drops below ``_TAIL``, so the last entry is 1.0. ``first`` = 1
+    gives the zero-truncated law; at mu = 0 the count is ``first``.
+    """
+    if mu == 0.0:
+        return np.ones(1)
+    at_least = special.pdtrc(first - 1, mu) if first else 1.0  # P(N >= first)
+    tail = [special.pdtrc(first, mu) / at_least]
+    while tail[-1] >= _TAIL:
+        tail.append(special.pdtrc(first + len(tail), mu) / at_least)
+    return 1.0 - np.array(tail)
+
+
 def _member_interference(rng, cfg: NetworkConfig, owner: np.ndarray,
                          cx: np.ndarray, cy: np.ndarray | None,
-                         active: np.ndarray, n: int) -> np.ndarray:
+                         active: np.ndarray | None, n: int) -> np.ndarray:
     """Unit-power interference of the active cluster members, per trial.
 
     Cluster j belongs to trial ``owner[j]``, has its center at
     (``cx[j]``, ``cy[j]``) (on the x axis when ``cy`` is None) and
-    ``active[j]`` active members, each Gaussian-displaced from the
-    center with independent unit-mean exponential fading.
+    ``active[j]`` active members (exactly one when ``active`` is None),
+    each Gaussian-displaced from the center with independent unit-mean
+    exponential fading.
     """
-    cluster = np.repeat(np.arange(active.size), active)
-    offsets = rng.normal(0.0, cfg.sigma, (2, cluster.size))
-    x = cx[cluster] + offsets[0]
-    y = offsets[1] if cy is None else cy[cluster] + offsets[1]
-    d2 = x * x + y * y
-    contrib = rng.exponential(1.0, cluster.size) * d2 ** (-0.5 * cfg.alpha)
-    return np.bincount(owner[cluster], weights=contrib, minlength=n)
+    if active is not None:
+        owner, cx = np.repeat(owner, active), np.repeat(cx, active)
+        cy = None if cy is None else np.repeat(cy, active)
+    # In place: allocating fresh arrays of a batch's size costs about a
+    # third of the kernel.
+    xy = rng.normal(0.0, cfg.sigma, (2, owner.size))
+    xy[0] += cx
+    if cy is not None:
+        xy[1] += cy
+    xy *= xy
+    d2 = xy[0]
+    d2 += xy[1]
+    contrib = np.power(d2, -0.5 * cfg.alpha, out=d2)
+    contrib *= rng.standard_exponential(owner.size)
+    return np.bincount(owner, weights=contrib, minlength=n)
 
 
 def _remote_interference(rng, cfg: NetworkConfig, n: int, radius: float,
                          single_link: bool) -> np.ndarray:
     """Unit-power interference from all remote clusters, per trial.
 
-    Centers lie on the +x axis; the module docstring explains why that
-    leaves the law of the interference unchanged.
+    Only clusters with an active member are drawn (single link: every
+    cluster, with its one member). Centers lie on the +x axis; the module
+    docstring explains why both leave the law of the interference
+    unchanged.
     """
-    counts = rng.poisson(cfg.lambda_p * math.pi * radius**2, n)
-    owner = np.repeat(np.arange(n), counts)
+    area = cfg.lambda_p * math.pi * radius**2
+    mu = cfg.access_p * cfg.n_bar
+    rate = area if single_link else -area * math.expm1(-mu)
+    owner = np.repeat(np.arange(n), rng.poisson(rate, n))
     cx = radius * np.sqrt(rng.random(owner.size))
-    if single_link:
-        active = np.ones(owner.size, dtype=np.int64)
-    else:
-        active = rng.poisson(cfg.access_p * cfg.n_bar, owner.size)
+    active = None
+    if not single_link:
+        u = rng.random(owner.size)
+        active = 1 + np.searchsorted(_poisson_cdf(mu, 1), u, side="right")
     return _member_interference(rng, cfg, owner, cx, None, active, n)
 
 
+def _local_counts(rng, cfg: NetworkConfig, modes: tuple, k: int,
+                  n: int) -> np.ndarray:
+    """Active interferers in the representative cluster, one row per mode.
+
+    Every row inverts its mode's CDF at the same uniform per trial, so
+    the rows are coupled: they differ only where their laws do.
+    """
+    p = cfg.access_p
+    u = rng.random(n)
+    rows = []
+    for mode in modes:
+        if mode == "none":
+            cdf = np.ones(1)
+        elif mode == "aloha":
+            cdf = _poisson_cdf(p * cfg.n_bar, 0)
+        elif mode == "binomial":
+            cdf = np.append(special.bdtr(np.arange(k - 1), k - 1, p), 1.0)
+        elif mode == "poisson_pk":
+            cdf = _poisson_cdf(p * k, 0)
+        else:
+            raise ConfigError(f"unknown intra-cluster mode {mode!r}")
+        rows.append(np.searchsorted(cdf, u, side="right"))
+    return np.array(rows)
+
+
 def _local_interference(rng, cfg: NetworkConfig, centers: np.ndarray,
-                        mode: str, k: int) -> np.ndarray:
-    """Unit-power interference from the representative cluster, per trial."""
+                        counts: np.ndarray) -> np.ndarray:
+    """Unit-power interference from the representative cluster, one row
+    per row of ``counts``.
+
+    The rows share their members: row i sums the first ``counts[i]``
+    members of each trial. Members are drawn in layers between
+    consecutive sorted counts, and each row takes the layers up to its
+    own count.
+    """
     n = centers.shape[0]
-    if mode == "none":
-        return np.zeros(n)
-    if mode == "aloha":
-        active = rng.poisson(cfg.access_p * cfg.n_bar, n)
-    elif mode == "binomial":
-        active = rng.binomial(k - 1, cfg.access_p, n)
-    elif mode == "poisson_pk":
-        active = rng.poisson(cfg.access_p * k, n)
-    else:
-        raise ConfigError(f"unknown intra-cluster mode {mode!r}")
-    return _member_interference(rng, cfg, np.arange(n), centers[:, 0],
-                                centers[:, 1], active, n)
+    fields = np.zeros(counts.shape)
+    below = np.zeros(n, dtype=counts.dtype)
+    for level in np.sort(counts, axis=0):
+        layer = _member_interference(rng, cfg, np.arange(n), centers[:, 0],
+                                     centers[:, 1], level - below, n)
+        fields += np.where(counts >= level, layer, 0.0)
+        below = level
+    return fields
 
 
 def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_modes: tuple,
@@ -157,9 +227,8 @@ def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_modes: tuple,
     """Covered-trial counts, one per intra-cluster mode in ``intra_modes``.
 
     The serving link and the remote field are drawn once per trial and
-    shared by every mode (common random numbers). A batch draws them
-    around the first mode's local field, in the order used for one mode
-    alone, and the other modes' local fields last.
+    shared by every mode, and the modes' local fields share their
+    members (common random numbers).
     """
     radius = region_radius if region_radius is not None else default_region_radius(cfg)
     n_batches = (trials + _BATCH - 1) // _BATCH
@@ -171,11 +240,10 @@ def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_modes: tuple,
         x0 = rng.normal(0.0, cfg.sigma, (n, 2))
         y0 = rng.normal(0.0, cfg.sigma, (n, 2))
         serve_d2 = np.square(x0 + y0).sum(axis=1)
-        local = [_local_interference(rng, cfg, x0, intra_modes[0], k)]
+        counts = _local_counts(rng, cfg, intra_modes, k, n)
+        local = _local_interference(rng, cfg, x0, counts)
         remote = _remote_interference(rng, cfg, n, radius, single_link)
-        fade0 = rng.exponential(1.0, n)
-        signal = fade0 * serve_d2 ** (-0.5 * cfg.alpha)
-        local += [_local_interference(rng, cfg, x0, mode, k) for mode in intra_modes[1:]]
+        signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * cfg.alpha)
         for i, field in enumerate(local):
             # SIR > theta, written multiplicatively so empty interferer sets
             # (interference == 0) count as covered without dividing by zero.

@@ -37,7 +37,13 @@ from .errors import (
     NoStableSplitError,
     UnstableQueueError,
 )
-from .model import CachingPolicy, ContentLibrary, NetworkConfig, baseline_policy
+from .model import (
+    CachingPolicy,
+    ContentLibrary,
+    NetworkConfig,
+    _snap_budget,
+    baseline_policy,
+)
 from . import queueing
 from .queueing import _arrival_fractions
 
@@ -225,16 +231,6 @@ def _bisect_multiplier(policy_at, v_lo, v_hi, m, decreasing):
     return _snap_budget(b, m), 0.5 * (v_lo + v_hi), iterations
 
 
-def _snap_budget(b: np.ndarray, budget: int) -> np.ndarray:
-    gap = budget - b.sum()
-    if gap != 0.0:
-        interior = (b > 1e-15) & (b < 1.0 - 1e-15)
-        if interior.any():
-            b = b.copy()
-            b[interior] += gap / interior.sum()
-    return np.clip(b, 0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Energy (minimisation)
 # ---------------------------------------------------------------------------
@@ -361,17 +357,28 @@ def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
     """(b, multiplier, iterations) minimising k sum_i x_i [((1-b_i) -
     (1-b_i)^k) cost_d2d + (1-b_i)^k cost_bs] with sum(b) = M, b in [0, 1].
 
-    Convex when k >= 2, cost_bs > cost_d2d and x > 0. The gradients at
-    b = 0 and b = 1 bracket the multiplier.
+    Convex when k >= 2 and cost_bs > cost_d2d. The gradients at b = 0
+    and b = 1 bracket the multiplier. Files with x_i = 0 trail (popularity
+    is non-increasing, sizes are positive) and do not change the
+    objective: they stay out of the bisection, whose stationarity ratio
+    divides by x_i, and are not cached. When at most M files have
+    x_i > 0 the top-M vertex caches all of them (multiplier NaN).
     """
+    live = int(np.count_nonzero(x))
+    b = np.zeros(x.size)
+    if live <= m:
+        b[:m] = 1.0
+        return b, math.nan, 0
+    x = x[:live]
     grad_at_0 = -k * x * (k * cost_bs - (k - 1) * cost_d2d)
     grad_at_1 = -k * x * cost_d2d
-    return _bisect_multiplier(
+    b[:live], multiplier, iterations = _bisect_multiplier(
         lambda v: _energy_policy_for_multiplier(v, x, k, cost_d2d, cost_bs),
         float(grad_at_0.min()) * (1.0 + 1e-12),
         float(grad_at_1.max()) * (1.0 - 1e-12),
         m, decreasing=False,
     )
+    return b, multiplier, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +506,14 @@ def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
     else:
         slope1 = mu1 / (mu1 - zeta_tot * a1) ** 2
         slope2 = mu2 / (mu2 - zeta_tot * a2) ** 2
-    # Unrequested files trail (popularity is non-increasing) and stay out
-    # of the bisection, whose stationarity ratio divides by q_i.
-    live = int(np.count_nonzero(q))
-    s = np.zeros(q.size)
-    if k >= 2 and slope2 > slope1 and live > m:
-        s[:live] = _energy_form_minimiser(q[:live], k, slope1, slope2, m)[0]
+    if k >= 2 and slope2 > slope1:
+        s = _energy_form_minimiser(q, k, slope1, slope2, m)[0]
     else:
         # Each term is concave in b_i when B <= A and linear when k = 1,
         # so the minimum over {sum(b) = M, 0 <= b <= 1} is a vertex; every
         # term falls by B q_i from b_i = 0 to 1, so the vertex caches the
-        # M most popular files (lowest index first among ties). It also
-        # solves the case of at most M requested files exactly.
+        # M most popular files (lowest index first among ties).
+        s = np.zeros(q.size)
         s[:m] = 1.0
     miss_km1 = (1.0 - b) ** (k - 1)
     grad = q * (slope1 * (k * miss_km1 - 1.0) - slope2 * k * miss_km1)

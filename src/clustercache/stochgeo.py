@@ -47,7 +47,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from .errors import ConfigError, InfeasibleAccessProbability, NumericFailure
 from .model import NetworkConfig
@@ -227,6 +226,10 @@ def _phi(s_sir, v, sigma: float, alpha: float, n: int = 96):
 
 
 def _checked_quad(fn, a, b, *, points=None, what: str, atol=ATOL, rtol=RTOL) -> float:
+    # Imported here: only the adaptive oracle uses it, and importing it
+    # at module level made importing the CLI about half as slow again.
+    from scipy.integrate import quad
+
     res = quad(
         fn, a, b, epsabs=atol, epsrel=rtol, limit=_QUAD_LIMIT, points=points,
         full_output=1,

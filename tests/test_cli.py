@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +223,23 @@ class TestRunScenario:
                 assert row["z_score"] == ""
         assert rows[12]["quantity"] == "single_link_reference_point"
         assert rows[12]["z_score"] == ""
+        # Per-row wall times and simulation rates go to the summary only.
+        summary = json.loads((tmp_path / "table1_summary.json").read_text())
+        points = summary["tasks"]["validate"]["point_diagnostics"]
+        assert len(points) == len(rows)
+        for row, point in zip(rows, points):
+            assert set(point) == {"analytic_s", "mc_s", "trials", "trials_per_s"}
+            if row["quantity"] == "single_link_reference_point":
+                assert point["mc_s"] is None and point["trials"] == 0
+            elif row["quantity"].endswith("(exact vs approx)"):
+                # Shares the simulation timed on the row before it.
+                assert point["analytic_s"] is None and point["mc_s"] is None
+                assert point["trials"] == sc.mc_trials
+            else:
+                assert point["analytic_s"] > 0 and point["mc_s"] > 0
+                assert point["trials"] == sc.mc_trials
+                assert point["trials_per_s"] == pytest.approx(
+                    sc.mc_trials / point["mc_s"])
 
 
 class TestMainEntryPoint:
@@ -246,6 +266,14 @@ class TestMainEntryPoint:
         }
         monkeypatch.setattr(cli, "_validate_rows", lambda scenario: [failing_row])
         assert main(["validate", "--out", str(tmp_path)]) == 4
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # Only the adaptive quadrature oracle needs scipy.integrate, so a
+        # CLI run does not pay for importing it.
+        code = ("import sys, clustercache.cli; "
+                "sys.exit('scipy.integrate' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_numeric_failure_marks_row_and_exit_code(self, tmp_path, monkeypatch):
         def boom(scenario, value):

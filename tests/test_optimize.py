@@ -342,6 +342,26 @@ class TestEnergy:
         with pytest.raises(ConvexityError):
             optimize_energy(table1_cfg, table1_lib, 3, r1=1e6, r2=1e12)
 
+    def test_unrequested_files_are_not_cached(self, table1_cfg):
+        # Files of zero popularity do not change the energy; they take no
+        # part in the bisection (their stationarity ratio would divide by
+        # zero), the rest solve the problem on the requested files alone,
+        # and with at most M requested files every one of them is cached.
+        q = np.r_[np.arange(6, 0, -1) / 21.0, np.zeros(4)]
+        lib = ContentLibrary(10, 0.0, 2, q, np.ones(10))
+        requested = ContentLibrary(6, 0.0, 2, q[:6], np.ones(6))
+        few = ContentLibrary(10, 0.0, 3, np.r_[0.6, 0.4, np.zeros(8)], np.ones(10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = optimize_energy(table1_cfg, lib, 3, 1e6, 2e6)
+            alone = optimize_energy(table1_cfg, requested, 3, 1e6, 2e6)
+            vertex = optimize_energy(table1_cfg, few, 3, 1e6, 2e6)
+        assert np.all(sol.policy.b[6:] == 0.0)
+        np.testing.assert_allclose(sol.policy.b[:6], alone.policy.b, atol=1e-9)
+        assert sol.objective == pytest.approx(alone.objective, rel=1e-12)
+        assert np.array_equal(vertex.policy.b, np.r_[1.0, 1.0, 1.0, np.zeros(7)])
+        assert vertex.objective == 0.0
+
     def test_beats_random_feasible_policies(self, rng, table1_cfg):
         lib = ContentLibrary.zipf(30, 0.9, 5)
         k, r1, r2 = 4, 1e6, 2e6
