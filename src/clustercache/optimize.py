@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: import it here, not in a run
 
 from .errors import (
     ConfigError,

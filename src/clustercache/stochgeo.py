@@ -35,7 +35,16 @@ Numerical conventions
   exponentially decaying weight are truncated where the weight falls
   below 1e-18 of its peak.
 * The Rice density is evaluated with the exponentially scaled Bessel
-  function so large center distances cannot overflow.
+  function e^(-x) I0(x), so large center distances cannot overflow. It
+  is the package's own Cephes Chebyshev evaluation
+  (:func:`_i0e_inplace`, the coefficients of ``np.i0``, bit-identical to
+  ``scipy.special.i0e``), and the nearest-BS coverage sums its
+  hypergeometric series directly (:func:`_hyp2f1_bs`), so importing this
+  module imports no scipy. Only the adaptive oracle
+  (:func:`laplace_inter`, :func:`laplace_intra`) imports scipy, when
+  first called: ``scipy.integrate``, and ``scipy.special.i0e`` for its
+  Rice density, so the tables' Bessel evaluation is checked against an
+  independent one.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
+import numpy.polynomial.legendre  # numpy loads it lazily: import it here, not in a run
 
 from .errors import ConfigError, InfeasibleAccessProbability, NumericFailure
 from .model import NetworkConfig
@@ -150,6 +159,140 @@ def _sir_argument(s) -> float:
     return s
 
 
+# Cephes Chebyshev coefficients of e^(-x) I0(x) in x/2 - 2 on [0, 8] and of
+# sqrt(x) e^(-x) I0(x) in 32/x - 2 on (8, inf); np.i0 uses the same tables.
+_I0E_A = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17,
+    -2.43127984654795469359E-16, 1.71539128555513303061E-15,
+    -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12,
+    -1.72682629144155570723E-11, 9.67580903537323691224E-11,
+    -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8,
+    -2.67079385394061173391E-7, 1.11738753912010371815E-6,
+    -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4,
+    -5.76375574538582365885E-4, 1.63947561694133579842E-3,
+    -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2,
+    -9.49010970480476444210E-2, 1.71620901522208775349E-1,
+    -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+_I0E_B = (
+    -7.23318048787475395456E-18, -4.83050448594418207126E-18,
+    4.46562142029675999901E-17, 3.46122286769746109310E-17,
+    -2.82762398051658348494E-16, -3.42548561967721913462E-16,
+    1.77256013305652638360E-15, 3.81168066935262242075E-15,
+    -9.55484669882830764870E-15, -4.15056934728722208663E-14,
+    1.54008621752140982691E-14, 3.85277838274214270114E-13,
+    7.18012445138366623367E-13, -1.79417853150680611778E-12,
+    -1.32158118404477131188E-11, -3.14991652796324136454E-11,
+    1.18891471078464383424E-11, 4.94060238822496958910E-10,
+    3.39623202570838634515E-9, 2.26666899049817806459E-8,
+    2.04891858946906374183E-7, 2.89137052083475648297E-6,
+    6.88975834691682398426E-5, 3.36911647825569408990E-3,
+    8.04490411014108831608E-1,
+)
+# Elements per pass of the Chebyshev recurrence. Its four buffers (1 MB)
+# are then reused and stay in a core's L2 cache; whole-array buffers came
+# from fresh pages on every call, and the page faults cost more than the
+# arithmetic. Of 8K, 16K, 32K and unblocked, 32K built the coverage
+# tables fastest.
+_I0E_BLOCK = 32768
+# Terms after which a hypergeometric series of _hyp2f1_bs counts as not
+# converging; on alpha in [2.05, 8] and theta in [1e-3, 1e5] it needs 90.
+_SERIES_TERMS = 1000
+
+
+def _chbevl(y: np.ndarray, coefs, b0: np.ndarray, b1: np.ndarray,
+            b2: np.ndarray) -> np.ndarray:
+    """Cephes ``chbevl``: the Chebyshev series ``coefs`` at ``y``.
+
+    The Clenshaw recurrence b0 <- y*b1 - b2 + c runs in the three given
+    buffers, in the same order of operations as the C code; returns the
+    buffer holding the result.
+    """
+    b0[...] = coefs[0]
+    b1[...] = 0.0
+    for c in coefs[1:]:
+        np.multiply(y, b0, out=b2)
+        b2 -= b1
+        b2 += c
+        b0, b1, b2 = b2, b0, b1
+    b0 -= b2
+    b0 *= 0.5
+    return b0
+
+
+def _i0e_branch(v: np.ndarray, small: bool, work: np.ndarray) -> np.ndarray:
+    """e^(-v) I0(v) for ``v`` all at most 8 (``small``) or all above,
+    computed in the rows of ``work``."""
+    y, b0, b1, b2 = work[:, :v.size]
+    if small:
+        np.multiply(v, 0.5, out=y)
+        y -= 2.0
+        return _chbevl(y, _I0E_A, b0, b1, b2)
+    np.divide(32.0, v, out=y)
+    y -= 2.0
+    out = _chbevl(y, _I0E_B, b0, b1, b2)
+    out /= np.sqrt(v, out=y)
+    return out
+
+
+def _i0e_inplace(x: np.ndarray) -> np.ndarray:
+    """Exponentially scaled modified Bessel function e^(-|x|) I0(|x|),
+    written over ``x`` (a C-contiguous float array), which is returned."""
+    flat = x.reshape(-1)
+    np.abs(flat, out=flat)
+    work = np.empty((4, min(flat.size, _I0E_BLOCK)))
+    for start in range(0, flat.size, _I0E_BLOCK):
+        block = flat[start:start + _I0E_BLOCK]
+        small = block <= 8.0
+        if small.all() or not small.any():
+            block[...] = _i0e_branch(block, small[0], work)
+        else:
+            for part, below in ((small, True), (~small, False)):
+                block[part] = _i0e_branch(block[part], below, work)
+    return x
+
+
+def _hyp2f1_bs(theta: float, delta: float) -> float:
+    """2F1(1, -delta; 1 - delta; -theta) for theta > 0 and 0 < delta < 1.
+
+    For theta <= 3 the Pfaff transform (1 + theta)**delta *
+    2F1(-delta, -delta; 1 - delta; w) with w = theta / (1 + theta) <= 3/4,
+    a series of positive terms. Beyond, the continuation to large theta,
+    theta**delta * pi delta / sin(pi delta)
+    - sum_{n >= 1} (-1)**n delta theta**(-n) / (n + delta),
+    an alternating series in 1/theta < 1/3. Raises
+    :class:`~clustercache.errors.NumericFailure` if the series does not
+    converge within ``_SERIES_TERMS`` terms.
+    """
+    if theta <= 3.0:
+        w = theta / (1.0 + theta)
+        term = total = 1.0
+        for n in range(_SERIES_TERMS):
+            term *= (n - delta) ** 2 / ((n + 1 - delta) * (n + 1)) * w
+            total += term
+            if term <= 1e-17 * total:
+                return (1.0 + theta) ** delta * total
+    else:
+        x = -1.0 / theta
+        # sin(pi delta) = sin(pi (1 - delta)); 1 - delta is exact near delta = 1.
+        total = theta**delta * math.pi * delta / math.sin(math.pi * (1.0 - delta))
+        power = 1.0
+        for n in range(1, _SERIES_TERMS):
+            power *= x
+            term = delta * power / (n + delta)
+            total -= term
+            if abs(term) <= 1e-17 * abs(total):
+                return total
+    raise NumericFailure(
+        f"hypergeometric series 2F1(1, -{delta!r}; 1 - {delta!r}; -{theta!r}) "
+        f"did not converge in {_SERIES_TERMS} terms"
+    )
+
+
 def serving_distance_pdf(r, sigma: float):
     """Density of the serving distance: Rayleigh with scale sqrt(2)*sigma."""
     if sigma <= 0:
@@ -171,12 +314,24 @@ def rice_pdf(u, v, sigma: float):
         raise ConfigError("sigma must be positive")
     if np.any(np.asarray(v) < 0):
         raise ConfigError("v must be non-negative")
-    u = np.asarray(u, dtype=float)
-    s2 = sigma**2
-    # max(u, 0) makes the density vanish for u < 0.
-    out = (np.maximum(u, 0.0) / s2) * np.exp((u - v) ** 2 / (-2.0 * s2)) \
-        * special.i0e(u * v / s2)
+    out = _rice_pdf(np.asarray(u, dtype=float), v, sigma, _i0e_inplace)
     return out if out.ndim else float(out)
+
+
+def _rice_pdf(u: np.ndarray, v, sigma: float, i0e_inplace) -> np.ndarray:
+    """:func:`rice_pdf` without its argument checks, always an array, with
+    e^(-|x|) I0(|x|) evaluated by ``i0e_inplace`` (which may overwrite x)."""
+    s2 = sigma**2
+    # Built in place, in the order of operations of the formula: the
+    # coverage tables evaluate it on large arrays, and every temporary
+    # costs fresh memory pages.
+    out = np.asarray(u - v)
+    np.square(out, out=out)
+    out /= -2.0 * s2
+    np.exp(out, out=out)
+    out *= np.maximum(u, 0.0) / s2  # max(u, 0): no density for u < 0
+    out *= i0e_inplace(np.asarray(u * v / s2))
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -204,13 +359,15 @@ def _gl_rule(edges, n: int):
     return nodes.reshape(shape), (half[..., None] * _gl_nodes(n)[1]).reshape(shape)
 
 
-def _phi(s_sir, v, sigma: float, alpha: float, n: int = 96):
+def _phi(s_sir, v, sigma: float, alpha: float, n: int = 96,
+         i0e_inplace=_i0e_inplace):
     """E[ s/(s + U^alpha) ] for U ~ Rice(v, sigma), with s = theta*r^alpha.
 
-    ``s_sir`` and ``v`` broadcast against each other. The Rice mass lives
-    in a +/- 12 sigma window around v; the kernel transitions around
-    u = s**(1/alpha), so the window is split there (at its midpoint when
-    the knee lies outside) and each half gets an n-point rule.
+    ``s_sir`` and ``v`` (non-negative) broadcast against each other. The
+    Rice mass lives in a +/- 12 sigma window around v; the kernel
+    transitions around u = s**(1/alpha), so the window is split there (at
+    its midpoint when the knee lies outside) and each half gets an n-point
+    rule. ``i0e_inplace`` evaluates the Bessel factor of the density.
     """
     s_sir, v = np.broadcast_arrays(np.asarray(s_sir, dtype=float),
                                    np.asarray(v, dtype=float))
@@ -220,8 +377,10 @@ def _phi(s_sir, v, sigma: float, alpha: float, n: int = 96):
     split = np.where((lo < knee) & (knee < hi), knee, 0.5 * (lo + hi))
     u, half = _gl_panels(np.stack([lo, split, hi], axis=-1), n)
     s_sir = s_sir[..., None, None]
-    f = s_sir / (s_sir + u**alpha)
-    f *= rice_pdf(u, v[..., None, None], sigma)
+    f = u**alpha  # s/(s + u**alpha), in place
+    f += s_sir
+    np.divide(s_sir, f, out=f)
+    f *= _rice_pdf(u, v[..., None, None], sigma, i0e_inplace)
     return ((f @ _gl_nodes(n)[1]) * half).sum(axis=-1)
 
 
@@ -260,11 +419,20 @@ def laplace_inter(s, cfg: NetworkConfig) -> float:
     sigma, alpha = cfg.sigma, cfg.alpha
     knee = s_sir ** (1.0 / alpha)
     scale = knee + 13.0 * sigma
+    # The oracle keeps scipy's Bessel function, independent of the tables'
+    # numpy recurrence: it evaluates _phi on ~200-point arrays some 1e5
+    # times per test, where the recurrence's ~90 array operations per call
+    # took longer than everything else in the integrand.
+    from scipy.special import i0e
+
+    def i0e_inplace(x):
+        return i0e(x, out=x)
 
     def integrand(t):
         v = scale * t / (1.0 - t)
         jac = scale / (1.0 - t) ** 2
-        return -np.expm1(-p_active * _phi(s_sir, v, sigma, alpha)) * v * jac
+        phi = _phi(s_sir, v, sigma, alpha, i0e_inplace=i0e_inplace)
+        return -np.expm1(-p_active * phi) * v * jac
 
     breakpoints = sorted(
         {v / (scale + v) for v in (sigma, knee, knee + 13.0 * sigma) if v > 0}
@@ -352,7 +520,7 @@ def _rule_table(cfg: NetworkConfig, rule) -> _RuleTable:
     cut = _RAYLEIGH_CUTOFF * sigma
     breaks = sigma * np.array([1.0, 2.0, 4.0])
     breaks = np.concatenate([breaks, breaks * cfg.theta ** (-1.0 / alpha)])
-    r, w = _gl_rule(np.unique(np.concatenate([[0.0, cut], breaks[breaks < cut]])), n_r)
+    r, w = _gl_rule(sorted({0.0, cut, *breaks[breaks < cut]}), n_r)
     s_sir = cfg.theta * r**alpha
     # The Rice kernel of one serving distance spans 4 t panels x 2 u panels.
     chunk = max(1, _CHUNK_DOUBLES // (8 * n_t * n_u))
@@ -442,7 +610,7 @@ def bs_coverage(theta: float, alpha: float) -> CoverageResult:
     if alpha <= 2:
         raise ConfigError("alpha must exceed 2")
     delta = 2.0 / alpha
-    denom = float(special.hyp2f1(1.0, -delta, 1.0 - delta, -theta))
+    denom = _hyp2f1_bs(theta, delta)
     if not math.isfinite(denom) or denom < 1.0:
         raise NumericFailure(f"hypergeometric evaluation failed: 2F1 = {denom!r}")
     return CoverageResult(value=1.0 / denom, method="closed-form")
@@ -462,8 +630,8 @@ def d2d_coverage_single_link(cfg: NetworkConfig) -> CoverageResult:
         math.pi
         * cfg.lambda_p
         * cfg.theta**delta
-        * special.gamma(1.0 + delta)
-        * special.gamma(1.0 - delta)
+        * math.gamma(1.0 + delta)
+        * math.gamma(1.0 - delta)
         + 1.0 / (4.0 * cfg.sigma**2)
     )
     return CoverageResult(value=1.0 / (4.0 * cfg.sigma**2 * z), method="closed-form")

@@ -204,7 +204,8 @@ class TestRunScenario:
 
     def test_validate_diagnostic_columns(self, tmp_path):
         # signed_diff and z_score are appended after the original columns;
-        # z_score is empty where the reference is not simulated.
+        # z_score is empty where the reference is not simulated and on the
+        # exact-vs-approx row, whose difference is a model gap.
         sc = replace(default_table1(), mc_trials=2000,
                      output_dir=str(tmp_path))
         run_scenario(sc)
@@ -213,7 +214,7 @@ class TestRunScenario:
         assert lines[1].split(",") == ["quantity", "analytic", "mc_mean",
                                        "mc_hw95", "pass", "error",
                                        "signed_diff", "z_score"]
-        for row in rows:
+        for row in rows[:-1]:
             diff = float(row["analytic"]) - float(row["mc_mean"])
             assert float(row["signed_diff"]) == diff
             hw = float(row["mc_hw95"])
@@ -223,6 +224,12 @@ class TestRunScenario:
                 assert row["z_score"] == ""
         assert rows[12]["quantity"] == "single_link_reference_point"
         assert rows[12]["z_score"] == ""
+        gap = rows[-1]
+        assert gap["quantity"] == "conditional_coverage k=5 (exact vs approx)"
+        assert float(gap["signed_diff"]) == (float(gap["analytic"])
+                                             - float(gap["mc_mean"]))
+        assert float(gap["mc_hw95"]) > 0
+        assert gap["z_score"] == ""
         # Per-row wall times and simulation rates go to the summary only.
         summary = json.loads((tmp_path / "table1_summary.json").read_text())
         points = summary["tasks"]["validate"]["point_diagnostics"]
@@ -268,12 +275,37 @@ class TestMainEntryPoint:
         assert main(["validate", "--out", str(tmp_path)]) == 4
 
     def test_cli_import_leaves_out_scipy_integrate(self):
-        # Only the adaptive quadrature oracle needs scipy.integrate, so a
-        # CLI run does not pay for importing it.
+        # Only the adaptive quadrature oracle and the tests need scipy, so
+        # a CLI run does not pay for importing any of it.
         code = ("import sys, clustercache.cli; "
-                "sys.exit('scipy.integrate' in sys.modules)")
+                "sys.exit(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')) or None)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_run_imports_nothing_after_setup(self, tmp_path):
+        # Every module a run needs is imported with the CLI, so the import
+        # cost is paid in set-up and never inside run_scenario (numpy
+        # loads numpy.random and numpy.polynomial lazily).
+        code = f"""
+import sys
+from dataclasses import replace
+from clustercache import cli
+from clustercache.model import ContentLibrary
+scenario = replace(
+    cli.default_table1(), lib=ContentLibrary.zipf(30, 1.0, 3), grid=(0.5, 1.0),
+    tasks=("offload", "energy", "delay", "validate"), mc_trials=2000,
+    bcd_restarts=2, output_dir={str(tmp_path)!r})
+before = set(sys.modules)
+cli.run_scenario(scenario, jobs=1)
+sys.exit(sorted(set(sys.modules) - before) or None)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_numeric_failure_marks_row_and_exit_code(self, tmp_path, monkeypatch):
         def boom(scenario, value):

@@ -10,15 +10,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from clustercache import montecarlo
 from clustercache.errors import ConfigError, InfeasibleAccessProbability
 from clustercache.montecarlo import (
+    _binomial_cdf,
     _local_counts,
     _local_interference,
     _member_interference,
+    _poisson_cdf,
     _remote_interference,
     default_region_radius,
     mc_coverage_conditional,
@@ -256,6 +258,45 @@ class TestMemberKernel:
             total += np.exp(-arg.s * cfg.p_d * unit).sum()
         mc = total / (batches * 10_000)
         assert laplace_inter(arg, cfg) == pytest.approx(mc, rel=0.01)
+
+
+def _scipy_poisson_cdf(mu, first):
+    """The count table as built from scipy.special.pdtrc (the upper tail)."""
+    at_least = special.pdtrc(first - 1, mu) if first else 1.0
+    tail = [special.pdtrc(first, mu) / at_least]
+    while tail[-1] >= montecarlo._TAIL:
+        tail.append(special.pdtrc(first + len(tail), mu) / at_least)
+    return 1.0 - np.array(tail)
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_poisson_tables_match_scipy(self, first):
+        # Same cut (table length) everywhere. Both tables hold 1 - tail in
+        # doubles, so entries near 0 agree only to a few roundings of 1;
+        # 1e-14 absolute allows a hundred of them. The draws invert
+        # uniforms on a 2**-53 grid, so a difference this small moves a
+        # count with probability ~1e-14 per draw.
+        for mu in np.geomspace(1e-3, 50.0, 500):
+            got = _poisson_cdf(mu, first)
+            expected = _scipy_poisson_cdf(mu, first)
+            assert got.shape == expected.shape, mu
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+            assert got[-1] == 1.0
+
+    def test_poisson_table_degenerate_means(self):
+        np.testing.assert_array_equal(_poisson_cdf(0.0, 0), [1.0])
+        np.testing.assert_array_equal(_poisson_cdf(1e-300, 1), [1.0])
+        big = _poisson_cdf(900.0, 0)  # e**-900 underflows; the table does not
+        assert np.all(np.diff(big) >= 0) and big[-1] == 1.0
+        assert np.searchsorted(big, 0.5) == 900
+
+    def test_binomial_cdf_matches_scipy(self):
+        for n in range(51):
+            for p in np.linspace(0.0, 1.0, 41):
+                expected = np.append(special.bdtr(np.arange(n), n, p), 1.0)
+                np.testing.assert_allclose(_binomial_cdf(n, p), expected,
+                                           rtol=1e-12, atol=0.0)
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from clustercache.errors import (
@@ -78,6 +79,20 @@ class TestRicePdf:
     def test_no_overflow_at_huge_distances(self):
         val = rice_pdf(1.0e6, 1.0e6, 10.0)
         assert np.isfinite(val) and val > 0.0
+
+    def test_bessel_bit_identical_to_scipy(self):
+        # Same Cephes coefficients and order of operations as
+        # scipy.special.i0e, on both branches, across the split at 8 and
+        # over blocks that mix the two.
+        x = np.concatenate([np.linspace(0.0, 8.0, 100_001),
+                            np.geomspace(8.0, 1e9, 100_001)])
+        np.testing.assert_array_equal(stochgeo._i0e_inplace(x.copy()),
+                                      special.i0e(x))
+        rng = np.random.default_rng(3)
+        mixed = rng.uniform(-30.0, 30.0, (40, 2, 480))
+        np.testing.assert_array_equal(stochgeo._i0e_inplace(mixed.copy()),
+                                      special.i0e(mixed))
+        assert stochgeo._i0e_inplace(np.asarray(3.0)) == special.i0e(3.0)
 
 
 class TestLaplaceTransforms:
@@ -328,6 +343,30 @@ class TestBsCoverage:
 
     def test_limit_at_vanishing_threshold(self):
         assert bs_coverage(1e-12, 4.0).value == pytest.approx(1.0, abs=1e-9)
+
+    def test_series_match_scipy(self):
+        # Both series regimes (theta <= 3 and theta > 3) over the path-loss
+        # exponents and thresholds a NetworkConfig can reasonably take.
+        worst = 0.0
+        for alpha in np.linspace(2.05, 8.0, 40):
+            delta = 2.0 / alpha
+            for theta in np.geomspace(1e-3, 1e5, 200):
+                got = stochgeo._hyp2f1_bs(theta, delta)
+                expected = special.hyp2f1(1.0, -delta, 1.0 - delta, -theta)
+                worst = max(worst, abs(got / expected - 1.0))
+        assert worst < 1e-14
+
+    def test_alpha4_closed_form_over_thresholds(self):
+        for theta in np.geomspace(1e-3, 1e5, 97):
+            root = math.sqrt(theta)
+            expected = 1.0 / (1.0 + root * math.atan(root))
+            assert bs_coverage(theta, 4.0).value == pytest.approx(expected, rel=1e-14)
+
+    def test_series_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(stochgeo, "_SERIES_TERMS", 5)
+        for theta in (2.0, 40.0):
+            with pytest.raises(NumericFailure, match="did not converge"):
+                stochgeo._hyp2f1_bs(theta, 0.5)
 
     def test_against_ppp_coverage_integral(self):
         # Nearest-BS Rayleigh SIR coverage equals 1/(1 + 2 kappa) with
