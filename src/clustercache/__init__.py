@@ -39,7 +39,6 @@ from .optimize import (
     BcdStep,
     BcdTrace,
     KktSolution,
-    average_energy,
     energy_conditional,
     objective_offloading,
     optimal_bandwidth,
@@ -49,23 +48,16 @@ from .optimize import (
     weighted_delay,
 )
 from .queueing import (
-    DelayModel,
     arrival_rates,
-    build_delay_model,
-    mm1_mean_queue_length,
-    per_queue_delay,
     service_coefficients,
     service_rate,
 )
 from .stochgeo import (
     CoverageResult,
-    LaplaceArg,
     average_rate,
     bs_coverage,
     d2d_coverage_conditional,
     d2d_coverage_single_link,
-    laplace_inter,
-    laplace_intra,
     optimal_access_probability,
     prob_rate_exceeds,
     rice_pdf,

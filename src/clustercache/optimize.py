@@ -56,7 +56,6 @@ __all__ = [
     "objective_offloading",
     "optimize_offloading",
     "energy_conditional",
-    "average_energy",
     "optimize_energy",
     "optimal_bandwidth",
     "weighted_delay",
@@ -66,6 +65,12 @@ __all__ = [
 _BUDGET_TOL = 1e-9
 _BISECT_ITERATIONS = 120
 _POISSON_TAIL = 1e-10
+# A queue is treated as unstable once its utilisation exceeds this.
+_RHO_MAX = 1.0 - 1e-9
+# A BCD run stops once a step changes the delay by at most this relative
+# amount, or after this many steps.
+_BCD_TOL = 1e-8
+_BCD_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -261,30 +266,12 @@ def energy_conditional(
     return float(k * (q @ (s_bits * (d2d_term + bs_term))))
 
 
-def average_energy(
-    policy: CachingPolicy,
-    lib: ContentLibrary,
-    cfg: NetworkConfig,
-    r1: float,
-    r2: float,
-) -> float:
-    """Poisson(n_bar) mixture of the conditional energies.
-
-    The sum is truncated where the remaining Poisson tail mass drops
-    below 1e-10; the empty cluster consumes nothing.
-    """
-    total = 0.0
-    for k, weight in _poisson_weights(cfg.n_bar):
-        total += weight * energy_conditional(policy, lib, cfg, k, r1, r2)
-    return total
-
-
 def _poisson_weights(n_bar: float):
     """(k, P(n = k)) for n ~ Poisson(n_bar), k = 1, 2, ...
 
     Stops once the remaining tail mass drops below ``_POISSON_TAIL``
     (or past k = 200 (1 + n_bar)); k = 0 is skipped because an empty
-    cluster contributes nothing to any of the mixtures.
+    cluster contributes nothing to the CLI's energy mixture.
     """
     weight = math.exp(-n_bar)
     cumulative = weight
@@ -392,7 +379,7 @@ def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
     zeta_i = zeta_tot a_i; see ``weighted_delay`` for the delay and, when
     ``w1`` is None, ``optimal_bandwidth`` for the closed-form W1*.
     Raises NoStableSplitError when the stability interval is empty and
-    UnstableQueueError for a queue past ``queueing._RHO_MAX`` at W1.
+    UnstableQueueError for a queue past ``_RHO_MAX`` at W1.
     """
     zeta = (zeta_tot * a1, zeta_tot * a2)
     if w1 is None and zeta == (0.0, 0.0):
@@ -421,7 +408,7 @@ def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
     for i in (0, 1):
         if zeta[i] == 0.0:
             continue
-        if mu[i] <= 0.0 or zeta[i] / mu[i] > queueing._RHO_MAX:
+        if mu[i] <= 0.0 or zeta[i] / mu[i] > _RHO_MAX:
             raise UnstableQueueError(queue=i + 1, zeta=zeta[i], mu=mu[i])
         total += zeta[i] / (mu[i] - zeta[i])
     return w1, total / zeta_tot
@@ -567,10 +554,8 @@ def optimize_delay_bcd(
     k: int,
     zeta_tot: float,
     restarts: int = 16,
-    tol: float = 1e-8,
     seed: int | None = None,
     initial_policy: CachingPolicy | None = None,
-    max_iterations: int = 200,
 ) -> BcdTrace:
     """Minimise the weighted delay over (caching vector, bandwidth split).
 
@@ -585,8 +570,6 @@ def optimize_delay_bcd(
         raise ConfigError(f"k must be at least 1, got {k}")
     if restarts < 1:
         raise ConfigError("restarts must be at least 1")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
     q = lib.popularity
     m = lib.cache_size
     o1, o2 = queueing.service_coefficients(cfg, lib)
@@ -635,7 +618,7 @@ def optimize_delay_bcd(
 
     best = None
     for index, b0 in enumerate(starts):
-        run = _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m, tol, max_iterations)
+        run = _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m)
         if best is None or run[0][-1].delay < best[1][0][-1].delay:
             best = (index, run)
     best_start, (steps, converged, gap) = best
@@ -643,7 +626,7 @@ def optimize_delay_bcd(
                     restarts_used=len(starts), gap=gap, best_start=best_start)
 
 
-def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m, tol, max_iterations):
+def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m):
     """One BCD run from b0: (steps, converged, final linearisation gap)."""
     def delay_at(b):
         return _optimised_delay(b, q, k, zeta_tot, o1, o2, w_total)
@@ -656,7 +639,7 @@ def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m, tol, max_iterations):
     w1, delay = delay_at(b)
     steps = [step(b, w1, delay)]
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(_BCD_MAX_ITERATIONS):
         s, _ = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)
         gamma, value = _golden_section(lambda g: delay_at(b + g * (s - b))[1], 1e-10)
         full = delay_at(s)[1]
@@ -667,7 +650,7 @@ def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m, tol, max_iterations):
         # The closed-form bandwidth step at the (possibly new) caching vector.
         w1, new_delay = delay_at(b)
         steps.append(step(b, w1, new_delay))
-        if abs(delay - new_delay) <= tol * max(new_delay, 1e-300):
+        if abs(delay - new_delay) <= _BCD_TOL * max(new_delay, 1e-300):
             converged = True
             break
         delay = new_delay

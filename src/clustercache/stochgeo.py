@@ -26,11 +26,9 @@ Numerical conventions
   max(1e-9, 1e-7 * value) is recomputed once with a higher-order pair;
   if they still differ, :class:`~clustercache.errors.NumericFailure`
   reports both values. A table with a non-finite entry raises it too.
-* :func:`laplace_inter` and :func:`laplace_intra` keep adaptive
-  Gauss-Kronrod quadrature (absolute tolerance 1e-9, relative 1e-7, a
-  subdivision cap of roughly 1e6 evaluations per integral) and serve as
-  the reference the tables are tested against; non-convergence raises
-  :class:`~clustercache.errors.NumericFailure` with diagnostics.
+* The tables are tested against an adaptive Gauss-Kronrod oracle of
+  the two transforms, ``tests/laplace_oracle.py``, which shares none of
+  their quadrature code.
 * Semi-infinite ranges are mapped through v = c*t/(1-t); ranges with an
   exponentially decaying weight are truncated where the weight falls
   below 1e-18 of its peak.
@@ -39,12 +37,10 @@ Numerical conventions
   is the package's own Cephes Chebyshev evaluation
   (:func:`_i0e_inplace`, the coefficients of ``np.i0``, bit-identical to
   ``scipy.special.i0e``), and the nearest-BS coverage sums its
-  hypergeometric series directly (:func:`_hyp2f1_bs`), so importing this
-  module imports no scipy. Only the adaptive oracle
-  (:func:`laplace_inter`, :func:`laplace_intra`) imports scipy, when
-  first called: ``scipy.integrate``, and ``scipy.special.i0e`` for its
-  Rice density, so the tables' Bessel evaluation is checked against an
-  independent one.
+  hypergeometric series directly (:func:`_hyp2f1_bs`), so the package
+  needs no scipy. The test oracle uses ``scipy.integrate`` and
+  ``scipy.special.i0e``, so the tables' Bessel evaluation is checked
+  against an independent one.
 """
 
 from __future__ import annotations
@@ -61,12 +57,9 @@ from .errors import ConfigError, InfeasibleAccessProbability, NumericFailure
 from .model import NetworkConfig
 
 __all__ = [
-    "LaplaceArg",
     "CoverageResult",
     "serving_distance_pdf",
     "rice_pdf",
-    "laplace_inter",
-    "laplace_intra",
     "prob_rate_exceeds",
     "d2d_coverage_conditional",
     "bs_coverage",
@@ -77,9 +70,6 @@ __all__ = [
 
 ATOL = 1e-9
 RTOL = 1e-7
-# Subdivision cap: ~200 intervals x 21 Kronrod points x ~200 inner nodes
-# keeps a nested integral under ~1e6 evaluations.
-_QUAD_LIMIT = 200
 # Rayleigh(sqrt(2)*sigma) mass beyond 14*sigma is ~5e-22.
 _RAYLEIGH_CUTOFF = 14.0
 # Rice(v, sigma) mass outside v +/- 12*sigma is below 1e-30.
@@ -96,37 +86,8 @@ _RULE_PAIRS = (
 # Serving distances per table chunk are capped so no temporary holds more
 # than about this many doubles.
 _CHUNK_DOUBLES = 65536
-
-
-@dataclass(frozen=True)
-class LaplaceArg:
-    """Laplace-domain argument for the interference transforms.
-
-    ``s`` follows the serving-link convention s = theta * r**alpha / power
-    for a serving distance r; ``power`` is the per-interferer transmit
-    power. The transforms depend on the product s * power (the SIR
-    argument theta * r**alpha), so the receiver power cancels as it must
-    for an interference-limited network. A bare float passed to the
-    transforms is treated as already power-normalised (power = 1).
-    """
-
-    s: float
-    power: float = 1.0
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ConfigError(f"Laplace argument must be non-negative, got {self.s}")
-        if self.power <= 0:
-            raise ConfigError(f"power must be positive, got {self.power}")
-
-    @classmethod
-    def from_link(cls, theta: float, r: float, alpha: float, power: float) -> "LaplaceArg":
-        return cls(s=theta * r**alpha / power, power=power)
-
-    @property
-    def sir_argument(self) -> float:
-        """The power-free argument theta * r**alpha consumed by the kernels."""
-        return self.s * self.power
+# Relative margin of the access probability above the rate threshold.
+_ACCESS_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -148,15 +109,6 @@ class CoverageResult:
         object.__setattr__(self, "value", v)
         if self.method not in ("analytic", "closed-form", "monte-carlo"):
             raise ConfigError(f"unknown coverage method {self.method!r}")
-
-
-def _sir_argument(s) -> float:
-    if isinstance(s, LaplaceArg):
-        return s.sir_argument
-    s = float(s)
-    if s < 0:
-        raise ConfigError(f"Laplace argument must be non-negative, got {s}")
-    return s
 
 
 # Cephes Chebyshev coefficients of e^(-x) I0(x) in x/2 - 2 on [0, 8] and of
@@ -314,13 +266,12 @@ def rice_pdf(u, v, sigma: float):
         raise ConfigError("sigma must be positive")
     if np.any(np.asarray(v) < 0):
         raise ConfigError("v must be non-negative")
-    out = _rice_pdf(np.asarray(u, dtype=float), v, sigma, _i0e_inplace)
+    out = _rice_pdf(np.asarray(u, dtype=float), v, sigma)
     return out if out.ndim else float(out)
 
 
-def _rice_pdf(u: np.ndarray, v, sigma: float, i0e_inplace) -> np.ndarray:
-    """:func:`rice_pdf` without its argument checks, always an array, with
-    e^(-|x|) I0(|x|) evaluated by ``i0e_inplace`` (which may overwrite x)."""
+def _rice_pdf(u: np.ndarray, v, sigma: float) -> np.ndarray:
+    """:func:`rice_pdf` without its argument checks, always an array."""
     s2 = sigma**2
     # Built in place, in the order of operations of the formula: the
     # coverage tables evaluate it on large arrays, and every temporary
@@ -330,7 +281,7 @@ def _rice_pdf(u: np.ndarray, v, sigma: float, i0e_inplace) -> np.ndarray:
     out /= -2.0 * s2
     np.exp(out, out=out)
     out *= np.maximum(u, 0.0) / s2  # max(u, 0): no density for u < 0
-    out *= i0e_inplace(np.asarray(u * v / s2))
+    out *= _i0e_inplace(np.asarray(u * v / s2))
     return out
 
 
@@ -359,15 +310,14 @@ def _gl_rule(edges, n: int):
     return nodes.reshape(shape), (half[..., None] * _gl_nodes(n)[1]).reshape(shape)
 
 
-def _phi(s_sir, v, sigma: float, alpha: float, n: int = 96,
-         i0e_inplace=_i0e_inplace):
+def _phi(s_sir, v, sigma: float, alpha: float, n: int):
     """E[ s/(s + U^alpha) ] for U ~ Rice(v, sigma), with s = theta*r^alpha.
 
     ``s_sir`` and ``v`` (non-negative) broadcast against each other. The
     Rice mass lives in a +/- 12 sigma window around v; the kernel
     transitions around u = s**(1/alpha), so the window is split there (at
     its midpoint when the knee lies outside) and each half gets an n-point
-    rule. ``i0e_inplace`` evaluates the Bessel factor of the density.
+    rule.
     """
     s_sir, v = np.broadcast_arrays(np.asarray(s_sir, dtype=float),
                                    np.asarray(v, dtype=float))
@@ -380,94 +330,8 @@ def _phi(s_sir, v, sigma: float, alpha: float, n: int = 96,
     f = u**alpha  # s/(s + u**alpha), in place
     f += s_sir
     np.divide(s_sir, f, out=f)
-    f *= _rice_pdf(u, v[..., None, None], sigma, i0e_inplace)
+    f *= _rice_pdf(u, v[..., None, None], sigma)
     return ((f @ _gl_nodes(n)[1]) * half).sum(axis=-1)
-
-
-def _checked_quad(fn, a, b, *, points=None, what: str, atol=ATOL, rtol=RTOL) -> float:
-    # Imported here: only the adaptive oracle uses it, and importing it
-    # at module level made importing the CLI about half as slow again.
-    from scipy.integrate import quad
-
-    res = quad(
-        fn, a, b, epsabs=atol, epsrel=rtol, limit=_QUAD_LIMIT, points=points,
-        full_output=1,
-    )
-    val, err = res[0], res[1]
-    tol = max(atol, rtol * abs(val))
-    if len(res) > 3 and err > 50 * tol:
-        raise NumericFailure(
-            f"quadrature for {what} did not converge: value={val!r}, "
-            f"error estimate={err!r}, tolerance={tol!r}: {res[3]}"
-        )
-    return val
-
-
-def laplace_inter(s, cfg: NetworkConfig) -> float:
-    """Laplace transform of the inter-cluster interference.
-
-    exp(-2 pi lambda_p Int_0^inf (1 - exp(-p nbar phi(s, v))) v dv) with
-    phi the Rice-averaged fading kernel; the outer integral is mapped to
-    (0, 1) through v = c*t/(1-t).
-    """
-    s_sir = _sir_argument(s)
-    if s_sir == 0.0:
-        return 1.0
-    p_active = cfg.access_p * cfg.n_bar
-    if p_active == 0.0 or cfg.lambda_p == 0.0:
-        return 1.0
-    sigma, alpha = cfg.sigma, cfg.alpha
-    knee = s_sir ** (1.0 / alpha)
-    scale = knee + 13.0 * sigma
-    # The oracle keeps scipy's Bessel function, independent of the tables'
-    # numpy recurrence: it evaluates _phi on ~200-point arrays some 1e5
-    # times per test, where the recurrence's ~90 array operations per call
-    # took longer than everything else in the integrand.
-    from scipy.special import i0e
-
-    def i0e_inplace(x):
-        return i0e(x, out=x)
-
-    def integrand(t):
-        v = scale * t / (1.0 - t)
-        jac = scale / (1.0 - t) ** 2
-        phi = _phi(s_sir, v, sigma, alpha, i0e_inplace=i0e_inplace)
-        return -np.expm1(-p_active * phi) * v * jac
-
-    breakpoints = sorted(
-        {v / (scale + v) for v in (sigma, knee, knee + 13.0 * sigma) if v > 0}
-    )
-    exponent = _checked_quad(
-        integrand, 0.0, 1.0, points=breakpoints, what="inter-cluster Laplace transform"
-    )
-    return float(np.exp(-2.0 * math.pi * cfg.lambda_p * exponent))
-
-
-def laplace_intra(s, intensity: float, sigma: float, alpha: float) -> float:
-    """Laplace transform of the intra-cluster interference.
-
-    ``intensity`` is the expected number of simultaneously active
-    intra-cluster interferers (p*nbar, or p*k conditioned on k devices).
-    The interferer distance is Rayleigh(sqrt(2)*sigma).
-    """
-    s_sir = _sir_argument(s)
-    if intensity < 0:
-        raise ConfigError("intensity must be non-negative")
-    if s_sir == 0.0 or intensity == 0.0:
-        return 1.0
-    if sigma <= 0 or alpha <= 2:
-        raise ConfigError("require sigma > 0 and alpha > 2")
-    hi = _RAYLEIGH_CUTOFF * sigma
-    knee = min(s_sir ** (1.0 / alpha), hi)
-
-    def integrand(h):
-        return (s_sir / (s_sir + h**alpha)) * serving_distance_pdf(h, sigma)
-
-    integral = _checked_quad(
-        integrand, 0.0, hi, points=[sigma, knee],
-        what="intra-cluster Laplace transform",
-    )
-    return float(np.exp(-intensity * integral))
 
 
 class _RuleTable(NamedTuple):
@@ -482,7 +346,12 @@ class _RuleTable(NamedTuple):
 
 
 def _log_inter(s_sir: np.ndarray, cfg: NetworkConfig, n_t: int, n_u: int) -> np.ndarray:
-    """log L_inter at each SIR argument, on the panels of :func:`laplace_inter`."""
+    """log L_inter at each SIR argument.
+
+    log L_inter(s) = -2 pi lambda_p Int_0^inf (1 - exp(-p nbar phi(s, v))) v dv
+    with phi the Rice-averaged fading kernel, the integral mapped to (0, 1)
+    through v = c*t/(1-t) with c = s**(1/alpha) + 13 sigma.
+    """
     sigma, alpha = cfg.sigma, cfg.alpha
     knee = s_sir ** (1.0 / alpha)
     scale = knee + 13.0 * sigma
@@ -501,7 +370,8 @@ def _log_inter(s_sir: np.ndarray, cfg: NetworkConfig, n_t: int, n_u: int) -> np.
 
 
 def _intra_integral(s_sir: np.ndarray, sigma: float, alpha: float, n: int) -> np.ndarray:
-    """I at each SIR argument, on the panels of :func:`laplace_intra`."""
+    """I at each SIR argument: I(s) = E[s/(s + H**alpha)] with H the
+    Rayleigh(sqrt(2)*sigma) interferer distance, cut at 14 sigma."""
     hi = _RAYLEIGH_CUTOFF * sigma
     knee = np.minimum(s_sir ** (1.0 / alpha), hi)
     edges = np.stack([np.zeros_like(knee), np.minimum(knee, sigma),
@@ -645,18 +515,15 @@ def average_rate(w: float, theta: float, coverage) -> float:
     return w * math.log2(1.0 + theta) * p_c
 
 
-def optimal_access_probability(
-    r0_over_w1: float, theta: float, epsilon_rel: float = 1e-6
-) -> float:
+def optimal_access_probability(r0_over_w1: float, theta: float) -> float:
     """Smallest feasible ALOHA access probability for the rate threshold.
 
-    The offloading problem fixes p just above R0 / (W1 log2(1+theta));
-    ``epsilon_rel`` is the relative margin added to stay strictly
-    feasible.
+    The offloading problem fixes p just above R0 / (W1 log2(1+theta)),
+    by the relative margin ``_ACCESS_MARGIN``, to stay strictly feasible.
     """
     if r0_over_w1 < 0:
         raise ConfigError("r0_over_w1 must be non-negative")
-    p_star = r0_over_w1 / math.log2(1.0 + theta) * (1.0 + epsilon_rel)
+    p_star = r0_over_w1 / math.log2(1.0 + theta) * (1.0 + _ACCESS_MARGIN)
     if p_star > 1.0:
         raise InfeasibleAccessProbability(
             f"required access probability {p_star:.6g} exceeds 1"

@@ -308,9 +308,8 @@ def test_criterion_07_bcd_monotone_and_terminates(table1):
             continue
         runs += 1
         trace = optimize.optimize_delay_bcd(
-            cfg, lib, DELAY_K, table1.zeta_tot, restarts=1, tol=1e-8,
+            cfg, lib, DELAY_K, table1.zeta_tot, restarts=1,
             seed=runs, initial_policy=_policy(rows[0], DELAY_LIB_M),
-            max_iterations=200,
         )
         delays = [s.delay for s in trace.steps]
         monotone = all(b <= a + 1e-12 for a, b in zip(delays, delays[1:]))

@@ -275,8 +275,8 @@ class TestMainEntryPoint:
         assert main(["validate", "--out", str(tmp_path)]) == 4
 
     def test_cli_import_leaves_out_scipy_integrate(self):
-        # Only the adaptive quadrature oracle and the tests need scipy, so
-        # a CLI run does not pay for importing any of it.
+        # Only the tests need scipy (it is not a runtime dependency), so
+        # importing the CLI imports none of it.
         code = ("import sys, clustercache.cli; "
                 "sys.exit(sorted(m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')) or None)")
@@ -288,10 +288,13 @@ class TestMainEntryPoint:
     def test_run_imports_nothing_after_setup(self, tmp_path):
         # Every module a run needs is imported with the CLI, so the import
         # cost is paid in set-up and never inside run_scenario (numpy
-        # loads numpy.random and numpy.polynomial lazily).
+        # loads numpy.random and numpy.polynomial lazily). Blocking scipy
+        # makes any import of it, with the CLI or during the all-task
+        # run, raise: a run needs no scipy.
         code = f"""
 import sys
 from dataclasses import replace
+sys.modules["scipy"] = None
 from clustercache import cli
 from clustercache.model import ContentLibrary
 scenario = replace(

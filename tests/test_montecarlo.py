@@ -28,14 +28,13 @@ from clustercache.montecarlo import (
     mc_prob_rate_exceeds,
 )
 from clustercache.stochgeo import (
-    LaplaceArg,
     d2d_coverage_conditional,
     d2d_coverage_single_link,
-    laplace_inter,
     prob_rate_exceeds,
     serving_distance_pdf,
 )
 
+from laplace_oracle import laplace_inter
 
 
 def _philox(seed):
@@ -246,18 +245,19 @@ class TestMemberKernel:
     def test_remote_laplace_functional_matches_analytic(self, table1_cfg):
         # Same check and bound as the raw-construction oracle
         # TestLaplaceTransforms::test_inter_against_direct_simulation:
-        # E[exp(-s P_d I)] at r = 2 sigma against laplace_inter.
+        # E[exp(-s I)] at r = 2 sigma against laplace_inter, with
+        # s = theta r**alpha and I in units of the transmit power P_d.
         cfg = table1_cfg
-        arg = LaplaceArg.from_link(cfg.theta, 2 * cfg.sigma, cfg.alpha, cfg.p_d)
+        s_sir = cfg.theta * (2 * cfg.sigma) ** cfg.alpha
         radius = default_region_radius(cfg)
         rng = _philox(8)
         total = 0.0
         batches = 40
         for _ in range(batches):
             unit = _remote_interference(rng, cfg, 10_000, radius, False)
-            total += np.exp(-arg.s * cfg.p_d * unit).sum()
+            total += np.exp(-s_sir * unit).sum()
         mc = total / (batches * 10_000)
-        assert laplace_inter(arg, cfg) == pytest.approx(mc, rel=0.01)
+        assert laplace_inter(s_sir, cfg) == pytest.approx(mc, rel=0.01)
 
 
 def _scipy_poisson_cdf(mu, first):
@@ -347,7 +347,7 @@ class TestConditionalCoverageMc:
         pair = mc_coverage_conditional(cfg, 1, 20000, seed=17)
         inter_only, _ = quad(
             lambda r: serving_distance_pdf(r, cfg.sigma)
-            * laplace_inter(LaplaceArg.from_link(cfg.theta, r, cfg.alpha, cfg.p_d), cfg),
+            * laplace_inter(cfg.theta * r**cfg.alpha, cfg),
             0, 14 * cfg.sigma,
         )
         assert abs(pair.exact.mean - inter_only) < 0.02

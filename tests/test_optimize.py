@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from clustercache.errors import (
     ConfigError,
@@ -33,7 +34,6 @@ from clustercache import optimize as opt
 from clustercache import queueing
 from clustercache.optimize import (
     BandwidthAllocation,
-    average_energy,
     energy_conditional,
     objective_offloading,
     optimal_bandwidth,
@@ -374,23 +374,19 @@ class TestEnergy:
         assert sol.objective <= values.min() + 1e-10
 
 
-class TestAverageEnergy:
-    def test_vanishes_for_empty_clusters(self, table1_cfg, table1_lib):
-        cfg = table1_cfg.replace(n_bar=1e-9)
-        policy = baseline_policy("cpf", table1_lib)
-        assert average_energy(policy, table1_lib, cfg, 1e6, 2e6) < 1e-6
+class TestPoissonWeights:
+    """The Poisson(n_bar) cluster-size weights of the CLI's energy mixture."""
 
-    def test_equals_poisson_mixture_of_conditionals(self, table1_cfg):
-        from scipy.stats import poisson
-        lib = ContentLibrary.zipf(10, 1.0, 3)
-        policy = baseline_policy("zipf-proportional", lib)
-        got = average_energy(policy, lib, table1_cfg, 1e6, 2e6)
-        expected = sum(
-            poisson.pmf(k, table1_cfg.n_bar)
-            * energy_conditional(policy, lib, table1_cfg, k, 1e6, 2e6)
-            for k in range(1, 60)
-        )
-        assert got == pytest.approx(expected, rel=1e-9)
+    @pytest.mark.parametrize("n_bar", [1e-9, 1.0, 5.0, 40.0])
+    def test_match_poisson_pmf_from_k1(self, n_bar):
+        ks, weights = zip(*opt._poisson_weights(n_bar))
+        assert ks == tuple(range(1, len(ks) + 1))
+        np.testing.assert_allclose(weights, poisson.pmf(ks, n_bar), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n_bar", [1e-9, 1.0, 5.0, 40.0])
+    def test_tail_beyond_last_k_is_negligible(self, n_bar):
+        last_k = list(opt._poisson_weights(n_bar))[-1][0]
+        assert poisson.sf(last_k, n_bar) < 1e-10
 
 
 def _golden_section(fn, lo, hi, tol):

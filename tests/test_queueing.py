@@ -1,25 +1,26 @@
-"""Arrival split, service rates, queue lengths, per-queue delays."""
-
-import math
+"""Arrival split, service rates and the M/M/1 queue delays."""
 
 import numpy as np
 import pytest
 
 from clustercache.errors import ConfigError, UnstableQueueError
 from clustercache.model import CachingPolicy, ContentLibrary
-from clustercache.queueing import (
-    arrival_rates,
-    build_delay_model,
-    mm1_mean_queue_length,
-    per_queue_delay,
-    service_coefficients,
-    service_rate,
-)
-from clustercache import optimize
+from clustercache.optimize import weighted_delay
+from clustercache.queueing import arrival_rates, service_rate
 
 
 def _policy(b, m):
     return CachingPolicy(np.asarray(b, dtype=float), cache_size=m)
+
+
+def _one_queue_delay(zeta, mu):
+    """Weighted delay when every request goes to the BS queue, at rate mu.
+
+    One popular file, not cached, and k = 1 (no D2D partner): a2 = 1. With
+    O2 = 1 Hz^-1, W = mu Hz and W1 = 0, the BS service rate is exactly mu.
+    """
+    lib = ContentLibrary(2, 0.0, 1, np.array([1.0, 0.0]), np.ones(2))
+    return weighted_delay(_policy([0, 1], 1), lib, 1, zeta, 0.0, 1.0, 1.0, mu)
 
 
 class TestArrivalRates:
@@ -89,23 +90,14 @@ class TestServiceRate:
         assert two == pytest.approx(2 * one, rel=1e-14)
 
 
-class TestMm1QueueLength:
-    def test_reference_values(self):
-        assert mm1_mean_queue_length(0.0, 1.0) == 0.0
-        assert mm1_mean_queue_length(1.0, 2.0) == pytest.approx(1.0)
-        assert mm1_mean_queue_length(0.9, 1.0) == pytest.approx(9.0)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(UnstableQueueError):
-            mm1_mean_queue_length(2.0, 1.0)
-
-
 class TestPerQueueDelay:
+    """In the one-queue case the weighted delay is 1/(mu - zeta)."""
+
     def test_pure_service_time(self):
-        assert per_queue_delay(0.0, 1.0) == 1.0
+        assert _one_queue_delay(1e-300, 1.0) == 1.0
 
     def test_reference_value(self):
-        assert per_queue_delay(1.0, 2.0) == 1.0
+        assert _one_queue_delay(1.0, 2.0) == 1.0
 
     def test_identity(self, rng):
         # The delay is literally 1/(mu - zeta): the product with (mu - zeta)
@@ -113,54 +105,26 @@ class TestPerQueueDelay:
         for _ in range(100):
             mu = rng.uniform(0.1, 50.0)
             zeta = rng.uniform(0.0, 0.999) * mu
-            assert per_queue_delay(zeta, mu) * (mu - zeta) == pytest.approx(
+            assert _one_queue_delay(zeta, mu) * (mu - zeta) == pytest.approx(
                 1.0, rel=4e-16
             )
 
     def test_boundary_rejected(self):
-        with pytest.raises(UnstableQueueError):
-            per_queue_delay(1.0, 1.0)
-        with pytest.raises(UnstableQueueError):
-            per_queue_delay(1.0 - 1e-12, 1.0)
+        for zeta in (1.0, 1.0 - 1e-12):
+            with pytest.raises(UnstableQueueError, match="queue 2 "):
+                _one_queue_delay(zeta, 1.0)
 
     def test_weighted_average_arithmetic(self):
-        # Two queues with mu = 2 zeta and zeta_1 = zeta_2 = 1: each delay
-        # is 1 s, so the weighted average over zeta_tot = 2 is 1 s.
-        d1 = per_queue_delay(1.0, 2.0)
-        d2 = per_queue_delay(1.0, 2.0)
-        assert (1.0 * d1 + 1.0 * d2) / 2.0 == pytest.approx(1.0)
+        # k = 2 and b = 1/2 on the one popular file split zeta_tot = 4 into
+        # zeta_1 = zeta_2 = 1 and 2 self-served requests/s. With
+        # mu_1 = mu_2 = 2 each queue delays 1 s; the self-served requests
+        # add zero delay, so the weighted average over zeta_tot is 0.5 s.
+        lib = ContentLibrary(2, 0.0, 1, np.array([1.0, 0.0]), np.ones(2))
+        delay = weighted_delay(_policy([0.5, 0.5], 1), lib, 2, 4.0, 2.0, 1.0, 1.0, 4.0)
+        assert delay == pytest.approx(0.5, rel=1e-15)
 
 
 class TestDelayModel:
-    def test_assembles_consistently(self, table1_cfg):
-        lib = ContentLibrary.zipf(100, 1.0, 4)
-        policy = _policy(np.full(100, 0.04), 4)
-        model = build_delay_model(policy, lib, table1_cfg, 8, 2.0, 10e6)
-        assert model.zeta_1 + model.zeta_2 + model.zeta_3 == pytest.approx(2.0, abs=1e-12)
-        assert model.w1 + model.w2 == pytest.approx(table1_cfg.w_total)
-        assert model.stable_1 == (model.rho_1 < 1)
-        assert model.stable_2 == (model.rho_2 < 1)
-
-    def test_matches_optimizer_weighted_delay(self, table1_cfg):
-        # Cross-module consistency: the assembled model and the
-        # optimizer-side evaluation agree for identical inputs.
-        lib = ContentLibrary.zipf(100, 1.0, 4)
-        policy = _policy(np.full(100, 0.04), 4)
-        o1, o2 = service_coefficients(table1_cfg, lib)
-        w1 = 4e6  # keeps both queues stable under uniform caching
-        model = build_delay_model(policy, lib, table1_cfg, 8, 2.0, w1)
-        direct = optimize.weighted_delay(
-            policy, lib, 8, 2.0, w1, o1, o2, table1_cfg.w_total
-        )
-        assert model.d_weighted == pytest.approx(direct, rel=1e-12)
-
-    def test_unstable_reported_not_raised(self, table1_cfg):
-        lib = ContentLibrary.zipf(100, 1.0, 4)
-        policy = _policy(np.full(100, 0.04), 4)
-        model = build_delay_model(policy, lib, table1_cfg, 8, 2000.0, 10e6)
-        assert not (model.stable_1 and model.stable_2)
-        assert math.isinf(model.d_weighted)
-
     def test_error_names_unstable_queue(self):
         err = UnstableQueueError(queue=2, zeta=5.0, mu=1.0)
         assert "queue 2" in str(err)

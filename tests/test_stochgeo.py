@@ -1,7 +1,8 @@
 """Analytic coverage quantities: densities, Laplace transforms, coverage.
 
-The Laplace transforms are cross-checked against direct Monte Carlo
-estimates of E[exp(-s I)] built here from scratch (cluster sampling and
+The coverage tables are checked against the adaptive Laplace oracle of
+``laplace_oracle``, and the oracle against direct Monte Carlo estimates
+of E[exp(-s I)] built here from scratch (cluster sampling and
 exponential fading only, no shared code with the module under test).
 """
 
@@ -21,22 +22,19 @@ from clustercache.errors import (
 from clustercache.model import NetworkConfig
 from clustercache.stochgeo import (
     CoverageResult,
-    LaplaceArg,
     average_rate,
     bs_coverage,
     d2d_coverage_conditional,
     d2d_coverage_single_link,
-    laplace_inter,
-    laplace_intra,
     optimal_access_probability,
     prob_rate_exceeds,
     rice_pdf,
     serving_distance_pdf,
 )
 from clustercache import stochgeo
-from clustercache.stochgeo import _checked_quad
 
 from conftest import TABLE1
+from laplace_oracle import checked_quad, laplace_inter, laplace_intra
 
 
 class TestServingDistancePdf:
@@ -101,10 +99,10 @@ class TestLaplaceTransforms:
         assert laplace_intra(0.0, 0.5, 10.0, 4.0) == 1.0
 
     def test_unit_without_interferers(self, table1_cfg):
-        arg = LaplaceArg.from_link(1.0, 20.0, 4.0, table1_cfg.p_d)
+        s_sir = 1.0 * 20.0**4  # theta = 1, r = 20 m, alpha = 4
         empty = table1_cfg.replace(lambda_p=1e-300)
-        assert laplace_inter(arg, empty) == pytest.approx(1.0, abs=1e-12)
-        assert laplace_intra(arg, 0.0, 10.0, 4.0) == 1.0
+        assert laplace_inter(s_sir, empty) == pytest.approx(1.0, abs=1e-12)
+        assert laplace_intra(s_sir, 0.0, 10.0, 4.0) == 1.0
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_monotone_in_argument_and_bounded(self, table1_cfg, alpha):
@@ -122,8 +120,8 @@ class TestLaplaceTransforms:
         # simulated from the raw cluster construction.
         cfg = table1_cfg
         r = 2 * cfg.sigma
-        arg = LaplaceArg.from_link(cfg.theta, r, cfg.alpha, cfg.p_d)
-        analytic = laplace_inter(arg, cfg)
+        s_sir = cfg.theta * r**cfg.alpha
+        analytic = laplace_inter(s_sir, cfg)
 
         trials = 400_000
         radius = max(15 * cfg.sigma, 5 / math.sqrt(math.pi * cfg.lambda_p))
@@ -143,15 +141,15 @@ class TestLaplaceTransforms:
         watts = cfg.p_d * np.where(active, fade * dist ** (-cfg.alpha), 0.0)
         interference = np.bincount(trial_of_cluster[of_cluster], weights=watts,
                                    minlength=trials)
-        mc = np.exp(-arg.s * interference).mean()
+        mc = np.exp(-(s_sir / cfg.p_d) * interference).mean()
         assert analytic == pytest.approx(mc, rel=0.01)
 
     def test_intra_against_direct_simulation(self, table1_cfg, rng):
         # True correlated construction: members share the cluster center.
         cfg = table1_cfg
         r = cfg.sigma
-        arg = LaplaceArg.from_link(cfg.theta, r, cfg.alpha, cfg.p_d)
-        analytic = laplace_intra(arg, cfg.access_p * cfg.n_bar, cfg.sigma, cfg.alpha)
+        s_sir = cfg.theta * r**cfg.alpha
+        analytic = laplace_intra(s_sir, cfg.access_p * cfg.n_bar, cfg.sigma, cfg.alpha)
 
         trials = 400_000
         center = rng.normal(0, cfg.sigma, (trials, 2))
@@ -164,12 +162,12 @@ class TestLaplaceTransforms:
         dist = np.linalg.norm(pos, axis=1)
         watts = cfg.p_d * np.where(active, fade * dist ** (-cfg.alpha), 0.0)
         interference = np.bincount(of_trial, weights=watts, minlength=trials)
-        mc = np.exp(-arg.s * interference).mean()
+        mc = np.exp(-(s_sir / cfg.p_d) * interference).mean()
         assert analytic == pytest.approx(mc, rel=0.01)
 
     def test_quadrature_failure_reports_diagnostics(self):
         with pytest.raises(NumericFailure, match="diverge|converge"):
-            _checked_quad(lambda x: math.sin(1.0 / x) / x**2, 0.0, 1.0,
+            checked_quad(lambda x: math.sin(1.0 / x) / x**2, 0.0, 1.0,
                           what="diverging oscillation")
 
 
@@ -221,11 +219,8 @@ class TestConditionalCoverage:
         cfg = table1_cfg.replace(access_p=1.0)
         expected, _ = quad(
             lambda r: serving_distance_pdf(r, cfg.sigma)
-            * laplace_inter(LaplaceArg.from_link(cfg.theta, r, cfg.alpha, cfg.p_d), cfg)
-            * laplace_intra(
-                LaplaceArg.from_link(cfg.theta, r, cfg.alpha, cfg.p_d),
-                1.0, cfg.sigma, cfg.alpha,
-            ),
+            * laplace_inter(cfg.theta * r**cfg.alpha, cfg)
+            * laplace_intra(cfg.theta * r**cfg.alpha, 1.0, cfg.sigma, cfg.alpha),
             0, 14 * cfg.sigma,
         )
         got = d2d_coverage_conditional(cfg, 1).value
@@ -242,12 +237,12 @@ class TestConditionalCoverage:
 
 
 def _adaptive_coverage(cfg, intensity):
-    """The coverage integral by adaptive quadrature of the public transforms."""
+    """The coverage integral by adaptive quadrature of the oracle transforms."""
 
     def integrand(r):
-        arg = LaplaceArg.from_link(cfg.theta, r, cfg.alpha, cfg.p_d)
-        return (serving_distance_pdf(r, cfg.sigma) * laplace_inter(arg, cfg)
-                * laplace_intra(arg, intensity, cfg.sigma, cfg.alpha))
+        s_sir = cfg.theta * r**cfg.alpha
+        return (serving_distance_pdf(r, cfg.sigma) * laplace_inter(s_sir, cfg)
+                * laplace_intra(s_sir, intensity, cfg.sigma, cfg.alpha))
 
     sigma = cfg.sigma
     breaks = [sigma, 2 * sigma, 4 * sigma]
@@ -421,13 +416,6 @@ class TestAverageRateAndAccess:
         )
         with pytest.raises(InfeasibleAccessProbability):
             optimal_access_probability(2.0, 1.0)
-
-    def test_laplace_arg_validation(self):
-        with pytest.raises(ConfigError):
-            LaplaceArg(-1.0)
-        arg = LaplaceArg.from_link(2.0, 10.0, 4.0, 0.5)
-        assert arg.s == pytest.approx(2.0 * 10.0**4 / 0.5)
-        assert arg.sir_argument == pytest.approx(2.0 * 10.0**4)
 
     def test_coverage_result_validation(self):
         assert CoverageResult(1.0 + 1e-12, "analytic").value == 1.0
