@@ -58,11 +58,11 @@ class Scenario:
     mc_trials: int
     seed: int
     output_dir: str
-    r0_over_w1: float = 0.1
-    delay_k: int = 8
-    zeta_tot: float = 2.0
-    bandwidth_fraction: float = 0.5
-    bcd_restarts: int = 8
+    r0_over_w1: float
+    delay_k: int
+    zeta_tot: float
+    bandwidth_fraction: float
+    bcd_restarts: int
 
     def __post_init__(self):
         if not self.tasks:
@@ -105,6 +105,35 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+# The default simulation parameter set, in the scenario-file format.
+# Scenario files fall back on it for every key they may omit; `network`
+# and `library` they must give in full (`access_p` and `mean_size_mbits`
+# excepted).
+_TABLE1 = {
+    "name": "table1",
+    "seed": 20180001,
+    "mc_trials": 100_000,
+    "output_dir": "out",
+    "tasks": ["validate"],
+    "network": {
+        "lambda_p_per_km2": 20.0,
+        "n_bar": 5.0,
+        "sigma_m": 10.0,
+        "alpha": 4.0,
+        "theta_db": 0.0,
+        "p_d_dbm": 23.0,
+        "p_b_dbm": 43.0,
+        "w_total_mhz": 20.0,
+        "access_p": "auto",
+    },
+    "library": {"n_files": 500, "beta": 1.0, "cache_size": 10, "mean_size_mbits": 5.0},
+    "sweep": {"variable": "beta", "grid": [0.0, 0.5, 1.0, 1.5, 2.0]},
+    "offload": {"r0_over_w1": 0.1},
+    "energy": {"bandwidth_fraction": 0.5},
+    "delay": {"k": 8, "zeta_tot": 2.0, "restarts": 8},
+}
+
+
 def default_table1() -> Scenario:
     """The default simulation parameter set.
 
@@ -115,33 +144,7 @@ def default_table1() -> Scenario:
     just above the feasibility bound R0/(W1 log2(1+theta)) for the
     default spectral threshold R0/W1 = 0.1 bits/s/Hz.
     """
-    r0_over_w1 = 0.1
-    theta = _db_to_linear(0.0)
-    cfg = NetworkConfig(
-        lambda_p=20.0 * 1e-6,  # 20 clusters/km^2 in per-m^2
-        n_bar=5.0,
-        sigma=10.0,
-        alpha=4.0,
-        theta=theta,
-        p_d=_dbm_to_watts(23.0),
-        p_b=_dbm_to_watts(43.0),
-        w_total=20e6,
-        access_p=stochgeo.optimal_access_probability(r0_over_w1, theta),
-    )
-    lib = ContentLibrary.zipf(n_files=500, beta=1.0, cache_size=10,
-                              mean_size_mbits=5.0)
-    return Scenario(
-        name="table1",
-        cfg=cfg,
-        lib=lib,
-        sweep_variable="beta",
-        grid=(0.0, 0.5, 1.0, 1.5, 2.0),
-        tasks=("validate",),
-        mc_trials=100_000,
-        seed=20180001,
-        output_dir="out",
-        r0_over_w1=r0_over_w1,
-    )
+    return _parse_scenario(_TABLE1, _TABLE1["name"])
 
 
 def scenario_to_mapping(s: Scenario) -> dict:
@@ -201,7 +204,7 @@ def _load_network(section: dict, access_default) -> NetworkConfig:
         p_b = _dbm_to_watts(section[pb_key]) if pb_key == "p_b_dbm" else section[pb_key]
         w_key = _exactly_one(section, "network", "w_total_hz", "w_total_mhz")
         w_total = section[w_key] * (1e6 if w_key == "w_total_mhz" else 1.0)
-        access = section.get("access_p", "auto")
+        access = section.get("access_p", _TABLE1["network"]["access_p"])
         if access == "auto":
             access = access_default(theta)
         return NetworkConfig(
@@ -229,10 +232,17 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a mapping at top level")
-    defaults = default_table1()
+    return _parse_scenario(raw, Path(path).stem)
+
+
+def _parse_scenario(raw: dict, default_name: str) -> Scenario:
+    """A scenario from its file-format mapping; omitted keys take their
+    ``_TABLE1`` values, a missing sweep is the one point [library.beta]."""
+    def option(section, key):
+        return raw.get(section, {}).get(key, _TABLE1[section][key])
+
     try:
-        offload = raw.get("offload", {})
-        r0_over_w1 = float(offload.get("r0_over_w1", defaults.r0_over_w1))
+        r0_over_w1 = float(option("offload", "r0_over_w1"))
         cfg = _load_network(
             raw["network"],
             lambda theta: stochgeo.optimal_access_probability(r0_over_w1, theta),
@@ -242,28 +252,26 @@ def load_scenario(path) -> Scenario:
             n_files=int(lib_sec["n_files"]),
             beta=float(lib_sec["beta"]),
             cache_size=int(lib_sec["cache_size"]),
-            mean_size_mbits=float(lib_sec.get("mean_size_mbits", 5.0)),
+            mean_size_mbits=float(
+                lib_sec.get("mean_size_mbits", _TABLE1["library"]["mean_size_mbits"])
+            ),
         )
         sweep = raw.get("sweep", {"variable": "beta", "grid": [lib.beta]})
-        delay_sec = raw.get("delay", {})
-        energy_sec = raw.get("energy", {})
         return Scenario(
-            name=str(raw.get("name", Path(path).stem)),
+            name=str(raw.get("name", default_name)),
             cfg=cfg,
             lib=lib,
             sweep_variable=str(sweep["variable"]),
             grid=tuple(float(v) for v in sweep["grid"]),
-            tasks=tuple(raw.get("tasks", ["validate"])),
-            mc_trials=int(raw.get("mc_trials", defaults.mc_trials)),
-            seed=int(raw.get("seed", defaults.seed)),
-            output_dir=str(raw.get("output_dir", defaults.output_dir)),
+            tasks=tuple(raw.get("tasks", _TABLE1["tasks"])),
+            mc_trials=int(raw.get("mc_trials", _TABLE1["mc_trials"])),
+            seed=int(raw.get("seed", _TABLE1["seed"])),
+            output_dir=str(raw.get("output_dir", _TABLE1["output_dir"])),
             r0_over_w1=r0_over_w1,
-            delay_k=int(delay_sec.get("k", defaults.delay_k)),
-            zeta_tot=float(delay_sec.get("zeta_tot", defaults.zeta_tot)),
-            bandwidth_fraction=float(
-                energy_sec.get("bandwidth_fraction", defaults.bandwidth_fraction)
-            ),
-            bcd_restarts=int(delay_sec.get("restarts", defaults.bcd_restarts)),
+            delay_k=int(option("delay", "k")),
+            zeta_tot=float(option("delay", "zeta_tot")),
+            bandwidth_fraction=float(option("energy", "bandwidth_fraction")),
+            bcd_restarts=int(option("delay", "restarts")),
         )
     except KeyError as exc:
         raise ConfigError(f"scenario file is missing key {exc}") from exc

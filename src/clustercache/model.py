@@ -146,28 +146,20 @@ class ContentLibrary:
         beta: float,
         cache_size: int,
         mean_size_mbits: float = 5.0,
-        sizes=None,
     ) -> "ContentLibrary":
-        """Build a library with Zipf popularity and uniform sizes by default."""
-        q = zipf_popularity(n_files, beta)
-        if sizes is None:
-            sizes = np.full(n_files, float(mean_size_mbits))
+        """Build a library with Zipf popularity and uniform sizes."""
         return cls(
             n_files=n_files,
             beta=beta,
             cache_size=cache_size,
-            popularity=q,
-            sizes=np.asarray(sizes, dtype=float),
+            popularity=zipf_popularity(n_files, beta),
+            sizes=np.full(n_files, float(mean_size_mbits)),
         )
 
     @property
     def mean_size_mbits(self) -> float:
         """Mean file size in Mbits."""
         return float(self.sizes.mean())
-
-    @property
-    def mean_size_bits(self) -> float:
-        return self.mean_size_mbits * 1e6
 
     def replace(self, **kwargs) -> "ContentLibrary":
         values = {f: getattr(self, f) for f in self.__dataclass_fields__}

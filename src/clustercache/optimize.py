@@ -42,6 +42,8 @@ from .model import (
     CachingPolicy,
     ContentLibrary,
     NetworkConfig,
+    _BUDGET_TOL,
+    _capped_proportional,
     _snap_budget,
     baseline_policy,
 )
@@ -62,7 +64,6 @@ __all__ = [
     "optimize_delay_bcd",
 ]
 
-_BUDGET_TOL = 1e-9
 _BISECT_ITERATIONS = 120
 _POISSON_TAIL = 1e-10
 # A queue is treated as unstable once its utilisation exceeds this.
@@ -305,8 +306,9 @@ def optimize_energy(
     """Minimise the conditional energy subject to the cache budget.
 
     Requires the convexity gate Pb/R2 > Pd/R1. A cluster of one device
-    has no D2D partner, so the problem degenerates and the most popular
-    files are cached deterministically (flagged on the solution).
+    has no D2D partner, so the objective sum_i q_i S_i (1 - b_i) Pb/R2 is
+    linear and the M files of largest q_i S_i are cached deterministically
+    (flagged on the solution).
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
@@ -320,16 +322,6 @@ def optimize_energy(
             f"Pb/R2 = {cost_bs:.6g}, Pd/R1 = {cost_d2d:.6g}"
         )
     m = lib.cache_size
-    if k == 1:
-        policy = baseline_policy("cpf", lib)
-        return KktSolution(
-            policy=policy,
-            multiplier=math.nan,
-            objective=energy_conditional(policy, lib, cfg, 1, r1, r2),
-            iterations=0,
-            degenerate=True,
-        )
-
     x = lib.popularity * lib.sizes * 1e6  # q_i S_i in bits
     b, multiplier, iterations = _energy_form_minimiser(x, k, cost_d2d, cost_bs, m)
     policy = CachingPolicy(b=b, cache_size=m)
@@ -338,6 +330,7 @@ def optimize_energy(
         multiplier=multiplier,
         objective=energy_conditional(policy, lib, cfg, k, r1, r2),
         iterations=iterations,
+        degenerate=k == 1,
     )
 
 
@@ -345,17 +338,20 @@ def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
     """(b, multiplier, iterations) minimising k sum_i x_i [((1-b_i) -
     (1-b_i)^k) cost_d2d + (1-b_i)^k cost_bs] with sum(b) = M, b in [0, 1].
 
-    Convex when k >= 2 and cost_bs > cost_d2d. The gradients at b = 0
-    and b = 1 bracket the multiplier. Files with x_i = 0 trail (popularity
-    is non-increasing, sizes are positive) and do not change the
-    objective: they stay out of the bisection, whose stationarity ratio
-    divides by x_i, and are not cached. When at most M files have
-    x_i > 0 the top-M vertex caches all of them (multiplier NaN).
+    Strictly convex when k >= 2 and cost_bs > cost_d2d; the gradients at
+    b = 0 and b = 1 then bracket the multiplier. Files with x_i = 0 trail
+    (popularity is non-increasing, sizes are positive) and do not change
+    the objective: they stay out of the bisection, whose stationarity
+    ratio divides by x_i, and are not cached. Otherwise (k = 1, cost_bs
+    <= cost_d2d or a NaN cost, or at most M files with x_i > 0) every
+    term is linear or concave in b_i and falls from b_i = 0 to 1 by a
+    multiple of x_i, so the minimum is the vertex caching the M largest
+    x_i, lowest index first among ties (multiplier NaN, 0 iterations).
     """
     live = int(np.count_nonzero(x))
     b = np.zeros(x.size)
-    if live <= m:
-        b[:m] = 1.0
+    if live <= m or not (k > 1 and cost_bs > cost_d2d):
+        b[np.argsort(-x, kind="stable")[:m]] = 1.0
         return b, math.nan, 0
     x = x[:live]
     grad_at_0 = -k * x * (k * cost_bs - (k - 1) * cost_d2d)
@@ -485,7 +481,8 @@ def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
     mu2/(mu2 - zeta_2)^2, its partial derivatives in a1 and a2 (and, by
     the envelope theorem at W1 = W1*(b), those of the bandwidth-optimised
     delay), the linearisation sum q_i [A (1-b_i) + (B-A)(1-b_i)^k] has the
-    energy form and is minimised exactly by the multiplier bisection.
+    energy form with x = q and is minimised exactly by
+    ``_energy_form_minimiser`` (the top-M vertex when B <= A or k = 1).
     """
     a1, a2 = _arrival_fractions(b, q, k)
     mu1, mu2 = o1 * w1, o2 * (w_total - w1)
@@ -494,15 +491,7 @@ def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
     else:
         slope1 = mu1 / (mu1 - zeta_tot * a1) ** 2
         slope2 = mu2 / (mu2 - zeta_tot * a2) ** 2
-    if k >= 2 and slope2 > slope1:
-        s = _energy_form_minimiser(q, k, slope1, slope2, m)[0]
-    else:
-        # Each term is concave in b_i when B <= A and linear when k = 1,
-        # so the minimum over {sum(b) = M, 0 <= b <= 1} is a vertex; every
-        # term falls by B q_i from b_i = 0 to 1, so the vertex caches the
-        # M most popular files (lowest index first among ties).
-        s = np.zeros(q.size)
-        s[:m] = 1.0
+    s = _energy_form_minimiser(q, k, slope1, slope2, m)[0]
     miss_km1 = (1.0 - b) ** (k - 1)
     grad = q * (slope1 * (k * miss_km1 - 1.0) - slope2 * k * miss_km1)
     return s, float(grad @ (b - s))
@@ -527,24 +516,16 @@ def _golden_section(fn, tol):
 
 
 def _stabilizable(b, q, k, zeta_tot, o1, o2, w_total) -> bool:
-    a1, a2 = _arrival_fractions(b, q, k)
-    return zeta_tot * (a1 / o1 + a2 / o2) < w_total * (1.0 - 1e-9)
+    """Whether some bandwidth split keeps both queues of b stable, by the
+    test of ``_split_delay``."""
+    return math.isfinite(_optimised_delay(b, q, k, zeta_tot, o1, o2, w_total)[1])
 
 
 def _random_feasible_policy(rng, q, k, zeta_tot, o1, o2, w_total, m, anchors):
-    from .model import _capped_proportional
-
-    n = q.size
     for _ in range(200):
-        b = _capped_proportional(rng.random(n) + 1e-12, m)
+        b = _capped_proportional(rng.random(q.size) + 1e-12, m)
         if _stabilizable(b, q, k, zeta_tot, o1, o2, w_total):
             return b
-        # Blend toward a known stabilizable policy.
-        for anchor in anchors:
-            for lam in (0.5, 0.75, 0.9):
-                mix = lam * anchor + (1.0 - lam) * b
-                if _stabilizable(mix, q, k, zeta_tot, o1, o2, w_total):
-                    return mix
     return anchors[0].copy()
 
 
@@ -575,29 +556,24 @@ def optimize_delay_bcd(
     o1, o2 = queueing.service_coefficients(cfg, lib)
     w_total = cfg.w_total
 
-    # Feasibility pre-pass: at least one of the reference policies must
-    # admit a stable bandwidth split.
-    feasible_reference = [
-        p.b for p in (baseline_policy("cpf", lib),
-                      CachingPolicy(np.full(lib.n_files, m / lib.n_files), m))
-        if _stabilizable(p.b, q, k, zeta_tot, o1, o2, w_total)
-    ]
-    if not feasible_reference:
-        raise InfeasibleLoadError(
-            f"neither the popular-files nor the uniform policy stabilises the "
-            f"queues at zeta_tot = {zeta_tot:.6g} req/s"
-        )
-    # Restart anchors are the uniform and the proportional policies. The
-    # all-or-nothing corner b_i in {0, 1} (no D2D arrivals at all) needs
-    # no anchor: it is the caching step's vertex whenever the linearised
-    # delay is concave, and the line search always tries the full step.
+    # Restart anchors are the stable ones among the uniform and the
+    # proportional policies. The all-or-nothing corner b_i in {0, 1} (no
+    # D2D arrivals at all) is the anchor only when neither is stable: it is
+    # otherwise the caching step's vertex whenever the linearised delay is
+    # concave, and the line search always tries the full step.
     anchors = [
-        b for b in (
-            CachingPolicy(np.full(lib.n_files, m / lib.n_files), m).b,
-            baseline_policy("zipf-proportional", lib).b,
-        )
+        b for b in (np.full(lib.n_files, m / lib.n_files),
+                    baseline_policy("zipf-proportional", lib).b)
         if _stabilizable(b, q, k, zeta_tot, o1, o2, w_total)
-    ] or feasible_reference
+    ]
+    if not anchors:
+        top_m = baseline_policy("cpf", lib).b
+        if not _stabilizable(top_m, q, k, zeta_tot, o1, o2, w_total):
+            raise InfeasibleLoadError(
+                f"none of the uniform, zipf-proportional and popular-files "
+                f"policies stabilises the queues at zeta_tot = {zeta_tot:.6g} req/s"
+            )
+        anchors = [top_m]
 
     rng = np.random.Generator(np.random.Philox(key=0 if seed is None else seed))
     starts: list[np.ndarray] = []

@@ -21,11 +21,12 @@ Numerical conventions
   sum_r w(r) f_R(r) exp(log L_inter(r) - intensity * I(r)), so one table
   serves P(R1 > R0) (intensity p*nbar) and every cluster size k
   (intensity p*k).
-* Every table is built with two rules of different order on the same
-  panels. A coverage whose two values differ by more than
-  max(1e-9, 1e-7 * value) is recomputed once with a higher-order pair;
-  if they still differ, :class:`~clustercache.errors.NumericFailure`
-  reports both values. A table with a non-finite entry raises it too.
+* Tables are built on the same panels by a ladder of rules of rising
+  order, ``_RULES``. A coverage is the value of the first rule that
+  agrees with the rule below it within max(1e-9, 1e-7 * value); a
+  higher rule is built only when the lower two disagree. If the top two
+  disagree, :class:`~clustercache.errors.NumericFailure` reports both
+  values. A table with a non-finite entry raises it too.
 * The tables are tested against an adaptive Gauss-Kronrod oracle of
   the two transforms, ``tests/laplace_oracle.py``, which shares none of
   their quadrature code.
@@ -76,13 +77,10 @@ _RAYLEIGH_CUTOFF = 14.0
 _RICE_WINDOW = 12.0
 # Gauss-Legendre points per panel of the coverage tables, as (r, t, u):
 # serving distance, mapped cluster-center distance, and interferer
-# distance (Rice window and intra-cluster integral). Each level pairs a
-# rule with a lower-order one on the same panels; their gap is the error
-# estimate, and the second level is tried when the first exceeds it.
-_RULE_PAIRS = (
-    ((16, 16, 48), (12, 12, 32)),
-    ((24, 24, 64), (16, 16, 48)),
-)
+# distance (Rice window and intra-cluster integral), in rising order on
+# the same panels. The gap between a rule and the one below it is that
+# rule's error estimate; the next rule is built only when it fails.
+_RULES = ((12, 12, 32), (16, 16, 48), (24, 24, 64))
 # Serving distances per table chunk are capped so no temporary holds more
 # than about this many doubles.
 _CHUNK_DOUBLES = 65536
@@ -92,10 +90,9 @@ _ACCESS_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class CoverageResult:
-    """A coverage probability together with how it was obtained."""
+    """A coverage probability, clamped into [0, 1] within 1e-9."""
 
     value: float
-    method: str  # "analytic" | "closed-form" | "monte-carlo"
     degenerate: bool = False
 
     def __post_init__(self):
@@ -107,8 +104,6 @@ class CoverageResult:
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"coverage must lie in [0, 1], got {self.value!r}")
         object.__setattr__(self, "value", v)
-        if self.method not in ("analytic", "closed-form", "monte-carlo"):
-            raise ConfigError(f"unknown coverage method {self.method!r}")
 
 
 # Cephes Chebyshev coefficients of e^(-x) I0(x) in x/2 - 2 on [0, 8] and of
@@ -200,11 +195,8 @@ def _i0e_inplace(x: np.ndarray) -> np.ndarray:
     for start in range(0, flat.size, _I0E_BLOCK):
         block = flat[start:start + _I0E_BLOCK]
         small = block <= 8.0
-        if small.all() or not small.any():
-            block[...] = _i0e_branch(block, small[0], work)
-        else:
-            for part, below in ((small, True), (~small, False)):
-                block[part] = _i0e_branch(block[part], below, work)
+        for part, below in ((small, True), (~small, False)):
+            block[part] = _i0e_branch(block[part], below, work)
     return x
 
 
@@ -402,28 +394,28 @@ def _rule_table(cfg: NetworkConfig, rule) -> _RuleTable:
                       _intra_integral(s_sir, sigma, alpha, n_u))
 
 
-@lru_cache(maxsize=512)
-def _coverage_table(cfg: NetworkConfig, level: int = 0) -> tuple:
-    """The (high, low) order rule tables of ``_RULE_PAIRS[level]``."""
-    tables = tuple(_rule_table(cfg, rule) for rule in _RULE_PAIRS[level])
-    for table in tables:
-        for array in table:
-            if not np.isfinite(array).all():
-                raise NumericFailure(f"coverage table for {cfg} has non-finite entries")
-            array.setflags(write=False)  # shared by every caller through the cache
-    return tables
+@lru_cache(maxsize=1024)
+def _coverage_table(cfg: NetworkConfig, level: int) -> _RuleTable:
+    """The table of rule ``_RULES[level]``."""
+    table = _rule_table(cfg, _RULES[level])
+    for array in table:
+        if not np.isfinite(array).all():
+            raise NumericFailure(f"coverage table for {cfg} has non-finite entries")
+        array.setflags(write=False)  # shared by every caller through the cache
+    return table
 
 
 def _coverage(cfg: NetworkConfig, intensity: float, what: str) -> float:
     """Serving-distance average of L_inter * L_intra at ``intensity``."""
-    for level in range(len(_RULE_PAIRS)):
-        high, low = (table.coverage(intensity) for table in _coverage_table(cfg, level))
+    high = _coverage_table(cfg, 0).coverage(intensity)
+    for level in range(1, len(_RULES)):
+        low, high = high, _coverage_table(cfg, level).coverage(intensity)
         tol = max(ATOL, RTOL * abs(high))
         if abs(high - low) <= tol:
             return high
     raise NumericFailure(
         f"quadrature for {what} did not converge: fixed-order rules "
-        f"{_RULE_PAIRS[-1]} give {high!r} and {low!r}, "
+        f"{_RULES[-1]} and {_RULES[-2]} give {high!r} and {low!r}, "
         f"difference {abs(high - low)!r} exceeds tolerance {tol!r}"
     )
 
@@ -447,7 +439,7 @@ def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float) -> CoverageResult:
             f"does not exceed R0/W1 = {r0_over_w1:.6g} bits/s/Hz"
         )
     value = _coverage(cfg, cfg.access_p * cfg.n_bar, "P(R1 > R0)")
-    return CoverageResult(value=value, method="analytic")
+    return CoverageResult(value=value)
 
 
 @lru_cache(maxsize=512)
@@ -462,9 +454,9 @@ def d2d_coverage_conditional(cfg: NetworkConfig, k: int) -> CoverageResult:
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
     if cfg.access_p == 0.0:
-        return CoverageResult(value=1.0, method="analytic", degenerate=True)
+        return CoverageResult(value=1.0, degenerate=True)
     value = _coverage(cfg, cfg.access_p * k, f"D2D coverage | k={k}")
-    return CoverageResult(value=value, method="analytic")
+    return CoverageResult(value=value)
 
 
 @lru_cache(maxsize=512)
@@ -483,7 +475,7 @@ def bs_coverage(theta: float, alpha: float) -> CoverageResult:
     denom = _hyp2f1_bs(theta, delta)
     if not math.isfinite(denom) or denom < 1.0:
         raise NumericFailure(f"hypergeometric evaluation failed: 2F1 = {denom!r}")
-    return CoverageResult(value=1.0 / denom, method="closed-form")
+    return CoverageResult(value=1.0 / denom)
 
 
 @lru_cache(maxsize=512)
@@ -504,7 +496,7 @@ def d2d_coverage_single_link(cfg: NetworkConfig) -> CoverageResult:
         * math.gamma(1.0 - delta)
         + 1.0 / (4.0 * cfg.sigma**2)
     )
-    return CoverageResult(value=1.0 / (4.0 * cfg.sigma**2 * z), method="closed-form")
+    return CoverageResult(value=1.0 / (4.0 * cfg.sigma**2 * z))
 
 
 def average_rate(w: float, theta: float, coverage) -> float:

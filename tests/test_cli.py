@@ -22,6 +22,48 @@ from clustercache.cli import (
 )
 
 
+# `clustercache print-default-config`, byte for byte.
+DEFAULT_CONFIG_YAML = """\
+name: table1
+seed: 20180001
+mc_trials: 100000
+output_dir: out
+tasks:
+- validate
+network:
+  lambda_p_per_km2: 20.0
+  n_bar: 5.0
+  sigma_m: 10.0
+  alpha: 4.0
+  theta_db: 0.0
+  p_d_dbm: 23.0
+  p_b_dbm: 43.0
+  w_total_mhz: 20.0
+  access_p: 0.1000001
+library:
+  n_files: 500
+  beta: 1.0
+  cache_size: 10
+  mean_size_mbits: 5.0
+sweep:
+  variable: beta
+  grid:
+  - 0.0
+  - 0.5
+  - 1.0
+  - 1.5
+  - 2.0
+offload:
+  r0_over_w1: 0.1
+energy:
+  bandwidth_fraction: 0.5
+delay:
+  k: 8
+  zeta_tot: 2.0
+  restarts: 8
+"""
+
+
 def _tiny_scenario(tmp_path, **overrides):
     base = default_table1()
     from clustercache.model import ContentLibrary
@@ -58,10 +100,12 @@ class TestDefaultScenario:
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(scenario_to_mapping(sc)))
         loaded = load_scenario(path)
-        assert loaded.cfg == sc.cfg
-        assert loaded.grid == sc.grid
-        assert loaded.tasks == sc.tasks
-        assert np.allclose(loaded.lib.popularity, sc.lib.popularity)
+        for name in sc.__dataclass_fields__:
+            if name != "lib":
+                assert getattr(loaded, name) == getattr(sc, name), name
+        for name in sc.lib.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(loaded.lib, name),
+                                          getattr(sc.lib, name))
 
 
 class TestScenarioValidation:
@@ -253,6 +297,7 @@ class TestMainEntryPoint:
     def test_print_default_config(self, capsys):
         assert main(["print-default-config"]) == 0
         out = capsys.readouterr().out
+        assert out == DEFAULT_CONFIG_YAML
         parsed = yaml.safe_load(out)
         assert parsed["network"]["theta_db"] == 0.0
         assert "theta" not in parsed["network"]

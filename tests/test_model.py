@@ -154,7 +154,6 @@ class TestDomainTypes:
     def test_mean_size(self):
         lib = ContentLibrary(2, 0.0, 1, np.array([0.5, 0.5]), np.array([4.0, 6.0]))
         assert lib.mean_size_mbits == 5.0
-        assert lib.mean_size_bits == 5e6
 
     def test_policy_invariants(self):
         with pytest.raises(ConfigError):  # budget violated

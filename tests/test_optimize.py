@@ -337,6 +337,15 @@ class TestEnergy:
         assert sol.degenerate
         assert np.array_equal(sol.policy.b, baseline_policy("cpf", table1_lib).b)
 
+    def test_single_device_caches_largest_popularity_times_size(self, table1_cfg):
+        # k = 1: the objective sum q_i S_i (1 - b_i) Pb/R2 is linear in b, so
+        # the optimum caches the M largest q_i S_i, not the M most popular.
+        lib = ContentLibrary.zipf(5, 1.0, 2)
+        lib = lib.replace(sizes=lib.sizes * np.array([1, 1, 4.0, 1, 1]))
+        sol = optimize_energy(table1_cfg, lib, 1, 1e6, 2e6)
+        np.testing.assert_array_equal(sol.policy.b, [1, 0, 1, 0, 0])
+        assert sol.degenerate
+
     def test_convexity_gate(self, table1_cfg, table1_lib):
         # Pb/R2 <= Pd/R1 breaks convexity and is refused.
         with pytest.raises(ConvexityError):
@@ -585,6 +594,29 @@ class TestDelayBcd:
         lib = ContentLibrary.zipf(100, 0.5, 4)
         with pytest.raises(InfeasibleLoadError):
             optimize_delay_bcd(table1_cfg, lib, 8, 1e4, restarts=2, seed=1)
+
+    def test_starts_from_the_only_stable_anchor(self, table1_cfg):
+        # Between the stability limit of the next policy down and that of
+        # the zipf-proportional policy, only the latter is a stable start.
+        lib = ContentLibrary.zipf(100, 0.5, 4)
+        k = 8
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+
+        def zeta_limit(policy):
+            a1, a2 = opt._arrival_fractions(policy.b, lib.popularity, k)
+            return table1_cfg.w_total / (a1 / o1 + a2 / o2)
+
+        uniform, top_m, proportional = (zeta_limit(p) for p in (
+            _policy(np.full(100, 4 / 100), 4),
+            baseline_policy("cpf", lib),
+            baseline_policy("zipf-proportional", lib),
+        ))
+        next_down = max(uniform, top_m)
+        assert proportional > next_down
+        zeta = 0.5 * (proportional + next_down)
+        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2, seed=1)
+        assert math.isfinite(trace.final_delay)
+        assert trace.converged
 
     def test_bandwidth_allocation_type(self):
         alloc = BandwidthAllocation(w1=5.0)

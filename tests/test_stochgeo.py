@@ -291,29 +291,34 @@ class TestCoverageEngine:
         prob_rate_exceeds(cfg, 0.1)
         for k in range(1, 13):
             d2d_coverage_conditional(cfg, k)
-        assert stochgeo._coverage_table.cache_info().misses == misses + 1
+        # The two lowest rules of the ladder, built once each.
+        assert stochgeo._coverage_table.cache_info().misses == misses + 2
 
-    def test_stress_config_escalates(self, table1_cfg, monkeypatch):
+    def test_stress_config_escalates(self, table1_cfg, fresh_coverage_caches,
+                                     monkeypatch):
         cfg = table1_cfg.replace(**STRESS)
         levels = []
         table = stochgeo._coverage_table
+        table.cache_clear()  # count the builds of this config
 
-        def recording(cfg, level=0):
+        def recording(cfg, level):
             levels.append(level)
             return table(cfg, level)
 
         monkeypatch.setattr(stochgeo, "_coverage_table", recording)
         intensity = cfg.access_p * cfg.n_bar
         value = stochgeo._coverage(cfg, intensity, "stress")
-        assert levels == [0, 1]
-        assert value == table(cfg, 1)[0].coverage(intensity)
+        assert levels == [0, 1, 2]
+        assert table.cache_info().misses == 3
+        assert value == table(cfg, 2).coverage(intensity)
 
     def test_disagreeing_rules_raise(self, table1_cfg, monkeypatch,
                                      fresh_coverage_caches):
-        monkeypatch.setattr(stochgeo, "_RULE_PAIRS",
-                            (((3, 3, 4), (2, 2, 2)), ((4, 4, 6), (3, 3, 4))))
-        with pytest.raises(NumericFailure, match="give .* and .*exceeds tolerance"):
+        monkeypatch.setattr(stochgeo, "_RULES", ((2, 2, 2), (3, 3, 4), (4, 4, 6)))
+        with pytest.raises(NumericFailure,
+                           match="give .* and .*exceeds tolerance") as failure:
             prob_rate_exceeds(table1_cfg.replace(sigma=23.5), 0.1)
+        assert "rules (4, 4, 6) and (3, 3, 4) give" in str(failure.value)
 
     def test_non_finite_table_raises(self, table1_cfg, monkeypatch,
                                      fresh_coverage_caches):
@@ -403,7 +408,7 @@ class TestAverageRateAndAccess:
         assert average_rate(0.0, 1.0, 1.0) == 0.0
 
     def test_unit_coverage(self):
-        assert average_rate(20e6, 1.0, CoverageResult(1.0, "closed-form")) == 2e7
+        assert average_rate(20e6, 1.0, CoverageResult(1.0)) == 2e7
 
     def test_composed_with_bs_coverage(self):
         w2 = 10e6
@@ -418,8 +423,6 @@ class TestAverageRateAndAccess:
             optimal_access_probability(2.0, 1.0)
 
     def test_coverage_result_validation(self):
-        assert CoverageResult(1.0 + 1e-12, "analytic").value == 1.0
+        assert CoverageResult(1.0 + 1e-12).value == 1.0
         with pytest.raises(ConfigError):
-            CoverageResult(1.2, "analytic")
-        with pytest.raises(ConfigError):
-            CoverageResult(0.5, "guesswork")
+            CoverageResult(1.2)
