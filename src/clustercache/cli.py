@@ -241,6 +241,12 @@ def _parse_scenario(raw: dict, default_name: str) -> Scenario:
     def option(section, key):
         return raw.get(section, {}).get(key, _TABLE1[section][key])
 
+    for section in ("network", "library", "sweep", "offload", "energy", "delay"):
+        if section in raw and not isinstance(raw[section], dict):
+            raise ConfigError(
+                f"scenario section {section!r} must be a mapping, "
+                f"got {type(raw[section]).__name__}"
+            )
     try:
         r0_over_w1 = float(option("offload", "r0_over_w1"))
         cfg = _load_network(
@@ -335,6 +341,8 @@ def _offload_point(scenario: Scenario, value: float) -> dict:
         policy = baseline_policy(kind, lib)
         rows[col] = optimize.objective_offloading(policy, lib, cfg.n_bar, prob)
     rows["error"] = ""
+    rows["diagnostics"] = {"kkt_iterations": pc.iterations,
+                           "multiplier": pc.multiplier}
     return rows
 
 
@@ -346,11 +354,15 @@ def _energy_point(scenario: Scenario, value: float) -> dict:
     zipf = baseline_policy("zipf-proportional", lib)
     cpf = baseline_policy("cpf", lib)
     e_pc = e_zipf = e_cpf = 0.0
+    iterations = degenerate = 0
     for k, weight in optimize._poisson_weights(cfg.n_bar):
         r1 = stochgeo.average_rate(
             w1, cfg.theta, stochgeo.d2d_coverage_conditional(cfg, k)
         )
-        e_pc += weight * optimize.optimize_energy(cfg, lib, k, r1, r2).objective
+        pc = optimize.optimize_energy(cfg, lib, k, r1, r2)
+        e_pc += weight * pc.objective
+        iterations += pc.iterations
+        degenerate += pc.degenerate
         e_zipf += weight * optimize.energy_conditional(zipf, lib, cfg, k, r1, r2)
         e_cpf += weight * optimize.energy_conditional(cpf, lib, cfg, k, r1, r2)
     return {
@@ -359,6 +371,7 @@ def _energy_point(scenario: Scenario, value: float) -> dict:
         "e_zipf_j": e_zipf,
         "e_cpf_j": e_cpf,
         "error": "",
+        "diagnostics": {"kkt_iterations": iterations, "degenerate": degenerate},
     }
 
 

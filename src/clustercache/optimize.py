@@ -2,24 +2,33 @@
 
 * Offloading: maximise the probability that a request is served locally
   (self-cache, or intra-cluster D2D above the rate threshold). Concave
-  in the caching vector; solved exactly by bisecting the budget
-  multiplier over the three-branch KKT rule.
+  in the caching vector; solved exactly by the three-branch KKT rule,
+  whose interior branch is the closed-form stationary point (a Lambert W
+  root, found by a vectorised Newton iteration in log form), with the
+  budget multiplier found by a bracketing search.
 * Energy: minimise the conditional per-cluster download energy for a
   cluster of k devices. Convex whenever the BS energy cost per bit
-  exceeds the D2D cost per bit; solved by the same multiplier bisection
+  exceeds the D2D cost per bit; solved by the same multiplier search
   with a closed-form interior branch.
 * Delay: minimise the weighted mean request delay jointly over the
   caching vector and the D2D/BS bandwidth split by block coordinate
   descent. The bandwidth block has a closed form. The caching step
   linearises the bandwidth-optimised delay in the D2D and BS request
   fractions, solves the resulting energy-form problem exactly by the
-  same multiplier bisection and line-searches the segment towards it
+  same multiplier search and line-searches the segment towards it
   (partial linearisation, a generalised conditional gradient step).
+
+The multiplier search (``_search_multiplier``) is regula falsi on the
+budget residual sum(b) - M with the Anderson-Bjorck/Illinois update and a
+bisection safeguard; every trial lies strictly inside the bracket.
 
 The energy interior branch is derived from the stationarity of the
 implemented objective, b_i = 1 - [(v + k q_i S_i Pd/R1) /
 (k^2 q_i S_i (Pd/R1 - Pb/R2))]^(1/(k-1)) clamped to [0, 1], which the
 brute-force and projected-gradient oracles in the test suite confirm.
+The offloading one solves q_i h(b_i) = v with h(b) = 1 - P +
+P e^(-n_bar b)(n_bar (1-b) + 1); the bisection oracle it replaced lives
+in ``tests/kkt_oracle.py``.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .errors import (
     ConvexityError,
     InfeasibleLoadError,
     NoStableSplitError,
+    NumericFailure,
     UnstableQueueError,
 )
 from .model import (
@@ -64,7 +74,14 @@ __all__ = [
     "optimize_delay_bcd",
 ]
 
-_BISECT_ITERATIONS = 120
+_MULTIPLIER_ITERATIONS = 120
+# The multiplier search bisects its bracket when a block of this many
+# trials has not halved it.
+_SAFEGUARD_TRIALS = 4
+# Newton's method for the offloading stationary point stops once a step
+# is at most this relative amount, or raises after this many steps.
+_NEWTON_RTOL = 8.0 * np.finfo(float).eps
+_NEWTON_ITERATIONS = 8
 _POISSON_TAIL = 1e-10
 # A queue is treated as unstable once its utilisation exceeds this.
 _RHO_MAX = 1.0 - 1e-9
@@ -76,7 +93,7 @@ _BCD_MAX_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class KktSolution:
-    """Solution of a multiplier-bisection KKT solve."""
+    """Solution of a multiplier-search KKT solve."""
 
     policy: CachingPolicy
     multiplier: float
@@ -158,16 +175,40 @@ def _offload_policy_for_multiplier(v, q, n_bar, prob_r1, grad_at_1, grad_at_0):
     interior = ~(ones | zeros)
     b = np.where(ones, 1.0, 0.0)
     if interior.any():
-        qi = q[interior]
-        lo = np.zeros(qi.size)
-        hi = np.ones(qi.size)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            above = _offload_gradient(mid, qi, n_bar, prob_r1) > v
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        b[interior] = 0.5 * (lo + hi)
+        b[interior] = _offload_stationary_point(v, q[interior], n_bar, prob_r1)
     return b
+
+
+def _offload_stationary_point(v, q, n_bar, prob_r1):
+    """b with q h(b) = v, h(b) = 1 - P + P e^(-n_bar b)(n_bar (1-b) + 1).
+
+    z = n_bar (1-b) + 1 is the principal Lambert W root of z + ln z =
+    ln c + n_bar + 1, c = (v/q - 1 + P)/P. Newton's method solves it for
+    w = z - 1 (w + ln(1+w) = ln c + n_bar), so that b = 1 - w/n_bar keeps
+    its precision at small n_bar. The function is increasing and concave
+    and the start T - ln(1+T) lies below the root, so the iterates rise
+    monotonically and converge quadratically; they work in the log form
+    and cannot overflow. c at or below 0 (v at the b = 1 gradient to
+    rounding) is b = 1. Raises NumericFailure if the steps do not reach
+    rounding level within ``_NEWTON_ITERATIONS``.
+    """
+    c = (v / q - 1.0 + prob_r1) / prob_r1
+    positive = c > 0.0
+    log_c = np.log(np.where(positive, c, 1.0))
+    # T = w + ln(1+w) runs from 0 (b = 1) to n_bar + ln(1+n_bar) (b = 0).
+    target = np.clip(np.where(positive, log_c + n_bar, 0.0),
+                     0.0, n_bar + math.log1p(n_bar))
+    w = target - np.log1p(target)
+    for _ in range(_NEWTON_ITERATIONS):
+        step = (w + np.log1p(w) - target) * (1.0 + w) / (2.0 + w)
+        w -= step
+        if np.all(np.abs(step) <= _NEWTON_RTOL * (1.0 + w)):
+            return np.clip(1.0 - w / n_bar, 0.0, 1.0)
+    raise NumericFailure(
+        f"offloading stationary point: Newton step {np.max(np.abs(step)):.3g} "
+        f"after {_NEWTON_ITERATIONS} iterations (n_bar = {n_bar:.6g}, "
+        f"P = {prob_r1:.6g}, multiplier = {v:.6g})"
+    )
 
 
 def optimize_offloading(
@@ -179,7 +220,8 @@ def optimize_offloading(
     three-branch multiplier rule: b_i = 1 where the marginal gain at
     b_i = 1 still exceeds the multiplier, b_i = 0 where the marginal gain
     at b_i = 0 is below it, and the unique interior stationary point
-    otherwise. The multiplier is bisected until sum(b) = M.
+    otherwise, in closed form. ``_search_multiplier`` finds the multiplier
+    with sum(b) = M.
     """
     if not 0.0 <= prob_r1 <= 1.0:
         raise ConfigError(f"prob_r1 must lie in [0, 1], got {prob_r1}")
@@ -199,12 +241,12 @@ def optimize_offloading(
             iterations=0,
         )
 
-    grad_at_1 = q * (1.0 - (1.0 - math.exp(-n_bar)) * prob_r1)
-    grad_at_0 = q * (1.0 + n_bar * prob_r1)
-    b, multiplier, iterations = _bisect_multiplier(
+    grad_at_1 = _offload_gradient(1.0, q, n_bar, prob_r1)
+    grad_at_0 = _offload_gradient(0.0, q, n_bar, prob_r1)
+    b, multiplier, iterations = _search_multiplier(
         lambda v: _offload_policy_for_multiplier(
             v, q, n_bar, prob_r1, grad_at_1, grad_at_0),
-        0.0, float(grad_at_0.max()) * (1.0 + 1e-12), m, decreasing=True,
+        0.0, float(grad_at_0.max()) * (1.0 + 1e-12), m, q.size, decreasing=True,
     )
     policy = CachingPolicy(b=b, cache_size=m)
     return KktSolution(
@@ -215,27 +257,66 @@ def optimize_offloading(
     )
 
 
-def _bisect_multiplier(policy_at, v_lo, v_hi, m, decreasing):
-    """Bisect the budget multiplier of a separable three-branch KKT rule.
+def _search_multiplier(policy_at, v_lo, v_hi, m, n, decreasing):
+    """Find the budget multiplier of a separable three-branch KKT rule.
 
     ``policy_at(v)`` returns the minimiser of the Lagrangian at
     multiplier v: each b_i at 1, at 0 or at its interior stationary
     point. Its sum is monotone in v, falling when ``decreasing`` and
-    rising otherwise; [v_lo, v_hi] must bracket sum(b) = M. Returns the
-    budget-snapped vector, the multiplier and the iteration count.
+    rising otherwise; at v_lo and v_hi all ``n`` entries sit at the same
+    bound, so [v_lo, v_hi] brackets sum(b) = M.
+
+    The bracket shrinks by regula falsi: each trial is the secant root of
+    the budget residuals at the two ends. When the same end is kept twice
+    running, its residual is scaled by the Anderson-Bjorck factor
+    1 - r_new/r_old, or halved (the Illinois rule) when that is not
+    positive. A trial that rounds onto an end is the midpoint instead, so
+    every trial lies strictly inside the bracket; so is the trial after a
+    block of ``_SAFEGUARD_TRIALS`` trials that failed to halve it.
+    The search stops when |sum(b) - M| <= 0.1 ``_BUDGET_TOL``. If instead
+    no float is left inside the bracket (sum(b) jumps across M, as at
+    ties or where rounding cannot resolve b) or ``_MULTIPLIER_ITERATIONS``
+    evaluations pass, the result interpolates the policies at the two ends
+    to sum(b) = M. Returns the budget-snapped vector, the multiplier and
+    the number of ``policy_at`` evaluations.
     """
+    # Residuals signed to rise with v: sum(b) - M, negated when decreasing.
+    sign = -1.0 if decreasing else 1.0
+    b_lo, b_hi = (np.ones(n), np.zeros(n)) if decreasing else (np.zeros(n), np.ones(n))
+    r_lo, r_hi = sign * (b_lo.sum() - m), sign * (b_hi.sum() - m)
+    replaced = 0  # +1 after a trial replaced v_lo, -1 after one replaced v_hi
+    block_width = v_hi - v_lo  # bracket width when the current block began
     iterations = 0
-    for iterations in range(1, _BISECT_ITERATIONS + 1):
-        v = 0.5 * (v_lo + v_hi)
+    while iterations < _MULTIPLIER_ITERATIONS:
+        v = v_hi - r_hi * (v_hi - v_lo) / (r_hi - r_lo)
+        stalled = False
+        if iterations and iterations % _SAFEGUARD_TRIALS == 0:
+            stalled = v_hi - v_lo > 0.5 * block_width
+            block_width = v_hi - v_lo
+        if stalled or not v_lo < v < v_hi:
+            v = 0.5 * (v_lo + v_hi)
+            if not v_lo < v < v_hi:
+                break
         b = policy_at(v)
-        total = b.sum()
-        if abs(total - m) <= 0.1 * _BUDGET_TOL:
-            break
-        if (total > m) == decreasing:
-            v_lo = v
+        iterations += 1
+        residual = sign * (b.sum() - m)
+        if abs(residual) <= 0.1 * _BUDGET_TOL:
+            return _snap_budget(b, m), v, iterations
+        if residual < 0.0:
+            if replaced == 1:
+                factor = 1.0 - residual / r_lo
+                r_hi *= factor if factor > 0.0 else 0.5
+            v_lo, r_lo, b_lo = v, residual, b
+            replaced = 1
         else:
-            v_hi = v
-    return _snap_budget(b, m), 0.5 * (v_lo + v_hi), iterations
+            if replaced == -1:
+                factor = 1.0 - residual / r_hi
+                r_lo *= factor if factor > 0.0 else 0.5
+            v_hi, r_hi, b_hi = v, residual, b
+            replaced = -1
+    weight = (m - b_lo.sum()) / (b_hi.sum() - b_lo.sum())
+    return (_snap_budget(b_lo + weight * (b_hi - b_lo), m),
+            v_lo + weight * (v_hi - v_lo), iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +388,9 @@ def optimize_energy(
 
     Requires the convexity gate Pb/R2 > Pd/R1. A cluster of one device
     has no D2D partner, so the objective sum_i q_i S_i (1 - b_i) Pb/R2 is
-    linear and the M files of largest q_i S_i are cached deterministically
-    (flagged on the solution).
+    linear and the M files of largest q_i S_i are cached deterministically;
+    the solution flags this top-M vertex (also taken when at most M files
+    are requested) as degenerate.
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
@@ -330,7 +412,7 @@ def optimize_energy(
         multiplier=multiplier,
         objective=energy_conditional(policy, lib, cfg, k, r1, r2),
         iterations=iterations,
-        degenerate=k == 1,
+        degenerate=math.isnan(multiplier),
     )
 
 
@@ -341,7 +423,7 @@ def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
     Strictly convex when k >= 2 and cost_bs > cost_d2d; the gradients at
     b = 0 and b = 1 then bracket the multiplier. Files with x_i = 0 trail
     (popularity is non-increasing, sizes are positive) and do not change
-    the objective: they stay out of the bisection, whose stationarity
+    the objective: they stay out of the search, whose stationarity
     ratio divides by x_i, and are not cached. Otherwise (k = 1, cost_bs
     <= cost_d2d or a NaN cost, or at most M files with x_i > 0) every
     term is linear or concave in b_i and falls from b_i = 0 to 1 by a
@@ -356,11 +438,11 @@ def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
     x = x[:live]
     grad_at_0 = -k * x * (k * cost_bs - (k - 1) * cost_d2d)
     grad_at_1 = -k * x * cost_d2d
-    b[:live], multiplier, iterations = _bisect_multiplier(
+    b[:live], multiplier, iterations = _search_multiplier(
         lambda v: _energy_policy_for_multiplier(v, x, k, cost_d2d, cost_bs),
         float(grad_at_0.min()) * (1.0 + 1e-12),
         float(grad_at_1.max()) * (1.0 - 1e-12),
-        m, decreasing=False,
+        m, live, decreasing=False,
     )
     return b, multiplier, iterations
 

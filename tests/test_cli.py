@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from clustercache import cli
+from clustercache import cli, optimize, stochgeo
 from clustercache.errors import ConfigError, NumericFailure
 from clustercache.cli import (
     default_table1,
@@ -150,6 +150,19 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="network"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("section", ["offload", "energy", "delay", "sweep",
+                                         "network", "library"])
+    @pytest.mark.parametrize("value", [5, None, [1, 2], "auto"])
+    def test_non_mapping_section_reported(self, tmp_path, capsys, section, value):
+        mapping = scenario_to_mapping(default_table1())
+        mapping[section] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match=f"section '{section}' must be a mapping"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert f"'{section}'" in capsys.readouterr().err
+
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("{:::")
@@ -197,6 +210,34 @@ class TestRunScenario:
             assert point["restarts_used"] == sc.bcd_restarts
             assert 0 <= point["best_start"] < sc.bcd_restarts
             assert np.isfinite(point["gap"])
+
+    def test_offload_and_energy_summary_diagnostics(self, tmp_path):
+        sc = _tiny_scenario(tmp_path, tasks=("offload", "energy"), grid=(0.5, 1.0))
+        assert run_scenario(sc) == 0
+        out = tmp_path / "out"
+        assert (out / "table1_offload.csv").read_text().splitlines()[1] == (
+            "value,prob_r1_gt_r0,po_pc,po_zipf,po_cpf,error")
+        assert (out / "table1_energy.csv").read_text().splitlines()[1] == (
+            "value,e_pc_j,e_zipf_j,e_cpf_j,error")
+        summary = json.loads((out / "table1_summary.json").read_text())
+        offload = summary["tasks"]["offload"]["point_diagnostics"]
+        energy = summary["tasks"]["energy"]["point_diagnostics"]
+        assert len(offload) == len(energy) == len(sc.grid)
+        mixture = list(optimize._poisson_weights(sc.cfg.n_bar))
+        for value, point in zip(sc.grid, offload):
+            assert set(point) == {"kkt_iterations", "multiplier"}
+            cfg, lib = cli._apply_sweep(sc, value)
+            prob = stochgeo.prob_rate_exceeds(cfg, sc.r0_over_w1).value
+            sol = optimize.optimize_offloading(cfg, lib, prob)
+            assert point == {"kkt_iterations": sol.iterations,
+                             "multiplier": sol.multiplier}
+            assert 0 < point["kkt_iterations"] < optimize._MULTIPLIER_ITERATIONS
+        for point in energy:
+            assert set(point) == {"kkt_iterations", "degenerate"}
+            # Only k = 1 (no D2D partner) takes the top-M vertex here; every
+            # other k of the Poisson mixture runs the multiplier search.
+            assert point["degenerate"] == 1
+            assert point["kkt_iterations"] >= len(mixture) - 1
 
     def test_energy_task_dominance(self, tmp_path):
         sc = _tiny_scenario(tmp_path, tasks=("energy",), grid=(0.5, 1.5))

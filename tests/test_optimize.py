@@ -7,7 +7,9 @@ Oracles used here:
 * golden-section search for the bandwidth split;
 * a 2-D exhaustive grid for the joint delay problem;
 * a direct simulation of the cache-placement process for the offloading
-  objective's void-probability term.
+  objective's void-probability term;
+* bisection for the offloading stationary point and the budget
+  multiplier (``kkt_oracle``).
 """
 
 import math
@@ -15,6 +17,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from clustercache.errors import (
@@ -22,16 +26,18 @@ from clustercache.errors import (
     ConvexityError,
     InfeasibleLoadError,
     NoStableSplitError,
+    NumericFailure,
     UnstableQueueError,
 )
 from clustercache.model import (
+    _BUDGET_TOL,
     CachingPolicy,
     ContentLibrary,
     NetworkConfig,
     baseline_policy,
 )
 from clustercache import optimize as opt
-from clustercache import queueing
+from clustercache import queueing, stochgeo
 from clustercache.optimize import (
     BandwidthAllocation,
     energy_conditional,
@@ -43,6 +49,7 @@ from clustercache.optimize import (
     weighted_delay,
 )
 
+import kkt_oracle
 from conftest import TABLE1, random_box_simplex
 
 
@@ -162,6 +169,162 @@ class TestOffloading:
     def test_rejects_bad_probability(self, table1_cfg, table1_lib):
         with pytest.raises(ConfigError):
             optimize_offloading(table1_cfg, table1_lib, 1.5)
+
+
+class TestKktKernels:
+    """The closed-form offloading stationary point and the multiplier
+    search, against the bisections of ``kkt_oracle`` they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_bar=st.floats(0.1, 50.0), prob_r1=st.floats(1e-3, 1.0),
+           beta=st.floats(0.0, 2.0), index=st.integers(0, 59),
+           t=st.floats(0.0, 1.0))
+    def test_stationary_point_matches_bisection(self, n_bar, prob_r1, beta, index, t):
+        q = ContentLibrary.zipf(60, beta, 6).popularity
+        grad_at_1 = opt._offload_gradient(1.0, q, n_bar, prob_r1)
+        grad_at_0 = opt._offload_gradient(0.0, q, n_bar, prob_r1)
+        v = grad_at_1[index] + t * (grad_at_0[index] - grad_at_1[index])
+        interior = (grad_at_1 <= v) & (v <= grad_at_0)
+        closed = opt._offload_stationary_point(v, q[interior], n_bar, prob_r1)
+        oracle = kkt_oracle.offload_stationary_point(v, q[interior], n_bar, prob_r1)
+        # Agreement to 1e-12, widened only where the marginal gain h(b)
+        # is flat to rounding: a change in b below 4 ulps of h over |h'(b)|
+        # moves no rounded gradient, so neither method can resolve it.
+        slope = (prob_r1 * n_bar * np.exp(-n_bar * closed)
+                 * (n_bar * (1.0 - closed) + 2.0))
+        band = 4.0 * np.finfo(float).eps * (1.0 + (n_bar + 1.0) * prob_r1) / slope
+        assert np.all(np.abs(closed - oracle) <= 1e-12 + band)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_search_needs_no_more_evaluations_than_bisection(
+            self, monkeypatch, table1_cfg, beta):
+        # The Table-1 offload and energy points of the CLI's beta sweep.
+        lib = ContentLibrary.zipf(500, beta, 10)
+        cfg = table1_cfg
+        records = []
+        search = opt._search_multiplier
+
+        def recording(policy_at, v_lo, v_hi, m, n, decreasing):
+            b, v, iterations = search(policy_at, v_lo, v_hi, m, n, decreasing)
+            bisections = kkt_oracle.bisect_multiplier(policy_at, v_lo, v_hi, m,
+                                                      decreasing)[1]
+            around = (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))
+            records.append(([policy_at(x).sum() - m for x in around],
+                            iterations, bisections))
+            return b, v, iterations
+
+        monkeypatch.setattr(opt, "_search_multiplier", recording)
+        prob = stochgeo.prob_rate_exceeds(cfg, 0.1).value
+        sol = optimize_offloading(cfg, lib, prob)
+        v_hi = float(opt._offload_gradient(0.0, lib.popularity, cfg.n_bar, prob).max())
+        oracle_v, _ = kkt_oracle.bisect_multiplier(
+            lambda v: kkt_oracle.offload_policy(v, lib.popularity, cfg.n_bar, prob),
+            0.0, v_hi * (1.0 + 1e-12), 10, decreasing=True)
+        oracle = CachingPolicy(opt._snap_budget(kkt_oracle.offload_policy(
+            oracle_v, lib.popularity, cfg.n_bar, prob), 10), 10)
+        assert sol.objective == pytest.approx(
+            objective_offloading(oracle, lib, cfg.n_bar, prob), rel=1e-12)
+        np.testing.assert_allclose(sol.policy.b, oracle.b, atol=1e-8)
+        w1 = 0.5 * cfg.w_total
+        r2 = stochgeo.average_rate(w1, cfg.theta,
+                                   stochgeo.bs_coverage(cfg.theta, cfg.alpha))
+        for k, _ in opt._poisson_weights(cfg.n_bar):
+            r1 = stochgeo.average_rate(w1, cfg.theta,
+                                       stochgeo.d2d_coverage_conditional(cfg, k))
+            optimize_energy(cfg, lib, k, r1, r2)
+        assert len(records) > 20
+        for residuals, iterations, bisections in records:
+            # The budget test holds, or sum(b) crosses M within one float
+            # of the multiplier: near b_i = 1 the energy rule's interior
+            # branch is steeper than float spacing can follow (at beta = 2
+            # bisection then runs to its 120-step cap).
+            assert (abs(residuals[1]) <= 0.1 * _BUDGET_TOL
+                    or min(residuals) < 0.0 < max(residuals))
+            assert iterations <= bisections
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_search_on_piecewise_linear_policy(self, seed):
+        # sum(b) is piecewise linear with a kink wherever an entry hits a
+        # bound; slopes span two decades.
+        rng = np.random.default_rng(seed)
+        n, m = 200, 17
+        c = rng.uniform(0.0, 1.0, n)
+        s = 10.0 ** rng.uniform(-2.0, 0.0, n)
+
+        def policy_at(v):
+            return np.clip((c - v) / s, 0.0, 1.0)
+
+        v_lo, v_hi = float((c - s).min()), float(c.max())
+        b, v, iterations = opt._search_multiplier(policy_at, v_lo, v_hi, m, n,
+                                                  decreasing=True)
+        assert abs(policy_at(v).sum() - m) <= 0.1 * _BUDGET_TOL
+        assert b.sum() == pytest.approx(m, abs=1e-12)
+        assert iterations <= kkt_oracle.bisect_multiplier(policy_at, v_lo, v_hi, m,
+                                                          decreasing=True)[1]
+
+    def test_search_meets_budget_on_near_step_ramps(self):
+        # Slopes spanning six decades make sum(b) a staircase of steep
+        # ramps. Secant trials can stall on it (without the bisection
+        # safeguard seed 167 ran to the 120-evaluation cap); they may also
+        # need more evaluations than bisection, which can land on a flat
+        # step with sum(b) = M by chance.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 400))
+            m = int(rng.integers(1, n))
+            c = rng.uniform(0.0, 1.0, n) ** rng.uniform(0.2, 5.0)
+            s = 10.0 ** rng.uniform(-6.0, 0.0, n)
+
+            def policy_at(v):
+                return np.clip((c - v) / s, 0.0, 1.0)
+
+            v_lo, v_hi = float((c - s).min()) - 1e-3, float(c.max()) + 1e-3
+            _, v, iterations = opt._search_multiplier(policy_at, v_lo, v_hi, m, n,
+                                                      decreasing=True)
+            assert abs(policy_at(v).sum() - m) <= 0.1 * _BUDGET_TOL, seed
+            assert iterations < opt._MULTIPLIER_ITERATIONS, seed
+
+    def test_search_meets_budget_across_a_jump(self):
+        # Near-step ramps make sum(b) jump across M between adjacent
+        # floats: the result interpolates the policies at the two ends.
+        c = np.array([0.9, 0.5, 0.5, 0.1])
+        s = np.array([1e-300, 1e-300, 1e-300, 1e-300])
+
+        def policy_at(v):
+            return np.clip((c - v) / s, 0.0, 1.0)
+
+        b, v, iterations = opt._search_multiplier(policy_at, 0.0, 1.0, 2, 4,
+                                                  decreasing=True)
+        np.testing.assert_allclose(b, [1.0, 0.5, 0.5, 0.0])
+        assert v == pytest.approx(0.5)
+        assert iterations < opt._MULTIPLIER_ITERATIONS
+
+    def test_budget_met_where_rounding_cannot_resolve_b(self, rng):
+        # At n_bar = 48 the marginal gain of the second file is flat to
+        # rounding over b in (0.77, 1): sum(b) jumps across M at one float
+        # of the multiplier, where the bisections of ``kkt_oracle`` run to
+        # their 120-step cap.
+        cfg = _cfg(n_bar=48.375054029434466)
+        lib = ContentLibrary.zipf(8, 0.7832496661600523, 2)
+        prob = 0.1119939253856784
+        sol = optimize_offloading(cfg, lib, prob)
+        assert sol.iterations < opt._MULTIPLIER_ITERATIONS
+        assert sol.policy.b.sum() == pytest.approx(2.0, abs=1e-12)
+        rows = random_box_simplex(rng, 10_000, 8, 2)
+        values = offload_objective_rows(rows, lib.popularity, cfg.n_bar, prob)
+        assert sol.objective >= values.max() - 1e-12
+
+    def test_newton_cap_raises_numeric_failure(self, monkeypatch, table1_cfg,
+                                               table1_lib):
+        monkeypatch.setattr(opt, "_NEWTON_ITERATIONS", 1)
+        with pytest.raises(NumericFailure, match="Newton step"):
+            optimize_offloading(table1_cfg, table1_lib, 0.6)
+
+    def test_extreme_parameters_raise_no_warning(self, table1_lib):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = optimize_offloading(_cfg(n_bar=200.0), table1_lib, 1e-6)
+        assert sol.policy.b.sum() == pytest.approx(10.0, abs=1e-9)
 
 
 def _project_box_simplex(y, budget):
