@@ -2,7 +2,10 @@
 
 A scenario is a YAML file with unit-explicit keys (dB only ever appears
 in keys suffixed ``_db``/``_dbm``, densities in ``_per_km2``, bandwidth
-in ``_mhz``/``_hz``) so the linear/dB ambiguity cannot enter the kernel.
+in ``_mhz``) so the linear/dB ambiguity cannot enter the kernel. The
+default parameter set ``_TABLE1`` is the file's schema, one key per
+quantity: a key it lacks, or a count that is not an integer, is a
+configuration error.
 ``clustercache run scenario.yaml`` executes the requested tasks over the
 sweep grid and writes one CSV per task plus a JSON summary;
 ``clustercache validate`` runs the analytic-vs-Monte-Carlo validation
@@ -40,8 +43,26 @@ from .model import ContentLibrary, NetworkConfig, baseline_policy
 
 __all__ = ["Scenario", "default_table1", "load_scenario", "run_scenario", "main"]
 
-_TASKS = ("offload", "energy", "delay", "validate")
-_SWEEP_VARIABLES = ("beta", "sigma", "lambda_p", "n_bar", "p", "theta")
+# The CSV columns of each task.
+_TASK_COLUMNS = {
+    "offload": ("value", "prob_r1_gt_r0", "po_pc", "po_zipf", "po_cpf", "error"),
+    "energy": ("value", "e_pc_j", "e_zipf_j", "e_cpf_j", "error"),
+    "delay": ("value", "d_bcd_s", "w1_opt_hz", "d_zipf_eqsplit_s",
+              "zipf_eqsplit_stable", "error"),
+    "validate": ("quantity", "analytic", "mc_mean", "mc_hw95", "pass", "error",
+                 "signed_diff", "z_score"),
+}
+_TASKS = tuple(_TASK_COLUMNS)
+# Each sweep variable's NetworkConfig field and the scale from the file's
+# unit to that field's; "beta" alone sets the library's Zipf exponent.
+_SWEEP_VARIABLES = {
+    "beta": (None, 1.0),
+    "sigma": ("sigma", 1.0),
+    "lambda_p": ("lambda_p", 1e-6),  # clusters/km^2
+    "n_bar": ("n_bar", 1.0),
+    "p": ("access_p", 1.0),
+    "theta": ("theta", 1.0),
+}
 _SCHEMA_LINE = "# schema=1"
 
 
@@ -73,7 +94,7 @@ class Scenario:
         if self.sweep_variable not in _SWEEP_VARIABLES:
             raise ConfigError(
                 f"unknown sweep variable {self.sweep_variable!r}; "
-                f"expected one of {_SWEEP_VARIABLES}"
+                f"expected one of {tuple(_SWEEP_VARIABLES)}"
             )
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must be non-empty")
@@ -105,10 +126,9 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-# The default simulation parameter set, in the scenario-file format.
-# Scenario files fall back on it for every key they may omit; `network`
-# and `library` they must give in full (`access_p` and `mean_size_mbits`
-# excepted).
+# The default simulation parameter set, in the scenario-file format. It is
+# also that format's schema: a scenario file holds only keys named here,
+# and `_parse_scenario` says which of them it may omit.
 _TABLE1 = {
     "name": "table1",
     "seed": 20180001,
@@ -183,45 +203,6 @@ def scenario_to_mapping(s: Scenario) -> dict:
     }
 
 
-def _exactly_one(section: dict, section_name: str, *keys):
-    present = [k for k in keys if k in section]
-    if len(present) != 1:
-        raise ConfigError(
-            f"{section_name} must contain exactly one of {keys}, found {present}"
-        )
-    return present[0]
-
-
-def _load_network(section: dict, access_default) -> NetworkConfig:
-    try:
-        lam_key = _exactly_one(section, "network", "lambda_p_per_km2", "lambda_p_per_m2")
-        lam = section[lam_key] * (1e-6 if lam_key == "lambda_p_per_km2" else 1.0)
-        theta_key = _exactly_one(section, "network", "theta", "theta_db")
-        theta = _db_to_linear(section[theta_key]) if theta_key == "theta_db" else section[theta_key]
-        pd_key = _exactly_one(section, "network", "p_d_w", "p_d_dbm")
-        p_d = _dbm_to_watts(section[pd_key]) if pd_key == "p_d_dbm" else section[pd_key]
-        pb_key = _exactly_one(section, "network", "p_b_w", "p_b_dbm")
-        p_b = _dbm_to_watts(section[pb_key]) if pb_key == "p_b_dbm" else section[pb_key]
-        w_key = _exactly_one(section, "network", "w_total_hz", "w_total_mhz")
-        w_total = section[w_key] * (1e6 if w_key == "w_total_mhz" else 1.0)
-        access = section.get("access_p", _TABLE1["network"]["access_p"])
-        if access == "auto":
-            access = access_default(theta)
-        return NetworkConfig(
-            lambda_p=float(lam),
-            n_bar=float(section["n_bar"]),
-            sigma=float(section["sigma_m"]),
-            alpha=float(section["alpha"]),
-            theta=float(theta),
-            p_d=float(p_d),
-            p_b=float(p_b),
-            w_total=float(w_total),
-            access_p=float(access),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"network section is missing key {exc}") from exc
-
-
 def load_scenario(path) -> Scenario:
     """Parse and validate a YAML scenario file."""
     try:
@@ -236,48 +217,82 @@ def load_scenario(path) -> Scenario:
 
 
 def _parse_scenario(raw: dict, default_name: str) -> Scenario:
-    """A scenario from its file-format mapping; omitted keys take their
-    ``_TABLE1`` values, a missing sweep is the one point [library.beta]."""
-    def option(section, key):
-        return raw.get(section, {}).get(key, _TABLE1[section][key])
+    """A scenario from its file-format mapping, whose schema is ``_TABLE1``.
 
-    for section in ("network", "library", "sweep", "offload", "energy", "delay"):
-        if section in raw and not isinstance(raw[section], dict):
+    A key ``_TABLE1`` lacks is an error. An omitted key takes its
+    ``_TABLE1`` value, except in ``network`` and ``library`` (``access_p``
+    and ``mean_size_mbits`` excepted) and in a given ``sweep``; a missing
+    sweep is the one point [library.beta].
+    """
+    unknown = [str(key) for key in raw if key not in _TABLE1]
+    for section, schema in _TABLE1.items():
+        if not isinstance(schema, dict) or section not in raw:
+            continue
+        if not isinstance(raw[section], dict):
             raise ConfigError(
                 f"scenario section {section!r} must be a mapping, "
                 f"got {type(raw[section]).__name__}"
             )
+        unknown += [f"{section}.{key}" for key in raw[section] if key not in schema]
+    if unknown:
+        raise ConfigError(f"unknown scenario keys: {', '.join(unknown)}")
+
+    def option(name):
+        section, _, key = name.rpartition(".")
+        given = raw.get(section, {}) if section else raw
+        if key in given:
+            return given[key]
+        if (section in ("network", "library", "sweep")
+                and key not in ("access_p", "mean_size_mbits")):
+            raise KeyError(name)
+        return (_TABLE1[section] if section else _TABLE1)[key]
+
+    def count(name):
+        value = option(name)
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+
     try:
-        r0_over_w1 = float(option("offload", "r0_over_w1"))
-        cfg = _load_network(
-            raw["network"],
-            lambda theta: stochgeo.optimal_access_probability(r0_over_w1, theta),
+        r0_over_w1 = float(option("offload.r0_over_w1"))
+        theta = _db_to_linear(option("network.theta_db"))
+        access = option("network.access_p")
+        if access == "auto":
+            access = stochgeo.optimal_access_probability(r0_over_w1, theta)
+        cfg = NetworkConfig(
+            lambda_p=float(option("network.lambda_p_per_km2") * 1e-6),
+            n_bar=float(option("network.n_bar")),
+            sigma=float(option("network.sigma_m")),
+            alpha=float(option("network.alpha")),
+            theta=float(theta),
+            p_d=float(_dbm_to_watts(option("network.p_d_dbm"))),
+            p_b=float(_dbm_to_watts(option("network.p_b_dbm"))),
+            w_total=float(option("network.w_total_mhz") * 1e6),
+            access_p=float(access),
         )
-        lib_sec = raw["library"]
         lib = ContentLibrary.zipf(
-            n_files=int(lib_sec["n_files"]),
-            beta=float(lib_sec["beta"]),
-            cache_size=int(lib_sec["cache_size"]),
-            mean_size_mbits=float(
-                lib_sec.get("mean_size_mbits", _TABLE1["library"]["mean_size_mbits"])
-            ),
+            n_files=count("library.n_files"),
+            beta=float(option("library.beta")),
+            cache_size=count("library.cache_size"),
+            mean_size_mbits=float(option("library.mean_size_mbits")),
         )
-        sweep = raw.get("sweep", {"variable": "beta", "grid": [lib.beta]})
+        variable, grid = ((option("sweep.variable"), option("sweep.grid"))
+                          if "sweep" in raw else ("beta", [lib.beta]))
         return Scenario(
             name=str(raw.get("name", default_name)),
             cfg=cfg,
             lib=lib,
-            sweep_variable=str(sweep["variable"]),
-            grid=tuple(float(v) for v in sweep["grid"]),
-            tasks=tuple(raw.get("tasks", _TABLE1["tasks"])),
-            mc_trials=int(raw.get("mc_trials", _TABLE1["mc_trials"])),
-            seed=int(raw.get("seed", _TABLE1["seed"])),
-            output_dir=str(raw.get("output_dir", _TABLE1["output_dir"])),
+            sweep_variable=str(variable),
+            grid=tuple(float(v) for v in grid),
+            tasks=tuple(option("tasks")),
+            mc_trials=count("mc_trials"),
+            seed=count("seed"),
+            output_dir=str(option("output_dir")),
             r0_over_w1=r0_over_w1,
-            delay_k=int(option("delay", "k")),
-            zeta_tot=float(option("delay", "zeta_tot")),
-            bandwidth_fraction=float(option("energy", "bandwidth_fraction")),
-            bcd_restarts=int(option("delay", "restarts")),
+            delay_k=count("delay.k"),
+            zeta_tot=float(option("delay.zeta_tot")),
+            bandwidth_fraction=float(option("energy.bandwidth_fraction")),
+            bcd_restarts=count("delay.restarts"),
         )
     except KeyError as exc:
         raise ConfigError(f"scenario file is missing key {exc}") from exc
@@ -286,23 +301,13 @@ def _parse_scenario(raw: dict, default_name: str) -> Scenario:
 
 
 def _apply_sweep(scenario: Scenario, value: float):
-    """Instantiate (cfg, lib) at one sweep point. lambda_p grids are per km^2."""
-    var = scenario.sweep_variable
-    cfg, lib = scenario.cfg, scenario.lib
-    if var == "beta":
-        lib = ContentLibrary.zipf(lib.n_files, value, lib.cache_size,
-                                  lib.mean_size_mbits)
-    elif var == "sigma":
-        cfg = cfg.replace(sigma=value)
-    elif var == "lambda_p":
-        cfg = cfg.replace(lambda_p=value * 1e-6)
-    elif var == "n_bar":
-        cfg = cfg.replace(n_bar=value)
-    elif var == "p":
-        cfg = cfg.replace(access_p=value)
-    elif var == "theta":
-        cfg = cfg.replace(theta=value)
-    return cfg, lib
+    """Instantiate (cfg, lib) at one sweep point, ``value`` in file units."""
+    field, scale = _SWEEP_VARIABLES[scenario.sweep_variable]
+    lib = scenario.lib
+    if field is None:
+        return scenario.cfg, ContentLibrary.zipf(lib.n_files, value, lib.cache_size,
+                                                 lib.mean_size_mbits)
+    return replace(scenario.cfg, **{field: value * scale}), lib
 
 
 def _point_seed(seed: int, *tags) -> int:
@@ -448,7 +453,7 @@ def _validate_rows(scenario: Scenario) -> list:
 
     for sigma in (10.0, 20.0, 30.0):
         for theta_db in (0.0, 3.0):
-            point = cfg.replace(sigma=sigma, theta=_db_to_linear(theta_db))
+            point = replace(cfg, sigma=sigma, theta=_db_to_linear(theta_db))
             tag = f"prob_rate_exceeds sigma={sigma:g} theta_db={theta_db:g}"
             analytic, analytic_s = _timed(stochgeo.prob_rate_exceeds, point,
                                           scenario.r0_over_w1)
@@ -460,7 +465,7 @@ def _validate_rows(scenario: Scenario) -> list:
 
     for sigma in (10.0, 20.0, 30.0):
         for lam_km2 in (10.0, 20.0):
-            point = cfg.replace(sigma=sigma, lambda_p=lam_km2 * 1e-6)
+            point = replace(cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)
             tag = f"single_link sigma={sigma:g} lambda_p_per_km2={lam_km2:g}"
             analytic, analytic_s = _timed(stochgeo.d2d_coverage_single_link, point)
             mc, mc_s = _timed(montecarlo.mc_coverage_single_link, point, trials,
@@ -470,7 +475,7 @@ def _validate_rows(scenario: Scenario) -> list:
 
     # Hand-derived reference: theta=1, alpha=4, sigma=10 m, 20 clusters/km^2
     # gives 1/(1 + 400 pi * 2e-5 * pi/2) ~= 0.962.
-    ref_cfg = cfg.replace(sigma=10.0, theta=1.0, alpha=4.0, lambda_p=2e-5)
+    ref_cfg = replace(cfg, sigma=10.0, theta=1.0, alpha=4.0, lambda_p=2e-5)
     analytic, analytic_s = _timed(stochgeo.d2d_coverage_single_link, ref_cfg)
     add("single_link_reference_point", analytic.value, 0.962, 0.0, 0.01,
         analytic_s, None, 0)
@@ -492,15 +497,6 @@ def _validate_rows(scenario: Scenario) -> list:
     rows[-1]["z_score"] = ""
     return rows
 
-
-_TASK_COLUMNS = {
-    "offload": ("value", "prob_r1_gt_r0", "po_pc", "po_zipf", "po_cpf", "error"),
-    "energy": ("value", "e_pc_j", "e_zipf_j", "e_cpf_j", "error"),
-    "delay": ("value", "d_bcd_s", "w1_opt_hz", "d_zipf_eqsplit_s",
-              "zipf_eqsplit_stable", "error"),
-    "validate": ("quantity", "analytic", "mc_mean", "mc_hw95", "pass", "error",
-                 "signed_diff", "z_score"),
-}
 
 _POINT_FUNCTIONS = {
     "offload": _offload_point,

@@ -91,12 +91,6 @@ class NetworkConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
 
-    def replace(self, **kwargs) -> "NetworkConfig":
-        """Return a copy with the given fields overridden."""
-        values = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        values.update(kwargs)
-        return NetworkConfig(**values)
-
 
 @dataclass(frozen=True, eq=False)
 class ContentLibrary:
@@ -160,11 +154,6 @@ class ContentLibrary:
     def mean_size_mbits(self) -> float:
         """Mean file size in Mbits."""
         return float(self.sizes.mean())
-
-    def replace(self, **kwargs) -> "ContentLibrary":
-        values = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        values.update(kwargs)
-        return ContentLibrary(**values)
 
 
 @dataclass(frozen=True, eq=False)

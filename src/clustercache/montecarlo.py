@@ -22,9 +22,9 @@ Construction per trial (typical receiver at the origin):
   removal;
 * only active transmitters are drawn. Poisson(n_bar) members that each
   transmit independently with the ALOHA probability p are, by the
-  thinning theorem, Poisson(mu) active members with mu = p*n_bar; the
-  ``aloha`` local mode draws that count, the ``binomial`` local mode
-  Binomial(k-1, p) and the ``poisson_pk`` mode Poisson(p*k);
+  thinning theorem, Poisson(mu) active members with mu = p*n_bar.
+  P(R1 > R0) draws that local count, the conditional coverage both
+  Binomial(k-1, p) and Poisson(p*k), and the single link none;
 * only remote clusters with an active member are drawn. By the marking
   theorem they form a Poisson process of intensity
   lambda_p*(1 - exp(-mu)), and each holds a zero-truncated Poisson(mu)
@@ -214,29 +214,15 @@ def _remote_interference(rng, cfg: NetworkConfig, n: int, radius: float,
     return _member_interference(rng, cfg, owner, cx, None, active, n)
 
 
-def _local_counts(rng, cfg: NetworkConfig, modes: tuple, k: int,
-                  n: int) -> np.ndarray:
-    """Active interferers in the representative cluster, one row per mode.
+def _local_counts(rng, cdfs: tuple, n: int) -> np.ndarray:
+    """Active interferers in the representative cluster, one row per CDF
+    table in ``cdfs``.
 
-    Every row inverts its mode's CDF at the same uniform per trial, so
-    the rows are coupled: they differ only where their laws do.
+    Every row inverts its table at the same uniform per trial, so the
+    rows are coupled: they differ only where their laws do.
     """
-    p = cfg.access_p
     u = rng.random(n)
-    rows = []
-    for mode in modes:
-        if mode == "none":
-            cdf = np.ones(1)
-        elif mode == "aloha":
-            cdf = _poisson_cdf(p * cfg.n_bar, 0)
-        elif mode == "binomial":
-            cdf = _binomial_cdf(k - 1, p)
-        elif mode == "poisson_pk":
-            cdf = _poisson_cdf(p * k, 0)
-        else:
-            raise ConfigError(f"unknown intra-cluster mode {mode!r}")
-        rows.append(np.searchsorted(cdf, u, side="right"))
-    return np.array(rows)
+    return np.array([np.searchsorted(cdf, u, side="right") for cdf in cdfs])
 
 
 def _local_interference(rng, cfg: NetworkConfig, centers: np.ndarray,
@@ -260,17 +246,17 @@ def _local_interference(rng, cfg: NetworkConfig, centers: np.ndarray,
     return fields
 
 
-def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_modes: tuple,
-              k: int, single_link: bool, region_radius: float | None) -> list:
-    """Covered-trial counts, one per intra-cluster mode in ``intra_modes``.
+def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, local_cdfs: tuple,
+              single_link: bool, region_radius: float | None) -> list:
+    """Covered-trial counts, one per local-count CDF table in ``local_cdfs``.
 
     The serving link and the remote field are drawn once per trial and
-    shared by every mode, and the modes' local fields share their
+    shared by every table, and the tables' local fields share their
     members (common random numbers).
     """
     radius = region_radius if region_radius is not None else default_region_radius(cfg)
     n_batches = (trials + _BATCH - 1) // _BATCH
-    hits = [0] * len(intra_modes)
+    hits = [0] * len(local_cdfs)
     done = 0
     for rng in _batch_generators(seed, n_batches):
         n = min(_BATCH, trials - done)
@@ -278,7 +264,7 @@ def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, intra_modes: tuple,
         x0 = rng.normal(0.0, cfg.sigma, (n, 2))
         y0 = rng.normal(0.0, cfg.sigma, (n, 2))
         serve_d2 = np.square(x0 + y0).sum(axis=1)
-        counts = _local_counts(rng, cfg, intra_modes, k, n)
+        counts = _local_counts(rng, local_cdfs, n)
         local = _local_interference(rng, cfg, x0, counts)
         remote = _remote_interference(rng, cfg, n, radius, single_link)
         signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * cfg.alpha)
@@ -324,7 +310,8 @@ def mc_prob_rate_exceeds(
             f"{cfg.access_p * math.log2(1.0 + cfg.theta):.6g} bits/s/Hz does "
             f"not exceed R0/W1 = {r0_over_w1:.6g} bits/s/Hz"
         )
-    (hits,) = _sir_hits(cfg, trials, seed, ("aloha",), 0, False, region_radius)
+    local = _poisson_cdf(cfg.access_p * cfg.n_bar, 0)
+    (hits,) = _sir_hits(cfg, trials, seed, (local,), False, region_radius)
     return _estimate(hits, trials, seed)
 
 
@@ -346,9 +333,10 @@ def mc_coverage_conditional(
         raise ConfigError(f"k must be at least 1, got {k}")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    hits_exact, hits_approx = _sir_hits(
-        cfg, trials, seed, ("binomial", "poisson_pk"), k, False, region_radius
-    )
+    p = cfg.access_p
+    local = (_binomial_cdf(k - 1, p), _poisson_cdf(p * k, 0))
+    hits_exact, hits_approx = _sir_hits(cfg, trials, seed, local, False,
+                                        region_radius)
     exact = _estimate(hits_exact, trials, seed)
     approx = _estimate(hits_approx, trials, seed)
     return ConditionalCoveragePair(exact=exact, poisson_approx=approx)
@@ -367,5 +355,5 @@ def mc_coverage_single_link(
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    (hits,) = _sir_hits(cfg, trials, seed, ("none",), 0, True, region_radius)
+    (hits,) = _sir_hits(cfg, trials, seed, (np.ones(1),), True, region_radius)
     return _estimate(hits, trials, seed)

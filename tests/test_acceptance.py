@@ -84,7 +84,7 @@ def test_criterion_01_rate_probability_vs_monte_carlo(table1):
     failures = []
     for sigma in (10.0, 20.0, 30.0):
         for theta_db in (0.0, 3.0):
-            cfg = table1.cfg.replace(sigma=sigma, theta=10 ** (theta_db / 10))
+            cfg = replace(table1.cfg, sigma=sigma, theta=10 ** (theta_db / 10))
             analytic = stochgeo.prob_rate_exceeds(cfg, 0.1).value
             mc = montecarlo.mc_prob_rate_exceeds(
                 cfg, 0.1, 100_000,
@@ -105,7 +105,7 @@ def test_criterion_02_single_link_closed_form_vs_monte_carlo(table1):
     failures = []
     for sigma in (10.0, 20.0, 30.0):
         for lam_km2 in (10.0, 20.0):
-            cfg = table1.cfg.replace(sigma=sigma, lambda_p=lam_km2 * 1e-6)
+            cfg = replace(table1.cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)
             analytic = stochgeo.d2d_coverage_single_link(cfg).value
             mc = montecarlo.mc_coverage_single_link(
                 cfg, 100_000, seed=int(100 * sigma + lam_km2)
@@ -144,7 +144,7 @@ def test_criterion_04_kkt_vs_brute_force(table1):
         n_bar = float(rng.uniform(1.0, 8.0))
         prob = float(rng.uniform(0.0, 1.0))
         lib = ContentLibrary.zipf(5, beta, 2)
-        cfg = table1.cfg.replace(n_bar=n_bar)
+        cfg = replace(table1.cfg, n_bar=n_bar)
         sol = optimize.optimize_offloading(cfg, lib, prob)
         best = offload_objective_rows(grid, lib.popularity, n_bar, prob).max()
         if sol.objective < best - 1e-3:
@@ -329,17 +329,17 @@ def test_criterion_08_monotonicity_suite(table1, bcd_beta_sweep):
         return all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
 
     in_sigma = [
-        stochgeo.prob_rate_exceeds(cfg.replace(sigma=s), 0.1).value
+        stochgeo.prob_rate_exceeds(replace(cfg, sigma=s), 0.1).value
         for s in (10.0, 20.0, 30.0, 40.0, 50.0)
     ]
     # The theta grid needs an access probability feasible across the whole
     # grid (p log2(1+theta) > R0/W1 fails at theta=0.5 for the default p).
     in_theta = [
-        stochgeo.prob_rate_exceeds(cfg.replace(theta=t, access_p=0.5), 0.1).value
+        stochgeo.prob_rate_exceeds(replace(cfg, theta=t, access_p=0.5), 0.1).value
         for t in (0.5, 1.0, 2.0, 4.0, 8.0)
     ]
     in_lambda = [
-        stochgeo.prob_rate_exceeds(cfg.replace(lambda_p=l * 1e-6), 0.1).value
+        stochgeo.prob_rate_exceeds(replace(cfg, lambda_p=l * 1e-6), 0.1).value
         for l in (5.0, 10.0, 20.0, 40.0, 80.0)
     ]
     for name, seq in (("sigma", in_sigma), ("theta", in_theta),
@@ -356,7 +356,7 @@ def test_criterion_08_monotonicity_suite(table1, bcd_beta_sweep):
 
     # Minimized delay grows with displacement spread and cluster density.
     def bcd_delay(sigma, lam_km2):
-        point = cfg.replace(sigma=sigma, lambda_p=lam_km2 * 1e-6)
+        point = replace(cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)
         lib = ContentLibrary.zipf(DELAY_LIB_FILES, 0.5, DELAY_LIB_M)
         return optimize.optimize_delay_bcd(
             point, lib, DELAY_K, table1.zeta_tot, restarts=8, seed=808

@@ -47,7 +47,12 @@ NETWORK_OUT_OF_RANGE = {
 # Decibel values whose linear value overflows a double or underflows to 0.
 _DB_OUT_OF_RANGE = st.floats(min_value=3200.0) | _at_most(-3400.0)
 
-# Scenario-file keys (section, key) and their out-of-range values.
+# Non-integral values of a count; truncating them would load a valid count.
+_NON_INTEGRAL = st.floats(min_value=1.0, max_value=1e6).filter(
+    lambda x: not x.is_integer())
+
+# Scenario-file keys (section, key) and their out-of-range or non-integral
+# values.
 SCENARIO_OUT_OF_RANGE = {
     ("network", "lambda_p_per_km2"): _at_most(0.0),
     ("network", "n_bar"): _at_most(0.0),
@@ -58,16 +63,18 @@ SCENARIO_OUT_OF_RANGE = {
     ("network", "p_b_dbm"): _DB_OUT_OF_RANGE,
     ("network", "w_total_mhz"): _at_most(0.0),
     ("network", "access_p"): _outside_unit_interval(),
+    ("library", "n_files"): st.integers(max_value=10) | _NON_INTEGRAL,
     ("library", "beta"): _below(0.0),
     ("library", "mean_size_mbits"): _at_most(0.0),
-    ("library", "cache_size"): st.integers(max_value=0) | st.integers(min_value=500),
+    ("library", "cache_size"): (st.integers(max_value=0) | st.integers(min_value=500)
+                                | _NON_INTEGRAL),
     ("offload", "r0_over_w1"): _below(0.0),
     ("energy", "bandwidth_fraction"): _at_most(0.0) | st.floats(min_value=1.0),
-    ("delay", "k"): st.integers(max_value=0),
+    ("delay", "k"): st.integers(max_value=0) | _NON_INTEGRAL,
     ("delay", "zeta_tot"): _below(0.0),
-    ("delay", "restarts"): st.integers(max_value=0),
-    (None, "mc_trials"): st.integers(max_value=0),
-    (None, "seed"): st.integers(max_value=-1),
+    ("delay", "restarts"): st.integers(max_value=0) | _NON_INTEGRAL,
+    (None, "mc_trials"): st.integers(max_value=0) | _NON_INTEGRAL,
+    (None, "seed"): st.integers(max_value=-1) | _NON_INTEGRAL,
 }
 
 

@@ -13,6 +13,7 @@ import yaml
 
 from clustercache import cli, optimize, stochgeo
 from clustercache.errors import ConfigError, NumericFailure
+from clustercache.model import ContentLibrary
 from clustercache.cli import (
     default_table1,
     load_scenario,
@@ -141,8 +142,90 @@ class TestScenarioValidation:
         mapping["network"]["theta"] = 1.0  # both theta and theta_db present
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
-        with pytest.raises(ConfigError, match="exactly one"):
+        with pytest.raises(ConfigError, match="unknown scenario keys: network.theta"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "mc_trial"), ("network", "sigma"), ("library", "size"),
+        ("sweep", "values"), ("offload", "r0"), ("energy", "fraction"),
+        ("delay", "restart"),
+    ])
+    def test_unknown_key_reported(self, tmp_path, capsys, section, key):
+        # A misspelled key is an error, not a silent fall-back on Table 1.
+        mapping = scenario_to_mapping(default_table1())
+        (mapping[section] if section else mapping)[key] = 2
+        name = f"{section}.{key}" if section else key
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match=f"unknown scenario keys: {name}$"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_unknown_keys_listed_together(self, tmp_path):
+        mapping = scenario_to_mapping(default_table1())
+        mapping["mc_trial"] = 10
+        mapping["network"]["sigma"] = 30.0
+        mapping["delay"]["restart"] = 2
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match="mc_trial, network.sigma, delay.restart"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key, value, replaces", [
+        ("lambda_p_per_m2", 2e-5, "lambda_p_per_km2"),
+        ("theta", 1.0, "theta_db"),
+        ("p_d_w", 0.2, "p_d_dbm"),
+        ("p_b_w", 20.0, "p_b_dbm"),
+        ("w_total_hz", 20e6, "w_total_mhz"),
+    ])
+    def test_alternative_unit_keys_rejected(self, tmp_path, key, value, replaces):
+        # One key per quantity: the network takes each in one unit only.
+        mapping = scenario_to_mapping(default_table1())
+        del mapping["network"][replaces]
+        mapping["network"][key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match=f"unknown scenario keys: network.{key}$"):
+            load_scenario(path)
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        mapping = scenario_to_mapping(default_table1())
+        mapping.update(seed=3.0, mc_trials=2000.0)
+        mapping["library"].update(n_files=500.0, cache_size=10.0)
+        mapping["delay"].update(k=8.0, restarts=2.0)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        sc = load_scenario(path)
+        assert (sc.seed, sc.mc_trials, sc.delay_k, sc.bcd_restarts) == (3, 2000, 8, 2)
+        assert (sc.lib.n_files, sc.lib.cache_size) == (500, 10)
+        assert all(type(v) is int for v in (sc.seed, sc.mc_trials, sc.delay_k,
+                                             sc.bcd_restarts, sc.lib.n_files,
+                                             sc.lib.cache_size))
+
+    @pytest.mark.parametrize("variable, value, field, expected", [
+        ("sigma", 25.0, "sigma", 25.0),
+        ("lambda_p", 30.0, "lambda_p", 30.0 * 1e-6),  # clusters/km^2
+        ("n_bar", 3.0, "n_bar", 3.0),
+        ("p", 0.4, "access_p", 0.4),
+        ("theta", 2.0, "theta", 2.0),  # linear
+        ("beta", 0.7, "beta", 0.7),
+    ])
+    def test_apply_sweep_sets_one_field(self, variable, value, field, expected):
+        sc = replace(default_table1(), sweep_variable=variable)
+        cfg, lib = cli._apply_sweep(sc, value)
+        if variable == "beta":
+            assert cfg is sc.cfg
+            assert lib.beta == expected
+            np.testing.assert_array_equal(
+                lib.popularity, ContentLibrary.zipf(500, 0.7, 10).popularity)
+            assert (lib.n_files, lib.cache_size, lib.mean_size_mbits) == (
+                sc.lib.n_files, sc.lib.cache_size, sc.lib.mean_size_mbits)
+        else:
+            assert lib is sc.lib
+            assert getattr(cfg, field) == expected
+            assert cfg == replace(sc.cfg, **{field: expected})
+            assert getattr(sc.cfg, field) != expected
 
     def test_missing_section_reported(self, tmp_path):
         path = tmp_path / "bad.yaml"

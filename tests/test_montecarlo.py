@@ -7,6 +7,7 @@ truncation) are verified and the agreement is spot-checked at 2e4 trials.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,7 +167,14 @@ class TestMemberKernel:
         cfg = table1_cfg
         n = 50000
         centers = _philox(4).normal(0.0, cfg.sigma, (n, 2))
-        counts = _local_counts(_philox(5), cfg, (mode,), k, n)
+        p = cfg.access_p
+        if mode == "aloha":
+            cdf = _poisson_cdf(p * cfg.n_bar, 0)
+        elif mode == "poisson_pk":
+            cdf = _poisson_cdf(p * k, 0)
+        else:
+            cdf = _binomial_cdf(k - 1, p)
+        counts = _local_counts(_philox(5), (cdf,), n)
         _local_interference(_philox(6), cfg, centers, counts)
         (call,) = kernel_calls
         (active,) = counts
@@ -174,7 +182,6 @@ class TestMemberKernel:
         assert np.array_equal(call["owner"], np.arange(n))
         assert np.array_equal(call["cx"], centers[:, 0])
         assert np.array_equal(call["cy"], centers[:, 1])
-        p = cfg.access_p
         if mode == "aloha":
             _assert_poisson_counts(active, p * cfg.n_bar)
         elif mode == "poisson_pk":
@@ -192,9 +199,10 @@ class TestMemberKernel:
         cfg = table1_cfg
         k, n = 5, 20000
         rng = _RecordingRng(10)
-        binomial, poisson = _local_counts(rng, cfg, ("binomial", "poisson_pk"), k, n)
-        (u,) = rng.draws["random"]
         p = cfg.access_p
+        binomial, poisson = _local_counts(
+            rng, (_binomial_cdf(k - 1, p), _poisson_cdf(p * k, 0)), n)
+        (u,) = rng.draws["random"]
         np.testing.assert_array_equal(binomial, stats.binom.ppf(u, k - 1, p))
         np.testing.assert_array_equal(poisson, stats.poisson.ppf(u, p * k))
 
@@ -219,7 +227,7 @@ class TestMemberKernel:
         # Each active member is Gaussian-displaced from its center, so its
         # distance to the center is Rayleigh(sigma); the kernel returns the
         # per-trial sum of fade * distance^-alpha over those members.
-        cfg = table1_cfg.replace(alpha=3.5)
+        cfg = replace(table1_cfg, alpha=3.5)
         src = _philox(6)
         n = 3000
         owner = np.repeat(np.arange(n), 2)
@@ -320,12 +328,12 @@ class TestDeterminism:
 
 class TestProbRateExceedsMc:
     def test_certain_coverage_at_tiny_threshold(self, table1_cfg):
-        cfg = table1_cfg.replace(theta=1e-9)
+        cfg = replace(table1_cfg, theta=1e-9)
         est = mc_prob_rate_exceeds(cfg, 0.0, 2000, seed=5)
         assert est.mean > 0.999
 
     def test_interference_dominated_limit(self, table1_cfg):
-        cfg = table1_cfg.replace(access_p=1.0, lambda_p=5e-3, n_bar=20.0)
+        cfg = replace(table1_cfg, access_p=1.0, lambda_p=5e-3, n_bar=20.0)
         est = mc_prob_rate_exceeds(cfg, 0.1, 2000, seed=5)
         assert est.mean < 0.02
 
@@ -336,7 +344,7 @@ class TestProbRateExceedsMc:
 
     def test_feasibility_enforced(self, table1_cfg):
         with pytest.raises(InfeasibleAccessProbability):
-            mc_prob_rate_exceeds(table1_cfg.replace(access_p=0.01), 0.1, 100, seed=1)
+            mc_prob_rate_exceeds(replace(table1_cfg, access_p=0.01), 0.1, 100, seed=1)
 
 
 class TestConditionalCoverageMc:
@@ -386,7 +394,7 @@ class TestConditionalCoverageMc:
 
 class TestSingleLinkMc:
     def test_limit_at_vanishing_density(self, table1_cfg):
-        est = mc_coverage_single_link(table1_cfg.replace(lambda_p=1e-12),
+        est = mc_coverage_single_link(replace(table1_cfg, lambda_p=1e-12),
                                       2000, seed=3)
         assert est.mean > 0.999
 
@@ -398,7 +406,7 @@ class TestSingleLinkMc:
 
     def test_monotone_decreasing_in_sigma(self, table1_cfg):
         means = [
-            mc_coverage_single_link(table1_cfg.replace(sigma=s), 20000,
+            mc_coverage_single_link(replace(table1_cfg, sigma=s), 20000,
                                     seed=43).mean
             for s in (10.0, 20.0, 30.0)
         ]

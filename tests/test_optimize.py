@@ -13,6 +13,7 @@ Oracles used here:
 """
 
 import math
+from dataclasses import replace
 import warnings
 
 import numpy as np
@@ -449,7 +450,7 @@ class TestEnergy:
         ranked = sol.policy.b[order]
         assert np.all(np.diff(ranked) <= 1e-9)
 
-        bumped = lib.replace(sizes=lib.sizes * np.array([1, 1, 4.0, 1, 1]))
+        bumped = replace(lib, sizes=lib.sizes * np.array([1, 1, 4.0, 1, 1]))
         sol_b = optimize_energy(cfg, bumped, k, r1, r2)
         assert sol_b.policy.b[2] >= sol.policy.b[2] - 1e-9
 
@@ -491,7 +492,7 @@ class TestEnergy:
     def test_size_scale_invariance(self, table1_cfg):
         lib = ContentLibrary.zipf(8, 1.0, 3)
         sol = optimize_energy(table1_cfg, lib, 3, 1e6, 2e6)
-        scaled = optimize_energy(table1_cfg, lib.replace(sizes=lib.sizes * 37.0),
+        scaled = optimize_energy(table1_cfg, replace(lib, sizes=lib.sizes * 37.0),
                                  3, 1e6, 2e6)
         assert np.allclose(sol.policy.b, scaled.policy.b, atol=1e-6)
 
@@ -504,7 +505,7 @@ class TestEnergy:
         # k = 1: the objective sum q_i S_i (1 - b_i) Pb/R2 is linear in b, so
         # the optimum caches the M largest q_i S_i, not the M most popular.
         lib = ContentLibrary.zipf(5, 1.0, 2)
-        lib = lib.replace(sizes=lib.sizes * np.array([1, 1, 4.0, 1, 1]))
+        lib = replace(lib, sizes=lib.sizes * np.array([1, 1, 4.0, 1, 1]))
         sol = optimize_energy(table1_cfg, lib, 1, 1e6, 2e6)
         np.testing.assert_array_equal(sol.policy.b, [1, 0, 1, 0, 0])
         assert sol.degenerate

@@ -7,6 +7,7 @@ exponential fading only, no shared code with the module under test).
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -100,13 +101,13 @@ class TestLaplaceTransforms:
 
     def test_unit_without_interferers(self, table1_cfg):
         s_sir = 1.0 * 20.0**4  # theta = 1, r = 20 m, alpha = 4
-        empty = table1_cfg.replace(lambda_p=1e-300)
+        empty = replace(table1_cfg, lambda_p=1e-300)
         assert laplace_inter(s_sir, empty) == pytest.approx(1.0, abs=1e-12)
         assert laplace_intra(s_sir, 0.0, 10.0, 4.0) == 1.0
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_monotone_in_argument_and_bounded(self, table1_cfg, alpha):
-        cfg = table1_cfg.replace(alpha=alpha)
+        cfg = replace(table1_cfg, alpha=alpha)
         values_inter, values_intra = [], []
         for s in np.logspace(2, 9, 8):
             values_inter.append(laplace_inter(s, cfg))
@@ -174,7 +175,7 @@ class TestLaplaceTransforms:
 class TestProbRateExceeds:
     def test_outage_certain_at_huge_threshold(self, table1_cfg):
         values = [
-            prob_rate_exceeds(table1_cfg.replace(theta=t, access_p=0.5), 0.1).value
+            prob_rate_exceeds(replace(table1_cfg, theta=t, access_p=0.5), 0.1).value
             for t in (1.0, 10.0, 100.0, 1e4, 1e6)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -184,14 +185,14 @@ class TestProbRateExceeds:
         # Larger spread means longer serving links and closer interferers.
         cfg = NetworkConfig(**{**TABLE1, "n_bar": 12.0, "sigma": 30.0})
         values = [
-            prob_rate_exceeds(cfg.replace(sigma=s), 0.1).value
+            prob_rate_exceeds(replace(cfg, sigma=s), 0.1).value
             for s in (10.0, 20.0, 30.0, 40.0, 50.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_decreasing_in_cluster_population(self, table1_cfg):
         values = [
-            prob_rate_exceeds(table1_cfg.replace(n_bar=n), 0.1).value
+            prob_rate_exceeds(replace(table1_cfg, n_bar=n), 0.1).value
             for n in (2.0, 4.0, 8.0, 16.0, 32.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -199,24 +200,24 @@ class TestProbRateExceeds:
     def test_decreasing_in_access_probability(self, table1_cfg):
         # More simultaneous transmitters only add interference.
         values = [
-            prob_rate_exceeds(table1_cfg.replace(access_p=p), 0.1).value
+            prob_rate_exceeds(replace(table1_cfg, access_p=p), 0.1).value
             for p in (0.2, 0.4, 0.6, 0.8, 1.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_infeasible_access_probability(self, table1_cfg):
         with pytest.raises(InfeasibleAccessProbability):
-            prob_rate_exceeds(table1_cfg.replace(access_p=0.05), 0.1)
+            prob_rate_exceeds(replace(table1_cfg, access_p=0.05), 0.1)
 
 
 class TestConditionalCoverage:
     def test_degenerate_without_transmissions(self, table1_cfg):
-        result = d2d_coverage_conditional(table1_cfg.replace(access_p=0.0), 3)
+        result = d2d_coverage_conditional(replace(table1_cfg, access_p=0.0), 3)
         assert result.value == 1.0 and result.degenerate
 
     def test_matches_direct_composition_at_k1(self, table1_cfg):
         # k=1 and p=1: integral of f_R * L_inter * L_intra(intensity 1).
-        cfg = table1_cfg.replace(access_p=1.0)
+        cfg = replace(table1_cfg, access_p=1.0)
         expected, _ = quad(
             lambda r: serving_distance_pdf(r, cfg.sigma)
             * laplace_inter(cfg.theta * r**cfg.alpha, cfg)
@@ -280,13 +281,13 @@ def fresh_coverage_caches():
 class TestCoverageEngine:
     @pytest.mark.parametrize("overrides", ENGINE_CONFIGS.values(), ids=ENGINE_CONFIGS)
     def test_matches_adaptive_oracle(self, table1_cfg, overrides):
-        cfg = table1_cfg.replace(**overrides)
+        cfg = replace(table1_cfg, **overrides)
         got = prob_rate_exceeds(cfg, 0.1).value
         expected = _adaptive_coverage(cfg, cfg.access_p * cfg.n_bar)
         assert abs(got - expected) <= max(1e-9, 1e-7 * expected)
 
     def test_one_table_serves_every_coverage(self, table1_cfg):
-        cfg = table1_cfg.replace(sigma=17.25)
+        cfg = replace(table1_cfg, sigma=17.25)
         misses = stochgeo._coverage_table.cache_info().misses
         prob_rate_exceeds(cfg, 0.1)
         for k in range(1, 13):
@@ -296,7 +297,7 @@ class TestCoverageEngine:
 
     def test_stress_config_escalates(self, table1_cfg, fresh_coverage_caches,
                                      monkeypatch):
-        cfg = table1_cfg.replace(**STRESS)
+        cfg = replace(table1_cfg, **STRESS)
         levels = []
         table = stochgeo._coverage_table
         table.cache_clear()  # count the builds of this config
@@ -317,7 +318,7 @@ class TestCoverageEngine:
         monkeypatch.setattr(stochgeo, "_RULES", ((2, 2, 2), (3, 3, 4), (4, 4, 6)))
         with pytest.raises(NumericFailure,
                            match="give .* and .*exceeds tolerance") as failure:
-            prob_rate_exceeds(table1_cfg.replace(sigma=23.5), 0.1)
+            prob_rate_exceeds(replace(table1_cfg, sigma=23.5), 0.1)
         assert "rules (4, 4, 6) and (3, 3, 4) give" in str(failure.value)
 
     def test_non_finite_table_raises(self, table1_cfg, monkeypatch,
@@ -325,7 +326,7 @@ class TestCoverageEngine:
         monkeypatch.setattr(stochgeo, "_log_inter",
                             lambda s_sir, cfg, n_t, n_u: np.full(s_sir.shape, np.nan))
         with pytest.raises(NumericFailure, match="non-finite"):
-            d2d_coverage_conditional(table1_cfg.replace(sigma=23.5), 3)
+            d2d_coverage_conditional(replace(table1_cfg, sigma=23.5), 3)
 
 
 class TestBsCoverage:
@@ -381,7 +382,7 @@ class TestBsCoverage:
 
 class TestSingleLinkCoverage:
     def test_limit_at_vanishing_density(self, table1_cfg):
-        got = d2d_coverage_single_link(table1_cfg.replace(lambda_p=1e-300)).value
+        got = d2d_coverage_single_link(replace(table1_cfg, lambda_p=1e-300)).value
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_point_arithmetic(self, table1_cfg):
@@ -398,7 +399,7 @@ class TestSingleLinkCoverage:
                               ("lambda_p", (4e-5, 8e-5))):
             prev = base
             for v in values:
-                cur = d2d_coverage_single_link(table1_cfg.replace(**{field: v})).value
+                cur = d2d_coverage_single_link(replace(table1_cfg, **{field: v})).value
                 assert cur < prev
                 prev = cur
 
