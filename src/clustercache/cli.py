@@ -4,8 +4,8 @@ A scenario is a YAML file with unit-explicit keys (dB only ever appears
 in keys suffixed ``_db``/``_dbm``, densities in ``_per_km2``, bandwidth
 in ``_mhz``) so the linear/dB ambiguity cannot enter the kernel. The
 default parameter set ``_TABLE1`` is the file's schema, one key per
-quantity: a key it lacks, or a count that is not an integer, is a
-configuration error.
+quantity: a key it lacks, a count that is not an integer, or a bool or
+string where it holds a number or list, is a configuration error.
 ``clustercache run scenario.yaml`` executes the requested tasks over the
 sweep grid and writes one CSV per task plus a JSON summary;
 ``clustercache validate`` runs the analytic-vs-Monte-Carlo validation
@@ -216,6 +216,13 @@ def load_scenario(path) -> Scenario:
     return _parse_scenario(raw, Path(path).stem)
 
 
+def _typed(name: str, value, kinds, what: str):
+    """``value`` if it is of ``kinds`` and no bool (to Python, an int)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _parse_scenario(raw: dict, default_name: str) -> Scenario:
     """A scenario from its file-format mapping, whose schema is ``_TABLE1``.
 
@@ -247,34 +254,36 @@ def _parse_scenario(raw: dict, default_name: str) -> Scenario:
             raise KeyError(name)
         return (_TABLE1[section] if section else _TABLE1)[key]
 
+    def number(name):
+        return _typed(name, option(name), (int, float), "a number")
+
     def count(name):
-        value = option(name)
+        value = number(name)
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
 
     try:
-        r0_over_w1 = float(option("offload.r0_over_w1"))
-        theta = _db_to_linear(option("network.theta_db"))
-        access = option("network.access_p")
-        if access == "auto":
-            access = stochgeo.optimal_access_probability(r0_over_w1, theta)
+        r0_over_w1 = float(number("offload.r0_over_w1"))
+        theta = _db_to_linear(number("network.theta_db"))
+        access = (stochgeo.optimal_access_probability(r0_over_w1, theta)
+                  if option("network.access_p") == "auto" else number("network.access_p"))
         cfg = NetworkConfig(
-            lambda_p=float(option("network.lambda_p_per_km2") * 1e-6),
-            n_bar=float(option("network.n_bar")),
-            sigma=float(option("network.sigma_m")),
-            alpha=float(option("network.alpha")),
+            lambda_p=float(number("network.lambda_p_per_km2") * 1e-6),
+            n_bar=float(number("network.n_bar")),
+            sigma=float(number("network.sigma_m")),
+            alpha=float(number("network.alpha")),
             theta=float(theta),
-            p_d=float(_dbm_to_watts(option("network.p_d_dbm"))),
-            p_b=float(_dbm_to_watts(option("network.p_b_dbm"))),
-            w_total=float(option("network.w_total_mhz") * 1e6),
+            p_d=float(_dbm_to_watts(number("network.p_d_dbm"))),
+            p_b=float(_dbm_to_watts(number("network.p_b_dbm"))),
+            w_total=float(number("network.w_total_mhz") * 1e6),
             access_p=float(access),
         )
         lib = ContentLibrary.zipf(
             n_files=count("library.n_files"),
-            beta=float(option("library.beta")),
+            beta=float(number("library.beta")),
             cache_size=count("library.cache_size"),
-            mean_size_mbits=float(option("library.mean_size_mbits")),
+            mean_size_mbits=float(number("library.mean_size_mbits")),
         )
         variable, grid = ((option("sweep.variable"), option("sweep.grid"))
                           if "sweep" in raw else ("beta", [lib.beta]))
@@ -283,15 +292,16 @@ def _parse_scenario(raw: dict, default_name: str) -> Scenario:
             cfg=cfg,
             lib=lib,
             sweep_variable=str(variable),
-            grid=tuple(float(v) for v in grid),
-            tasks=tuple(option("tasks")),
+            grid=tuple(float(_typed("sweep.grid", v, (int, float), "a list of numbers"))
+                       for v in _typed("sweep.grid", grid, list, "a list")),
+            tasks=tuple(_typed("tasks", option("tasks"), list, "a list")),
             mc_trials=count("mc_trials"),
             seed=count("seed"),
             output_dir=str(option("output_dir")),
             r0_over_w1=r0_over_w1,
             delay_k=count("delay.k"),
-            zeta_tot=float(option("delay.zeta_tot")),
-            bandwidth_fraction=float(option("energy.bandwidth_fraction")),
+            zeta_tot=float(number("delay.zeta_tot")),
+            bandwidth_fraction=float(number("energy.bandwidth_fraction")),
             bcd_restarts=count("delay.restarts"),
         )
     except KeyError as exc:
@@ -333,8 +343,13 @@ def _fmt(x) -> str:
 # Per-task point computations (top level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
+def _table_misses() -> int:
+    return stochgeo._coverage_table.cache_info().misses  # one per table built
+
+
 def _offload_point(scenario: Scenario, value: float) -> dict:
     cfg, lib = _apply_sweep(scenario, value)
+    builds = _table_misses()
     prob = stochgeo.prob_rate_exceeds(cfg, scenario.r0_over_w1).value
     pc = optimize.optimize_offloading(cfg, lib, prob)
     rows = {
@@ -346,8 +361,8 @@ def _offload_point(scenario: Scenario, value: float) -> dict:
         policy = baseline_policy(kind, lib)
         rows[col] = optimize.objective_offloading(policy, lib, cfg.n_bar, prob)
     rows["error"] = ""
-    rows["diagnostics"] = {"kkt_iterations": pc.iterations,
-                           "multiplier": pc.multiplier}
+    rows["diagnostics"] = {"kkt_iterations": pc.iterations, "multiplier": pc.multiplier,
+                           "table_builds": _table_misses() - builds}
     return rows
 
 
@@ -358,6 +373,7 @@ def _energy_point(scenario: Scenario, value: float) -> dict:
     r2 = stochgeo.average_rate(w2, cfg.theta, stochgeo.bs_coverage(cfg.theta, cfg.alpha))
     zipf = baseline_policy("zipf-proportional", lib)
     cpf = baseline_policy("cpf", lib)
+    builds = _table_misses()
     e_pc = e_zipf = e_cpf = 0.0
     iterations = degenerate = 0
     for k, weight in optimize._poisson_weights(cfg.n_bar):
@@ -376,7 +392,8 @@ def _energy_point(scenario: Scenario, value: float) -> dict:
         "e_zipf_j": e_zipf,
         "e_cpf_j": e_cpf,
         "error": "",
-        "diagnostics": {"kkt_iterations": iterations, "degenerate": degenerate},
+        "diagnostics": {"kkt_iterations": iterations, "degenerate": degenerate,
+                        "table_builds": _table_misses() - builds},
     }
 
 
@@ -510,14 +527,11 @@ def _compute_task_point(args):
     started = time.perf_counter()
     try:
         row = _POINT_FUNCTIONS[task](scenario, value)
-    except NumericFailure as exc:
-        row = {c: "" for c in _TASK_COLUMNS[task]}
-        row["value"] = value
-        row["error"] = f"numeric-failure: {exc}"
     except ClusterCacheError as exc:
-        row = {c: "" for c in _TASK_COLUMNS[task]}
-        row["value"] = value
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        reason = ("numeric-failure" if isinstance(exc, NumericFailure)
+                  else type(exc).__name__)
+        row = {**dict.fromkeys(_TASK_COLUMNS[task], ""), "value": value,
+               "error": f"{reason}: {exc}"}
     return row, time.perf_counter() - started
 
 
@@ -612,14 +626,8 @@ def _common_flags(p):
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if args.mc_trials is not None:
-        updates["mc_trials"] = args.mc_trials
-    return replace(scenario, **updates) if updates else scenario
+    updates = {"seed": args.seed, "output_dir": args.out, "mc_trials": args.mc_trials}
+    return replace(scenario, **{k: v for k, v in updates.items() if v is not None})
 
 
 def main(argv=None) -> int:

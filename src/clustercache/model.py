@@ -79,17 +79,9 @@ class NetworkConfig:
             raise ConfigError(f"alpha must exceed 2, got {self.alpha}")
         if not 0 <= self.access_p <= 1:
             raise ConfigError(f"access_p must lie in [0, 1], got {self.access_p}")
-        if not self.theta > 0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not self.lambda_p > 0:
-            raise ConfigError(f"lambda_p must be positive, got {self.lambda_p}")
-        if not self.n_bar > 0:
-            raise ConfigError(f"n_bar must be positive, got {self.n_bar}")
-        for name in ("p_d", "p_b", "w_total"):
+        for name in ("theta", "sigma", "lambda_p", "n_bar", "p_d", "p_b", "w_total"):
             if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)

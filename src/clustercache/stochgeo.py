@@ -12,15 +12,16 @@ Rayleigh(sqrt(2)*sigma) draws).
 Numerical conventions
 ---------------------
 * Coverage probabilities (:func:`prob_rate_exceeds`,
-  :func:`d2d_coverage_conditional`) come from one table per
-  :class:`NetworkConfig`, built with fixed-order Gauss-Legendre panels:
-  serving distances r on [0, 14 sigma] with breaks where r, and where the
-  kernel knee theta**(1/alpha) * r, passes sigma, 2 sigma and 4 sigma; at
-  each r, log L_inter(r) and the intra-cluster integral I(r) with
-  L_intra = exp(-intensity * I). A coverage is the contraction
-  sum_r w(r) f_R(r) exp(log L_inter(r) - intensity * I(r)), so one table
-  serves P(R1 > R0) (intensity p*nbar) and every cluster size k
-  (intensity p*k).
+  :func:`d2d_coverage_conditional`) depend on sigma and lambda_p only
+  through the density lambda_p * sigma**2. They come from one table per
+  (alpha, theta, mu = p*nbar), built in units of sigma with fixed-order
+  Gauss-Legendre panels: serving distances r on [0, 14] with breaks where
+  r, and where the kernel knee theta**(1/alpha) * r, passes 1, 2 and 4;
+  at each r, log L_inter(r) per unit density and the intra-cluster
+  integral I(r) with L_intra = exp(-intensity * I). A coverage is the
+  contraction sum_r w(r) f_R(r) exp(density * log L_inter(r) - intensity
+  * I(r)), so one table serves every sigma and lambda_p, P(R1 > R0)
+  (intensity p*nbar) and every cluster size k (intensity p*k).
 * Tables are built on the same panels by a ladder of rules of rising
   order, ``_RULES``. A coverage is the value of the first rule that
   agrees with the rule below it within max(1e-9, 1e-7 * value); a
@@ -302,19 +303,18 @@ def _gl_rule(edges, n: int):
     return nodes.reshape(shape), (half[..., None] * _gl_nodes(n)[1]).reshape(shape)
 
 
-def _phi(s_sir, v, sigma: float, alpha: float, n: int):
-    """E[ s/(s + U^alpha) ] for U ~ Rice(v, sigma), with s = theta*r^alpha.
+def _phi(s_sir, v, alpha: float, n: int):
+    """E[ s/(s + U^alpha) ] for U ~ Rice(v, 1), with s = theta*r^alpha.
 
     ``s_sir`` and ``v`` (non-negative) broadcast against each other. The
-    Rice mass lives in a +/- 12 sigma window around v; the kernel
-    transitions around u = s**(1/alpha), so the window is split there (at
-    its midpoint when the knee lies outside) and each half gets an n-point
-    rule.
+    Rice mass lives in a +/- 12 window around v; the kernel transitions
+    around u = s**(1/alpha), so the window is split there (at its midpoint
+    when the knee lies outside) and each half gets an n-point rule.
     """
     s_sir, v = np.broadcast_arrays(np.asarray(s_sir, dtype=float),
                                    np.asarray(v, dtype=float))
-    lo = np.maximum(0.0, v - _RICE_WINDOW * sigma)
-    hi = v + _RICE_WINDOW * sigma
+    lo = np.maximum(0.0, v - _RICE_WINDOW)
+    hi = v + _RICE_WINDOW
     knee = s_sir ** (1.0 / alpha)
     split = np.where((lo < knee) & (knee < hi), knee, 0.5 * (lo + hi))
     u, half = _gl_panels(np.stack([lo, split, hi], axis=-1), n)
@@ -322,33 +322,34 @@ def _phi(s_sir, v, sigma: float, alpha: float, n: int):
     f = u**alpha  # s/(s + u**alpha), in place
     f += s_sir
     np.divide(s_sir, f, out=f)
-    f *= _rice_pdf(u, v[..., None, None], sigma)
+    f *= _rice_pdf(u, v[..., None, None], 1.0)
     return ((f @ _gl_nodes(n)[1]) * half).sum(axis=-1)
 
 
 class _RuleTable(NamedTuple):
-    """One quadrature rule tabulated over the serving distance r."""
+    """One quadrature rule tabulated over the serving distance r/sigma."""
 
     weights: np.ndarray  # w(r) * f_R(r)
-    log_inter: np.ndarray  # log L_inter(theta * r**alpha)
+    log_inter: np.ndarray  # log L_inter(theta * r**alpha) / (lambda_p sigma**2)
     intra: np.ndarray  # I(r), with L_intra = exp(-intensity * I(r))
 
-    def coverage(self, intensity: float) -> float:
-        return float(self.weights @ np.exp(self.log_inter - intensity * self.intra))
+    def coverage(self, density: float, intensity: float) -> float:
+        """The contraction at ``density`` = lambda_p sigma**2."""
+        exponent = density * self.log_inter - intensity * self.intra
+        return float(self.weights @ np.exp(exponent))
 
 
-def _log_inter(s_sir: np.ndarray, cfg: NetworkConfig, n_t: int, n_u: int) -> np.ndarray:
-    """log L_inter at each SIR argument.
+def _log_inter(s_sir: np.ndarray, alpha: float, mu: float, n_t: int, n_u: int):
+    """log L_inter / (lambda_p sigma**2) at each SIR argument, with sigma = 1.
 
-    log L_inter(s) = -2 pi lambda_p Int_0^inf (1 - exp(-p nbar phi(s, v))) v dv
-    with phi the Rice-averaged fading kernel, the integral mapped to (0, 1)
-    through v = c*t/(1-t) with c = s**(1/alpha) + 13 sigma.
+    -2 pi Int_0^inf (1 - exp(-mu phi(s, v))) v dv with phi the
+    Rice-averaged fading kernel and mu = p nbar, the integral mapped to
+    (0, 1) through v = c*t/(1-t) with c = s**(1/alpha) + 13.
     """
-    sigma, alpha = cfg.sigma, cfg.alpha
     knee = s_sir ** (1.0 / alpha)
-    scale = knee + 13.0 * sigma
-    # Breaks at v = sigma, knee and knee + 13 sigma (t = 1/2) of v = c*t/(1-t).
-    t_sigma, t_knee = sigma / (scale + sigma), knee / (scale + knee)
+    scale = knee + 13.0
+    # Breaks at v = 1, knee and knee + 13 (t = 1/2) of v = c*t/(1-t).
+    t_sigma, t_knee = 1.0 / (scale + 1.0), knee / (scale + knee)
     edges = np.stack([np.zeros_like(knee), np.minimum(t_sigma, t_knee),
                       np.maximum(t_sigma, t_knee), np.full_like(knee, 0.5),
                       np.ones_like(knee)], axis=-1)
@@ -356,60 +357,58 @@ def _log_inter(s_sir: np.ndarray, cfg: NetworkConfig, n_t: int, n_u: int) -> np.
     scale = scale[:, None]
     v = scale * t / (1.0 - t)
     w *= scale / (1.0 - t) ** 2 * v
-    phi = _phi(s_sir[:, None], v, sigma, alpha, n_u)
-    exponent = (w * -np.expm1(-cfg.access_p * cfg.n_bar * phi)).sum(axis=-1)
-    return -2.0 * math.pi * cfg.lambda_p * exponent
+    phi = _phi(s_sir[:, None], v, alpha, n_u)
+    return -2.0 * math.pi * (w * -np.expm1(-mu * phi)).sum(axis=-1)
 
 
-def _intra_integral(s_sir: np.ndarray, sigma: float, alpha: float, n: int) -> np.ndarray:
+def _intra_integral(s_sir: np.ndarray, alpha: float, n: int) -> np.ndarray:
     """I at each SIR argument: I(s) = E[s/(s + H**alpha)] with H the
-    Rayleigh(sqrt(2)*sigma) interferer distance, cut at 14 sigma."""
-    hi = _RAYLEIGH_CUTOFF * sigma
+    Rayleigh(sqrt(2)) interferer distance, cut at 14."""
+    hi = _RAYLEIGH_CUTOFF
     knee = np.minimum(s_sir ** (1.0 / alpha), hi)
-    edges = np.stack([np.zeros_like(knee), np.minimum(knee, sigma),
-                      np.maximum(knee, sigma), np.full_like(knee, hi)], axis=-1)
+    edges = np.stack([np.zeros_like(knee), np.minimum(knee, 1.0),
+                      np.maximum(knee, 1.0), np.full_like(knee, hi)], axis=-1)
     h, w = _gl_rule(edges, n)
     s_sir = s_sir[:, None]
-    return (w * s_sir / (s_sir + h**alpha) * serving_distance_pdf(h, sigma)).sum(axis=-1)
-
-
-def _rule_table(cfg: NetworkConfig, rule) -> _RuleTable:
-    n_r, n_t, n_u = rule
-    sigma, alpha = cfg.sigma, cfg.alpha
-    # Panels break where r, and where the kernel knee theta**(1/alpha) * r,
-    # passes sigma, 2 sigma and 4 sigma; at large theta the coverage
-    # integrand lives on the second, much shorter scale.
-    cut = _RAYLEIGH_CUTOFF * sigma
-    breaks = sigma * np.array([1.0, 2.0, 4.0])
-    breaks = np.concatenate([breaks, breaks * cfg.theta ** (-1.0 / alpha)])
-    r, w = _gl_rule(sorted({0.0, cut, *breaks[breaks < cut]}), n_r)
-    s_sir = cfg.theta * r**alpha
-    # The Rice kernel of one serving distance spans 4 t panels x 2 u panels.
-    chunk = max(1, _CHUNK_DOUBLES // (8 * n_t * n_u))
-    log_inter = np.concatenate([
-        _log_inter(s_sir[i:i + chunk], cfg, n_t, n_u)
-        for i in range(0, r.size, chunk)
-    ])
-    return _RuleTable(w * serving_distance_pdf(r, sigma), log_inter,
-                      _intra_integral(s_sir, sigma, alpha, n_u))
+    return (w * s_sir / (s_sir + h**alpha) * serving_distance_pdf(h, 1.0)).sum(axis=-1)
 
 
 @lru_cache(maxsize=1024)
-def _coverage_table(cfg: NetworkConfig, level: int) -> _RuleTable:
-    """The table of rule ``_RULES[level]``."""
-    table = _rule_table(cfg, _RULES[level])
+def _coverage_table(alpha: float, theta: float, mu: float, level: int) -> _RuleTable:
+    """The table of rule ``_RULES[level]``, in units of sigma: it serves
+    every sigma, lambda_p, power and bandwidth of its (alpha, theta, mu)."""
+    n_r, n_t, n_u = _RULES[level]
+    # Panels break where r, and where the kernel knee theta**(1/alpha) * r,
+    # passes 1, 2 and 4; at large theta the coverage integrand lives on the
+    # second, much shorter scale.
+    breaks = np.array([1.0, 2.0, 4.0])
+    breaks = np.concatenate([breaks, breaks * theta ** (-1.0 / alpha)])
+    cut = _RAYLEIGH_CUTOFF
+    r, w = _gl_rule(sorted({0.0, cut, *breaks[breaks < cut]}), n_r)
+    s_sir = theta * r**alpha
+    # The Rice kernel of one serving distance spans 4 t panels x 2 u panels.
+    chunk = max(1, _CHUNK_DOUBLES // (8 * n_t * n_u))
+    log_inter = np.concatenate([
+        _log_inter(s_sir[i:i + chunk], alpha, mu, n_t, n_u)
+        for i in range(0, r.size, chunk)
+    ])
+    table = _RuleTable(w * serving_distance_pdf(r, 1.0), log_inter,
+                       _intra_integral(s_sir, alpha, n_u))
     for array in table:
         if not np.isfinite(array).all():
-            raise NumericFailure(f"coverage table for {cfg} has non-finite entries")
+            raise NumericFailure(f"coverage table (alpha, theta, mu) = "
+                                 f"{(alpha, theta, mu)} has non-finite entries")
         array.setflags(write=False)  # shared by every caller through the cache
     return table
 
 
 def _coverage(cfg: NetworkConfig, intensity: float, what: str) -> float:
     """Serving-distance average of L_inter * L_intra at ``intensity``."""
-    high = _coverage_table(cfg, 0).coverage(intensity)
+    key = (cfg.alpha, cfg.theta, cfg.access_p * cfg.n_bar)
+    density = cfg.lambda_p * cfg.sigma**2
+    high = _coverage_table(*key, 0).coverage(density, intensity)
     for level in range(1, len(_RULES)):
-        low, high = high, _coverage_table(cfg, level).coverage(intensity)
+        low, high = high, _coverage_table(*key, level).coverage(density, intensity)
         tol = max(ATOL, RTOL * abs(high))
         if abs(high - low) <= tol:
             return high

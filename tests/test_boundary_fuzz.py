@@ -51,30 +51,38 @@ _DB_OUT_OF_RANGE = st.floats(min_value=3200.0) | _at_most(-3400.0)
 _NON_INTEGRAL = st.floats(min_value=1.0, max_value=1e6).filter(
     lambda x: not x.is_integer())
 
-# Scenario-file keys (section, key) and their out-of-range or non-integral
-# values.
+# Values a scenario file may hold where a number is wanted that are no
+# number: a bool (YAML true/yes; Python counts it as an int) or a quoted
+# number.
+_NOT_A_NUMBER = (st.booleans() | st.integers(min_value=0).map(str)
+                 | st.floats().map(str))
+
+# Scenario-file keys (section, key) and their out-of-range, non-integral or
+# non-numeric values.
 SCENARIO_OUT_OF_RANGE = {
-    ("network", "lambda_p_per_km2"): _at_most(0.0),
-    ("network", "n_bar"): _at_most(0.0),
-    ("network", "sigma_m"): _at_most(0.0),
-    ("network", "alpha"): _at_most(2.0),
-    ("network", "theta_db"): _DB_OUT_OF_RANGE,
-    ("network", "p_d_dbm"): _DB_OUT_OF_RANGE,
-    ("network", "p_b_dbm"): _DB_OUT_OF_RANGE,
-    ("network", "w_total_mhz"): _at_most(0.0),
-    ("network", "access_p"): _outside_unit_interval(),
-    ("library", "n_files"): st.integers(max_value=10) | _NON_INTEGRAL,
-    ("library", "beta"): _below(0.0),
-    ("library", "mean_size_mbits"): _at_most(0.0),
+    ("network", "lambda_p_per_km2"): _at_most(0.0) | _NOT_A_NUMBER,
+    ("network", "n_bar"): _at_most(0.0) | _NOT_A_NUMBER,
+    ("network", "sigma_m"): _at_most(0.0) | _NOT_A_NUMBER,
+    ("network", "alpha"): _at_most(2.0) | _NOT_A_NUMBER,
+    ("network", "theta_db"): _DB_OUT_OF_RANGE | _NOT_A_NUMBER,
+    ("network", "p_d_dbm"): _DB_OUT_OF_RANGE | _NOT_A_NUMBER,
+    ("network", "p_b_dbm"): _DB_OUT_OF_RANGE | _NOT_A_NUMBER,
+    ("network", "w_total_mhz"): _at_most(0.0) | _NOT_A_NUMBER,
+    ("network", "access_p"): _outside_unit_interval() | _NOT_A_NUMBER,
+    ("library", "n_files"): st.integers(max_value=10) | _NON_INTEGRAL | _NOT_A_NUMBER,
+    ("library", "beta"): _below(0.0) | _NOT_A_NUMBER,
+    ("library", "mean_size_mbits"): _at_most(0.0) | _NOT_A_NUMBER,
     ("library", "cache_size"): (st.integers(max_value=0) | st.integers(min_value=500)
-                                | _NON_INTEGRAL),
-    ("offload", "r0_over_w1"): _below(0.0),
-    ("energy", "bandwidth_fraction"): _at_most(0.0) | st.floats(min_value=1.0),
-    ("delay", "k"): st.integers(max_value=0) | _NON_INTEGRAL,
-    ("delay", "zeta_tot"): _below(0.0),
-    ("delay", "restarts"): st.integers(max_value=0) | _NON_INTEGRAL,
-    (None, "mc_trials"): st.integers(max_value=0) | _NON_INTEGRAL,
-    (None, "seed"): st.integers(max_value=-1) | _NON_INTEGRAL,
+                                | _NON_INTEGRAL | _NOT_A_NUMBER),
+    ("offload", "r0_over_w1"): _below(0.0) | _NOT_A_NUMBER,
+    ("energy", "bandwidth_fraction"): (_at_most(0.0) | st.floats(min_value=1.0)
+                                       | _NOT_A_NUMBER),
+    ("delay", "k"): st.integers(max_value=0) | _NON_INTEGRAL | _NOT_A_NUMBER,
+    ("delay", "zeta_tot"): _below(0.0) | _NOT_A_NUMBER,
+    ("delay", "restarts"): st.integers(max_value=0) | _NON_INTEGRAL | _NOT_A_NUMBER,
+    (None, "mc_trials"): st.integers(max_value=0) | _NON_INTEGRAL | _NOT_A_NUMBER,
+    (None, "seed"): st.integers(max_value=-1) | _NON_INTEGRAL | _NOT_A_NUMBER,
+    ("sweep", "grid"): st.text(alphabet="0123456789.", min_size=1) | _NOT_A_NUMBER,
 }
 
 

@@ -203,6 +203,42 @@ class TestScenarioValidation:
                                              sc.bcd_restarts, sc.lib.n_files,
                                              sc.lib.cache_size))
 
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "mc_trials", True),
+        ("network", "sigma_m", True),
+        ("network", "access_p", True),
+        (None, "mc_trials", "2000"),
+        ("sweep", "grid", "12"),
+        ("sweep", "grid", [0.5, True]),
+    ])
+    def test_non_numbers_rejected(self, tmp_path, capsys, section, key, value):
+        # YAML reads true/yes as a bool, which Python counts as the int 1,
+        # and a quoted number as a string; neither may load as a number.
+        mapping = scenario_to_mapping(default_table1())
+        (mapping[section] if section else mapping)[key] = value
+        name = f"{section}.{key}" if section else key
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match=f"{name} must be a"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_tasks_must_be_a_list(self, tmp_path):
+        mapping = scenario_to_mapping(default_table1())
+        mapping["tasks"] = "validate"  # not the tasks 'v', 'a', 'l', ...
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match="tasks must be a list, got 'validate'"):
+            load_scenario(path)
+
+    def test_automatic_access_probability_loads(self, tmp_path):
+        mapping = scenario_to_mapping(default_table1())
+        mapping["network"]["access_p"] = "auto"
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert load_scenario(path).cfg == default_table1().cfg
+
     @pytest.mark.parametrize("variable, value, field, expected", [
         ("sigma", 25.0, "sigma", 25.0),
         ("lambda_p", 30.0, "lambda_p", 30.0 * 1e-6),  # clusters/km^2
@@ -296,6 +332,9 @@ class TestRunScenario:
 
     def test_offload_and_energy_summary_diagnostics(self, tmp_path):
         sc = _tiny_scenario(tmp_path, tasks=("offload", "energy"), grid=(0.5, 1.0))
+        for fn in (stochgeo._coverage_table, stochgeo.prob_rate_exceeds,
+                   stochgeo.d2d_coverage_conditional):
+            fn.cache_clear()  # count every table the run builds
         assert run_scenario(sc) == 0
         out = tmp_path / "out"
         assert (out / "table1_offload.csv").read_text().splitlines()[1] == (
@@ -306,17 +345,23 @@ class TestRunScenario:
         offload = summary["tasks"]["offload"]["point_diagnostics"]
         energy = summary["tasks"]["energy"]["point_diagnostics"]
         assert len(offload) == len(energy) == len(sc.grid)
+        # A beta sweep keeps one (alpha, theta, p*nbar): its first point
+        # builds the two lowest rules of the ladder, and no later point of
+        # either task builds a table.
+        builds = [point["table_builds"] for point in offload + energy]
+        assert builds == [2] + [0] * (len(builds) - 1)
+        assert sum(builds) == stochgeo._coverage_table.cache_info().misses
         mixture = list(optimize._poisson_weights(sc.cfg.n_bar))
-        for value, point in zip(sc.grid, offload):
-            assert set(point) == {"kkt_iterations", "multiplier"}
+        for value, point, built in zip(sc.grid, offload, builds):
+            assert set(point) == {"kkt_iterations", "multiplier", "table_builds"}
             cfg, lib = cli._apply_sweep(sc, value)
             prob = stochgeo.prob_rate_exceeds(cfg, sc.r0_over_w1).value
             sol = optimize.optimize_offloading(cfg, lib, prob)
             assert point == {"kkt_iterations": sol.iterations,
-                             "multiplier": sol.multiplier}
+                             "multiplier": sol.multiplier, "table_builds": built}
             assert 0 < point["kkt_iterations"] < optimize._MULTIPLIER_ITERATIONS
         for point in energy:
-            assert set(point) == {"kkt_iterations", "degenerate"}
+            assert set(point) == {"kkt_iterations", "degenerate", "table_builds"}
             # Only k = 1 (no D2D partner) takes the top-M vertex here; every
             # other k of the Poisson mixture runs the multiplier search.
             assert point["degenerate"] == 1

@@ -270,12 +270,19 @@ ENGINE_CONFIGS = {
 STRESS = dict(sigma=50.0, lambda_p=200e-6)
 
 
-@pytest.fixture()
-def fresh_coverage_caches():
-    # Tables built under patched rules must not leak into later tests.
-    yield
+def _clear_coverage_caches():
     for fn in (stochgeo._coverage_table, prob_rate_exceeds, d2d_coverage_conditional):
         fn.cache_clear()
+
+
+@pytest.fixture()
+def fresh_coverage_caches():
+    # Tables are shared by every config with the same (alpha, theta, p*nbar):
+    # a test must not read tables built before it, and tables built under
+    # patched rules must not leak into later tests.
+    _clear_coverage_caches()
+    yield
+    _clear_coverage_caches()
 
 
 class TestCoverageEngine:
@@ -287,13 +294,50 @@ class TestCoverageEngine:
         assert abs(got - expected) <= max(1e-9, 1e-7 * expected)
 
     def test_one_table_serves_every_coverage(self, table1_cfg):
-        cfg = replace(table1_cfg, sigma=17.25)
+        cfg = replace(table1_cfg, n_bar=5.75)  # a (alpha, theta, p*nbar) no test uses
         misses = stochgeo._coverage_table.cache_info().misses
         prob_rate_exceeds(cfg, 0.1)
         for k in range(1, 13):
             d2d_coverage_conditional(cfg, k)
         # The two lowest rules of the ladder, built once each.
         assert stochgeo._coverage_table.cache_info().misses == misses + 2
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 3.0, 7.3])
+    def test_invariant_under_sigma_lambda_scaling(self, table1_cfg, c):
+        # sigma -> c sigma, lambda_p -> lambda_p / c**2 keeps lambda_p sigma**2.
+        scaled = replace(table1_cfg, sigma=c * table1_cfg.sigma,
+                         lambda_p=table1_cfg.lambda_p / c**2)
+        for coverage in (lambda cfg: prob_rate_exceeds(cfg, 0.1),
+                         lambda cfg: d2d_coverage_conditional(cfg, 5)):
+            assert coverage(scaled).value == pytest.approx(
+                coverage(table1_cfg).value, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("field, values", [
+        ("sigma", (5.0, 10.0, 20.0, 30.0, 40.0)),
+        ("lambda_p", (5e-6, 10e-6, 20e-6, 40e-6, 80e-6)),
+    ])
+    def test_sweep_builds_the_tables_of_one_point(self, table1_cfg, field, values,
+                                                  fresh_coverage_caches):
+        def builds(points):
+            _clear_coverage_caches()
+            for cfg in points:
+                prob_rate_exceeds(cfg, 0.1)
+                d2d_coverage_conditional(cfg, 5)
+            return stochgeo._coverage_table.cache_info().misses
+
+        sweep = [replace(table1_cfg, **{field: v}) for v in values]
+        assert builds(sweep) == max(builds([cfg]) for cfg in sweep)
+
+    def test_powers_and_bandwidth_build_nothing(self, table1_cfg,
+                                                fresh_coverage_caches):
+        expected = (prob_rate_exceeds(table1_cfg, 0.1),
+                    d2d_coverage_conditional(table1_cfg, 5))
+        misses = stochgeo._coverage_table.cache_info().misses
+        for field, value in (("p_d", 1.0), ("p_b", 100.0), ("w_total", 10e6)):
+            cfg = replace(table1_cfg, **{field: value})
+            assert (prob_rate_exceeds(cfg, 0.1),
+                    d2d_coverage_conditional(cfg, 5)) == expected
+        assert stochgeo._coverage_table.cache_info().misses == misses
 
     def test_stress_config_escalates(self, table1_cfg, fresh_coverage_caches,
                                      monkeypatch):
@@ -302,16 +346,17 @@ class TestCoverageEngine:
         table = stochgeo._coverage_table
         table.cache_clear()  # count the builds of this config
 
-        def recording(cfg, level):
+        def recording(alpha, theta, mu, level):
             levels.append(level)
-            return table(cfg, level)
+            return table(alpha, theta, mu, level)
 
         monkeypatch.setattr(stochgeo, "_coverage_table", recording)
         intensity = cfg.access_p * cfg.n_bar
         value = stochgeo._coverage(cfg, intensity, "stress")
         assert levels == [0, 1, 2]
         assert table.cache_info().misses == 3
-        assert value == table(cfg, 2).coverage(intensity)
+        key = (cfg.alpha, cfg.theta, intensity)
+        assert value == table(*key, 2).coverage(cfg.lambda_p * cfg.sigma**2, intensity)
 
     def test_disagreeing_rules_raise(self, table1_cfg, monkeypatch,
                                      fresh_coverage_caches):
@@ -324,7 +369,7 @@ class TestCoverageEngine:
     def test_non_finite_table_raises(self, table1_cfg, monkeypatch,
                                      fresh_coverage_caches):
         monkeypatch.setattr(stochgeo, "_log_inter",
-                            lambda s_sir, cfg, n_t, n_u: np.full(s_sir.shape, np.nan))
+                            lambda s_sir, alpha, mu, n_t, n_u: np.full(s_sir.shape, np.nan))
         with pytest.raises(NumericFailure, match="non-finite"):
             d2d_coverage_conditional(replace(table1_cfg, sigma=23.5), 3)
 
