@@ -32,7 +32,9 @@ from .montecarlo import (
     McEstimate,
     mc_coverage_conditional,
     mc_coverage_single_link,
+    mc_coverage_single_link_points,
     mc_prob_rate_exceeds,
+    mc_prob_rate_exceeds_points,
 )
 from .optimize import (
     BandwidthAllocation,

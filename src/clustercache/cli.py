@@ -306,6 +306,8 @@ def _parse_scenario(raw: dict, default_name: str) -> Scenario:
         )
     except KeyError as exc:
         raise ConfigError(f"scenario file is missing key {exc}") from exc
+    except ConfigError:
+        raise  # a ValueError too, but it already says what is wrong
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario value: {exc}") from exc
 
@@ -440,7 +442,8 @@ def _validate_rows(scenario: Scenario) -> list:
 
     Each row carries diagnostics for ``_summary.json``: the wall times of
     its analytic and Monte Carlo computations (None where the row makes
-    none of its own), the trials behind ``mc_mean`` and trials per second.
+    none of its own; a family's simulation is timed on its first row),
+    the trials behind ``mc_mean`` and trials per second.
     """
     cfg = scenario.cfg
     trials = scenario.mc_trials
@@ -468,27 +471,34 @@ def _validate_rows(scenario: Scenario) -> list:
             },
         })
 
-    for sigma in (10.0, 20.0, 30.0):
-        for theta_db in (0.0, 3.0):
-            point = replace(cfg, sigma=sigma, theta=_db_to_linear(theta_db))
-            tag = f"prob_rate_exceeds sigma={sigma:g} theta_db={theta_db:g}"
-            analytic, analytic_s = _timed(stochgeo.prob_rate_exceeds, point,
-                                          scenario.r0_over_w1)
-            mc, mc_s = _timed(montecarlo.mc_prob_rate_exceeds, point,
-                              scenario.r0_over_w1, trials,
-                              _point_seed(scenario.seed, tag))
+    def add_family(name, tagged, simulate, analytic_fn):
+        # One simulation on one network draw serves the family's points
+        # (they share alpha, access_p and n_bar); its first row carries
+        # the simulation's wall time.
+        estimates, mc_s = _timed(simulate, [point for _, point in tagged],
+                                 _point_seed(scenario.seed, name))
+        for i, ((tag, point), mc) in enumerate(zip(tagged, estimates)):
+            analytic, analytic_s = _timed(analytic_fn, point)
             add(tag, analytic.value, mc.mean, mc.half_width_95, 0.02,
-                analytic_s, mc_s, trials)
+                analytic_s, None if i else mc_s, trials)
 
-    for sigma in (10.0, 20.0, 30.0):
-        for lam_km2 in (10.0, 20.0):
-            point = replace(cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)
-            tag = f"single_link sigma={sigma:g} lambda_p_per_km2={lam_km2:g}"
-            analytic, analytic_s = _timed(stochgeo.d2d_coverage_single_link, point)
-            mc, mc_s = _timed(montecarlo.mc_coverage_single_link, point, trials,
-                              _point_seed(scenario.seed, tag))
-            add(tag, analytic.value, mc.mean, mc.half_width_95, 0.02,
-                analytic_s, mc_s, trials)
+    r0 = scenario.r0_over_w1
+    add_family(
+        "prob_rate_exceeds",
+        [(f"prob_rate_exceeds sigma={sigma:g} theta_db={theta_db:g}",
+          replace(cfg, sigma=sigma, theta=_db_to_linear(theta_db)))
+         for sigma in (10.0, 20.0, 30.0) for theta_db in (0.0, 3.0)],
+        lambda points, seed: montecarlo.mc_prob_rate_exceeds_points(
+            points, r0, trials, seed),
+        lambda point: stochgeo.prob_rate_exceeds(point, r0))
+    add_family(
+        "single_link",
+        [(f"single_link sigma={sigma:g} lambda_p_per_km2={lam_km2:g}",
+          replace(cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6))
+         for sigma in (10.0, 20.0, 30.0) for lam_km2 in (10.0, 20.0)],
+        lambda points, seed: montecarlo.mc_coverage_single_link_points(
+            points, trials, seed),
+        stochgeo.d2d_coverage_single_link)
 
     # Hand-derived reference: theta=1, alpha=4, sigma=10 m, 20 clusters/km^2
     # gives 1/(1 + 400 pi * 2e-5 * pi/2) ~= 0.962.

@@ -7,16 +7,17 @@ threshold crossings. Nothing here shares code with the quadrature path.
 
 Construction per trial (typical receiver at the origin):
 
-* the representative cluster center is Gaussian-displaced from the
-  origin and the serving device is Gaussian-displaced from the center,
-  so the serving distance is Rayleigh(sqrt(2)*sigma);
+* the representative cluster is drawn in units of sigma: its center is
+  a standard normal vector from the origin and the serving device a
+  standard normal vector from the center, so the serving distance is
+  sigma times a Rayleigh(sqrt(2)) variate;
 * remote cluster centers form a Poisson process in a disk whose radius
   R defaults to max(15*sigma, 5/sqrt(pi*lambda_p)) (631 m on Table 1).
   Leaving out the clusters beyond R biases every coverage estimate
   upward, by at most theta E[r**alpha] 2 pi lambda_p mu R**(2-alpha) /
   (alpha-2) with mu = p*n_bar (E[r**4] = 32 sigma**4 at alpha = 4). The
   bias is within noise at sigma = 10 m but not at sigma = 30 m, theta =
-  3 dB: with 4e5 trials and seed 11, P(R1 > R0) reads 0.62699 at 631 m
+  3 dB: with 4e5 trials and seed 11, P(R1 > R0) read 0.62699 at 631 m
   against 0.62482 at 4 km, about 2.8 standard errors (the bound gives
   4.1e-3). ROADMAP.md ("Monte Carlo without truncation bias") plans its
   removal;
@@ -37,14 +38,42 @@ Construction per trial (typical receiver at the origin):
   coverage invert the same uniform and share their members (the smaller
   count takes a prefix of the larger), so the two models differ only
   where their laws do;
-* each remote center is drawn at radius R*sqrt(U) on the +x axis. The
-  interference at the origin depends only on the members' distances,
-  member offsets are i.i.d. isotropic Gaussians and clusters are
-  independent, so rotating each remote cluster about the origin leaves
-  the law of the interference unchanged and the angle need not be drawn;
+* each remote center is drawn at a uniform-area radius on the +x axis.
+  The interference at the origin depends only on the members'
+  distances, member offsets are i.i.d. isotropic Gaussians and clusters
+  are independent, so rotating each remote cluster about the origin
+  leaves the law of the interference unchanged and the angle need not
+  be drawn;
 * every active transmitter fades independently; a contribution is
   fade * d2**(-alpha/2) with d2 the squared distance, so no square root
   is taken.
+
+One simulation serves a *family* of points that share alpha, access_p
+and n_bar (hence mu) and may differ in sigma, theta and lambda_p:
+
+* the plane is split into annuli between the points' distinct disk
+  radii, and the density into layers between their distinct lambda_p.
+  Each (annulus, layer) cell is an independent Poisson field of active
+  clusters, of intensity the layer's width times (1 - exp(-mu)) (the
+  width alone for the single link). A
+  point takes the cells inside its radius and below its density; by the
+  restriction and superposition theorems those cells form exactly its
+  own remote field (intensity lambda_p on its own disk);
+* member offsets are standard normal vectors scaled by each point's
+  sigma: a member of a center at distance c lies at squared distance
+  (c + sigma z_x)**2 + (sigma z_y)**2, one set of offsets and fades for
+  every sigma. With everything in units of sigma, SIR > theta reads
+  s1 > theta (L1 + sigma**alpha I_remote(sigma)), where s1 and L1 are
+  the representative cluster's signal and interference in units of
+  sigma. Their law depends on alpha and mu alone, so the representative
+  cluster is drawn once for the whole family;
+* each point's estimate therefore has exactly the law of its one-point
+  simulation; only the correlation between the points' estimates, which
+  share their draws, is new. A one-point family is the one-point
+  simulation;
+* cells are drawn and scored one at a time and then freed, so a family
+  holds one cell's members at a time plus one batch-length field per
+  distinct (sigma, radius, lambda_p).
 
 Trials are processed in fixed-size batches; each batch draws its own
 SFC64 generator, spawned from ``SeedSequence(seed)``, so estimates are
@@ -68,8 +97,10 @@ __all__ = [
     "ConditionalCoveragePair",
     "default_region_radius",
     "mc_prob_rate_exceeds",
+    "mc_prob_rate_exceeds_points",
     "mc_coverage_conditional",
     "mc_coverage_single_link",
+    "mc_coverage_single_link_points",
 ]
 
 _BATCH = 10_000
@@ -165,53 +196,71 @@ def _binomial_cdf(n: int, p: float) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _member_interference(rng, cfg: NetworkConfig, owner: np.ndarray,
+def _member_interference(rng, alpha: float, owner: np.ndarray,
                          cx: np.ndarray, cy: np.ndarray | None,
-                         active: np.ndarray | None, n: int) -> np.ndarray:
-    """Unit-power interference of the active cluster members, per trial.
+                         active: np.ndarray | None, n: int,
+                         scales) -> np.ndarray:
+    """Interference of the active cluster members, per trial, one row per
+    offset scale s in ``scales``, in units of s.
 
     Cluster j belongs to trial ``owner[j]``, has its center at
     (``cx[j]``, ``cy[j]``) (on the x axis when ``cy`` is None) and
-    ``active[j]`` active members (exactly one when ``active`` is None),
-    each Gaussian-displaced from the center with independent unit-mean
-    exponential fading.
+    ``active[j]`` active members (exactly one when ``active`` is None).
+    Each member lies s times a standard normal vector from its center and
+    fades independently with unit mean; row s sums fade * (d/s)**-alpha,
+    which is s**alpha times the unit-power interference. Every row shares
+    the offsets and fades.
     """
     if active is not None:
         owner, cx = np.repeat(owner, active), np.repeat(cx, active)
         cy = None if cy is None else np.repeat(cy, active)
+    z = rng.standard_normal((2, owner.size))
+    fade = rng.standard_exponential(owner.size)
     # In place: allocating fresh arrays of a batch's size costs about a
     # third of the kernel.
-    xy = rng.normal(0.0, cfg.sigma, (2, owner.size))
-    xy[0] += cx
-    if cy is not None:
-        xy[1] += cy
-    xy *= xy
-    d2 = xy[0]
-    d2 += xy[1]
-    contrib = np.power(d2, -0.5 * cfg.alpha, out=d2)
-    contrib *= rng.standard_exponential(owner.size)
-    return np.bincount(owner, weights=contrib, minlength=n)
+    d2, y2 = np.empty(owner.size), np.empty(owner.size)
+    if cy is None:
+        np.square(z[1], out=y2)
+    fields = np.empty((len(scales), n))
+    for field, scale in zip(fields, scales):
+        if cy is not None:
+            np.divide(cy, scale, out=y2)
+            y2 += z[1]
+            y2 *= y2
+        np.divide(cx, scale, out=d2)
+        d2 += z[0]
+        d2 *= d2
+        d2 += y2
+        np.power(d2, -0.5 * alpha, out=d2)
+        d2 *= fade
+        field[:] = np.bincount(owner, weights=d2, minlength=n)
+    return fields
 
 
-def _remote_interference(rng, cfg: NetworkConfig, n: int, radius: float,
-                         single_link: bool) -> np.ndarray:
-    """Unit-power interference from all remote clusters, per trial.
+def _remote_interference(rng, n: int, alpha: float, mu: float,
+                         single_link: bool, annulus: tuple, layer: tuple,
+                         sigmas) -> np.ndarray:
+    """Interference from the remote clusters of one cell, per trial, one
+    row per sigma in ``sigmas``, in units of that sigma.
 
+    The cell holds the clusters with centers in the ``annulus`` (inner,
+    outer) radii and density in the ``layer`` (low, high) of lambda_p.
     Only clusters with an active member are drawn (single link: every
     cluster, with its one member). Centers lie on the +x axis; the module
     docstring explains why both leave the law of the interference
     unchanged.
     """
-    area = cfg.lambda_p * math.pi * radius**2
-    mu = cfg.access_p * cfg.n_bar
-    rate = area if single_link else -area * math.expm1(-mu)
+    inner, outer = annulus
+    rate = (layer[1] - layer[0]) * math.pi * (outer**2 - inner**2)
+    if not single_link:
+        rate *= -math.expm1(-mu)
     owner = np.repeat(np.arange(n), rng.poisson(rate, n))
-    cx = radius * np.sqrt(rng.random(owner.size))
+    cx = np.sqrt(inner**2 + (outer**2 - inner**2) * rng.random(owner.size))
     active = None
     if not single_link:
         u = rng.random(owner.size)
         active = 1 + np.searchsorted(_poisson_cdf(mu, 1), u, side="right")
-    return _member_interference(rng, cfg, owner, cx, None, active, n)
+    return _member_interference(rng, alpha, owner, cx, None, active, n, sigmas)
 
 
 def _local_counts(rng, cdfs: tuple, n: int) -> np.ndarray:
@@ -225,11 +274,12 @@ def _local_counts(rng, cdfs: tuple, n: int) -> np.ndarray:
     return np.array([np.searchsorted(cdf, u, side="right") for cdf in cdfs])
 
 
-def _local_interference(rng, cfg: NetworkConfig, centers: np.ndarray,
+def _local_interference(rng, alpha: float, centers: np.ndarray,
                         counts: np.ndarray) -> np.ndarray:
-    """Unit-power interference from the representative cluster, one row
-    per row of ``counts``.
+    """Unit-power interference from the representative cluster, in units
+    of sigma, one row per row of ``counts``.
 
+    ``centers`` is the cluster center of each trial in units of sigma.
     The rows share their members: row i sums the first ``counts[i]``
     members of each trial. Members are drawn in layers between
     consecutive sorted counts, and each row takes the layers up to its
@@ -239,39 +289,96 @@ def _local_interference(rng, cfg: NetworkConfig, centers: np.ndarray,
     fields = np.zeros(counts.shape)
     below = np.zeros(n, dtype=counts.dtype)
     for level in np.sort(counts, axis=0):
-        layer = _member_interference(rng, cfg, np.arange(n), centers[:, 0],
-                                     centers[:, 1], level - below, n)
+        (layer,) = _member_interference(rng, alpha, np.arange(n), centers[:, 0],
+                                        centers[:, 1], level - below, n, (1.0,))
         fields += np.where(counts >= level, layer, 0.0)
         below = level
     return fields
 
 
-def _sir_hits(cfg: NetworkConfig, trials: int, seed: int, local_cdfs: tuple,
-              single_link: bool, region_radius: float | None) -> list:
-    """Covered-trial counts, one per local-count CDF table in ``local_cdfs``.
+def _cells(fields: list) -> list:
+    """The annulus x density-layer cells that some remote field takes.
 
-    The serving link and the remote field are drawn once per trial and
-    shared by every table, and the tables' local fields share their
-    members (common random numbers).
+    ``fields`` holds distinct (sigma, radius, lambda_p) triples. Annuli
+    lie between consecutive distinct radii and layers between consecutive
+    distinct densities; a field takes every cell inside its radius and
+    below its density. Each cell is (annulus, layer, sigmas, users,
+    rows): ``sigmas`` are the distinct sigmas of the fields in ``users``,
+    and field ``users[i]`` takes row ``rows[i]`` of the cell's
+    interference. Cells no field takes are left out.
     """
-    radius = region_radius if region_radius is not None else default_region_radius(cfg)
+    radii = sorted({radius for _, radius, _ in fields})
+    levels = sorted({density for _, _, density in fields})
+    cells = []
+    for annulus in zip([0.0] + radii, radii):
+        for layer in zip([0.0] + levels, levels):
+            users = [i for i, (_, radius, density) in enumerate(fields)
+                     if radius >= annulus[1] and density >= layer[1]]
+            if users:
+                sigmas = sorted({fields[i][0] for i in users})
+                rows = [sigmas.index(fields[i][0]) for i in users]
+                cells.append((annulus, layer, sigmas, users, rows))
+    return cells
+
+
+def _family(points, trials: int) -> tuple:
+    """The points as a tuple, checked to form one family."""
+    points = tuple(points)
+    if not points:
+        raise ConfigError("a family needs at least one point")
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
+    for name in ("alpha", "access_p", "n_bar"):
+        values = {getattr(cfg, name) for cfg in points}
+        if len(values) > 1:
+            raise ConfigError(
+                f"the points of a family must share {name}, got {sorted(values)}")
+    return points
+
+
+def _sir_hits(points: tuple, trials: int, seed: int, local_cdfs: tuple,
+              single_link: bool, region_radius: float | None) -> list:
+    """Covered-trial counts ``hits[i][j]`` of point i with local-count CDF
+    table j, on one network draw shared by the family ``points``.
+
+    The serving link and the representative cluster are drawn once per
+    trial in units of sigma and shared by every point; the tables' local
+    fields share their members (common random numbers). Each point's
+    remote field is the sum of the cells it takes (module docstring),
+    drawn and scored one cell at a time.
+    """
+    alpha = points[0].alpha
+    mu = points[0].access_p * points[0].n_bar
+    # A point's remote field depends on its (sigma, radius, lambda_p) only.
+    keys = [(cfg.sigma,
+             region_radius if region_radius is not None else default_region_radius(cfg),
+             cfg.lambda_p) for cfg in points]
+    fields = sorted(set(keys))
+    field_of = [fields.index(key) for key in keys]
+    cells = _cells(fields)
     n_batches = (trials + _BATCH - 1) // _BATCH
-    hits = [0] * len(local_cdfs)
+    hits = [[0] * len(local_cdfs) for _ in points]
     done = 0
     for rng in _batch_generators(seed, n_batches):
         n = min(_BATCH, trials - done)
         done += n
-        x0 = rng.normal(0.0, cfg.sigma, (n, 2))
-        y0 = rng.normal(0.0, cfg.sigma, (n, 2))
+        x0 = rng.standard_normal((n, 2))
+        y0 = rng.standard_normal((n, 2))
         serve_d2 = np.square(x0 + y0).sum(axis=1)
         counts = _local_counts(rng, local_cdfs, n)
-        local = _local_interference(rng, cfg, x0, counts)
-        remote = _remote_interference(rng, cfg, n, radius, single_link)
-        signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * cfg.alpha)
-        for i, field in enumerate(local):
-            # SIR > theta, written multiplicatively so empty interferer sets
-            # (interference == 0) count as covered without dividing by zero.
-            hits[i] += int(np.count_nonzero(signal > cfg.theta * (field + remote)))
+        local = _local_interference(rng, alpha, x0, counts)
+        remote = np.zeros((len(fields), n))
+        for annulus, layer, sigmas, users, rows in cells:
+            remote[users] += _remote_interference(
+                rng, n, alpha, mu, single_link, annulus, layer, sigmas)[rows]
+        signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * alpha)
+        for point_hits, cfg, f in zip(hits, points, field_of):
+            for j, field in enumerate(local):
+                # SIR > theta, written multiplicatively so empty interferer
+                # sets (interference == 0) count as covered without
+                # dividing by zero.
+                point_hits[j] += int(np.count_nonzero(
+                    signal > cfg.theta * (field + remote[f])))
     return hits
 
 
@@ -289,6 +396,36 @@ def _estimate(hits: int, trials: int, seed: int) -> McEstimate:
     )
 
 
+def mc_prob_rate_exceeds_points(
+    points,
+    r0_over_w1: float,
+    trials: int,
+    seed: int,
+    region_radius: float | None = None,
+) -> list:
+    """Simulate P(R1 > R0) under slotted ALOHA at every point of a family,
+    on one network draw; one ``McEstimate`` per point.
+
+    The points must share alpha, access_p and n_bar; sigma, theta and
+    lambda_p may differ (module docstring). The serving transmission is
+    conditioned on; every other device in the representative cluster
+    (Poisson(n_bar) of them) and in all remote clusters transmits with
+    the access probability.
+    """
+    points = _family(points, trials)
+    for cfg in points:
+        rate = cfg.access_p * math.log2(1.0 + cfg.theta)
+        if not rate > r0_over_w1:
+            raise InfeasibleAccessProbability(
+                f"at theta = {cfg.theta:.6g}: access_p * log2(1 + theta) = "
+                f"{rate:.6g} bits/s/Hz does not exceed R0/W1 = "
+                f"{r0_over_w1:.6g} bits/s/Hz"
+            )
+    local = _poisson_cdf(points[0].access_p * points[0].n_bar, 0)
+    hits = _sir_hits(points, trials, seed, (local,), False, region_radius)
+    return [_estimate(h, trials, seed) for (h,) in hits]
+
+
 def mc_prob_rate_exceeds(
     cfg: NetworkConfig,
     r0_over_w1: float,
@@ -296,23 +433,11 @@ def mc_prob_rate_exceeds(
     seed: int,
     region_radius: float | None = None,
 ) -> McEstimate:
-    """Simulate P(R1 > R0) under slotted ALOHA.
-
-    The serving transmission is conditioned on; every other device in
-    the representative cluster (Poisson(n_bar) of them) and in all remote
-    clusters transmits with the access probability.
-    """
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if not cfg.access_p * math.log2(1.0 + cfg.theta) > r0_over_w1:
-        raise InfeasibleAccessProbability(
-            f"access_p * log2(1 + theta) = "
-            f"{cfg.access_p * math.log2(1.0 + cfg.theta):.6g} bits/s/Hz does "
-            f"not exceed R0/W1 = {r0_over_w1:.6g} bits/s/Hz"
-        )
-    local = _poisson_cdf(cfg.access_p * cfg.n_bar, 0)
-    (hits,) = _sir_hits(cfg, trials, seed, (local,), False, region_radius)
-    return _estimate(hits, trials, seed)
+    """Simulate P(R1 > R0) under slotted ALOHA: the one-point family of
+    ``mc_prob_rate_exceeds_points``."""
+    (estimate,) = mc_prob_rate_exceeds_points((cfg,), r0_over_w1, trials,
+                                              seed, region_radius)
+    return estimate
 
 
 def mc_coverage_conditional(
@@ -331,15 +456,34 @@ def mc_coverage_conditional(
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
+    points = _family((cfg,), trials)
     p = cfg.access_p
     local = (_binomial_cdf(k - 1, p), _poisson_cdf(p * k, 0))
-    hits_exact, hits_approx = _sir_hits(cfg, trials, seed, local, False,
-                                        region_radius)
+    ((hits_exact, hits_approx),) = _sir_hits(points, trials, seed, local,
+                                             False, region_radius)
     exact = _estimate(hits_exact, trials, seed)
     approx = _estimate(hits_approx, trials, seed)
     return ConditionalCoveragePair(exact=exact, poisson_approx=approx)
+
+
+def mc_coverage_single_link_points(
+    points,
+    trials: int,
+    seed: int,
+    region_radius: float | None = None,
+) -> list:
+    """Simulate D2D coverage with one always-active link per cluster at
+    every point of a family, on one network draw; one ``McEstimate`` per
+    point.
+
+    The points must share alpha, access_p and n_bar; sigma, theta and
+    lambda_p may differ (module docstring). No intra-cluster
+    interference; each remote cluster contributes a single
+    Gaussian-displaced transmitter.
+    """
+    points = _family(points, trials)
+    hits = _sir_hits(points, trials, seed, (np.ones(1),), True, region_radius)
+    return [_estimate(h, trials, seed) for (h,) in hits]
 
 
 def mc_coverage_single_link(
@@ -348,12 +492,8 @@ def mc_coverage_single_link(
     seed: int,
     region_radius: float | None = None,
 ) -> McEstimate:
-    """Simulate D2D coverage with one always-active link per cluster.
-
-    No intra-cluster interference; each remote cluster contributes a
-    single Gaussian-displaced transmitter.
-    """
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    (hits,) = _sir_hits(cfg, trials, seed, (np.ones(1),), True, region_radius)
-    return _estimate(hits, trials, seed)
+    """Simulate D2D coverage with one always-active link per cluster: the
+    one-point family of ``mc_coverage_single_link_points``."""
+    (estimate,) = mc_coverage_single_link_points((cfg,), trials, seed,
+                                                 region_radius)
+    return estimate

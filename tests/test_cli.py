@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +224,20 @@ class TestScenarioValidation:
             load_scenario(path)
         assert main(["run", str(path)]) == 2
         assert name in capsys.readouterr().err
+
+    def test_config_errors_are_not_wrapped(self, tmp_path, capsys):
+        # ConfigError is a ValueError; the loader's own message passes
+        # through as it is, not inside "invalid scenario value: ...".
+        mapping = scenario_to_mapping(default_table1())
+        mapping["network"]["sigma_m"] = True
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        message = "network.sigma_m must be a number, got True"
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == message
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_tasks_must_be_a_list(self, tmp_path):
         mapping = scenario_to_mapping(default_table1())
@@ -444,22 +459,35 @@ class TestRunScenario:
         assert float(gap["mc_hw95"]) > 0
         assert gap["z_score"] == ""
         # Per-row wall times and simulation rates go to the summary only.
+        # The rows of one simulation (the P(R1 > R0) family, the
+        # single-link family, the conditional pair) share its wall time,
+        # which the first of them carries.
         summary = json.loads((tmp_path / "table1_summary.json").read_text())
         points = summary["tasks"]["validate"]["point_diagnostics"]
         assert len(points) == len(rows)
+        timed = []
         for row, point in zip(rows, points):
             assert set(point) == {"analytic_s", "mc_s", "trials", "trials_per_s"}
             if row["quantity"] == "single_link_reference_point":
                 assert point["mc_s"] is None and point["trials"] == 0
-            elif row["quantity"].endswith("(exact vs approx)"):
+                continue
+            assert point["trials"] == sc.mc_trials
+            if row["quantity"].endswith("(exact vs approx)"):
                 # Shares the simulation timed on the row before it.
                 assert point["analytic_s"] is None and point["mc_s"] is None
-                assert point["trials"] == sc.mc_trials
+                continue
+            assert point["analytic_s"] > 0
+            if point["mc_s"] is None:
+                assert point["trials_per_s"] is None
             else:
-                assert point["analytic_s"] > 0 and point["mc_s"] > 0
-                assert point["trials"] == sc.mc_trials
+                assert point["mc_s"] > 0
                 assert point["trials_per_s"] == pytest.approx(
                     sc.mc_trials / point["mc_s"])
+                timed.append(row["quantity"])
+        assert timed == [rows[0]["quantity"], rows[6]["quantity"],
+                         "conditional_coverage k=5 (poisson approx)"]
+        assert rows[0]["quantity"].startswith("prob_rate_exceeds ")
+        assert rows[6]["quantity"].startswith("single_link ")
 
 
 class TestMainEntryPoint:
@@ -478,6 +506,20 @@ class TestMainEntryPoint:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
+
+    def test_validate_rows_match_benchmark_reference(self, tmp_path):
+        # The benchmark's CSV check fails every validate row that has no
+        # counterpart, by `quantity`, in its reference file; a renamed or
+        # reordered row fails here first.
+        reference = (Path(__file__).resolve().parents[1] / "perfbench"
+                     / "reference" / "validate" / "table1_validate.csv")
+        expected = [row["quantity"] for row in
+                    csv.DictReader(reference.read_text().splitlines()[1:])]
+        assert len(expected) == 15
+        assert main(["validate", "--mc-trials", "2000",
+                     "--out", str(tmp_path)]) in (0, 4)
+        lines = (tmp_path / "table1_validate.csv").read_text().splitlines()
+        assert [row["quantity"] for row in csv.DictReader(lines[1:])] == expected
 
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
         failing_row = {

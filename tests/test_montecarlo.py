@@ -3,7 +3,8 @@
 The full 1e5-trial agreement grid lives in the acceptance suite; here the
 simulator's own statistics (cluster counts, center radii, thinned
 active counts, offsets, the remote Laplace functional, determinism,
-truncation) are verified and the agreement is spot-checked at 2e4 trials.
+truncation, the cells a family of points shares) are verified and the
+agreement is spot-checked at 2e4 trials.
 """
 
 import math
@@ -26,7 +27,9 @@ from clustercache.montecarlo import (
     default_region_radius,
     mc_coverage_conditional,
     mc_coverage_single_link,
+    mc_coverage_single_link_points,
     mc_prob_rate_exceeds,
+    mc_prob_rate_exceeds_points,
 )
 from clustercache.stochgeo import (
     d2d_coverage_conditional,
@@ -68,13 +71,23 @@ def kernel_calls(monkeypatch):
     calls = []
     real = montecarlo._member_interference
 
-    def spy(rng, cfg, owner, cx, cy, active, n):
-        out = real(rng, cfg, owner, cx, cy, active, n)
-        calls.append(dict(owner=owner, cx=cx, cy=cy, active=active, n=n, out=out))
+    def spy(rng, alpha, owner, cx, cy, active, n, scales):
+        out = real(rng, alpha, owner, cx, cy, active, n, scales)
+        calls.append(dict(owner=owner, cx=cx, cy=cy, active=active, n=n,
+                          scales=scales, out=out))
         return out
 
     monkeypatch.setattr(montecarlo, "_member_interference", spy)
     return calls
+
+
+def _remote(rng, cfg, n, radius, single_link):
+    """One point's remote field in units of its sigma: a single cell, its
+    whole disk at its whole density."""
+    (field,) = _remote_interference(rng, n, cfg.alpha, cfg.access_p * cfg.n_bar,
+                                    single_link, (0.0, radius),
+                                    (0.0, cfg.lambda_p), (cfg.sigma,))
+    return field
 
 
 def _assert_moments(samples, mean, var, fourth_cumulant):
@@ -107,8 +120,8 @@ class TestMemberKernel:
         area = cfg.lambda_p * math.pi * radius**2
         mu = cfg.access_p * cfg.n_bar
         n = 20000
-        _remote_interference(_philox(1), cfg, n, radius, False)
-        _remote_interference(_philox(1), cfg, n, radius, True)
+        _remote(_philox(1), cfg, n, radius, False)
+        _remote(_philox(1), cfg, n, radius, True)
         nonempty, single = kernel_calls
         _assert_poisson_counts(np.bincount(nonempty["owner"], minlength=n),
                                area * -math.expm1(-mu))
@@ -119,7 +132,7 @@ class TestMemberKernel:
         # Centers on the +x axis at radius R sqrt(U): (cx/R)^2 is U(0, 1).
         cfg = table1_cfg
         radius = default_region_radius(cfg)
-        _remote_interference(_philox(2), cfg, 4000, radius, False)
+        _remote(_philox(2), cfg, 4000, radius, False)
         (call,) = kernel_calls
         assert call["cy"] is None
         assert call["cx"].min() >= 0.0 and call["cx"].max() <= radius
@@ -130,10 +143,8 @@ class TestMemberKernel:
         # A drawn cluster holds a zero-truncated Poisson(p n_bar) number of
         # active members; a single-link cluster exactly one (active=None).
         cfg = table1_cfg
-        _remote_interference(_philox(3), cfg, 4000,
-                             default_region_radius(cfg), False)
-        _remote_interference(_philox(3), cfg, 4000,
-                             default_region_radius(cfg), True)
+        _remote(_philox(3), cfg, 4000, default_region_radius(cfg), False)
+        _remote(_philox(3), cfg, 4000, default_region_radius(cfg), True)
         thinned, single = kernel_calls
         active = thinned["active"]
         mu = cfg.access_p * cfg.n_bar
@@ -155,7 +166,7 @@ class TestMemberKernel:
         radius = default_region_radius(cfg)
         area = cfg.lambda_p * math.pi * radius**2
         n = 20000
-        _remote_interference(_philox(9), cfg, n, radius, False)
+        _remote(_philox(9), cfg, n, radius, False)
         (call,) = kernel_calls
         total = np.bincount(call["owner"], weights=call["active"], minlength=n)
         m1, m2, _, m4 = _poisson_raw_moments(cfg.access_p * cfg.n_bar)
@@ -166,7 +177,7 @@ class TestMemberKernel:
     def test_local_active_counts(self, table1_cfg, kernel_calls, mode, k):
         cfg = table1_cfg
         n = 50000
-        centers = _philox(4).normal(0.0, cfg.sigma, (n, 2))
+        centers = _philox(4).standard_normal((n, 2))  # in units of sigma
         p = cfg.access_p
         if mode == "aloha":
             cdf = _poisson_cdf(p * cfg.n_bar, 0)
@@ -175,7 +186,7 @@ class TestMemberKernel:
         else:
             cdf = _binomial_cdf(k - 1, p)
         counts = _local_counts(_philox(5), (cdf,), n)
-        _local_interference(_philox(6), cfg, centers, counts)
+        _local_interference(_philox(6), cfg.alpha, centers, counts)
         (call,) = kernel_calls
         (active,) = counts
         assert np.array_equal(call["active"], active)
@@ -212,21 +223,22 @@ class TestMemberKernel:
         cfg = table1_cfg
         src = _philox(11)
         n = 2000
-        centers = src.normal(0.0, cfg.sigma, (n, 2))
+        centers = src.standard_normal((n, 2))
         counts = src.integers(0, 4, (2, n))
-        fields = _local_interference(_philox(12), cfg, centers, counts)
+        fields = _local_interference(_philox(12), cfg.alpha, centers, counts)
         shared, extra = kernel_calls
         low = counts.min(axis=0)
         np.testing.assert_array_equal(shared["active"], low)
         np.testing.assert_array_equal(extra["active"], counts.max(axis=0) - low)
         for row, field in zip(counts, fields):
-            expected = shared["out"] + np.where(row > low, extra["out"], 0.0)
+            expected = shared["out"][0] + np.where(row > low, extra["out"][0], 0.0)
             np.testing.assert_array_equal(field, expected)
 
     def test_offsets_are_rayleigh_and_sum_is_exact(self, table1_cfg):
         # Each active member is Gaussian-displaced from its center, so its
         # distance to the center is Rayleigh(sigma); the kernel returns the
-        # per-trial sum of fade * distance^-alpha over those members.
+        # per-trial sum of fade * distance^-alpha over those members, in
+        # units of sigma (times sigma**alpha).
         cfg = replace(table1_cfg, alpha=3.5)
         src = _philox(6)
         n = 3000
@@ -235,8 +247,11 @@ class TestMemberKernel:
         cy = src.uniform(-200.0, 200.0, owner.size)
         active = src.integers(0, 4, owner.size)
         rng = _RecordingRng(7)
-        got = _member_interference(rng, cfg, owner, cx, cy, active, n)
-        (offsets,), (fade,) = rng.draws["normal"], rng.draws["standard_exponential"]
+        (got,) = _member_interference(rng, cfg.alpha, owner, cx, cy, active, n,
+                                      (cfg.sigma,))
+        (normals,), (fade,) = (rng.draws["standard_normal"],
+                               rng.draws["standard_exponential"])
+        offsets = cfg.sigma * normals
         radial = np.hypot(offsets[0], offsets[1])
         assert radial.size == active.sum()
         ks = stats.kstest(radial, "rayleigh", args=(0, cfg.sigma))
@@ -248,7 +263,7 @@ class TestMemberKernel:
             weights=fade * np.linalg.norm(pos, axis=1) ** (-cfg.alpha),
             minlength=n,
         )
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        np.testing.assert_allclose(got / cfg.sigma**cfg.alpha, expected, rtol=1e-12)
 
     def test_remote_laplace_functional_matches_analytic(self, table1_cfg):
         # Same check and bound as the raw-construction oracle
@@ -262,7 +277,7 @@ class TestMemberKernel:
         total = 0.0
         batches = 40
         for _ in range(batches):
-            unit = _remote_interference(rng, cfg, 10_000, radius, False)
+            unit = _remote(rng, cfg, 10_000, radius, False) / cfg.sigma**cfg.alpha
             total += np.exp(-s_sir * unit).sum()
         mc = total / (batches * 10_000)
         assert laplace_inter(s_sir, cfg) == pytest.approx(mc, rel=0.01)
@@ -421,3 +436,124 @@ class TestSingleLinkMc:
         b = mc_coverage_single_link(table1_cfg, 50000, seed=47,
                                     region_radius=2 * radius)
         assert abs(a.mean - b.mean) < a.half_width_95 + b.half_width_95
+
+
+def _family_points(cfg):
+    """Two sigmas and two densities. At sigma = 60 m, 15 sigma = 900 m
+    exceeds 5/sqrt(pi lambda_p) at both densities, so the points' disks
+    have three radii: 892 m and 631 m at sigma = 10 m, 900 m at 60 m."""
+    return [replace(cfg, sigma=sigma, lambda_p=density)
+            for sigma in (10.0, 60.0) for density in (1e-5, 2e-5)]
+
+
+class TestFamily:
+    def test_each_point_takes_its_own_cluster_field(self, table1_cfg,
+                                                     monkeypatch):
+        # Over the cells inside its radius and below its density, each
+        # point's remote cluster count is Poisson(lambda_p pi R^2
+        # (1 - exp(-p n_bar))) and the squared center radii are uniform on
+        # its own disk. (Over seeds 100-399 each point's KS p-value falls
+        # below 0.01 at 0.7-1.7% of the seeds.)
+        points = _family_points(table1_cfg)
+        radii = [default_region_radius(cfg) for cfg in points]
+        assert len(set(radii)) == 3
+        cells = []
+        remote, member = montecarlo._remote_interference, montecarlo._member_interference
+
+        def remote_spy(rng, n, alpha, mu, single_link, annulus, layer, sigmas):
+            cells.append(dict(annulus=annulus, layer=layer, sigmas=sigmas))
+            return remote(rng, n, alpha, mu, single_link, annulus, layer, sigmas)
+
+        def member_spy(rng, alpha, owner, cx, cy, active, n, scales):
+            if cy is None:  # the clusters of the cell just opened
+                cells[-1].update(owner=owner, cx=cx)
+            return member(rng, alpha, owner, cx, cy, active, n, scales)
+
+        monkeypatch.setattr(montecarlo, "_remote_interference", remote_spy)
+        monkeypatch.setattr(montecarlo, "_member_interference", member_spy)
+        n = 10_000  # one batch
+        mc_prob_rate_exceeds_points(points, 0.1, n, seed=5)
+        mu = table1_cfg.access_p * table1_cfg.n_bar
+        for c in cells:  # scored at the sigmas of the points it lies inside
+            assert c["sigmas"] == sorted({
+                cfg.sigma for cfg, radius in zip(points, radii)
+                if c["annulus"][1] <= radius and c["layer"][1] <= cfg.lambda_p})
+        for cfg, radius in zip(points, radii):
+            mine = [c for c in cells
+                    if c["annulus"][1] <= radius and c["layer"][1] <= cfg.lambda_p]
+            counts = sum(np.bincount(c["owner"], minlength=n) for c in mine)
+            _assert_poisson_counts(
+                counts, cfg.lambda_p * math.pi * radius**2 * -math.expm1(-mu))
+            centers = np.concatenate([c["cx"] for c in mine])
+            assert centers.max() <= radius
+            assert stats.kstest((centers / radius) ** 2, "uniform").pvalue > 0.01
+
+    def test_cells_tile_each_field(self, table1_cfg):
+        # The cells a field takes lie inside its disk and below its density,
+        # and their (area x density) measures sum to its own pi R^2 lambda_p.
+        fields = sorted({(cfg.sigma, default_region_radius(cfg), cfg.lambda_p)
+                         for cfg in _family_points(table1_cfg)})
+        cells = montecarlo._cells(fields)
+        for i, (sigma, radius, density) in enumerate(fields):
+            taken = [(annulus, layer, sigmas[rows[users.index(i)]])
+                     for annulus, layer, sigmas, users, rows in cells if i in users]
+            assert all(annulus[1] <= radius and layer[1] <= density
+                       and scale == sigma for annulus, layer, scale in taken)
+            measure = sum(math.pi * (annulus[1]**2 - annulus[0]**2)
+                          * (layer[1] - layer[0]) for annulus, layer, _ in taken)
+            assert measure == pytest.approx(math.pi * radius**2 * density, rel=1e-12)
+
+    def test_identical_seed_identical_estimates(self, table1_cfg):
+        points = _family_points(table1_cfg)
+        for simulate, args in ((mc_prob_rate_exceeds_points, (0.1,)),
+                               (mc_coverage_single_link_points, ())):
+            a = simulate(points, *args, 5000, seed=99)
+            b = simulate(points, *args, 5000, seed=99)
+            c = simulate(points, *args, 5000, seed=100)
+            assert a == b
+            assert [e.mean for e in a] != [e.mean for e in c]
+            assert all(e.samples == 5000 and e.seed == 99 for e in a)
+
+    def test_one_point_is_the_one_point_family(self, table1_cfg):
+        cfg = replace(table1_cfg, sigma=20.0)
+        assert (mc_prob_rate_exceeds(cfg, 0.1, 5000, seed=7)
+                == mc_prob_rate_exceeds_points((cfg,), 0.1, 5000, seed=7)[0])
+        assert (mc_coverage_single_link(cfg, 5000, seed=7)
+                == mc_coverage_single_link_points((cfg,), 5000, seed=7)[0])
+
+    def test_prob_rate_exceeds_matches_analytic(self, table1_cfg):
+        # The tolerance of TestProbRateExceedsMc, at every point.
+        points = [replace(cfg, theta=theta) for cfg in _family_points(table1_cfg)
+                  for theta in (1.0, 2.0)]
+        estimates = mc_prob_rate_exceeds_points(points, 0.1, 20000, seed=31)
+        for cfg, est in zip(points, estimates):
+            assert abs(est.mean - prob_rate_exceeds(cfg, 0.1).value) < 0.02
+
+    def test_single_link_matches_analytic(self, table1_cfg):
+        # The tolerance of TestSingleLinkMc, at every point.
+        points = _family_points(table1_cfg)
+        estimates = mc_coverage_single_link_points(points, 20000, seed=41)
+        for cfg, est in zip(points, estimates):
+            assert abs(est.mean - d2d_coverage_single_link(cfg).value) < 0.02
+
+    @pytest.mark.parametrize("field, value", [("alpha", 3.5), ("access_p", 0.2),
+                                              ("n_bar", 6.0)])
+    def test_points_must_share_alpha_p_and_n_bar(self, table1_cfg, field, value):
+        points = (table1_cfg, replace(table1_cfg, **{field: value}))
+        with pytest.raises(ConfigError, match=f"must share {field}"):
+            mc_prob_rate_exceeds_points(points, 0.0, 100, seed=1)
+        with pytest.raises(ConfigError, match=f"must share {field}"):
+            mc_coverage_single_link_points(points, 100, seed=1)
+
+    def test_rejects_empty_family(self):
+        with pytest.raises(ConfigError):
+            mc_prob_rate_exceeds_points((), 0.1, 100, seed=1)
+        with pytest.raises(ConfigError):
+            mc_coverage_single_link_points([], 100, seed=1)
+
+    def test_infeasible_point_named_by_theta(self, table1_cfg):
+        # p log2(1 + theta) = 0.1 * log2(1.5) < 0.1 at theta = 0.5 only.
+        points = (table1_cfg, replace(table1_cfg, theta=0.5),
+                  replace(table1_cfg, theta=2.0))
+        with pytest.raises(InfeasibleAccessProbability, match="at theta = 0.5:"):
+            mc_prob_rate_exceeds_points(points, 0.1, 100, seed=1)
