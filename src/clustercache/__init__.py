@@ -31,26 +31,21 @@ from .montecarlo import (
     ConditionalCoveragePair,
     McEstimate,
     mc_coverage_conditional,
-    mc_coverage_single_link,
     mc_coverage_single_link_points,
-    mc_prob_rate_exceeds,
     mc_prob_rate_exceeds_points,
 )
 from .optimize import (
-    BandwidthAllocation,
     BcdStep,
     BcdTrace,
     KktSolution,
     energy_conditional,
     objective_offloading,
-    optimal_bandwidth,
     optimize_delay_bcd,
     optimize_energy,
     optimize_offloading,
     weighted_delay,
 )
 from .queueing import (
-    arrival_rates,
     service_coefficients,
     service_rate,
 )
@@ -62,7 +57,6 @@ from .stochgeo import (
     d2d_coverage_single_link,
     optimal_access_probability,
     prob_rate_exceeds,
-    rice_pdf,
     serving_distance_pdf,
 )
 

@@ -86,6 +86,9 @@ class Scenario:
     bcd_restarts: int
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ConfigError(f"name must be one file name, not empty, '.' or '..' "
+                              f"and without '/' or '\\', got {self.name!r}")
         if not self.tasks:
             raise ConfigError("tasks must be non-empty")
         for t in self.tasks:
@@ -288,7 +291,7 @@ def _parse_scenario(raw: dict, default_name: str) -> Scenario:
         variable, grid = ((option("sweep.variable"), option("sweep.grid"))
                           if "sweep" in raw else ("beta", [lib.beta]))
         return Scenario(
-            name=str(raw.get("name", default_name)),
+            name=_typed("name", raw.get("name", default_name), str, "a string"),
             cfg=cfg,
             lib=lib,
             sweep_variable=str(variable),
@@ -297,7 +300,7 @@ def _parse_scenario(raw: dict, default_name: str) -> Scenario:
             tasks=tuple(_typed("tasks", option("tasks"), list, "a list")),
             mc_trials=count("mc_trials"),
             seed=count("seed"),
-            output_dir=str(option("output_dir")),
+            output_dir=_typed("output_dir", option("output_dir"), str, "a string"),
             r0_over_w1=r0_over_w1,
             delay_k=count("delay.k"),
             zeta_tot=float(number("delay.zeta_tot")),

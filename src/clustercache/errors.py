@@ -15,10 +15,12 @@ class ConfigError(ClusterCacheError, ValueError):
 
 
 class NumericFailure(ClusterCacheError, RuntimeError):
-    """A quadrature or root solve did not converge.
+    """A quadrature, series or root solve did not converge.
 
-    The message carries the diagnostics (estimate, error estimate,
-    tolerance, integrator status) needed to debug the failing call.
+    The message carries what is needed to debug the failing call: both
+    rules' values, their difference and the tolerance for a coverage
+    quadrature (or the table with non-finite entries), the last Newton
+    step for a root solve, and the term count for a series.
     """
 
 
@@ -48,4 +50,4 @@ class NoStableSplitError(ClusterCacheError, ValueError):
 
 
 class InfeasibleLoadError(ClusterCacheError, ValueError):
-    """No tested caching policy stabilises both queues at this load."""
+    """No caching policy stabilises both queues at this load."""

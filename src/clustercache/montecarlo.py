@@ -67,10 +67,9 @@ and n_bar (hence mu) and may differ in sigma, theta and lambda_p:
   the representative cluster's signal and interference in units of
   sigma. Their law depends on alpha and mu alone, so the representative
   cluster is drawn once for the whole family;
-* each point's estimate therefore has exactly the law of its one-point
-  simulation; only the correlation between the points' estimates, which
-  share their draws, is new. A one-point family is the one-point
-  simulation;
+* each point's estimate therefore has exactly the law it has as a
+  one-point family; only the correlation between the points' estimates,
+  which share their draws, is new;
 * cells are drawn and scored one at a time and then freed, so a family
   holds one cell's members at a time plus one batch-length field per
   distinct (sigma, radius, lambda_p).
@@ -96,10 +95,8 @@ __all__ = [
     "McEstimate",
     "ConditionalCoveragePair",
     "default_region_radius",
-    "mc_prob_rate_exceeds",
     "mc_prob_rate_exceeds_points",
     "mc_coverage_conditional",
-    "mc_coverage_single_link",
     "mc_coverage_single_link_points",
 ]
 
@@ -426,20 +423,6 @@ def mc_prob_rate_exceeds_points(
     return [_estimate(h, trials, seed) for (h,) in hits]
 
 
-def mc_prob_rate_exceeds(
-    cfg: NetworkConfig,
-    r0_over_w1: float,
-    trials: int,
-    seed: int,
-    region_radius: float | None = None,
-) -> McEstimate:
-    """Simulate P(R1 > R0) under slotted ALOHA: the one-point family of
-    ``mc_prob_rate_exceeds_points``."""
-    (estimate,) = mc_prob_rate_exceeds_points((cfg,), r0_over_w1, trials,
-                                              seed, region_radius)
-    return estimate
-
-
 def mc_coverage_conditional(
     cfg: NetworkConfig,
     k: int,
@@ -484,16 +467,3 @@ def mc_coverage_single_link_points(
     points = _family(points, trials)
     hits = _sir_hits(points, trials, seed, (np.ones(1),), True, region_radius)
     return [_estimate(h, trials, seed) for (h,) in hits]
-
-
-def mc_coverage_single_link(
-    cfg: NetworkConfig,
-    trials: int,
-    seed: int,
-    region_radius: float | None = None,
-) -> McEstimate:
-    """Simulate D2D coverage with one always-active link per cluster: the
-    one-point family of ``mc_coverage_single_link_points``."""
-    (estimate,) = mc_coverage_single_link_points((cfg,), trials, seed,
-                                                 region_radius)
-    return estimate

@@ -64,12 +64,10 @@ __all__ = [
     "KktSolution",
     "BcdStep",
     "BcdTrace",
-    "BandwidthAllocation",
     "objective_offloading",
     "optimize_offloading",
     "energy_conditional",
     "optimize_energy",
-    "optimal_bandwidth",
     "weighted_delay",
     "optimize_delay_bcd",
 ]
@@ -134,14 +132,6 @@ class BcdTrace:
     @property
     def final_delay(self) -> float:
         return self.steps[-1].delay
-
-
-@dataclass(frozen=True)
-class BandwidthAllocation:
-    """Optimal D2D bandwidth; degenerate when no request leaves a device."""
-
-    w1: float
-    degenerate: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +444,12 @@ def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
 def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
     """(W1, weighted delay) for the D2D and BS request fractions a1, a2.
 
-    zeta_i = zeta_tot a_i; see ``weighted_delay`` for the delay and, when
-    ``w1`` is None, ``optimal_bandwidth`` for the closed-form W1*.
+    zeta_i = zeta_tot a_i; see ``weighted_delay`` for the delay. When
+    ``w1`` is None it is the closed-form D2D bandwidth minimising the
+    delay, W1* = [zeta_1 + w (O2 W - zeta_2)] / (O1 + w O2) with
+    w = sqrt(O1 zeta_1 / (O2 zeta_2)), clamped into the open stability
+    interval (zeta_1/O1, W - zeta_2/O2). When no request leaves the
+    devices both queues are empty and the split is immaterial: W1 = W/2.
     Raises NoStableSplitError when the stability interval is empty and
     UnstableQueueError for a queue past ``_RHO_MAX`` at W1.
     """
@@ -490,34 +484,6 @@ def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
             raise UnstableQueueError(queue=i + 1, zeta=zeta[i], mu=mu[i])
         total += zeta[i] / (mu[i] - zeta[i])
     return w1, total / zeta_tot
-
-
-def optimal_bandwidth(
-    policy: CachingPolicy,
-    lib: ContentLibrary,
-    k: int,
-    zeta_tot: float,
-    o1: float,
-    o2: float,
-    w_total: float,
-) -> BandwidthAllocation:
-    """Closed-form D2D bandwidth minimising the weighted delay.
-
-    W1* = [zeta_1 + w (O2 W - zeta_2)] / (O1 + w O2) with
-    w = sqrt(O1 zeta_1 / (O2 zeta_2)), clamped into the open stability
-    interval (zeta_1/O1, W - zeta_2/O2). When no request leaves the
-    devices both queues are empty and the split is immaterial; W/2 is
-    returned with the degenerate flag.
-    """
-    if o1 <= 0 or o2 <= 0 or w_total <= 0:
-        raise ConfigError("service coefficients and bandwidth must be positive")
-    if zeta_tot < 0:
-        raise ConfigError("zeta_tot must be non-negative")
-    a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)
-    w1, _ = _split_delay(a1, a2, zeta_tot, o1, o2, w_total)
-    return BandwidthAllocation(
-        w1=w1, degenerate=zeta_tot * a1 == 0.0 and zeta_tot * a2 == 0.0
-    )
 
 
 def weighted_delay(
@@ -618,7 +584,6 @@ def optimize_delay_bcd(
     zeta_tot: float,
     restarts: int = 16,
     seed: int | None = None,
-    initial_policy: CachingPolicy | None = None,
 ) -> BcdTrace:
     """Minimise the weighted delay over (caching vector, bandwidth split).
 
@@ -626,8 +591,8 @@ def optimize_delay_bcd(
     (exact minimiser of the delay linearised in the two arrival fractions,
     then a line search on the bandwidth-optimised delay), keeps a caching
     step only when it lowers the delay (so the trace is non-increasing),
-    and returns the best run over ``restarts`` feasible starts. When
-    ``initial_policy`` is given it seeds the first run.
+    and returns the best run over ``restarts`` feasible starts. Raises
+    InfeasibleLoadError when no caching policy stabilises the queues.
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
@@ -639,36 +604,32 @@ def optimize_delay_bcd(
     w_total = cfg.w_total
 
     # Restart anchors are the stable ones among the uniform and the
-    # proportional policies. The all-or-nothing corner b_i in {0, 1} (no
-    # D2D arrivals at all) is the anchor only when neither is stable: it is
-    # otherwise the caching step's vertex whenever the linearised delay is
-    # concave, and the line search always tries the full step.
+    # proportional policies. When neither is stable the anchor is the
+    # minimum-load policy: the stability load zeta_tot (a1/O1 + a2/O2) / W
+    # has the energy form with x = q, so ``_energy_form_minimiser`` gives
+    # the least load of any policy, and no policy is stable if it is not.
     anchors = [
         b for b in (np.full(lib.n_files, m / lib.n_files),
                     baseline_policy("zipf-proportional", lib).b)
         if _stabilizable(b, q, k, zeta_tot, o1, o2, w_total)
     ]
     if not anchors:
-        top_m = baseline_policy("cpf", lib).b
-        if not _stabilizable(top_m, q, k, zeta_tot, o1, o2, w_total):
+        least = _energy_form_minimiser(q, k, 1.0 / o1, 1.0 / o2, m)[0]
+        if not _stabilizable(least, q, k, zeta_tot, o1, o2, w_total):
+            a1, a2 = _arrival_fractions(least, q, k)
             raise InfeasibleLoadError(
-                f"none of the uniform, zipf-proportional and popular-files "
-                f"policies stabilises the queues at zeta_tot = {zeta_tot:.6g} req/s"
+                f"no caching policy stabilises the queues at zeta_tot = "
+                f"{zeta_tot:.6g} req/s: the least load zeta_tot (a1/O1 + a2/O2) / W "
+                f"of any policy is {zeta_tot * (a1 / o1 + a2 / o2) / w_total:.6g} "
+                f"(stability needs less than 1)"
             )
-        anchors = [top_m]
+        anchors = [least]
 
     rng = np.random.Generator(np.random.Philox(key=0 if seed is None else seed))
-    starts: list[np.ndarray] = []
-    if initial_policy is not None:
-        if not _stabilizable(initial_policy.b, q, k, zeta_tot, o1, o2, w_total):
-            raise InfeasibleLoadError("initial policy does not stabilise the queues")
-        starts.append(initial_policy.b.copy())
     # Seed the restart set with the stabilizable deterministic schemes so a
     # run can never end worse than the best of them, then fill with random
     # feasible draws.
-    for anchor in anchors:
-        if len(starts) < restarts:
-            starts.append(anchor.copy())
+    starts = [anchor.copy() for anchor in anchors[:restarts]]
     while len(starts) < restarts:
         starts.append(
             _random_feasible_policy(rng, q, k, zeta_tot, o1, o2, w_total, m, anchors)

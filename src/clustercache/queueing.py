@@ -14,42 +14,31 @@ boundary in Mbits and are converted to bits here.
 from __future__ import annotations
 
 from .errors import ConfigError
-from .model import CachingPolicy, ContentLibrary, NetworkConfig
+from .model import ContentLibrary, NetworkConfig
 from . import stochgeo
 
 __all__ = [
-    "arrival_rates",
     "service_rate",
     "service_coefficients",
 ]
 
 
-def arrival_rates(
-    policy: CachingPolicy, lib: ContentLibrary, k: int, zeta_tot: float
-) -> tuple[float, float, float]:
-    """Split the request stream into D2D, BS, and self-cache arrivals.
-
-    zeta_1 = zeta_tot * sum_i q_i ((1-b_i) - (1-b_i)^k)   (D2D)
-    zeta_2 = zeta_tot * sum_i q_i (1-b_i)^k               (BS)
-    zeta_3 = zeta_tot - zeta_1 - zeta_2                   (self-cache)
-    """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    if zeta_tot < 0:
-        raise ConfigError("zeta_tot must be non-negative")
-    a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)
-    zeta_1, zeta_2 = zeta_tot * a1, zeta_tot * a2
-    return zeta_1, zeta_2, zeta_tot - zeta_1 - zeta_2
-
-
 def _arrival_fractions(b, q, k: int) -> tuple[float, float]:
-    """D2D and BS request fractions (a1, a2) of caching vector b."""
+    """D2D and BS request fractions (a1, a2) of caching vector b.
+
+    a1 = sum_i q_i ((1-b_i) - (1-b_i)^k)   (D2D)
+    a2 = sum_i q_i (1-b_i)^k               (BS)
+
+    and 1 - a1 - a2 is self-served; zeta_tot a_i is the arrival rate of
+    queue i.
+    """
     miss = 1.0 - b
     miss_k = miss**k
     return max(float(q @ (miss - miss_k)), 0.0), float(q @ miss_k)
 
 
-def service_rate(w: float, theta: float, coverage, s_bar_mbits: float) -> float:
+def service_rate(w: float, theta: float, coverage: stochgeo.CoverageResult,
+                 s_bar_mbits: float) -> float:
     """Requests served per second: P_c * W * log2(1+theta) / mean size."""
     if s_bar_mbits <= 0:
         raise ConfigError("s_bar_mbits must be positive")

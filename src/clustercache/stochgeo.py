@@ -61,7 +61,6 @@ from .model import NetworkConfig
 __all__ = [
     "CoverageResult",
     "serving_distance_pdf",
-    "rice_pdf",
     "prob_rate_exceeds",
     "d2d_coverage_conditional",
     "bs_coverage",
@@ -247,24 +246,15 @@ def serving_distance_pdf(r, sigma: float):
     return out if out.ndim else float(out)
 
 
-def rice_pdf(u, v, sigma: float):
+def _rice_pdf(u: np.ndarray, v, sigma: float) -> np.ndarray:
     """Rice density of the distance from the origin to a point Gaussian
     (std ``sigma``) around a center at distance ``v`` (``u`` and ``v``
-    broadcast against each other).
+    broadcast against each other), as an array; the arguments are not
+    checked.
 
     Uses the exponentially scaled Bessel I0 so u*v/sigma^2 beyond ~700
     cannot overflow: (u/s^2) exp(-(u-v)^2 / 2s^2) I0e(u v / s^2).
     """
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    if np.any(np.asarray(v) < 0):
-        raise ConfigError("v must be non-negative")
-    out = _rice_pdf(np.asarray(u, dtype=float), v, sigma)
-    return out if out.ndim else float(out)
-
-
-def _rice_pdf(u: np.ndarray, v, sigma: float) -> np.ndarray:
-    """:func:`rice_pdf` without its argument checks, always an array."""
     s2 = sigma**2
     # Built in place, in the order of operations of the formula: the
     # coverage tables evaluate it on large arrays, and every temporary
@@ -498,12 +488,11 @@ def d2d_coverage_single_link(cfg: NetworkConfig) -> CoverageResult:
     return CoverageResult(value=1.0 / (4.0 * cfg.sigma**2 * z))
 
 
-def average_rate(w: float, theta: float, coverage) -> float:
+def average_rate(w: float, theta: float, coverage: CoverageResult) -> float:
     """Average throughput W * log2(1 + theta) * P_c in bits/s."""
     if w < 0:
         raise ConfigError("bandwidth must be non-negative")
-    p_c = coverage.value if isinstance(coverage, CoverageResult) else float(coverage)
-    return w * math.log2(1.0 + theta) * p_c
+    return w * math.log2(1.0 + theta) * coverage.value
 
 
 def optimal_access_probability(r0_over_w1: float, theta: float) -> float:

@@ -86,8 +86,8 @@ def test_criterion_01_rate_probability_vs_monte_carlo(table1):
         for theta_db in (0.0, 3.0):
             cfg = replace(table1.cfg, sigma=sigma, theta=10 ** (theta_db / 10))
             analytic = stochgeo.prob_rate_exceeds(cfg, 0.1).value
-            mc = montecarlo.mc_prob_rate_exceeds(
-                cfg, 0.1, 100_000,
+            (mc,) = montecarlo.mc_prob_rate_exceeds_points(
+                (cfg,), 0.1, 100_000,
                 seed=int(1000 * sigma + theta_db),
             )
             gap = abs(analytic - mc.mean)
@@ -107,8 +107,8 @@ def test_criterion_02_single_link_closed_form_vs_monte_carlo(table1):
         for lam_km2 in (10.0, 20.0):
             cfg = replace(table1.cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)
             analytic = stochgeo.d2d_coverage_single_link(cfg).value
-            mc = montecarlo.mc_coverage_single_link(
-                cfg, 100_000, seed=int(100 * sigma + lam_km2)
+            (mc,) = montecarlo.mc_coverage_single_link_points(
+                (cfg,), 100_000, seed=int(100 * sigma + lam_km2)
             )
             gap = abs(analytic - mc.mean)
             if gap >= 0.02:
@@ -265,9 +265,9 @@ def test_criterion_06_bandwidth_closed_form_vs_golden_section(table1):
             continue
         policy = _policy(rows[0], DELAY_LIB_M)
         zeta = float(rng.uniform(0.3, 1.5))
+        a1, a2 = optimize._arrival_fractions(policy.b, lib.popularity, DELAY_K)
         try:
-            alloc = optimize.optimal_bandwidth(
-                policy, lib, DELAY_K, zeta, o1, o2, cfg.w_total)
+            w1, _ = optimize._split_delay(a1, a2, zeta, o1, o2, cfg.w_total)
         except NoStableSplitError:
             continue
 
@@ -278,12 +278,11 @@ def test_criterion_06_bandwidth_closed_form_vs_golden_section(table1):
             except UnstableQueueError:
                 return math.inf
 
-        a1, a2 = optimize._arrival_fractions(policy.b, lib.popularity, DELAY_K)
         lo, hi = zeta * a1 / o1, cfg.w_total - zeta * a2 / o2
         span = hi - lo
         best = _golden_section(delay_at, lo + 1e-9 * span, hi - 1e-9 * span,
                                1e-9 * cfg.w_total)
-        worst = max(worst, abs(alloc.w1 - best))
+        worst = max(worst, abs(w1 - best))
         checked += 1
     _check(
         6, "closed-form W1* equals golden-section argmin (1e-6 W, 50 cases)",
@@ -307,14 +306,14 @@ def test_criterion_07_bcd_monotone_and_terminates(table1):
                                       table1.zeta_tot, o1, o2, cfg.w_total):
             continue
         runs += 1
-        trace = optimize.optimize_delay_bcd(
-            cfg, lib, DELAY_K, table1.zeta_tot, restarts=1,
-            seed=runs, initial_policy=_policy(rows[0], DELAY_LIB_M),
+        steps, converged, _ = optimize._bcd_run(
+            _policy(rows[0], DELAY_LIB_M).b, lib.popularity, DELAY_K,
+            table1.zeta_tot, o1, o2, cfg.w_total, DELAY_LIB_M,
         )
-        delays = [s.delay for s in trace.steps]
+        delays = [s.delay for s in steps]
         monotone = all(b <= a + 1e-12 for a, b in zip(delays, delays[1:]))
-        if not (monotone and trace.converged and len(trace.steps) <= 201):
-            problems.append((runs, monotone, trace.converged, len(trace.steps)))
+        if not (monotone and converged and len(steps) <= 201):
+            problems.append((runs, monotone, converged, len(steps)))
     _check(
         7, "BCD trace non-increasing, terminates <= 200 iterations (20 starts)",
         not problems, f"problems={problems}",

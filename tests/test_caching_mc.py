@@ -3,10 +3,10 @@
 Caches are drawn with the block-placement sampler
 (``model.sample_cache_realization``), one independent draw per device,
 and each trial's request from the Zipf popularity. The empirical
-self-cache, D2D and BS fractions must match ``queueing.arrival_rates``,
-and the locally served fraction of a Poisson(n_bar) cluster must match
-``optimize.objective_offloading`` at P(R1 > R0) = 1, each within a
-binomial four-sigma bound.
+self-cache, D2D and BS fractions must match
+``queueing._arrival_fractions``, and the locally served fraction of a
+Poisson(n_bar) cluster must match ``optimize.objective_offloading`` at
+P(R1 > R0) = 1, each within a binomial four-sigma bound.
 """
 
 import math
@@ -20,7 +20,7 @@ from clustercache.model import (
     sample_cache_realization,
 )
 from clustercache.optimize import objective_offloading, optimize_offloading
-from clustercache.queueing import arrival_rates
+from clustercache.queueing import _arrival_fractions
 
 TRIALS = 10_000
 
@@ -59,7 +59,8 @@ def test_request_fractions_match_arrival_rates(policy, lib, k):
     held = _holders(policy, rng, files, np.full(TRIALS, k))
     own = held[:, 0]
     mate = held[:, 1:k].any(axis=1)
-    d2d, bs, self_served = arrival_rates(policy, lib, k, 1.0)
+    d2d, bs = _arrival_fractions(policy.b, lib.popularity, k)
+    self_served = 1.0 - d2d - bs
     _assert_binomial(own, self_served)
     _assert_binomial(~own & mate, d2d)
     _assert_binomial(~own & ~mate, bs)

@@ -247,6 +247,27 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="tasks must be a list, got 'validate'"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("name", "a/b"),
+        ("name", "a\\b"),
+        ("name", ""),
+        ("name", "."),
+        ("name", ".."),
+        ("name", ["x"]),
+        ("output_dir", 7),
+    ])
+    def test_name_and_output_dir_checked(self, tmp_path, capsys, key, value):
+        # The name prefixes the output file names, so it must be one file
+        # name; the output directory must be a path string.
+        mapping = scenario_to_mapping(default_table1())
+        mapping[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert f"configuration error: {key} must be" in capsys.readouterr().err
+
     def test_automatic_access_probability_loads(self, tmp_path):
         mapping = scenario_to_mapping(default_table1())
         mapping["network"]["access_p"] = "auto"

@@ -26,9 +26,7 @@ from clustercache.montecarlo import (
     _remote_interference,
     default_region_radius,
     mc_coverage_conditional,
-    mc_coverage_single_link,
     mc_coverage_single_link_points,
-    mc_prob_rate_exceeds,
     mc_prob_rate_exceeds_points,
 )
 from clustercache.stochgeo import (
@@ -324,17 +322,17 @@ class TestCountTables:
 
 class TestDeterminism:
     def test_identical_seed_identical_estimate(self, table1_cfg):
-        a = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=99)
-        b = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=99)
+        a = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=99)[0]
+        b = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=99)[0]
         assert a == b
 
     def test_different_seed_different_estimate(self, table1_cfg):
-        a = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=99)
-        b = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=100)
+        a = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=99)[0]
+        b = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=100)[0]
         assert a.mean != b.mean
 
     def test_half_width_formula(self, table1_cfg):
-        est = mc_prob_rate_exceeds(table1_cfg, 0.1, 5000, seed=99)
+        est = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=99)[0]
         n = est.samples
         std = math.sqrt(n / (n - 1) * est.mean * (1 - est.mean))
         assert est.half_width_95 == pytest.approx(1.96 * std / math.sqrt(n))
@@ -344,22 +342,23 @@ class TestDeterminism:
 class TestProbRateExceedsMc:
     def test_certain_coverage_at_tiny_threshold(self, table1_cfg):
         cfg = replace(table1_cfg, theta=1e-9)
-        est = mc_prob_rate_exceeds(cfg, 0.0, 2000, seed=5)
+        est = mc_prob_rate_exceeds_points((cfg,), 0.0, 2000, seed=5)[0]
         assert est.mean > 0.999
 
     def test_interference_dominated_limit(self, table1_cfg):
         cfg = replace(table1_cfg, access_p=1.0, lambda_p=5e-3, n_bar=20.0)
-        est = mc_prob_rate_exceeds(cfg, 0.1, 2000, seed=5)
+        est = mc_prob_rate_exceeds_points((cfg,), 0.1, 2000, seed=5)[0]
         assert est.mean < 0.02
 
     def test_matches_analytic(self, table1_cfg):
-        est = mc_prob_rate_exceeds(table1_cfg, 0.1, 20000, seed=31)
+        (est,) = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 20000, seed=31)
         analytic = prob_rate_exceeds(table1_cfg, 0.1).value
         assert abs(est.mean - analytic) < 0.02
 
     def test_feasibility_enforced(self, table1_cfg):
         with pytest.raises(InfeasibleAccessProbability):
-            mc_prob_rate_exceeds(replace(table1_cfg, access_p=0.01), 0.1, 100, seed=1)
+            mc_prob_rate_exceeds_points((replace(table1_cfg, access_p=0.01),),
+                                        0.1, 100, seed=1)
 
 
 class TestConditionalCoverageMc:
@@ -409,20 +408,20 @@ class TestConditionalCoverageMc:
 
 class TestSingleLinkMc:
     def test_limit_at_vanishing_density(self, table1_cfg):
-        est = mc_coverage_single_link(replace(table1_cfg, lambda_p=1e-12),
-                                      2000, seed=3)
+        (est,) = mc_coverage_single_link_points(
+            (replace(table1_cfg, lambda_p=1e-12),), 2000, seed=3)
         assert est.mean > 0.999
 
     def test_reference_point(self, table1_cfg):
-        est = mc_coverage_single_link(table1_cfg, 20000, seed=41)
+        est = mc_coverage_single_link_points((table1_cfg,), 20000, seed=41)[0]
         assert est.mean == pytest.approx(0.962, abs=0.01)
         analytic = d2d_coverage_single_link(table1_cfg).value
         assert abs(est.mean - analytic) < 0.02
 
     def test_monotone_decreasing_in_sigma(self, table1_cfg):
         means = [
-            mc_coverage_single_link(replace(table1_cfg, sigma=s), 20000,
-                                    seed=43).mean
+            mc_coverage_single_link_points((replace(table1_cfg, sigma=s),),
+                                           20000, seed=43)[0].mean
             for s in (10.0, 20.0, 30.0)
         ]
         assert means[0] > means[1] > means[2]
@@ -431,10 +430,10 @@ class TestSingleLinkMc:
         # Doubling the simulation disk moves the estimate by less than
         # the combined 95% half-widths.
         radius = default_region_radius(table1_cfg)
-        a = mc_coverage_single_link(table1_cfg, 50000, seed=47,
-                                    region_radius=radius)
-        b = mc_coverage_single_link(table1_cfg, 50000, seed=47,
-                                    region_radius=2 * radius)
+        (a,) = mc_coverage_single_link_points((table1_cfg,), 50000, seed=47,
+                                              region_radius=radius)
+        (b,) = mc_coverage_single_link_points((table1_cfg,), 50000, seed=47,
+                                              region_radius=2 * radius)
         assert abs(a.mean - b.mean) < a.half_width_95 + b.half_width_95
 
 
@@ -513,13 +512,6 @@ class TestFamily:
             assert a == b
             assert [e.mean for e in a] != [e.mean for e in c]
             assert all(e.samples == 5000 and e.seed == 99 for e in a)
-
-    def test_one_point_is_the_one_point_family(self, table1_cfg):
-        cfg = replace(table1_cfg, sigma=20.0)
-        assert (mc_prob_rate_exceeds(cfg, 0.1, 5000, seed=7)
-                == mc_prob_rate_exceeds_points((cfg,), 0.1, 5000, seed=7)[0])
-        assert (mc_coverage_single_link(cfg, 5000, seed=7)
-                == mc_coverage_single_link_points((cfg,), 5000, seed=7)[0])
 
     def test_prob_rate_exceeds_matches_analytic(self, table1_cfg):
         # The tolerance of TestProbRateExceedsMc, at every point.

@@ -40,10 +40,8 @@ from clustercache.model import (
 from clustercache import optimize as opt
 from clustercache import queueing, stochgeo
 from clustercache.optimize import (
-    BandwidthAllocation,
     energy_conditional,
     objective_offloading,
-    optimal_bandwidth,
     optimize_delay_bcd,
     optimize_energy,
     optimize_offloading,
@@ -579,6 +577,12 @@ def _golden_section(fn, lo, hi, tol):
     return 0.5 * (a + b)
 
 
+def _split_of(policy, lib, k, zeta, o1, o2, w_total):
+    """(W1*, delay at W1*) of a policy, by ``_split_delay``."""
+    a1, a2 = opt._arrival_fractions(policy.b, lib.popularity, k)
+    return opt._split_delay(a1, a2, zeta, o1, o2, w_total)
+
+
 class TestOptimalBandwidth:
     def _setup(self, beta=0.5, n_files=100, m=4):
         cfg = _cfg()
@@ -592,16 +596,15 @@ class TestOptimalBandwidth:
                              np.array([0.6, 0.4, 0.0, 0.0]), np.ones(4))
         policy = _policy([1, 1, 0, 0], 2)
         o1, o2 = queueing.service_coefficients(cfg, lib)
-        alloc = optimal_bandwidth(policy, lib, 3, 2.0, o1, o2, cfg.w_total)
-        assert alloc.degenerate
-        assert alloc.w1 == cfg.w_total / 2
+        assert opt._arrival_fractions(policy.b, lib.popularity, 3) == (0.0, 0.0)
+        assert _split_of(policy, lib, 3, 2.0, o1, o2, cfg.w_total) == (
+            cfg.w_total / 2, 0.0)
 
     def test_all_bs_load_pushes_to_lower_bound(self):
         cfg, lib, o1, o2 = self._setup()
         policy = _policy(np.r_[np.zeros(96), np.ones(4)], 4)  # tail cached only
-        alloc = optimal_bandwidth(policy, lib, 8, 1.0, o1, o2, cfg.w_total)
-        assert not alloc.degenerate
-        assert alloc.w1 < 1e-6 * cfg.w_total + 1e-3
+        w1, _ = _split_of(policy, lib, 8, 1.0, o1, o2, cfg.w_total)
+        assert w1 < 1e-6 * cfg.w_total + 1e-3
 
     def test_matches_golden_section(self, rng):
         cfg, lib, o1, o2 = self._setup()
@@ -613,7 +616,7 @@ class TestOptimalBandwidth:
             policy = _policy(b[0], 4)
             zeta = float(rng.uniform(0.3, 1.2))
             try:
-                alloc = optimal_bandwidth(policy, lib, 8, zeta, o1, o2, cfg.w_total)
+                w1, _ = _split_of(policy, lib, 8, zeta, o1, o2, cfg.w_total)
             except NoStableSplitError:
                 continue
             kept += 1
@@ -631,7 +634,7 @@ class TestOptimalBandwidth:
             span = hi - lo
             best = _golden_section(delay_at, lo + 1e-9 * span, hi - 1e-9 * span,
                                    1e-9 * cfg.w_total)
-            assert abs(alloc.w1 - best) < 1e-6 * cfg.w_total
+            assert abs(w1 - best) < 1e-6 * cfg.w_total
             if kept >= 50:
                 break
         assert kept >= 50
@@ -644,17 +647,17 @@ class TestOptimalBandwidth:
                 continue
             policy = _policy(b[0], 4)
             try:
-                alloc = optimal_bandwidth(policy, lib, 8, 1.0, o1, o2, cfg.w_total)
+                w1, _ = _split_of(policy, lib, 8, 1.0, o1, o2, cfg.w_total)
             except NoStableSplitError:
                 continue
             a1, a2 = opt._arrival_fractions(policy.b, lib.popularity, 8)
-            assert 1.0 * a1 / o1 < alloc.w1 < cfg.w_total - 1.0 * a2 / o2
+            assert 1.0 * a1 / o1 < w1 < cfg.w_total - 1.0 * a2 / o2
 
     def test_no_stable_split_raises(self):
         cfg, lib, o1, o2 = self._setup()
         policy = _policy(np.full(100, 0.04), 4)
         with pytest.raises(NoStableSplitError):
-            optimal_bandwidth(policy, lib, 8, 1e4, o1, o2, cfg.w_total)
+            _split_of(policy, lib, 8, 1e4, o1, o2, cfg.w_total)
 
 
 class TestWeightedDelay:
@@ -714,12 +717,11 @@ class TestDelayBcd:
     def test_fixed_point_property(self, table1_cfg):
         lib = ContentLibrary.zipf(100, 0.5, 4)
         first = optimize_delay_bcd(table1_cfg, lib, 8, 2.0, restarts=4, seed=1)
-        again = optimize_delay_bcd(
-            table1_cfg, lib, 8, 2.0, restarts=1,
-            initial_policy=first.final_policy, seed=1,
-        )
-        assert len(again.steps) <= 2 + 1  # initial point plus <= 2 iterations
-        assert again.final_delay == pytest.approx(first.final_delay, rel=1e-6)
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        steps, _, _ = opt._bcd_run(first.final_policy.b, lib.popularity, 8, 2.0,
+                                   o1, o2, table1_cfg.w_total, 4)
+        assert len(steps) <= 2 + 1  # initial point plus <= 2 iterations
+        assert steps[-1].delay == pytest.approx(first.final_delay, rel=1e-6)
 
     def test_matches_exhaustive_grid(self):
         cfg = _cfg()
@@ -782,15 +784,50 @@ class TestDelayBcd:
         assert math.isfinite(trace.final_delay)
         assert trace.converged
 
-    def test_bandwidth_allocation_type(self):
-        alloc = BandwidthAllocation(w1=5.0)
-        assert not alloc.degenerate
+    @staticmethod
+    def _load_per_request(rows, q, k, o1, o2, w_total):
+        """Stability load (a1/O1 + a2/O2) / W per request/s, per row of b."""
+        miss = 1.0 - np.atleast_2d(rows)
+        return ((miss - miss**k) @ q / o1 + miss**k @ q / o2) / w_total
 
+    def test_minimum_load_policy_is_the_grid_minimum(self, table1_cfg):
+        # The least stability load of any policy, and the load limit it
+        # sets: just above it no policy is stable, just below it the
+        # optimiser runs from that policy (no other anchor is stable).
+        lib = ContentLibrary.zipf(5, 1.0, 2)
+        k = 3
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        w = table1_cfg.w_total
+        q = lib.popularity
+        least = opt._energy_form_minimiser(q, k, 1.0 / o1, 1.0 / o2, 2)[0]
+        load = self._load_per_request(least, q, k, o1, o2, w)[0]
+        grid = self._load_per_request(simplex_grid(5, 2, 0.1), q, k, o1, o2, w)
+        assert load <= grid.min() * (1 + 1e-12)
+        limit = 1.0 / load
+        with pytest.raises(InfeasibleLoadError, match="least load"):
+            optimize_delay_bcd(table1_cfg, lib, k, limit * (1 + 1e-6),
+                               restarts=2, seed=1)
+        trace = optimize_delay_bcd(table1_cfg, lib, k, limit * (1 - 1e-6),
+                                   restarts=2, seed=1)
+        assert math.isfinite(trace.final_delay)
 
-def _optimised_delay_of(policy, lib, k, zeta, o1, o2, w_total):
-    """Delay of a policy at its closed-form bandwidth split (public API only)."""
-    w1 = optimal_bandwidth(policy, lib, k, zeta, o1, o2, w_total).w1
-    return weighted_delay(policy, lib, k, zeta, w1, o1, o2, w_total)
+    def test_stabilises_a_load_no_baseline_scheme_does(self, table1_cfg):
+        # Loads per bandwidth: uniform 4.24, zipf-proportional 1.030,
+        # top-M 1.057 and the minimum-load policy 0.950.
+        lib = ContentLibrary.zipf(148, 1.334, 25)
+        k, zeta = 7, 15.894
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        w = table1_cfg.w_total
+        q = lib.popularity
+        least = opt._energy_form_minimiser(q, k, 1.0 / o1, 1.0 / o2, 25)[0]
+        for b in (np.full(148, 25 / 148),
+                  baseline_policy("zipf-proportional", lib).b,
+                  baseline_policy("cpf", lib).b):
+            assert zeta * self._load_per_request(b, q, k, o1, o2, w)[0] > 1.0
+        assert zeta * self._load_per_request(least, q, k, o1, o2, w)[0] < 0.96
+        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2, seed=1)
+        assert trace.converged
+        assert trace.final_delay == pytest.approx(2.2728, rel=1e-4)
 
 
 class TestSeparableCachingStep:
@@ -818,7 +855,7 @@ class TestSeparableCachingStep:
         ]
         for policy in rivals:
             try:
-                rival = _optimised_delay_of(policy, lib, k, zeta, o1, o2, w)
+                _, rival = _split_of(policy, lib, k, zeta, o1, o2, w)
             except (NoStableSplitError, UnstableQueueError):
                 continue
             assert trace.final_delay <= rival * (1 + 1e-12)
@@ -842,9 +879,9 @@ class TestSeparableCachingStep:
                                               o1, o2, w, 4)
         np.testing.assert_array_equal(s, baseline_policy("cpf", lib).b)
         assert gap > 0
-        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=1,
-                                   initial_policy=_policy(b, 4))
-        delays = [step.delay for step in trace.steps]
+        steps, _, _ = opt._bcd_run(_policy(b, 4).b, lib.popularity, k, zeta,
+                                   o1, o2, w, 4)
+        delays = [step.delay for step in steps]
         assert all(after <= before for before, after in zip(delays, delays[1:]))
 
     def test_single_device_falls_back_to_top_m(self, table1_cfg):
@@ -872,7 +909,7 @@ class TestSeparableCachingStep:
         o1, o2 = queueing.service_coefficients(table1_cfg, lib)
         w = table1_cfg.w_total
         b = np.full(50, 4 / 50)
-        w1 = optimal_bandwidth(_policy(b, 4), lib, k, zeta, o1, o2, w).w1
+        w1, _ = _split_of(_policy(b, 4), lib, k, zeta, o1, o2, w)
         slope1, slope2 = self._slopes(b, w1, lib, k, zeta, o1, o2, w)
         assert slope2 > slope1
         s, gap = opt._linearised_caching_step(b, w1, lib.popularity, k, zeta,
@@ -897,7 +934,7 @@ class TestSeparableCachingStep:
         b = np.r_[np.full(6, 2 / 6), np.zeros(4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w1 = optimal_bandwidth(_policy(b, 2), lib, 3, 0.8, o1, o2, w).w1
+            w1, _ = _split_of(_policy(b, 2), lib, 3, 0.8, o1, o2, w)
             s, _ = opt._linearised_caching_step(b, w1, q, 3, 0.8, o1, o2, w, 2)
             trace = optimize_delay_bcd(table1_cfg, lib, 3, 0.8, restarts=4, seed=1)
         assert np.all(s[6:] == 0.0) and s.sum() == pytest.approx(2.0, abs=1e-9)

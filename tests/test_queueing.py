@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from clustercache.errors import ConfigError, UnstableQueueError
+from clustercache.errors import UnstableQueueError
 from clustercache.model import CachingPolicy, ContentLibrary
 from clustercache.optimize import weighted_delay
-from clustercache.queueing import arrival_rates, service_rate
+from clustercache.queueing import _arrival_fractions, service_rate
+from clustercache.stochgeo import CoverageResult
 
 
 def _policy(b, m):
@@ -24,40 +25,41 @@ def _one_queue_delay(zeta, mu):
 
 
 class TestArrivalRates:
+    """The D2D and BS request fractions (a1, a2); 1 - a1 - a2 is self-served."""
+
     def test_all_self_served(self):
         lib = ContentLibrary(3, 0.0, 2, np.array([0.6, 0.4, 0.0]), np.ones(3))
-        z1, z2, z3 = arrival_rates(_policy([1, 1, 0], 2), lib, 4, 3.0)
-        assert (z1, z2, z3) == (0.0, 0.0, 3.0)
+        b = np.array([1.0, 1.0, 0.0])
+        assert _arrival_fractions(b, lib.popularity, 4) == (0.0, 0.0)
 
     def test_all_from_bs(self):
         lib = ContentLibrary.zipf(4, 1.0, 2)
-        z1, z2, z3 = arrival_rates(_policy([0, 0, 1, 1], 2), lib, 3, 2.0)
-        # Only the two uncached files generate load; both go to the BS.
         q = lib.popularity
-        assert z1 == 0.0
-        assert z2 == pytest.approx(2.0 * (q[0] + q[1]))
-        assert z3 == pytest.approx(2.0 * (q[2] + q[3]))
+        a1, a2 = _arrival_fractions(np.array([0.0, 0.0, 1.0, 1.0]), q, 3)
+        # Only the two uncached files generate load; both go to the BS.
+        assert a1 == 0.0
+        assert a2 == pytest.approx(q[0] + q[1])
+        assert 1.0 - a1 - a2 == pytest.approx(q[2] + q[3])
 
     def test_single_file_split(self):
         lib = ContentLibrary(2, 0.0, 1, np.array([1.0, 0.0]), np.ones(2))
-        z1, z2, z3 = arrival_rates(_policy([0.5, 0.5], 1), lib, 2, 2.0)
-        assert z1 == pytest.approx(2.0 * (0.5 - 0.25))
-        assert z2 == pytest.approx(2.0 * 0.25)
-        assert z3 == pytest.approx(1.0)
+        a1, a2 = _arrival_fractions(np.array([0.5, 0.5]), lib.popularity, 2)
+        assert a1 == pytest.approx(0.5 - 0.25)
+        assert a2 == pytest.approx(0.25)
+        assert 1.0 - a1 - a2 == pytest.approx(0.5)
 
     def test_split_sums_to_total(self, rng):
         lib = ContentLibrary.zipf(20, 0.8, 5)
         for _ in range(50):
             b = rng.random(20)
             b = b / b.sum() * 5
-            z1, z2, z3 = arrival_rates(_policy(b, 5), lib, 6, 2.0)
-            assert z1 + z2 + z3 == pytest.approx(2.0, abs=1e-12)
-            assert min(z1, z2, z3) >= 0.0
+            a1, a2 = _arrival_fractions(_policy(b, 5).b, lib.popularity, 6)
+            assert min(a1, a2, 1.0 - a1 - a2) >= 0.0
 
     def test_direction_of_each_component(self, rng):
         # Componentwise-larger caching vectors can only shrink the BS
-        # load and grow the self-cache share: zeta_2 is non-increasing
-        # and zeta_3 non-decreasing in every b_i.
+        # load and grow the self-cache share: a2 is non-increasing and
+        # 1 - a1 - a2 non-decreasing in every b_i.
         lib = ContentLibrary.zipf(10, 1.0, 3)
         for _ in range(50):
             b = rng.random(10)
@@ -65,28 +67,23 @@ class TestArrivalRates:
             b = b / b.sum() * 3
             bump = rng.random(10) * (1.0 - b)
             larger = b + bump / bump.sum() * 1.0  # componentwise >= b, sum M+1
-            low = arrival_rates(_policy(b, 3), lib, 5, 1.0)
-            high = arrival_rates(_policy(larger, 4), lib, 5, 1.0)
+            low = _arrival_fractions(_policy(b, 3).b, lib.popularity, 5)
+            high = _arrival_fractions(_policy(larger, 4).b, lib.popularity, 5)
             assert high[1] <= low[1] + 1e-12
-            assert high[2] >= low[2] - 1e-12
-
-    def test_rejects_bad_k(self):
-        lib = ContentLibrary.zipf(4, 1.0, 2)
-        with pytest.raises(ConfigError):
-            arrival_rates(_policy([1, 1, 0, 0], 2), lib, 0, 1.0)
+            assert 1.0 - sum(high) >= 1.0 - sum(low) - 1e-12
 
 
 class TestServiceRate:
     def test_reference_value(self):
         # 0.5 coverage, 10 MHz, theta = 1, 5 Mbit mean size -> 1 req/s.
-        assert service_rate(10e6, 1.0, 0.5, 5.0) == pytest.approx(1.0)
+        assert service_rate(10e6, 1.0, CoverageResult(0.5), 5.0) == pytest.approx(1.0)
 
     def test_zero_coverage_means_no_service(self):
-        assert service_rate(10e6, 1.0, 0.0, 5.0) == 0.0
+        assert service_rate(10e6, 1.0, CoverageResult(0.0), 5.0) == 0.0
 
     def test_linear_in_bandwidth(self):
-        one = service_rate(7e6, 2.0, 0.8, 3.0)
-        two = service_rate(14e6, 2.0, 0.8, 3.0)
+        one = service_rate(7e6, 2.0, CoverageResult(0.8), 3.0)
+        two = service_rate(14e6, 2.0, CoverageResult(0.8), 3.0)
         assert two == pytest.approx(2 * one, rel=1e-14)
 
 

@@ -29,7 +29,6 @@ from clustercache.stochgeo import (
     d2d_coverage_single_link,
     optimal_access_probability,
     prob_rate_exceeds,
-    rice_pdf,
     serving_distance_pdf,
 )
 from clustercache import stochgeo
@@ -61,22 +60,24 @@ class TestRicePdf:
         u = np.linspace(0.0, 80.0, 200)
         sigma = 12.0
         rayleigh = (u / sigma**2) * np.exp(-(u**2) / (2 * sigma**2))
-        assert np.allclose(rice_pdf(u, 0.0, sigma), rayleigh, atol=1e-14)
+        assert np.allclose(stochgeo._rice_pdf(u, 0.0, sigma), rayleigh,
+                           atol=1e-14)
 
     def test_normalises(self):
-        val, _ = quad(lambda u: rice_pdf(u, 50.0, 10.0), 0, np.inf, limit=200)
+        val, _ = quad(lambda u: stochgeo._rice_pdf(u, 50.0, 10.0), 0, np.inf,
+                      limit=200)
         assert abs(val - 1.0) < 1e-8
 
     def test_mean_matches_large_offset_expansion(self):
         # E[U] -> v + sigma^2/(2v) for v >> sigma; the next term is
         # -sigma^4/(8 v^3) ~ 1.3e-3 here, which sets the tolerance.
         v, sigma = 100.0, 10.0
-        mean, _ = quad(lambda u: u * rice_pdf(u, v, sigma), 0, v + 15 * sigma,
-                       limit=200)
+        mean, _ = quad(lambda u: u * stochgeo._rice_pdf(u, v, sigma), 0,
+                       v + 15 * sigma, limit=200)
         assert mean == pytest.approx(v + sigma**2 / (2 * v), abs=2e-3)
 
     def test_no_overflow_at_huge_distances(self):
-        val = rice_pdf(1.0e6, 1.0e6, 10.0)
+        val = stochgeo._rice_pdf(1.0e6, 1.0e6, 10.0)
         assert np.isfinite(val) and val > 0.0
 
     def test_bessel_bit_identical_to_scipy(self):
@@ -451,7 +452,7 @@ class TestSingleLinkCoverage:
 
 class TestAverageRateAndAccess:
     def test_zero_bandwidth(self):
-        assert average_rate(0.0, 1.0, 1.0) == 0.0
+        assert average_rate(0.0, 1.0, CoverageResult(1.0)) == 0.0
 
     def test_unit_coverage(self):
         assert average_rate(20e6, 1.0, CoverageResult(1.0)) == 2e7
