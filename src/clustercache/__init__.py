@@ -28,11 +28,12 @@ from .model import (
     zipf_popularity,
 )
 from .montecarlo import (
+    ConditionalCoverage,
     ConditionalCoveragePair,
     McEstimate,
-    mc_coverage_conditional,
-    mc_coverage_single_link_points,
-    mc_prob_rate_exceeds_points,
+    ProbRateExceeds,
+    SingleLinkCoverage,
+    simulate,
 )
 from .optimize import (
     BcdStep,

@@ -26,18 +26,21 @@ Construction per trial (typical receiver at the origin):
   thinning theorem, Poisson(mu) active members with mu = p*n_bar.
   P(R1 > R0) draws that local count, the conditional coverage both
   Binomial(k-1, p) and Poisson(p*k), and the single link none;
-* only remote clusters with an active member are drawn. By the marking
-  theorem they form a Poisson process of intensity
-  lambda_p*(1 - exp(-mu)), and each holds a zero-truncated Poisson(mu)
-  number of active members, so the active field has exactly the law of
-  the full one. The single-link model draws every remote cluster, each
-  with its one always-active member;
+* remote clusters are split by the marking theorem into active ones
+  (with at least one active member) and silent ones, two independent
+  Poisson processes of intensities lambda_p*(1 - exp(-mu)) and
+  lambda_p*exp(-mu). An active cluster holds a zero-truncated
+  Poisson(mu) number of active members, so the active clusters alone
+  give the ALOHA field its exact law. The single-link model gives every
+  cluster one always-active member: it takes the first member of each
+  active cluster and one member of each silent cluster, which together
+  form exactly its field of intensity lambda_p;
 * counts other than the cluster counts come from one uniform each,
   inverted through a CDF table cut where its tail mass drops below
-  1e-17. The exact and approximate local counts of the conditional
-  coverage invert the same uniform and share their members (the smaller
-  count takes a prefix of the larger), so the two models differ only
-  where their laws do;
+  1e-17. The local counts of all requests invert the same uniform and
+  share their members (a smaller count takes a prefix of a larger), so
+  the exact and approximate conditional coverage differ only where
+  their laws do;
 * each remote center is drawn at a uniform-area radius on the +x axis.
   The interference at the origin depends only on the members'
   distances, member offsets are i.i.d. isotropic Gaussians and clusters
@@ -46,33 +49,37 @@ Construction per trial (typical receiver at the origin):
   be drawn;
 * every active transmitter fades independently; a contribution is
   fade * d2**(-alpha/2) with d2 the squared distance, so no square root
-  is taken.
+  is taken. Members are stored in trial order and each trial's
+  contributions are summed by one ``np.add.reduceat`` per sigma.
 
-One simulation serves a *family* of points that share alpha, access_p
-and n_bar (hence mu) and may differ in sigma, theta and lambda_p:
+One simulation serves a list of *requests* (``ProbRateExceeds``,
+``SingleLinkCoverage``, ``ConditionalCoverage``) that share alpha,
+access_p and n_bar (hence mu) and may differ in kind, sigma, theta and
+lambda_p:
 
-* the plane is split into annuli between the points' distinct disk
+* the plane is split into annuli between the requests' distinct disk
   radii, and the density into layers between their distinct lambda_p.
-  Each (annulus, layer) cell is an independent Poisson field of active
-  clusters, of intensity the layer's width times (1 - exp(-mu)) (the
-  width alone for the single link). A
-  point takes the cells inside its radius and below its density; by the
-  restriction and superposition theorems those cells form exactly its
-  own remote field (intensity lambda_p on its own disk);
-* member offsets are standard normal vectors scaled by each point's
+  Each (annulus, layer) cell is an independent Poisson field of
+  clusters of intensity the layer's width. A request takes the cells
+  inside its radius and below its density; by the restriction and
+  superposition theorems those cells form exactly its own remote field
+  (intensity lambda_p on its own disk). A cell draws its active
+  clusters once for every request that takes it, and its silent
+  clusters only if a single-link request does;
+* member offsets are standard normal vectors scaled by each request's
   sigma: a member of a center at distance c lies at squared distance
   (c + sigma z_x)**2 + (sigma z_y)**2, one set of offsets and fades for
   every sigma. With everything in units of sigma, SIR > theta reads
   s1 > theta (L1 + sigma**alpha I_remote(sigma)), where s1 and L1 are
   the representative cluster's signal and interference in units of
   sigma. Their law depends on alpha and mu alone, so the representative
-  cluster is drawn once for the whole family;
-* each point's estimate therefore has exactly the law it has as a
-  one-point family; only the correlation between the points' estimates,
-  which share their draws, is new;
-* cells are drawn and scored one at a time and then freed, so a family
-  holds one cell's members at a time plus one batch-length field per
-  distinct (sigma, radius, lambda_p).
+  cluster is drawn once for all requests;
+* each request's estimate therefore has exactly the law it has when
+  simulated alone; only the correlation between the estimates, which
+  share their draws, is new;
+* cells are drawn and scored one at a time and then freed, so a
+  simulation holds one cell's members at a time plus one batch-length
+  field per distinct (kind, sigma, radius, lambda_p).
 
 Trials are processed in fixed-size batches; each batch draws its own
 SFC64 generator, spawned from ``SeedSequence(seed)``, so estimates are
@@ -83,7 +90,9 @@ any order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: import it here, not in a run
@@ -94,10 +103,11 @@ from .model import NetworkConfig
 __all__ = [
     "McEstimate",
     "ConditionalCoveragePair",
+    "ProbRateExceeds",
+    "SingleLinkCoverage",
+    "ConditionalCoverage",
     "default_region_radius",
-    "mc_prob_rate_exceeds_points",
-    "mc_coverage_conditional",
-    "mc_coverage_single_link_points",
+    "simulate",
 ]
 
 _BATCH = 10_000
@@ -132,6 +142,96 @@ class ConditionalCoveragePair:
 
     exact: McEstimate
     poisson_approx: McEstimate
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
+
+
+class _Request:
+    """What a request kind tells the engine: the kind of its remote field,
+    its local-count CDF tables (``local_cdfs``) and how its covered-trial
+    counts, one per table, become its result (one ``McEstimate`` here)."""
+
+    single_link: ClassVar[bool] = False
+
+    def result(self, hits: list, trials: int, seed: int):
+        (covered,) = hits
+        return _estimate(covered, trials, seed)
+
+
+@dataclass(frozen=True)
+class ProbRateExceeds(_Request):
+    """P(R1 > R0) under slotted ALOHA; simulates to one ``McEstimate``.
+
+    The serving transmission is conditioned on; every other device in the
+    representative cluster (Poisson(n_bar) of them) and in all remote
+    clusters transmits with the access probability.
+    """
+
+    cfg: NetworkConfig
+    r0_over_w1: float
+
+    def __post_init__(self):
+        cfg = self.cfg
+        if not math.isfinite(self.r0_over_w1):
+            raise ConfigError(f"r0_over_w1 must be finite, got {self.r0_over_w1!r}")
+        rate = cfg.access_p * math.log2(1.0 + cfg.theta)
+        if not rate > self.r0_over_w1:
+            raise InfeasibleAccessProbability(
+                f"at theta = {cfg.theta:.6g}: access_p * log2(1 + theta) = "
+                f"{rate:.6g} bits/s/Hz does not exceed R0/W1 = "
+                f"{self.r0_over_w1:.6g} bits/s/Hz"
+            )
+
+    def local_cdfs(self) -> tuple:
+        return (_poisson_cdf(self.cfg.access_p * self.cfg.n_bar, 0),)
+
+
+@dataclass(frozen=True)
+class SingleLinkCoverage(_Request):
+    """D2D coverage with one always-active link per cluster; simulates to
+    one ``McEstimate``.
+
+    No intra-cluster interference; each remote cluster contributes a
+    single Gaussian-displaced transmitter.
+    """
+
+    cfg: NetworkConfig
+    single_link: ClassVar[bool] = True
+
+    def local_cdfs(self) -> tuple:
+        return (np.ones(1),)  # no local interferer
+
+
+@dataclass(frozen=True)
+class ConditionalCoverage(_Request):
+    """Conditional D2D coverage for a cluster of exactly k devices;
+    simulates to a ``ConditionalCoveragePair``.
+
+    Estimates, on the same serving links and remote clusters, the exact
+    model (serving device plus k-1 potential interferers, each active
+    with probability p) and the Poisson(p*k) interferer-count
+    approximation used by the analytic expression.
+    """
+
+    cfg: NetworkConfig
+    k: int
+
+    def __post_init__(self):
+        _check_count("k", self.k, 1)
+
+    def local_cdfs(self) -> tuple:
+        p = self.cfg.access_p
+        return (_binomial_cdf(self.k - 1, p), _poisson_cdf(p * self.k, 0))
+
+    def result(self, hits: list, trials: int, seed: int) -> ConditionalCoveragePair:
+        exact, approx = hits
+        return ConditionalCoveragePair(exact=_estimate(exact, trials, seed),
+                                       poisson_approx=_estimate(approx, trials, seed))
 
 
 def default_region_radius(cfg: NetworkConfig) -> float:
@@ -193,33 +293,65 @@ def _binomial_cdf(n: int, p: float) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _member_interference(rng, alpha: float, owner: np.ndarray,
-                         cx: np.ndarray, cy: np.ndarray | None,
-                         active: np.ndarray | None, n: int,
-                         scales) -> np.ndarray:
-    """Interference of the active cluster members, per trial, one row per
-    offset scale s in ``scales``, in units of s.
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """Offsets 0, c0, c0 + c1, ... of items stored in the order of
+    ``counts``: item group i is [bounds[i], bounds[i + 1])."""
+    bounds = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
 
-    Cluster j belongs to trial ``owner[j]``, has its center at
-    (``cx[j]``, ``cy[j]``) (on the x axis when ``cy`` is None) and
-    ``active[j]`` active members (exactly one when ``active`` is None).
-    Each member lies s times a standard normal vector from its center and
-    fades independently with unit mean; row s sums fade * (d/s)**-alpha,
-    which is s**alpha times the unit-power interference. Every row shares
-    the offsets and fades.
+
+def _trial_sums(values: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None:
+    """``out[t]`` = sum of values[bounds[t]:bounds[t + 1]].
+
+    ``values`` ends in a zero past bounds[-1], so every start is an index
+    for ``np.add.reduceat``; it returns the item at the start of an empty
+    group, which is set to 0 here.
     """
+    starts = bounds[:-1]
+    np.add.reduceat(values, starts, out=out)
+    out[starts == bounds[1:]] = 0.0
+
+
+def _member_interference(rng, alpha: float, clusters: np.ndarray,
+                         cx: np.ndarray, cy: np.ndarray | None,
+                         active: np.ndarray | None, scales,
+                         first_scales=()) -> tuple:
+    """Interference of cluster members, per trial, in units of each scale.
+
+    Trial t holds ``clusters[t]`` clusters, stored in trial order:
+    cluster j has its center at (``cx[j]``, ``cy[j]``) (on the x axis
+    when ``cy`` is None) and ``active[j]`` active members (exactly one
+    when ``active`` is None). Each member lies s times a standard normal
+    vector from its center and fades independently with unit mean; a row
+    at scale s sums fade * (d/s)**-alpha, which is s**alpha times the
+    unit-power interference. Returns (rows, first_rows): ``rows[i]`` sums
+    every member at s = ``scales[i]``, ``first_rows[i]`` only the first
+    member of each cluster at s = ``first_scales[i]`` (every cluster must
+    then hold a member). Every row shares the offsets and fades.
+    """
+    n = clusters.size
+    trials = _bounds(clusters)
+    first = None  # member index of each cluster's first member
+    members = trials
     if active is not None:
-        owner, cx = np.repeat(owner, active), np.repeat(cx, active)
+        first = _bounds(active)
+        members = first[trials]
+        cx = np.repeat(cx, active)
         cy = None if cy is None else np.repeat(cy, active)
-    z = rng.standard_normal((2, owner.size))
-    fade = rng.standard_exponential(owner.size)
+    size = cx.size
+    z = rng.standard_normal((2, size))
+    fade = rng.standard_exponential(size)
     # In place: allocating fresh arrays of a batch's size costs about a
-    # third of the kernel.
-    d2, y2 = np.empty(owner.size), np.empty(owner.size)
+    # third of the kernel. The zero past the members ends every sum.
+    values = np.empty(size + 1)
+    values[size] = 0.0
+    d2, y2 = values[:size], np.empty(size)
     if cy is None:
         np.square(z[1], out=y2)
-    fields = np.empty((len(scales), n))
-    for field, scale in zip(fields, scales):
+    rows = np.empty((len(scales), n))
+    first_rows = np.empty((len(first_scales), n))
+    for scale in sorted({*scales, *first_scales}):
         if cy is not None:
             np.divide(cy, scale, out=y2)
             y2 += z[1]
@@ -230,34 +362,48 @@ def _member_interference(rng, alpha: float, owner: np.ndarray,
         d2 += y2
         np.power(d2, -0.5 * alpha, out=d2)
         d2 *= fade
-        field[:] = np.bincount(owner, weights=d2, minlength=n)
-    return fields
+        if scale in scales:
+            _trial_sums(values, members, rows[scales.index(scale)])
+        if scale in first_scales:
+            _trial_sums(values if first is None else values[first], trials,
+                        first_rows[first_scales.index(scale)])
+    return rows, first_rows
 
 
-def _remote_interference(rng, n: int, alpha: float, mu: float,
-                         single_link: bool, annulus: tuple, layer: tuple,
-                         sigmas) -> np.ndarray:
-    """Interference from the remote clusters of one cell, per trial, one
-    row per sigma in ``sigmas``, in units of that sigma.
+def _disk_radii(rng, inner: float, outer: float, size: int) -> np.ndarray:
+    """Uniform-area radii between ``inner`` and ``outer``."""
+    return np.sqrt(inner**2 + (outer**2 - inner**2) * rng.random(size))
+
+
+def _remote_interference(rng, n: int, alpha: float, mu: float, annulus: tuple,
+                         layer: tuple, sigmas, link_sigmas) -> tuple:
+    """Interference from the remote clusters of one cell, per trial, in
+    units of each sigma: (ALOHA rows at ``sigmas``, single-link rows at
+    ``link_sigmas``).
 
     The cell holds the clusters with centers in the ``annulus`` (inner,
     outer) radii and density in the ``layer`` (low, high) of lambda_p.
-    Only clusters with an active member are drawn (single link: every
-    cluster, with its one member). Centers lie on the +x axis; the module
-    docstring explains why both leave the law of the interference
-    unchanged.
+    Its active clusters are drawn once for both kinds; the single link
+    takes their first members and the cell's silent clusters, drawn only
+    when ``link_sigmas`` is not empty. Centers lie on the +x axis; the
+    module docstring explains why both leave every law unchanged.
     """
     inner, outer = annulus
     rate = (layer[1] - layer[0]) * math.pi * (outer**2 - inner**2)
-    if not single_link:
-        rate *= -math.expm1(-mu)
-    owner = np.repeat(np.arange(n), rng.poisson(rate, n))
-    cx = np.sqrt(inner**2 + (outer**2 - inner**2) * rng.random(owner.size))
-    active = None
-    if not single_link:
-        u = rng.random(owner.size)
+    clusters = rng.poisson(rate * -math.expm1(-mu), n)
+    cx = _disk_radii(rng, inner, outer, int(clusters.sum()))
+    active = None  # the single link alone needs no member counts
+    if sigmas:
+        u = rng.random(cx.size)
         active = 1 + np.searchsorted(_poisson_cdf(mu, 1), u, side="right")
-    return _member_interference(rng, alpha, owner, cx, None, active, n, sigmas)
+    rows, links = _member_interference(rng, alpha, clusters, cx, None, active,
+                                       sigmas, link_sigmas)
+    if link_sigmas:
+        silent = rng.poisson(rate * math.exp(-mu), n)
+        cx = _disk_radii(rng, inner, outer, int(silent.sum()))
+        links += _member_interference(rng, alpha, silent, cx, None, None,
+                                      link_sigmas)[0]
+    return rows, links
 
 
 def _local_counts(rng, cdfs: tuple, n: int) -> np.ndarray:
@@ -283,78 +429,79 @@ def _local_interference(rng, alpha: float, centers: np.ndarray,
     own count.
     """
     n = centers.shape[0]
+    one = np.ones(n, dtype=np.intp)
     fields = np.zeros(counts.shape)
     below = np.zeros(n, dtype=counts.dtype)
     for level in np.sort(counts, axis=0):
-        (layer,) = _member_interference(rng, alpha, np.arange(n), centers[:, 0],
-                                        centers[:, 1], level - below, n, (1.0,))
+        ((layer,), _) = _member_interference(rng, alpha, one, centers[:, 0],
+                                             centers[:, 1], level - below, (1.0,))
         fields += np.where(counts >= level, layer, 0.0)
         below = level
     return fields
 
 
+def _kind_rows(fields: list, users: list) -> tuple:
+    """(sigmas, users, rows): the distinct sigmas of the fields in
+    ``users``, and the row of ``sigmas`` each of them takes."""
+    sigmas = sorted({fields[i][1] for i in users})
+    return sigmas, users, [sigmas.index(fields[i][1]) for i in users]
+
+
 def _cells(fields: list) -> list:
     """The annulus x density-layer cells that some remote field takes.
 
-    ``fields`` holds distinct (sigma, radius, lambda_p) triples. Annuli
-    lie between consecutive distinct radii and layers between consecutive
-    distinct densities; a field takes every cell inside its radius and
-    below its density. Each cell is (annulus, layer, sigmas, users,
-    rows): ``sigmas`` are the distinct sigmas of the fields in ``users``,
-    and field ``users[i]`` takes row ``rows[i]`` of the cell's
-    interference. Cells no field takes are left out.
+    ``fields`` holds distinct (single_link, sigma, radius, lambda_p)
+    keys. Annuli lie between consecutive distinct radii and layers
+    between consecutive distinct densities; a field takes every cell
+    inside its radius and below its density. Each cell is (annulus,
+    layer, (aloha, link)), where each kind is (sigmas, users, rows) from
+    ``_kind_rows``: field ``users[i]`` takes row ``rows[i]`` of that
+    kind's interference. Cells no field takes are left out.
     """
-    radii = sorted({radius for _, radius, _ in fields})
-    levels = sorted({density for _, _, density in fields})
+    radii = sorted({radius for _, _, radius, _ in fields})
+    levels = sorted({density for _, _, _, density in fields})
     cells = []
     for annulus in zip([0.0] + radii, radii):
         for layer in zip([0.0] + levels, levels):
-            users = [i for i, (_, radius, density) in enumerate(fields)
+            users = [i for i, (_, _, radius, density) in enumerate(fields)
                      if radius >= annulus[1] and density >= layer[1]]
             if users:
-                sigmas = sorted({fields[i][0] for i in users})
-                rows = [sigmas.index(fields[i][0]) for i in users]
-                cells.append((annulus, layer, sigmas, users, rows))
+                kinds = tuple(
+                    _kind_rows(fields, [i for i in users if fields[i][0] == link])
+                    for link in (False, True))
+                cells.append((annulus, layer, kinds))
     return cells
 
 
-def _family(points, trials: int) -> tuple:
-    """The points as a tuple, checked to form one family."""
-    points = tuple(points)
-    if not points:
-        raise ConfigError("a family needs at least one point")
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    for name in ("alpha", "access_p", "n_bar"):
-        values = {getattr(cfg, name) for cfg in points}
-        if len(values) > 1:
-            raise ConfigError(
-                f"the points of a family must share {name}, got {sorted(values)}")
-    return points
-
-
-def _sir_hits(points: tuple, trials: int, seed: int, local_cdfs: tuple,
-              single_link: bool, region_radius: float | None) -> list:
-    """Covered-trial counts ``hits[i][j]`` of point i with local-count CDF
-    table j, on one network draw shared by the family ``points``.
+def _sir_hits(requests: tuple, trials: int, seed: int,
+              region_radius: float | None) -> list:
+    """Covered-trial counts ``hits[i][j]`` of request i with its local-count
+    CDF table j, on one network draw shared by all ``requests``.
 
     The serving link and the representative cluster are drawn once per
-    trial in units of sigma and shared by every point; the tables' local
-    fields share their members (common random numbers). Each point's
-    remote field is the sum of the cells it takes (module docstring),
-    drawn and scored one cell at a time.
+    trial in units of sigma and shared by every request; the local
+    fields of all tables share their members (common random numbers).
+    Each request's remote field is the sum of the cells it takes (module
+    docstring), drawn and scored one cell at a time.
     """
-    alpha = points[0].alpha
-    mu = points[0].access_p * points[0].n_bar
-    # A point's remote field depends on its (sigma, radius, lambda_p) only.
-    keys = [(cfg.sigma,
-             region_radius if region_radius is not None else default_region_radius(cfg),
-             cfg.lambda_p) for cfg in points]
+    cfg0 = requests[0].cfg
+    alpha, mu = cfg0.alpha, cfg0.access_p * cfg0.n_bar
+    # A request's remote field depends on its kind and (sigma, radius,
+    # lambda_p) only.
+    keys = [(r.single_link, r.cfg.sigma,
+             region_radius if region_radius is not None
+             else default_region_radius(r.cfg),
+             r.cfg.lambda_p) for r in requests]
     fields = sorted(set(keys))
     field_of = [fields.index(key) for key in keys]
     cells = _cells(fields)
+    # Equal tables (the same law) share one row of local counts.
+    tables = {}
+    table_of = [[tables.setdefault(cdf.tobytes(), (len(tables), cdf))[0]
+                 for cdf in r.local_cdfs()] for r in requests]
+    cdfs = tuple(cdf for _, cdf in tables.values())
     n_batches = (trials + _BATCH - 1) // _BATCH
-    hits = [[0] * len(local_cdfs) for _ in points]
+    hits = [[0] * len(rows) for rows in table_of]
     done = 0
     for rng in _batch_generators(seed, n_batches):
         n = min(_BATCH, trials - done)
@@ -362,20 +509,22 @@ def _sir_hits(points: tuple, trials: int, seed: int, local_cdfs: tuple,
         x0 = rng.standard_normal((n, 2))
         y0 = rng.standard_normal((n, 2))
         serve_d2 = np.square(x0 + y0).sum(axis=1)
-        counts = _local_counts(rng, local_cdfs, n)
-        local = _local_interference(rng, alpha, x0, counts)
+        local = _local_interference(rng, alpha, x0, _local_counts(rng, cdfs, n))
         remote = np.zeros((len(fields), n))
-        for annulus, layer, sigmas, users, rows in cells:
-            remote[users] += _remote_interference(
-                rng, n, alpha, mu, single_link, annulus, layer, sigmas)[rows]
+        for annulus, layer, kinds in cells:
+            drawn = _remote_interference(rng, n, alpha, mu, annulus, layer,
+                                         kinds[0][0], kinds[1][0])
+            for (_, users, rows), field in zip(kinds, drawn):
+                remote[users] += field[rows]
         signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * alpha)
-        for point_hits, cfg, f in zip(hits, points, field_of):
-            for j, field in enumerate(local):
+        for request_hits, request, f, rows in zip(hits, requests, field_of,
+                                                  table_of):
+            for j, row in enumerate(rows):
                 # SIR > theta, written multiplicatively so empty interferer
                 # sets (interference == 0) count as covered without
                 # dividing by zero.
-                point_hits[j] += int(np.count_nonzero(
-                    signal > cfg.theta * (field + remote[f])))
+                request_hits[j] += int(np.count_nonzero(
+                    signal > request.cfg.theta * (local[row] + remote[f])))
     return hits
 
 
@@ -393,77 +542,30 @@ def _estimate(hits: int, trials: int, seed: int) -> McEstimate:
     )
 
 
-def mc_prob_rate_exceeds_points(
-    points,
-    r0_over_w1: float,
-    trials: int,
-    seed: int,
-    region_radius: float | None = None,
-) -> list:
-    """Simulate P(R1 > R0) under slotted ALOHA at every point of a family,
-    on one network draw; one ``McEstimate`` per point.
+def simulate(requests, trials: int, seed: int,
+             region_radius: float | None = None) -> list:
+    """Simulate every request on one network draw; one result per request,
+    in order (an ``McEstimate``, or a ``ConditionalCoveragePair`` for a
+    ``ConditionalCoverage``).
 
-    The points must share alpha, access_p and n_bar; sigma, theta and
-    lambda_p may differ (module docstring). The serving transmission is
-    conditioned on; every other device in the representative cluster
-    (Poisson(n_bar) of them) and in all remote clusters transmits with
-    the access probability.
+    The requests must share alpha, access_p and n_bar; their kind, sigma,
+    theta and lambda_p may differ (module docstring). ``region_radius``
+    replaces every request's default simulation disk radius.
     """
-    points = _family(points, trials)
-    for cfg in points:
-        rate = cfg.access_p * math.log2(1.0 + cfg.theta)
-        if not rate > r0_over_w1:
-            raise InfeasibleAccessProbability(
-                f"at theta = {cfg.theta:.6g}: access_p * log2(1 + theta) = "
-                f"{rate:.6g} bits/s/Hz does not exceed R0/W1 = "
-                f"{r0_over_w1:.6g} bits/s/Hz"
-            )
-    local = _poisson_cdf(points[0].access_p * points[0].n_bar, 0)
-    hits = _sir_hits(points, trials, seed, (local,), False, region_radius)
-    return [_estimate(h, trials, seed) for (h,) in hits]
-
-
-def mc_coverage_conditional(
-    cfg: NetworkConfig,
-    k: int,
-    trials: int,
-    seed: int,
-    region_radius: float | None = None,
-) -> ConditionalCoveragePair:
-    """Simulate conditional D2D coverage for a cluster of exactly k devices.
-
-    Estimates, on the same serving links and remote clusters, the exact
-    model (serving device plus k-1 potential interferers, each active
-    with probability p) and the Poisson(p*k) interferer-count
-    approximation used by the analytic expression.
-    """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    points = _family((cfg,), trials)
-    p = cfg.access_p
-    local = (_binomial_cdf(k - 1, p), _poisson_cdf(p * k, 0))
-    ((hits_exact, hits_approx),) = _sir_hits(points, trials, seed, local,
-                                             False, region_radius)
-    exact = _estimate(hits_exact, trials, seed)
-    approx = _estimate(hits_approx, trials, seed)
-    return ConditionalCoveragePair(exact=exact, poisson_approx=approx)
-
-
-def mc_coverage_single_link_points(
-    points,
-    trials: int,
-    seed: int,
-    region_radius: float | None = None,
-) -> list:
-    """Simulate D2D coverage with one always-active link per cluster at
-    every point of a family, on one network draw; one ``McEstimate`` per
-    point.
-
-    The points must share alpha, access_p and n_bar; sigma, theta and
-    lambda_p may differ (module docstring). No intra-cluster
-    interference; each remote cluster contributes a single
-    Gaussian-displaced transmitter.
-    """
-    points = _family(points, trials)
-    hits = _sir_hits(points, trials, seed, (np.ones(1),), True, region_radius)
-    return [_estimate(h, trials, seed) for (h,) in hits]
+    requests = tuple(requests)
+    if not requests:
+        raise ConfigError("a family needs at least one point")
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
+    if region_radius is not None and not (
+            isinstance(region_radius, numbers.Real)
+            and math.isfinite(region_radius) and region_radius > 0):
+        raise ConfigError(
+            f"region_radius must be a finite positive number, got {region_radius!r}")
+    for name in ("alpha", "access_p", "n_bar"):
+        values = {getattr(r.cfg, name) for r in requests}
+        if len(values) > 1:
+            raise ConfigError(
+                f"the points of a family must share {name}, got {sorted(values)}")
+    hits = _sir_hits(requests, trials, seed, region_radius)
+    return [r.result(h, trials, seed) for r, h in zip(requests, hits)]

@@ -502,6 +502,8 @@ def weighted_delay(
     whose stability constraint fails. Self-served requests contribute
     zero delay.
     """
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
     if not 0 <= w1 <= w_total:
         raise ConfigError(f"w1 must lie in [0, {w_total}], got {w1}")
     a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)

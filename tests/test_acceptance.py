@@ -86,8 +86,8 @@ def test_criterion_01_rate_probability_vs_monte_carlo(table1):
         for theta_db in (0.0, 3.0):
             cfg = replace(table1.cfg, sigma=sigma, theta=10 ** (theta_db / 10))
             analytic = stochgeo.prob_rate_exceeds(cfg, 0.1).value
-            (mc,) = montecarlo.mc_prob_rate_exceeds_points(
-                (cfg,), 0.1, 100_000,
+            (mc,) = montecarlo.simulate(
+                [montecarlo.ProbRateExceeds(cfg, 0.1)], 100_000,
                 seed=int(1000 * sigma + theta_db),
             )
             gap = abs(analytic - mc.mean)
@@ -107,8 +107,9 @@ def test_criterion_02_single_link_closed_form_vs_monte_carlo(table1):
         for lam_km2 in (10.0, 20.0):
             cfg = replace(table1.cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)
             analytic = stochgeo.d2d_coverage_single_link(cfg).value
-            (mc,) = montecarlo.mc_coverage_single_link_points(
-                (cfg,), 100_000, seed=int(100 * sigma + lam_km2)
+            (mc,) = montecarlo.simulate(
+                [montecarlo.SingleLinkCoverage(cfg)], 100_000,
+                seed=int(100 * sigma + lam_km2),
             )
             gap = abs(analytic - mc.mean)
             if gap >= 0.02:

@@ -20,22 +20,29 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def _workloads():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _workloads()
+workloads = _load("workloads")
+check = _load("check")
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_workload_runs_and_writes_its_csvs(tmp_path, workload):
+    # The benchmark's own CSV check: a missing row, a `pass=false` row or
+    # analytic drift from the recorded reference fails here too.
     assert cli.main(workloads.cli_args(workload, 1, tmp_path)) == 0
-    for name in workloads.csv_names(workload):
+    names = workloads.csv_names(workload)
+    for name in names:
         assert (tmp_path / "out" / name).is_file()
+    result = check.check_sample(names, tmp_path / "out",
+                                PERFBENCH / "reference" / workload, None)
+    assert result["failed"] == 0, result["problems"]
 
 
 def test_traced_child_writes_metrics(tmp_path):

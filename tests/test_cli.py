@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from clustercache import cli, optimize, stochgeo
+from clustercache import cli, montecarlo, optimize, stochgeo
 from clustercache.errors import ConfigError, NumericFailure
 from clustercache.model import ContentLibrary
 from clustercache.cli import (
@@ -480,9 +480,8 @@ class TestRunScenario:
         assert float(gap["mc_hw95"]) > 0
         assert gap["z_score"] == ""
         # Per-row wall times and simulation rates go to the summary only.
-        # The rows of one simulation (the P(R1 > R0) family, the
-        # single-link family, the conditional pair) share its wall time,
-        # which the first of them carries.
+        # Every simulated row comes from one simulation, whose wall time
+        # the first row carries.
         summary = json.loads((tmp_path / "table1_summary.json").read_text())
         points = summary["tasks"]["validate"]["point_diagnostics"]
         assert len(points) == len(rows)
@@ -494,7 +493,7 @@ class TestRunScenario:
                 continue
             assert point["trials"] == sc.mc_trials
             if row["quantity"].endswith("(exact vs approx)"):
-                # Shares the simulation timed on the row before it.
+                # Shares the simulation timed on the first row.
                 assert point["analytic_s"] is None and point["mc_s"] is None
                 continue
             assert point["analytic_s"] > 0
@@ -505,10 +504,22 @@ class TestRunScenario:
                 assert point["trials_per_s"] == pytest.approx(
                     sc.mc_trials / point["mc_s"])
                 timed.append(row["quantity"])
-        assert timed == [rows[0]["quantity"], rows[6]["quantity"],
-                         "conditional_coverage k=5 (poisson approx)"]
+        assert timed == [rows[0]["quantity"]]
         assert rows[0]["quantity"].startswith("prob_rate_exceeds ")
-        assert rows[6]["quantity"].startswith("single_link ")
+
+    def test_validate_simulates_once(self, monkeypatch):
+        # The whole table is one simulation on one network draw.
+        calls = []
+        engine = montecarlo._sir_hits
+
+        def spy(requests, *args):
+            calls.append(requests)
+            return engine(requests, *args)
+
+        monkeypatch.setattr(montecarlo, "_sir_hits", spy)
+        rows = cli._validate_rows(replace(default_table1(), mc_trials=2000))
+        (requests,) = calls
+        assert len(requests) == 13 and len(rows) == 15
 
 
 class TestMainEntryPoint:

@@ -24,10 +24,11 @@ from clustercache.montecarlo import (
     _member_interference,
     _poisson_cdf,
     _remote_interference,
+    ConditionalCoverage,
+    ProbRateExceeds,
+    SingleLinkCoverage,
     default_region_radius,
-    mc_coverage_conditional,
-    mc_coverage_single_link_points,
-    mc_prob_rate_exceeds_points,
+    simulate,
 )
 from clustercache.stochgeo import (
     d2d_coverage_conditional,
@@ -41,6 +42,21 @@ from laplace_oracle import laplace_inter
 
 def _philox(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _rate_exceeds(points, r0_over_w1, trials, seed, **kwargs):
+    return simulate([ProbRateExceeds(cfg, r0_over_w1) for cfg in points],
+                    trials, seed, **kwargs)
+
+
+def _single_link(points, trials, seed, **kwargs):
+    return simulate([SingleLinkCoverage(cfg) for cfg in points], trials, seed,
+                    **kwargs)
+
+
+def _conditional(cfg, k, trials, seed):
+    (pair,) = simulate([ConditionalCoverage(cfg, k)], trials, seed)
+    return pair
 
 
 class _RecordingRng:
@@ -64,15 +80,15 @@ class _RecordingRng:
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Arguments the samplers hand to the member kernel and its result,
-    one dict per call."""
+    """Arguments the samplers hand to the member kernel and its rows over
+    all members, one dict per call."""
     calls = []
     real = montecarlo._member_interference
 
-    def spy(rng, alpha, owner, cx, cy, active, n, scales):
-        out = real(rng, alpha, owner, cx, cy, active, n, scales)
-        calls.append(dict(owner=owner, cx=cx, cy=cy, active=active, n=n,
-                          scales=scales, out=out))
+    def spy(rng, alpha, clusters, cx, cy, active, scales, first_scales=()):
+        out = real(rng, alpha, clusters, cx, cy, active, scales, first_scales)
+        calls.append(dict(clusters=clusters, cx=cx, cy=cy, active=active,
+                          scales=scales, first_scales=first_scales, out=out[0]))
         return out
 
     monkeypatch.setattr(montecarlo, "_member_interference", spy)
@@ -82,9 +98,12 @@ def kernel_calls(monkeypatch):
 def _remote(rng, cfg, n, radius, single_link):
     """One point's remote field in units of its sigma: a single cell, its
     whole disk at its whole density."""
-    (field,) = _remote_interference(rng, n, cfg.alpha, cfg.access_p * cfg.n_bar,
-                                    single_link, (0.0, radius),
-                                    (0.0, cfg.lambda_p), (cfg.sigma,))
+    sigmas = (cfg.sigma,)
+    aloha, link = _remote_interference(
+        rng, n, cfg.alpha, cfg.access_p * cfg.n_bar, (0.0, radius),
+        (0.0, cfg.lambda_p), () if single_link else sigmas,
+        sigmas if single_link else ())
+    (field,) = link if single_link else aloha
     return field
 
 
@@ -112,7 +131,8 @@ class TestMemberKernel:
     def test_remote_cluster_counts_are_poisson(self, table1_cfg, kernel_calls):
         # Only clusters with an active member are drawn: by the thinning
         # theorem they form a Poisson process of intensity
-        # lambda_p (1 - exp(-p n_bar)). The single-link model draws all.
+        # lambda_p (1 - exp(-p n_bar)). The single-link model takes them
+        # and the silent clusters, together all of them.
         cfg = table1_cfg
         radius = default_region_radius(cfg)
         area = cfg.lambda_p * math.pi * radius**2
@@ -120,10 +140,9 @@ class TestMemberKernel:
         n = 20000
         _remote(_philox(1), cfg, n, radius, False)
         _remote(_philox(1), cfg, n, radius, True)
-        nonempty, single = kernel_calls
-        _assert_poisson_counts(np.bincount(nonempty["owner"], minlength=n),
-                               area * -math.expm1(-mu))
-        _assert_poisson_counts(np.bincount(single["owner"], minlength=n), area)
+        nonempty, active, silent = kernel_calls
+        _assert_poisson_counts(nonempty["clusters"], area * -math.expm1(-mu))
+        _assert_poisson_counts(active["clusters"] + silent["clusters"], area)
 
     def test_remote_center_radii_are_uniform_in_disk(self, table1_cfg,
                                                      kernel_calls):
@@ -143,7 +162,7 @@ class TestMemberKernel:
         cfg = table1_cfg
         _remote(_philox(3), cfg, 4000, default_region_radius(cfg), False)
         _remote(_philox(3), cfg, 4000, default_region_radius(cfg), True)
-        thinned, single = kernel_calls
+        thinned, *single = kernel_calls
         active = thinned["active"]
         mu = cfg.access_p * cfg.n_bar
         nonzero = -math.expm1(-mu)
@@ -153,7 +172,7 @@ class TestMemberKernel:
         kappa4 = e4 - 4 * e3 * e1 - 3 * e2**2 + 12 * e2 * e1**2 - 6 * e1**4
         assert active.min() >= 1
         _assert_moments(active, e1, e2 - e1**2, kappa4)
-        assert single["active"] is None
+        assert all(call["active"] is None for call in single)
 
     def test_remote_total_active_count_matches_untruncated_field(
             self, table1_cfg, kernel_calls):
@@ -166,7 +185,8 @@ class TestMemberKernel:
         n = 20000
         _remote(_philox(9), cfg, n, radius, False)
         (call,) = kernel_calls
-        total = np.bincount(call["owner"], weights=call["active"], minlength=n)
+        owner = np.repeat(np.arange(n), call["clusters"])
+        total = np.bincount(owner, weights=call["active"], minlength=n)
         m1, m2, _, m4 = _poisson_raw_moments(cfg.access_p * cfg.n_bar)
         _assert_moments(total, area * m1, area * m2, area * m4)
 
@@ -188,7 +208,7 @@ class TestMemberKernel:
         (call,) = kernel_calls
         (active,) = counts
         assert np.array_equal(call["active"], active)
-        assert np.array_equal(call["owner"], np.arange(n))
+        assert np.array_equal(call["clusters"], np.ones(n))
         assert np.array_equal(call["cx"], centers[:, 0])
         assert np.array_equal(call["cy"], centers[:, 1])
         if mode == "aloha":
@@ -240,13 +260,14 @@ class TestMemberKernel:
         cfg = replace(table1_cfg, alpha=3.5)
         src = _philox(6)
         n = 3000
-        owner = np.repeat(np.arange(n), 2)
+        clusters = np.full(n, 2)
+        owner = np.repeat(np.arange(n), clusters)
         cx = src.uniform(-200.0, 200.0, owner.size)
         cy = src.uniform(-200.0, 200.0, owner.size)
         active = src.integers(0, 4, owner.size)
         rng = _RecordingRng(7)
-        (got,) = _member_interference(rng, cfg.alpha, owner, cx, cy, active, n,
-                                      (cfg.sigma,))
+        (got,), _ = _member_interference(rng, cfg.alpha, clusters, cx, cy,
+                                         active, (cfg.sigma,))
         (normals,), (fade,) = (rng.draws["standard_normal"],
                                rng.draws["standard_exponential"])
         offsets = cfg.sigma * normals
@@ -322,17 +343,17 @@ class TestCountTables:
 
 class TestDeterminism:
     def test_identical_seed_identical_estimate(self, table1_cfg):
-        a = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=99)[0]
-        b = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=99)[0]
+        a = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=99)[0]
+        b = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=99)[0]
         assert a == b
 
     def test_different_seed_different_estimate(self, table1_cfg):
-        a = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=99)[0]
-        b = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=100)[0]
+        a = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=99)[0]
+        b = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=100)[0]
         assert a.mean != b.mean
 
     def test_half_width_formula(self, table1_cfg):
-        est = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 5000, seed=99)[0]
+        est = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=99)[0]
         n = est.samples
         std = math.sqrt(n / (n - 1) * est.mean * (1 - est.mean))
         assert est.half_width_95 == pytest.approx(1.96 * std / math.sqrt(n))
@@ -342,23 +363,22 @@ class TestDeterminism:
 class TestProbRateExceedsMc:
     def test_certain_coverage_at_tiny_threshold(self, table1_cfg):
         cfg = replace(table1_cfg, theta=1e-9)
-        est = mc_prob_rate_exceeds_points((cfg,), 0.0, 2000, seed=5)[0]
+        est = _rate_exceeds((cfg,), 0.0, 2000, seed=5)[0]
         assert est.mean > 0.999
 
     def test_interference_dominated_limit(self, table1_cfg):
         cfg = replace(table1_cfg, access_p=1.0, lambda_p=5e-3, n_bar=20.0)
-        est = mc_prob_rate_exceeds_points((cfg,), 0.1, 2000, seed=5)[0]
+        est = _rate_exceeds((cfg,), 0.1, 2000, seed=5)[0]
         assert est.mean < 0.02
 
     def test_matches_analytic(self, table1_cfg):
-        (est,) = mc_prob_rate_exceeds_points((table1_cfg,), 0.1, 20000, seed=31)
+        (est,) = _rate_exceeds((table1_cfg,), 0.1, 20000, seed=31)
         analytic = prob_rate_exceeds(table1_cfg, 0.1).value
         assert abs(est.mean - analytic) < 0.02
 
     def test_feasibility_enforced(self, table1_cfg):
         with pytest.raises(InfeasibleAccessProbability):
-            mc_prob_rate_exceeds_points((replace(table1_cfg, access_p=0.01),),
-                                        0.1, 100, seed=1)
+            _rate_exceeds((replace(table1_cfg, access_p=0.01),), 0.1, 100, seed=1)
 
 
 class TestConditionalCoverageMc:
@@ -366,7 +386,7 @@ class TestConditionalCoverageMc:
         # With one device the serving transmitter is alone in the cluster,
         # so the exact estimate matches the inter-cluster-only integral.
         cfg = table1_cfg
-        pair = mc_coverage_conditional(cfg, 1, 20000, seed=17)
+        pair = _conditional(cfg, 1, 20000, seed=17)
         inter_only, _ = quad(
             lambda r: serving_distance_pdf(r, cfg.sigma)
             * laplace_inter(cfg.theta * r**cfg.alpha, cfg),
@@ -375,7 +395,7 @@ class TestConditionalCoverageMc:
         assert abs(pair.exact.mean - inter_only) < 0.02
 
     def test_poisson_approx_matches_analytic(self, table1_cfg):
-        pair = mc_coverage_conditional(table1_cfg, 5, 20000, seed=23)
+        pair = _conditional(table1_cfg, 5, 20000, seed=23)
         analytic = d2d_coverage_conditional(table1_cfg, 5).value
         assert abs(pair.poisson_approx.mean - analytic) < 0.02
 
@@ -383,10 +403,10 @@ class TestConditionalCoverageMc:
         # The Poisson(p k) interferer count overcounts the exact model's
         # k-1 potential interferers by about one device; at k = 5 and
         # p = 0.1 the measured coverage gap is ~3.3%, shrinking with k.
-        pair = mc_coverage_conditional(table1_cfg, 5, 20000, seed=23)
+        pair = _conditional(table1_cfg, 5, 20000, seed=23)
         gap5 = abs(pair.exact.mean - pair.poisson_approx.mean)
         assert gap5 < 0.05
-        pair20 = mc_coverage_conditional(table1_cfg, 20, 20000, seed=23)
+        pair20 = _conditional(table1_cfg, 20, 20000, seed=23)
         gap20 = abs(pair20.exact.mean - pair20.poisson_approx.mean)
         assert gap20 < gap5
 
@@ -397,31 +417,29 @@ class TestConditionalCoverageMc:
         # fields and reads about 0.0017 coupled.
         gaps = []
         for seed in range(1, 41):
-            pair = mc_coverage_conditional(table1_cfg, 5, 10_000, seed=seed)
+            pair = _conditional(table1_cfg, 5, 10_000, seed=seed)
             gaps.append(pair.exact.mean - pair.poisson_approx.mean)
         assert np.std(gaps, ddof=1) <= 0.0035
 
     def test_rejects_empty_cluster(self, table1_cfg):
         with pytest.raises(ConfigError):
-            mc_coverage_conditional(table1_cfg, 0, 100, seed=1)
+            _conditional(table1_cfg, 0, 100, seed=1)
 
 
 class TestSingleLinkMc:
     def test_limit_at_vanishing_density(self, table1_cfg):
-        (est,) = mc_coverage_single_link_points(
-            (replace(table1_cfg, lambda_p=1e-12),), 2000, seed=3)
+        (est,) = _single_link((replace(table1_cfg, lambda_p=1e-12),), 2000, seed=3)
         assert est.mean > 0.999
 
     def test_reference_point(self, table1_cfg):
-        est = mc_coverage_single_link_points((table1_cfg,), 20000, seed=41)[0]
+        est = _single_link((table1_cfg,), 20000, seed=41)[0]
         assert est.mean == pytest.approx(0.962, abs=0.01)
         analytic = d2d_coverage_single_link(table1_cfg).value
         assert abs(est.mean - analytic) < 0.02
 
     def test_monotone_decreasing_in_sigma(self, table1_cfg):
         means = [
-            mc_coverage_single_link_points((replace(table1_cfg, sigma=s),),
-                                           20000, seed=43)[0].mean
+            _single_link((replace(table1_cfg, sigma=s),), 20000, seed=43)[0].mean
             for s in (10.0, 20.0, 30.0)
         ]
         assert means[0] > means[1] > means[2]
@@ -430,10 +448,9 @@ class TestSingleLinkMc:
         # Doubling the simulation disk moves the estimate by less than
         # the combined 95% half-widths.
         radius = default_region_radius(table1_cfg)
-        (a,) = mc_coverage_single_link_points((table1_cfg,), 50000, seed=47,
-                                              region_radius=radius)
-        (b,) = mc_coverage_single_link_points((table1_cfg,), 50000, seed=47,
-                                              region_radius=2 * radius)
+        (a,) = _single_link((table1_cfg,), 50000, seed=47, region_radius=radius)
+        (b,) = _single_link((table1_cfg,), 50000, seed=47,
+                            region_radius=2 * radius)
         assert abs(a.mean - b.mean) < a.half_width_95 + b.half_width_95
 
 
@@ -459,19 +476,21 @@ class TestFamily:
         cells = []
         remote, member = montecarlo._remote_interference, montecarlo._member_interference
 
-        def remote_spy(rng, n, alpha, mu, single_link, annulus, layer, sigmas):
+        def remote_spy(rng, n, alpha, mu, annulus, layer, sigmas, link_sigmas):
             cells.append(dict(annulus=annulus, layer=layer, sigmas=sigmas))
-            return remote(rng, n, alpha, mu, single_link, annulus, layer, sigmas)
+            return remote(rng, n, alpha, mu, annulus, layer, sigmas, link_sigmas)
 
-        def member_spy(rng, alpha, owner, cx, cy, active, n, scales):
+        def member_spy(rng, alpha, clusters, cx, cy, active, scales,
+                       first_scales=()):
             if cy is None:  # the clusters of the cell just opened
-                cells[-1].update(owner=owner, cx=cx)
-            return member(rng, alpha, owner, cx, cy, active, n, scales)
+                cells[-1].update(clusters=clusters, cx=cx)
+            return member(rng, alpha, clusters, cx, cy, active, scales,
+                          first_scales)
 
         monkeypatch.setattr(montecarlo, "_remote_interference", remote_spy)
         monkeypatch.setattr(montecarlo, "_member_interference", member_spy)
         n = 10_000  # one batch
-        mc_prob_rate_exceeds_points(points, 0.1, n, seed=5)
+        _rate_exceeds(points, 0.1, n, seed=5)
         mu = table1_cfg.access_p * table1_cfg.n_bar
         for c in cells:  # scored at the sigmas of the points it lies inside
             assert c["sigmas"] == sorted({
@@ -480,7 +499,7 @@ class TestFamily:
         for cfg, radius in zip(points, radii):
             mine = [c for c in cells
                     if c["annulus"][1] <= radius and c["layer"][1] <= cfg.lambda_p]
-            counts = sum(np.bincount(c["owner"], minlength=n) for c in mine)
+            counts = sum(c["clusters"] for c in mine)
             _assert_poisson_counts(
                 counts, cfg.lambda_p * math.pi * radius**2 * -math.expm1(-mu))
             centers = np.concatenate([c["cx"] for c in mine])
@@ -489,13 +508,16 @@ class TestFamily:
 
     def test_cells_tile_each_field(self, table1_cfg):
         # The cells a field takes lie inside its disk and below its density,
-        # and their (area x density) measures sum to its own pi R^2 lambda_p.
-        fields = sorted({(cfg.sigma, default_region_radius(cfg), cfg.lambda_p)
-                         for cfg in _family_points(table1_cfg)})
+        # and their (area x density) measures sum to its own pi R^2 lambda_p;
+        # a field is scored with the fields of its own kind.
+        fields = sorted({(link, cfg.sigma, default_region_radius(cfg), cfg.lambda_p)
+                         for cfg in _family_points(table1_cfg)
+                         for link in (False, True)})
         cells = montecarlo._cells(fields)
-        for i, (sigma, radius, density) in enumerate(fields):
+        for i, (link, sigma, radius, density) in enumerate(fields):
             taken = [(annulus, layer, sigmas[rows[users.index(i)]])
-                     for annulus, layer, sigmas, users, rows in cells if i in users]
+                     for annulus, layer, kinds in cells
+                     for sigmas, users, rows in (kinds[link],) if i in users]
             assert all(annulus[1] <= radius and layer[1] <= density
                        and scale == sigma for annulus, layer, scale in taken)
             measure = sum(math.pi * (annulus[1]**2 - annulus[0]**2)
@@ -504,11 +526,10 @@ class TestFamily:
 
     def test_identical_seed_identical_estimates(self, table1_cfg):
         points = _family_points(table1_cfg)
-        for simulate, args in ((mc_prob_rate_exceeds_points, (0.1,)),
-                               (mc_coverage_single_link_points, ())):
-            a = simulate(points, *args, 5000, seed=99)
-            b = simulate(points, *args, 5000, seed=99)
-            c = simulate(points, *args, 5000, seed=100)
+        for run, args in ((_rate_exceeds, (0.1,)), (_single_link, ())):
+            a = run(points, *args, 5000, seed=99)
+            b = run(points, *args, 5000, seed=99)
+            c = run(points, *args, 5000, seed=100)
             assert a == b
             assert [e.mean for e in a] != [e.mean for e in c]
             assert all(e.samples == 5000 and e.seed == 99 for e in a)
@@ -517,14 +538,14 @@ class TestFamily:
         # The tolerance of TestProbRateExceedsMc, at every point.
         points = [replace(cfg, theta=theta) for cfg in _family_points(table1_cfg)
                   for theta in (1.0, 2.0)]
-        estimates = mc_prob_rate_exceeds_points(points, 0.1, 20000, seed=31)
+        estimates = _rate_exceeds(points, 0.1, 20000, seed=31)
         for cfg, est in zip(points, estimates):
             assert abs(est.mean - prob_rate_exceeds(cfg, 0.1).value) < 0.02
 
     def test_single_link_matches_analytic(self, table1_cfg):
         # The tolerance of TestSingleLinkMc, at every point.
         points = _family_points(table1_cfg)
-        estimates = mc_coverage_single_link_points(points, 20000, seed=41)
+        estimates = _single_link(points, 20000, seed=41)
         for cfg, est in zip(points, estimates):
             assert abs(est.mean - d2d_coverage_single_link(cfg).value) < 0.02
 
@@ -533,19 +554,104 @@ class TestFamily:
     def test_points_must_share_alpha_p_and_n_bar(self, table1_cfg, field, value):
         points = (table1_cfg, replace(table1_cfg, **{field: value}))
         with pytest.raises(ConfigError, match=f"must share {field}"):
-            mc_prob_rate_exceeds_points(points, 0.0, 100, seed=1)
+            _rate_exceeds(points, 0.0, 100, seed=1)
         with pytest.raises(ConfigError, match=f"must share {field}"):
-            mc_coverage_single_link_points(points, 100, seed=1)
+            _single_link(points, 100, seed=1)
 
     def test_rejects_empty_family(self):
         with pytest.raises(ConfigError):
-            mc_prob_rate_exceeds_points((), 0.1, 100, seed=1)
+            _rate_exceeds((), 0.1, 100, seed=1)
         with pytest.raises(ConfigError):
-            mc_coverage_single_link_points([], 100, seed=1)
+            _single_link([], 100, seed=1)
 
     def test_infeasible_point_named_by_theta(self, table1_cfg):
         # p log2(1 + theta) = 0.1 * log2(1.5) < 0.1 at theta = 0.5 only.
         points = (table1_cfg, replace(table1_cfg, theta=0.5),
                   replace(table1_cfg, theta=2.0))
         with pytest.raises(InfeasibleAccessProbability, match="at theta = 0.5:"):
-            mc_prob_rate_exceeds_points(points, 0.1, 100, seed=1)
+            _rate_exceeds(points, 0.1, 100, seed=1)
+
+
+class TestSharedDraw:
+    def test_single_link_shares_active_clusters(self, table1_cfg, kernel_calls):
+        # A single-link request in a cell an ALOHA request takes: the cell
+        # draws its active clusters once, Poisson(lambda_p pi R^2
+        # (1 - exp(-mu))) with zero-truncated Poisson(mu) members for the
+        # ALOHA field, and its silent clusters for the single link. Active
+        # plus silent clusters are Poisson(lambda_p pi R^2) per trial, with
+        # squared radii uniform on the disk.
+        cfg = table1_cfg
+        radius = default_region_radius(cfg)
+        area = cfg.lambda_p * math.pi * radius**2
+        mu = cfg.access_p * cfg.n_bar
+        n = 10_000  # one batch
+        simulate([ProbRateExceeds(cfg, 0.1), SingleLinkCoverage(cfg)], n, seed=13)
+        active, silent = [call for call in kernel_calls if call["cy"] is None]
+        assert active["scales"] == active["first_scales"] == [cfg.sigma]
+        assert silent["active"] is None and silent["scales"] == [cfg.sigma]
+        _assert_poisson_counts(active["clusters"] + silent["clusters"], area)
+        centers = np.concatenate([active["cx"], silent["cx"]])
+        assert centers.max() <= radius
+        assert stats.kstest((centers / radius) ** 2, "uniform").pvalue > 0.01
+        _assert_poisson_counts(active["clusters"], area * -math.expm1(-mu))
+        nonzero = -math.expm1(-mu)
+        e1, e2, e3, e4 = (m / nonzero for m in _poisson_raw_moments(mu))
+        kappa4 = e4 - 4 * e3 * e1 - 3 * e2**2 + 12 * e2 * e1**2 - 6 * e1**4
+        assert active["active"].min() >= 1
+        _assert_moments(active["active"], e1, e2 - e1**2, kappa4)
+
+    def test_first_rows_sum_each_clusters_first_member(self, table1_cfg):
+        # first_rows sums, per trial, the first member of each cluster
+        # (members of a cluster are stored together, in cluster order), at
+        # the same offsets and fades as the rows over all members.
+        cfg = table1_cfg
+        src = _philox(14)
+        n = 2000
+        clusters = src.integers(0, 4, n)
+        owner = np.repeat(np.arange(n), clusters)
+        cx = src.uniform(0.0, 300.0, owner.size)
+        active = src.integers(1, 4, owner.size)
+        rng = _RecordingRng(15)
+        (every,), (first,) = _member_interference(
+            rng, cfg.alpha, clusters, cx, None, active, [cfg.sigma], [cfg.sigma])
+        (normals,), (fade,) = (rng.draws["standard_normal"],
+                               rng.draws["standard_exponential"])
+        d2 = (np.repeat(cx, active) / cfg.sigma + normals[0]) ** 2 + normals[1] ** 2
+        contribution = fade * d2 ** (-cfg.alpha / 2)
+        member_owner = np.repeat(owner, active)
+        np.testing.assert_allclose(
+            every, np.bincount(member_owner, weights=contribution, minlength=n),
+            rtol=1e-12)
+        starts = np.cumsum(active) - active
+        np.testing.assert_allclose(
+            first, np.bincount(owner, weights=contribution[starts], minlength=n),
+            rtol=1e-12)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("radius", [math.nan, -5.0, 0.0, math.inf])
+    def test_rejects_bad_region_radius(self, table1_cfg, radius):
+        with pytest.raises(ConfigError, match="region_radius must be"):
+            _single_link([table1_cfg], 1000, 1, region_radius=radius)
+
+    @pytest.mark.parametrize("trials", [1000.5, 1000.0])
+    def test_rejects_non_integral_trials(self, table1_cfg, trials):
+        with pytest.raises(ConfigError, match="trials must be an integer"):
+            _single_link([table1_cfg], trials, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed(self, table1_cfg, seed):
+        with pytest.raises(ConfigError, match="seed must be"):
+            _single_link([table1_cfg], 1000, seed)
+
+    def test_rejects_non_finite_rate_threshold(self, table1_cfg):
+        with pytest.raises(ConfigError, match="r0_over_w1 must be finite"):
+            ProbRateExceeds(table1_cfg, math.nan)
+
+    def test_rejects_too_few_trials(self, table1_cfg):
+        with pytest.raises(ConfigError, match="trials must be at least 1"):
+            _single_link([table1_cfg], 0, 1)
+
+    def test_rejects_non_integral_k(self, table1_cfg):
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            ConditionalCoverage(table1_cfg, 2.5)

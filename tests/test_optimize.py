@@ -686,6 +686,15 @@ class TestWeightedDelay:
             weighted_delay(policy, lib, 8, 2.0, 19.9e6, o1, o2, cfg.w_total)
         assert info.value.queue == 2
 
+    def test_rejects_empty_cluster(self):
+        # At k = 0, (1 - b)**0 = 1 would send every request to the BS queue
+        # and report it unstable instead of naming the bad argument.
+        cfg, lib = _cfg(), ContentLibrary.zipf(100, 1.0, 4)
+        policy = _policy(np.full(100, 0.04), 4)
+        o1, o2 = queueing.service_coefficients(cfg, lib)
+        with pytest.raises(ConfigError, match="k must be at least 1, got 0"):
+            weighted_delay(policy, lib, 0, 2.0, 1e7, o1, o2, cfg.w_total)
+
     def test_convex_in_bandwidth(self, rng):
         cfg, lib = _cfg(), ContentLibrary.zipf(50, 0.8, 4)
         o1, o2 = queueing.service_coefficients(cfg, lib)
