@@ -6,10 +6,12 @@ in ``_mhz``) so the linear/dB ambiguity cannot enter the kernel. The
 default parameter set ``_TABLE1`` is the file's schema, one key per
 quantity: a key it lacks, a count that is not an integer, or a bool or
 string where it holds a number or list, is a configuration error.
-``clustercache run scenario.yaml`` executes the requested tasks over the
-sweep grid and writes one CSV per task plus a JSON summary;
-``clustercache validate`` runs the analytic-vs-Monte-Carlo validation
-table on the default parameter set.
+``clustercache print-default-config`` prints ``_TABLE1`` as it stands
+(``access_p: auto``). ``clustercache run scenario.yaml`` executes the
+requested tasks over the sweep grid and writes one CSV per task plus a
+JSON summary, which records the resolved ``Scenario`` in the SI units
+the computation uses; ``clustercache validate`` runs the
+analytic-vs-Monte-Carlo validation table on the default parameter set.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 validation table failed.
@@ -25,7 +27,7 @@ import math
 import sys
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,8 @@ class Scenario:
         for t in self.tasks:
             if t not in _TASKS:
                 raise ConfigError(f"unknown task {t!r}; expected one of {_TASKS}")
+        if len(set(self.tasks)) < len(self.tasks):
+            raise ConfigError(f"tasks must name each task once, got {list(self.tasks)}")
         if self.sweep_variable not in _SWEEP_VARIABLES:
             raise ConfigError(
                 f"unknown sweep variable {self.sweep_variable!r}; "
@@ -105,6 +109,11 @@ class Scenario:
             raise ConfigError(f"sweep grid values must be finite, got {self.grid}")
         if list(self.grid) != sorted(self.grid):
             raise ConfigError("sweep grid must be sorted ascending")
+        for value in self.grid:  # a value its variable cannot take
+            try:
+                _apply_sweep(self, value)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.grid value {value!r}: {exc}") from exc
         if self.mc_trials < 1:
             raise ConfigError("mc_trials must be positive")
         if self.seed < 0:
@@ -131,7 +140,8 @@ def _db_to_linear(db: float) -> float:
 
 # The default simulation parameter set, in the scenario-file format. It is
 # also that format's schema: a scenario file holds only keys named here,
-# and `_parse_scenario` says which of them it may omit.
+# and `_parse_scenario` says which of them it may omit. `print-default-config`
+# prints it as it stands.
 _TABLE1 = {
     "name": "table1",
     "seed": 20180001,
@@ -168,42 +178,6 @@ def default_table1() -> Scenario:
     default spectral threshold R0/W1 = 0.1 bits/s/Hz.
     """
     return _parse_scenario(_TABLE1, _TABLE1["name"])
-
-
-def scenario_to_mapping(s: Scenario) -> dict:
-    """Render a scenario as the unit-explicit mapping used in YAML files."""
-    return {
-        "name": s.name,
-        "seed": s.seed,
-        "mc_trials": s.mc_trials,
-        "output_dir": s.output_dir,
-        "tasks": list(s.tasks),
-        "network": {
-            "lambda_p_per_km2": s.cfg.lambda_p * 1e6,
-            "n_bar": s.cfg.n_bar,
-            "sigma_m": s.cfg.sigma,
-            "alpha": s.cfg.alpha,
-            "theta_db": 10.0 * math.log10(s.cfg.theta),
-            "p_d_dbm": 10.0 * math.log10(s.cfg.p_d) + 30.0,
-            "p_b_dbm": 10.0 * math.log10(s.cfg.p_b) + 30.0,
-            "w_total_mhz": s.cfg.w_total / 1e6,
-            "access_p": s.cfg.access_p,
-        },
-        "library": {
-            "n_files": s.lib.n_files,
-            "beta": s.lib.beta,
-            "cache_size": s.lib.cache_size,
-            "mean_size_mbits": s.lib.mean_size_mbits,
-        },
-        "sweep": {"variable": s.sweep_variable, "grid": list(s.grid)},
-        "offload": {"r0_over_w1": s.r0_over_w1},
-        "energy": {"bandwidth_fraction": s.bandwidth_fraction},
-        "delay": {
-            "k": s.delay_k,
-            "zeta_tot": s.zeta_tot,
-            "restarts": s.bcd_restarts,
-        },
-    }
 
 
 def load_scenario(path) -> Scenario:
@@ -571,7 +545,10 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
     summary = {
         "schema": 1,
         "library_version": __version__,
-        "scenario": scenario_to_mapping(scenario),
+        # The scenario as the run computes with it, in SI units.
+        "scenario": {**vars(scenario), "cfg": asdict(scenario.cfg),
+                     "lib": {key: getattr(scenario.lib, key) for key in
+                             ("n_files", "beta", "cache_size", "mean_size_mbits")}},
         "tasks": {},
     }
     exit_code = 0
@@ -650,8 +627,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "print-default-config":
-            print(yaml.safe_dump(scenario_to_mapping(default_table1()),
-                                 sort_keys=False), end="")
+            print(yaml.safe_dump(_TABLE1, sort_keys=False), end="")
             return 0
         if args.command == "run":
             scenario = load_scenario(args.scenario)

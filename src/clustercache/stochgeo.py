@@ -503,7 +503,10 @@ def optimal_access_probability(r0_over_w1: float, theta: float) -> float:
     """
     if r0_over_w1 < 0:
         raise ConfigError("r0_over_w1 must be non-negative")
-    p_star = r0_over_w1 / math.log2(1.0 + theta) * (1.0 + _ACCESS_MARGIN)
+    bits_per_hz = math.log2(1.0 + theta) if theta > 0 else 0.0
+    if not bits_per_hz > 0:  # theta = 1e-320 is positive, log2(1 + theta) is 0
+        raise ConfigError(f"log2(1 + theta) must be positive, got theta = {theta!r}")
+    p_star = r0_over_w1 / bits_per_hz * (1.0 + _ACCESS_MARGIN)
     if p_star > 1.0:
         raise InfeasibleAccessProbability(
             f"required access probability {p_star:.6g} exceeds 1"

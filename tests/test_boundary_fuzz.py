@@ -4,6 +4,7 @@ Every non-finite or out-of-range field must raise ``ConfigError``: no other
 exception, and no value accepted silently to fail later in a sweep.
 """
 
+import copy
 import math
 
 import pytest
@@ -11,7 +12,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercache.cli import default_table1, load_scenario, scenario_to_mapping
+from clustercache import cli
+from clustercache.cli import default_table1, load_scenario
 from clustercache.errors import ConfigError
 from clustercache.model import NetworkConfig
 
@@ -120,7 +122,7 @@ def _load(path, mapping):
 
 
 def test_unmodified_scenario_loads(scenario_path):
-    assert _load(scenario_path, scenario_to_mapping(default_table1())).cfg == \
+    assert _load(scenario_path, copy.deepcopy(cli._TABLE1)).cfg == \
         default_table1().cfg
 
 
@@ -129,7 +131,7 @@ def test_unmodified_scenario_loads(scenario_path):
 def test_scenario_file_rejects_bad_field(scenario_path, key, data):
     section, name = key
     value = data.draw(NON_FINITE | SCENARIO_OUT_OF_RANGE[key], label=name)
-    mapping = scenario_to_mapping(default_table1())
+    mapping = copy.deepcopy(cli._TABLE1)
     (mapping[section] if section else mapping)[name] = value
     with pytest.raises(ConfigError):
         _load(scenario_path, mapping)
@@ -144,7 +146,7 @@ def test_scenario_file_rejects_bad_field(scenario_path, key, data):
 def test_scenario_file_rejects_non_finite_grid_value(scenario_path, grid, bad, data):
     grid = sorted(grid)
     grid.insert(data.draw(st.integers(0, len(grid)), label="position"), bad)
-    mapping = scenario_to_mapping(default_table1())
+    mapping = copy.deepcopy(cli._TABLE1)
     mapping["sweep"]["grid"] = grid
     with pytest.raises(ConfigError):
         _load(scenario_path, mapping)

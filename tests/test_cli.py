@@ -1,5 +1,6 @@
 """Scenario parsing, CSV artifacts, exit codes, determinism."""
 
+import copy
 import csv
 import json
 import os
@@ -19,7 +20,6 @@ from clustercache.cli import (
     default_table1,
     load_scenario,
     run_scenario,
-    scenario_to_mapping,
     main,
 )
 
@@ -41,7 +41,7 @@ network:
   p_d_dbm: 23.0
   p_b_dbm: 43.0
   w_total_mhz: 20.0
-  access_p: 0.1000001
+  access_p: auto
 library:
   n_files: 500
   beta: 1.0
@@ -97,10 +97,13 @@ class TestDefaultScenario:
         assert sc.cfg.access_p == pytest.approx(0.1, rel=1e-5)
         assert sc.cfg.access_p > 0.1
 
-    def test_yaml_roundtrip(self, tmp_path):
+    def test_yaml_roundtrip(self, tmp_path, capsys):
+        # The printed default is the schema itself; it loads to
+        # default_table1(), field for field.
         sc = default_table1()
-        path = tmp_path / "scenario.yaml"
-        path.write_text(yaml.safe_dump(scenario_to_mapping(sc)))
+        assert main(["print-default-config"]) == 0
+        path = tmp_path / "table1.yaml"
+        path.write_text(capsys.readouterr().out)
         loaded = load_scenario(path)
         for name in sc.__dataclass_fields__:
             if name != "lib":
@@ -131,7 +134,7 @@ class TestScenarioValidation:
             replace(default_table1(), grid=(1.0, float("inf")))
 
     def test_overflowing_decibels_reported(self, tmp_path):
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         mapping["network"]["theta_db"] = 1e5
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
@@ -139,7 +142,7 @@ class TestScenarioValidation:
             load_scenario(path)
 
     def test_db_fields_are_exclusive(self, tmp_path):
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         mapping["network"]["theta"] = 1.0  # both theta and theta_db present
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
@@ -153,7 +156,7 @@ class TestScenarioValidation:
     ])
     def test_unknown_key_reported(self, tmp_path, capsys, section, key):
         # A misspelled key is an error, not a silent fall-back on Table 1.
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         (mapping[section] if section else mapping)[key] = 2
         name = f"{section}.{key}" if section else key
         path = tmp_path / "bad.yaml"
@@ -164,7 +167,7 @@ class TestScenarioValidation:
         assert name in capsys.readouterr().err
 
     def test_unknown_keys_listed_together(self, tmp_path):
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         mapping["mc_trial"] = 10
         mapping["network"]["sigma"] = 30.0
         mapping["delay"]["restart"] = 2
@@ -182,7 +185,7 @@ class TestScenarioValidation:
     ])
     def test_alternative_unit_keys_rejected(self, tmp_path, key, value, replaces):
         # One key per quantity: the network takes each in one unit only.
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         del mapping["network"][replaces]
         mapping["network"][key] = value
         path = tmp_path / "bad.yaml"
@@ -191,7 +194,7 @@ class TestScenarioValidation:
             load_scenario(path)
 
     def test_integral_float_counts_accepted(self, tmp_path):
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         mapping.update(seed=3.0, mc_trials=2000.0)
         mapping["library"].update(n_files=500.0, cache_size=10.0)
         mapping["delay"].update(k=8.0, restarts=2.0)
@@ -215,7 +218,7 @@ class TestScenarioValidation:
     def test_non_numbers_rejected(self, tmp_path, capsys, section, key, value):
         # YAML reads true/yes as a bool, which Python counts as the int 1,
         # and a quoted number as a string; neither may load as a number.
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         (mapping[section] if section else mapping)[key] = value
         name = f"{section}.{key}" if section else key
         path = tmp_path / "bad.yaml"
@@ -228,7 +231,7 @@ class TestScenarioValidation:
     def test_config_errors_are_not_wrapped(self, tmp_path, capsys):
         # ConfigError is a ValueError; the loader's own message passes
         # through as it is, not inside "invalid scenario value: ...".
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         mapping["network"]["sigma_m"] = True
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
@@ -240,12 +243,47 @@ class TestScenarioValidation:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_tasks_must_be_a_list(self, tmp_path):
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         mapping["tasks"] = "validate"  # not the tasks 'v', 'a', 'l', ...
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
         with pytest.raises(ConfigError, match="tasks must be a list, got 'validate'"):
             load_scenario(path)
+
+    def test_task_listed_twice_rejected(self, tmp_path, capsys):
+        # Twice the same task would run it twice and write its CSV twice.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["tasks"] = ["offload", "energy", "offload"]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match="^tasks must name each task once"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert "tasks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable, grid, bad", [
+        ("sigma", [-5.0, 10.0], -5.0),
+        ("sigma", [0.0, 10.0], 0.0),
+        ("p", [0.5, 1.5], 1.5),
+        ("beta", [-0.5, 1.0], -0.5),
+        ("lambda_p", [0.0, 20.0], 0.0),
+        ("n_bar", [-1.0, 5.0], -1.0),
+        ("theta", [0.0, 2.0], 0.0),
+    ])
+    def test_sweep_value_out_of_range_rejected(self, tmp_path, capsys,
+                                               variable, grid, bad):
+        # A value its variable cannot take is a configuration error at load,
+        # not an error row of the run.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping.update(tasks=["offload"], output_dir=str(tmp_path / "out"),
+                       sweep={"variable": variable, "grid": grid})
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match=rf"^sweep\.grid value {bad!r}: "):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert f"sweep.grid value {bad!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("name", "a/b"),
@@ -259,7 +297,7 @@ class TestScenarioValidation:
     def test_name_and_output_dir_checked(self, tmp_path, capsys, key, value):
         # The name prefixes the output file names, so it must be one file
         # name; the output directory must be a path string.
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         mapping[key] = value
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
@@ -269,11 +307,15 @@ class TestScenarioValidation:
         assert f"configuration error: {key} must be" in capsys.readouterr().err
 
     def test_automatic_access_probability_loads(self, tmp_path):
-        mapping = scenario_to_mapping(default_table1())
-        mapping["network"]["access_p"] = "auto"
+        # The schema keeps `auto`; a number given instead is taken as it is.
+        mapping = copy.deepcopy(cli._TABLE1)
+        assert mapping["network"]["access_p"] == "auto"
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(mapping))
         assert load_scenario(path).cfg == default_table1().cfg
+        mapping["network"]["access_p"] = 0.3
+        path.write_text(yaml.safe_dump(mapping))
+        assert load_scenario(path).cfg == replace(default_table1().cfg, access_p=0.3)
 
     @pytest.mark.parametrize("variable, value, field, expected", [
         ("sigma", 25.0, "sigma", 25.0),
@@ -284,7 +326,7 @@ class TestScenarioValidation:
         ("beta", 0.7, "beta", 0.7),
     ])
     def test_apply_sweep_sets_one_field(self, variable, value, field, expected):
-        sc = replace(default_table1(), sweep_variable=variable)
+        sc = replace(default_table1(), sweep_variable=variable, grid=(value,))
         cfg, lib = cli._apply_sweep(sc, value)
         if variable == "beta":
             assert cfg is sc.cfg
@@ -309,7 +351,7 @@ class TestScenarioValidation:
                                          "network", "library"])
     @pytest.mark.parametrize("value", [5, None, [1, 2], "auto"])
     def test_non_mapping_section_reported(self, tmp_path, capsys, section, value):
-        mapping = scenario_to_mapping(default_table1())
+        mapping = copy.deepcopy(cli._TABLE1)
         mapping[section] = value
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(mapping))
@@ -530,6 +572,51 @@ class TestMainEntryPoint:
         parsed = yaml.safe_load(out)
         assert parsed["network"]["theta_db"] == 0.0
         assert "theta" not in parsed["network"]
+
+    def test_edited_printed_default_resolves_access_probability(
+            self, tmp_path, capsys):
+        # The printed default keeps `access_p: auto`, so raising the rate
+        # threshold in a copy of it raises the access probability with it.
+        assert main(["print-default-config"]) == 0
+        mapping = yaml.safe_load(capsys.readouterr().out)
+        mapping["offload"]["r0_over_w1"] = 0.2
+        mapping.update(tasks=["offload"], sweep={"variable": "beta", "grid": [1.0]})
+        path = tmp_path / "table1.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "table1_offload.csv").read_text().splitlines()
+        (row,) = csv.DictReader(lines[1:])
+        assert row["error"] == ""
+        summary = json.loads((tmp_path / "table1_summary.json").read_text())
+        assert summary["scenario"]["cfg"]["access_p"] == pytest.approx(
+            0.2 * (1 + 1e-6), rel=1e-12)
+
+    def test_summary_records_the_scenario_in_si_units(self, tmp_path):
+        sc = _tiny_scenario(tmp_path)
+        assert run_scenario(sc) == 0
+        summary = json.loads((tmp_path / "out" / "table1_summary.json").read_text())
+        record = summary["scenario"]
+        assert set(record) == set(sc.__dataclass_fields__)
+        assert record["cfg"] == vars(sc.cfg)
+        assert record["lib"] == {"n_files": 30, "beta": 1.0, "cache_size": 3,
+                                 "mean_size_mbits": 5.0}
+        assert record["grid"] == list(sc.grid) and record["tasks"] == list(sc.tasks)
+        assert record["bcd_restarts"] == sc.bcd_restarts
+
+    def test_readme_scenario_example_matches_schema(self, tmp_path):
+        # The README's scenario block lists every key of the schema, and no
+        # other, and loads.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Scenario files", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "example.yaml"
+        path.write_text(block)
+        load_scenario(path)
+        mapping = yaml.safe_load(block)
+        assert list(mapping) == list(cli._TABLE1)
+        for key, schema in cli._TABLE1.items():
+            if isinstance(schema, dict):
+                assert set(mapping[key]) == set(schema), key
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -469,6 +469,12 @@ class TestAverageRateAndAccess:
         with pytest.raises(InfeasibleAccessProbability):
             optimal_access_probability(2.0, 1.0)
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-320, -0.5, -2.0, float("nan")])
+    def test_optimal_access_probability_rejects_zero_rate(self, theta):
+        # log2(1 + theta) = 0 (theta = 1e-320 rounds to it) has no feasible p.
+        with pytest.raises(ConfigError, match="log2"):
+            optimal_access_probability(0.1, theta)
+
     def test_coverage_result_validation(self):
         assert CoverageResult(1.0 + 1e-12).value == 1.0
         with pytest.raises(ConfigError):
