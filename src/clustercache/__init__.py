@@ -11,7 +11,6 @@ simulator.
 from .errors import (
     ClusterCacheError,
     ConfigError,
-    ConvexityError,
     InfeasibleAccessProbability,
     InfeasibleLoadError,
     NoStableSplitError,

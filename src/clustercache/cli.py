@@ -618,23 +618,21 @@ def _common_flags(p):
                    help="concurrent sweep points (default 1)")
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    updates = {"seed": args.seed, "output_dir": args.out, "mc_trials": args.mc_trials}
-    return replace(scenario, **{k: v for k, v in updates.items() if v is not None})
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "print-default-config":
             print(yaml.safe_dump(_TABLE1, sort_keys=False), end="")
             return 0
+        updates = {"seed": args.seed, "output_dir": args.out,
+                   "mc_trials": args.mc_trials}
         if args.command == "run":
             scenario = load_scenario(args.scenario)
         else:  # validate
-            scenario = replace(default_table1(), tasks=("validate",))
-        scenario = _apply_overrides(scenario, args)
-        return run_scenario(scenario, jobs=args.jobs)
+            scenario = default_table1()
+            updates["tasks"] = ("validate",)
+        updates = {k: v for k, v in updates.items() if v is not None}
+        return run_scenario(replace(scenario, **updates), jobs=args.jobs)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -28,10 +28,6 @@ class InfeasibleAccessProbability(ClusterCacheError, ValueError):
     """The ALOHA access probability cannot support the rate threshold."""
 
 
-class ConvexityError(ClusterCacheError, ValueError):
-    """The energy objective is not convex for the supplied rates."""
-
-
 class UnstableQueueError(ClusterCacheError, ValueError):
     """Arrival rate meets or exceeds service rate for one of the queues."""
 

@@ -7,9 +7,10 @@
   root, found by a vectorised Newton iteration in log form), with the
   budget multiplier found by a bracketing search.
 * Energy: minimise the conditional per-cluster download energy for a
-  cluster of k devices. Convex whenever the BS energy cost per bit
-  exceeds the D2D cost per bit; solved by the same multiplier search
-  with a closed-form interior branch.
+  cluster of k devices. Where the BS energy cost per bit exceeds the D2D
+  cost per bit the problem is convex, and the same multiplier search
+  with a closed-form interior branch solves it exactly; elsewhere it is
+  concave, and the optimum is the top-M vertex of q_i S_i.
 * Delay: minimise the weighted mean request delay jointly over the
   caching vector and the D2D/BS bandwidth split by block coordinate
   descent. The bandwidth block has a closed form. The caching step
@@ -42,7 +43,6 @@ import numpy.random  # numpy loads it lazily: import it here, not in a run
 
 from .errors import (
     ConfigError,
-    ConvexityError,
     InfeasibleLoadError,
     NoStableSplitError,
     NumericFailure,
@@ -218,8 +218,6 @@ def optimize_offloading(
     q = lib.popularity
     n_bar = cfg.n_bar
     m = lib.cache_size
-    if m >= lib.n_files:
-        raise ConfigError("cache size must be smaller than the catalog")
 
     if prob_r1 == 0.0:
         # Linear objective sum q_i b_i: cache the M most popular files.
@@ -376,26 +374,22 @@ def optimize_energy(
 ) -> KktSolution:
     """Minimise the conditional energy subject to the cache budget.
 
-    Requires the convexity gate Pb/R2 > Pd/R1. A cluster of one device
-    has no D2D partner, so the objective sum_i q_i S_i (1 - b_i) Pb/R2 is
-    linear and the M files of largest q_i S_i are cached deterministically;
-    the solution flags this top-M vertex (also taken when at most M files
+    Exact KKT where the problem is convex (k >= 2 and Pb/R2 > Pd/R1).
+    Elsewhere (a cluster of one device, which has no D2D partner, or
+    Pb/R2 <= Pd/R1) every term is linear or concave in b_i, so the
+    minimum is a 0/1 vertex: caching file i saves k q_i S_i Pb/R2, and
+    the M files of largest q_i S_i are cached deterministically. The
+    solution flags this top-M vertex (also taken when at most M files
     are requested) as degenerate.
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
     if r1 <= 0 or r2 <= 0:
         raise ConfigError("rates must be positive")
-    cost_d2d = cfg.p_d / r1
-    cost_bs = cfg.p_b / r2
-    if not cost_bs > cost_d2d:
-        raise ConvexityError(
-            f"energy objective is convex only when Pb/R2 > Pd/R1; got "
-            f"Pb/R2 = {cost_bs:.6g}, Pd/R1 = {cost_d2d:.6g}"
-        )
     m = lib.cache_size
     x = lib.popularity * lib.sizes * 1e6  # q_i S_i in bits
-    b, multiplier, iterations = _energy_form_minimiser(x, k, cost_d2d, cost_bs, m)
+    b, multiplier, iterations = _energy_form_minimiser(
+        x, k, cfg.p_d / r1, cfg.p_b / r2, m)
     policy = CachingPolicy(b=b, cache_size=m)
     return KktSolution(
         policy=policy,

@@ -93,7 +93,6 @@ class CoverageResult:
     """A coverage probability, clamped into [0, 1] within 1e-9."""
 
     value: float
-    degenerate: bool = False
 
     def __post_init__(self):
         v = self.value
@@ -437,13 +436,13 @@ def d2d_coverage_conditional(cfg: NetworkConfig, k: int) -> CoverageResult:
 
     The intra-cluster interferers are modelled as a Gaussian field of
     intensity p*k. With access probability zero no transmission occurs at
-    all; the interference-free value 1 is returned with the degenerate
-    flag set so sweeps stay total.
+    all, and the interference-free value 1 is returned so sweeps stay
+    total.
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
     if cfg.access_p == 0.0:
-        return CoverageResult(value=1.0, degenerate=True)
+        return CoverageResult(value=1.0)
     value = _coverage(cfg, cfg.access_p * k, f"D2D coverage | k={k}")
     return CoverageResult(value=value)
 

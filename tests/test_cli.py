@@ -454,6 +454,29 @@ class TestRunScenario:
             assert e_pc <= e_zipf + 1e-9
             assert e_pc <= e_cpf + 1e-9
 
+    def test_energy_where_d2d_costs_more_per_bit_than_the_bs(self, tmp_path):
+        # A 0.5% D2D bandwidth share makes Pb/R2 < Pd/R1 at every k: the
+        # energy is concave in the caching vector, and each k of the
+        # Poisson mixture takes the top-M vertex of q_i S_i.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping.update(tasks=["energy"], energy={"bandwidth_fraction": 0.005})
+        path = tmp_path / "table1.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "table1_energy.csv").read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert [float(row["value"]) for row in rows] == mapping["sweep"]["grid"]
+        for row in rows:
+            assert row["error"] == ""
+            e_pc, e_zipf, e_cpf = (float(row[f"e_{c}_j"]) for c in ("pc", "zipf", "cpf"))
+            assert e_pc <= min(e_zipf, e_cpf)
+        summary = json.loads((tmp_path / "table1_summary.json").read_text())
+        mixture = list(optimize._poisson_weights(mapping["network"]["n_bar"]))
+        assert len(mixture) == 25
+        for point in summary["tasks"]["energy"]["point_diagnostics"]:
+            assert point["degenerate"] == len(mixture)
+            assert point["kkt_iterations"] == 0
+
     def test_infeasible_sweep_points_become_error_rows(self, tmp_path):
         # Sweeping the access probability through infeasible values must
         # not abort the run; those points carry a reason instead.
@@ -617,6 +640,13 @@ class TestMainEntryPoint:
         for key, schema in cli._TABLE1.items():
             if isinstance(schema, dict):
                 assert set(mapping[key]) == set(schema), key
+
+    def test_readme_quick_start_runs(self):
+        # The README's Python quick start, run as it stands.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library quick start", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

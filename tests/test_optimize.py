@@ -12,6 +12,7 @@ Oracles used here:
   multiplier (``kkt_oracle``).
 """
 
+import itertools
 import math
 from dataclasses import replace
 import warnings
@@ -24,7 +25,6 @@ from scipy.stats import poisson
 
 from clustercache.errors import (
     ConfigError,
-    ConvexityError,
     InfeasibleLoadError,
     NoStableSplitError,
     NumericFailure,
@@ -338,10 +338,15 @@ def _project_box_simplex(y, budget):
 
 
 def _projected_gradient_energy(q, s_bits, k, cost_d2d, cost_bs, budget,
-                               iterations=30000):
-    """Independent minimiser: projected gradient with FD gradients."""
+                               iterations=30000, start=None):
+    """Independent minimiser: projected gradient with FD gradients.
+
+    Starts from the uniform policy unless ``start`` is given. Where the
+    objective is concave (cost_bs <= cost_d2d) every step still descends,
+    and the iterates move towards a vertex.
+    """
     n = q.size
-    b = np.full(n, budget / n)
+    b = np.full(n, budget / n) if start is None else np.asarray(start, float)
     x = q * s_bits
 
     def objective(bb):
@@ -349,7 +354,12 @@ def _projected_gradient_energy(q, s_bits, k, cost_d2d, cost_bs, budget,
         return k * float(((miss - miss**k) * cost_d2d + miss**k * cost_bs) @ x)
 
     h = 1e-7
-    lipschitz = k * k * (k - 1) * float((x * (cost_bs - cost_d2d)).max()) + 1e-30
+    # Where the objective is convex, the gradient's Lipschitz constant bounds
+    # a step that still descends. Where it is concave (cost_bs <= cost_d2d)
+    # every step descends; there a step that moves the file of least
+    # gradient by about 1 reaches a vertex in a few steps.
+    lipschitz = max(k * k * (k - 1) * float((x * (cost_bs - cost_d2d)).max()),
+                    k * float(x[x > 0].min()) * max(cost_bs, cost_d2d))
     step = 1.0 / lipschitz
     for _ in range(iterations):
         grad = np.empty(n)
@@ -463,7 +473,7 @@ class TestEnergy:
     def test_hessian_diagonal_against_finite_differences(self, rng):
         # Directional second difference along budget-preserving directions
         # equals sum_i H_ii d_i^2 with H_ii = k^2 (k-1) q_i S_i (Pb/R2 -
-        # Pd/R1) (1-b_i)^(k-2) >= 0 under the convexity gate.
+        # Pd/R1) (1-b_i)^(k-2), >= 0 at these rates (Pb/R2 > Pd/R1).
         cfg = _cfg()
         lib = ContentLibrary.zipf(6, 0.7, 2)
         k, r1, r2 = 4, 1e6, 2e6
@@ -508,10 +518,19 @@ class TestEnergy:
         np.testing.assert_array_equal(sol.policy.b, [1, 0, 1, 0, 0])
         assert sol.degenerate
 
-    def test_convexity_gate(self, table1_cfg, table1_lib):
-        # Pb/R2 <= Pd/R1 breaks convexity and is refused.
-        with pytest.raises(ConvexityError):
-            optimize_energy(table1_cfg, table1_lib, 3, r1=1e6, r2=1e12)
+    def test_concave_regime_takes_top_m_vertex(self, table1_cfg, table1_lib):
+        # Pb/R2 <= Pd/R1 makes every term concave in b_i: the optimum is the
+        # vertex caching the M largest q_i S_i (here the M most popular,
+        # as sizes are equal), and the solution flags it as degenerate.
+        k, r1, r2 = 3, 1e6, 1e12
+        sol = optimize_energy(table1_cfg, table1_lib, k, r1=r1, r2=r2)
+        assert sol.degenerate and math.isnan(sol.multiplier)
+        assert sol.iterations == 0
+        assert np.array_equal(sol.policy.b, baseline_policy("cpf", table1_lib).b)
+        # Every uncached file ships from the BS: k sum_{i > M} q_i S_i Pb/R2.
+        x = table1_lib.popularity * table1_lib.sizes * 1e6
+        expected = k * float(x[10:].sum()) * table1_cfg.p_b / r2
+        assert sol.objective == pytest.approx(expected, rel=1e-12)
 
     def test_unrequested_files_are_not_cached(self, table1_cfg):
         # Files of zero popularity do not change the energy; they take no
@@ -543,6 +562,58 @@ class TestEnergy:
             table1_cfg.p_d / r1, table1_cfg.p_b / r2,
         )
         assert sol.objective <= values.min() + 1e-10
+
+
+def _concave_energy_case(rng):
+    """(cfg, lib, k, r1, r2) with Pb/R2 <= Pd/R1, equal in about a third."""
+    n = int(rng.integers(3, 13))
+    m = int(rng.integers(1, n))
+    q = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+    if rng.random() < 0.2:  # a tail of unrequested files
+        q[int(rng.integers(1, n)):] = 0.0
+    lib = ContentLibrary(n, 0.0, m, q / q.sum(), rng.uniform(0.1, 10.0, n))
+    k = int(rng.integers(1, 9))
+    r1 = float(rng.uniform(1e5, 1e7))
+    # p_b / (2 r1) is p_d / r1 exactly: the two costs per bit tie.
+    r2 = 2.0 * r1 * (1.0 if rng.random() < 0.35 else float(rng.uniform(1.0, 1e3)))
+    return _cfg(p_d=1.0, p_b=2.0), lib, k, r1, r2
+
+
+class TestEnergyConcave:
+    """Pb/R2 <= Pd/R1: the minimum is the best 0/1 vertex."""
+
+    def test_matches_exhaustive_vertex_minimum(self):
+        rng = np.random.default_rng(1609)
+        ties = 0
+        for _ in range(200):
+            cfg, lib, k, r1, r2 = _concave_energy_case(rng)
+            cost_d2d, cost_bs = cfg.p_d / r1, cfg.p_b / r2
+            assert cost_bs <= cost_d2d
+            ties += cost_bs == cost_d2d
+            n, m = lib.n_files, lib.cache_size
+            vertices = np.zeros((math.comb(n, m), n))
+            for row, cached in enumerate(itertools.combinations(range(n), m)):
+                vertices[row, list(cached)] = 1.0
+            best = energy_objective_rows(vertices, lib.popularity, lib.sizes * 1e6,
+                                         k, cost_d2d, cost_bs).min()
+            sol = optimize_energy(cfg, lib, k, r1, r2)
+            assert sol.degenerate
+            assert np.all((sol.policy.b == 0.0) | (sol.policy.b == 1.0))
+            assert sol.objective == pytest.approx(best, rel=1e-12, abs=0.0)
+        assert ties >= 40
+
+    def test_projected_gradient_finds_nothing_lower(self):
+        rng = np.random.default_rng(1610)
+        for _ in range(30):
+            cfg, lib, k, r1, r2 = _concave_energy_case(rng)
+            sol = optimize_energy(cfg, lib, k, r1, r2)
+            for start in random_box_simplex(rng, 3, lib.n_files, lib.cache_size):
+                b = _projected_gradient_energy(
+                    lib.popularity, lib.sizes * 1e6, k, cfg.p_d / r1,
+                    cfg.p_b / r2, lib.cache_size, iterations=300, start=start)
+                found = energy_conditional(_policy(b, lib.cache_size), lib, cfg,
+                                           k, r1, r2)
+                assert sol.objective <= found * (1 + 1e-12)
 
 
 class TestPoissonWeights:

@@ -213,8 +213,9 @@ class TestProbRateExceeds:
 
 class TestConditionalCoverage:
     def test_degenerate_without_transmissions(self, table1_cfg):
+        # No device transmits: nothing interferes, and coverage is certain.
         result = d2d_coverage_conditional(replace(table1_cfg, access_p=0.0), 3)
-        assert result.value == 1.0 and result.degenerate
+        assert result == CoverageResult(1.0)
 
     def test_matches_direct_composition_at_k1(self, table1_cfg):
         # k=1 and p=1: integral of f_R * L_inter * L_intra(intensity 1).
