@@ -18,12 +18,10 @@ from .errors import (
     UnstableQueueError,
 )
 from .model import (
-    CacheRealization,
     CachingPolicy,
     ContentLibrary,
     NetworkConfig,
     baseline_policy,
-    sample_cache_realization,
     zipf_popularity,
 )
 from .montecarlo import (

@@ -24,6 +24,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import re
 import sys
 import time
 import zlib
@@ -180,10 +181,26 @@ def default_table1() -> Scenario:
     return _parse_scenario(_TABLE1, _TABLE1["name"])
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 with exponent-form numbers (``2e3``, ``1e-06``) as floats,
+    as YAML 1.2 and JSON read them."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """Quotes the strings that ``_Loader`` would read as numbers."""
+
+
+for _cls in (_Loader, _Dumper):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+        list("-+0123456789"))
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a YAML scenario file."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_text(), Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -622,7 +639,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "print-default-config":
-            print(yaml.safe_dump(_TABLE1, sort_keys=False), end="")
+            print(yaml.dump(_TABLE1, Dumper=_Dumper, sort_keys=False), end="")
             return 0
         updates = {"seed": args.seed, "output_dir": args.out,
                    "mc_trials": args.mc_trials}

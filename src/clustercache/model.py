@@ -22,9 +22,7 @@ __all__ = [
     "NetworkConfig",
     "ContentLibrary",
     "CachingPolicy",
-    "CacheRealization",
     "zipf_popularity",
-    "sample_cache_realization",
     "baseline_policy",
 ]
 
@@ -176,18 +174,6 @@ class CachingPolicy:
         return int(self.b.size)
 
 
-@dataclass(frozen=True)
-class CacheRealization:
-    """A concrete cache content: exactly M distinct 1-based file indices."""
-
-    cached: frozenset
-    n_files: int
-
-    def __post_init__(self):
-        if not all(1 <= i <= self.n_files for i in self.cached):
-            raise ConfigError("cached indices must lie in [1, n_files]")
-
-
 def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
     """Zipf popularity vector: element i proportional to (i+1)^-beta.
 
@@ -200,35 +186,6 @@ def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
     ranks = np.arange(1, n_files + 1, dtype=float)
     weights = ranks ** (-beta)
     return weights / weights.sum()
-
-
-def sample_cache_realization(
-    policy: CachingPolicy, uniform_draw: float
-) -> CacheRealization:
-    """Draw one cache content from the block placement scheme.
-
-    A continuous memory of length M is filled left to right with segments
-    of lengths b_1, ..., b_N (wrapping across the M unit blocks), then a
-    single cut at offset ``uniform_draw`` selects the file covering
-    position ``m + uniform_draw`` in each unit block m. Every file has
-    segment length at most one, so the M selected files are distinct, and
-    file i is selected with marginal probability exactly b_i.
-    """
-    if not 0 <= uniform_draw < 1:
-        raise ConfigError(f"uniform_draw must lie in [0, 1), got {uniform_draw}")
-    m = policy.cache_size
-    boundaries = np.cumsum(policy.b)
-    cuts = uniform_draw + np.arange(m)
-    idx = np.searchsorted(boundaries, cuts, side="right")
-    # Guard against float round-off at the final boundary (sum(b) ~ M).
-    idx = np.minimum(idx, policy.n_files - 1)
-    files = frozenset(int(i) + 1 for i in idx)
-    if len(files) != m:
-        raise ConfigError(
-            "placement produced a duplicate file; policy violates the box "
-            "constraints"
-        )
-    return CacheRealization(cached=files, n_files=policy.n_files)
 
 
 def _capped_proportional(weights: np.ndarray, budget: int) -> np.ndarray:

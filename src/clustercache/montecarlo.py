@@ -122,7 +122,6 @@ class McEstimate:
     mean: float
     half_width_95: float
     samples: int
-    seed: int
 
     def __post_init__(self):
         if self.samples < 1:
@@ -158,9 +157,9 @@ class _Request:
 
     single_link: ClassVar[bool] = False
 
-    def result(self, hits: list, trials: int, seed: int):
+    def result(self, hits: list, trials: int):
         (covered,) = hits
-        return _estimate(covered, trials, seed)
+        return _estimate(covered, trials)
 
 
 @dataclass(frozen=True)
@@ -228,10 +227,10 @@ class ConditionalCoverage(_Request):
         p = self.cfg.access_p
         return (_binomial_cdf(self.k - 1, p), _poisson_cdf(p * self.k, 0))
 
-    def result(self, hits: list, trials: int, seed: int) -> ConditionalCoveragePair:
+    def result(self, hits: list, trials: int) -> ConditionalCoveragePair:
         exact, approx = hits
-        return ConditionalCoveragePair(exact=_estimate(exact, trials, seed),
-                                       poisson_approx=_estimate(approx, trials, seed))
+        return ConditionalCoveragePair(exact=_estimate(exact, trials),
+                                       poisson_approx=_estimate(approx, trials))
 
 
 def default_region_radius(cfg: NetworkConfig) -> float:
@@ -528,7 +527,7 @@ def _sir_hits(requests: tuple, trials: int, seed: int,
     return hits
 
 
-def _estimate(hits: int, trials: int, seed: int) -> McEstimate:
+def _estimate(hits: int, trials: int) -> McEstimate:
     p_hat = hits / trials
     if trials > 1:
         sample_std = math.sqrt(trials / (trials - 1) * p_hat * (1.0 - p_hat))
@@ -538,7 +537,6 @@ def _estimate(hits: int, trials: int, seed: int) -> McEstimate:
         mean=p_hat,
         half_width_95=1.96 * sample_std / math.sqrt(trials),
         samples=trials,
-        seed=seed,
     )
 
 
@@ -568,4 +566,4 @@ def simulate(requests, trials: int, seed: int,
             raise ConfigError(
                 f"the points of a family must share {name}, got {sorted(values)}")
     hits = _sir_hits(requests, trials, seed, region_radius)
-    return [r.result(h, trials, seed) for r, h in zip(requests, hits)]
+    return [r.result(h, trials) for r, h in zip(requests, hits)]

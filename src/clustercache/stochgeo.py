@@ -31,7 +31,8 @@ Numerical conventions
 * The tables are tested against an adaptive Gauss-Kronrod oracle of
   the two transforms, ``tests/laplace_oracle.py``, which shares none of
   their quadrature code.
-* Semi-infinite ranges are mapped through v = c*t/(1-t); ranges with an
+* Semi-infinite ranges are mapped through v = c*(t/(1-t))**q, with
+  q = 1 unless a heavy tail (alpha < 4) needs it larger; ranges with an
   exponentially decaying weight are truncated where the weight falls
   below 1e-18 of its peak.
 * The Rice density is evaluated with the exponentially scaled Bessel
@@ -333,19 +334,25 @@ def _log_inter(s_sir: np.ndarray, alpha: float, mu: float, n_t: int, n_u: int):
 
     -2 pi Int_0^inf (1 - exp(-mu phi(s, v))) v dv with phi the
     Rice-averaged fading kernel and mu = p nbar, the integral mapped to
-    (0, 1) through v = c*t/(1-t) with c = s**(1/alpha) + 13.
+    (0, 1) through v = c*(t/(1-t))**q with c = s**(1/alpha) + 13. The
+    integrand decays like v**(1-alpha), so with q = max(1, 2/(alpha-2))
+    it vanishes like (1-t)**(q*(alpha-2)-1), at least linearly, at t = 1.
     """
+    q = max(1.0, 2.0 / (alpha - 2.0))
     knee = s_sir ** (1.0 / alpha)
     scale = knee + 13.0
-    # Breaks at v = 1, knee and knee + 13 (t = 1/2) of v = c*t/(1-t).
-    t_sigma, t_knee = 1.0 / (scale + 1.0), knee / (scale + knee)
+    # Breaks at v = 1, knee and knee + 13 (t = 1/2): v = b maps to
+    # t = b**(1/q) / (c**(1/q) + b**(1/q)).
+    root, knee_root = scale ** (1.0 / q), knee ** (1.0 / q)
+    t_sigma, t_knee = 1.0 / (root + 1.0), knee_root / (root + knee_root)
     edges = np.stack([np.zeros_like(knee), np.minimum(t_sigma, t_knee),
                       np.maximum(t_sigma, t_knee), np.full_like(knee, 0.5),
                       np.ones_like(knee)], axis=-1)
     t, w = _gl_rule(edges, n_t)
     scale = scale[:, None]
-    v = scale * t / (1.0 - t)
-    w *= scale / (1.0 - t) ** 2 * v
+    rest = 1.0 - t
+    v = scale * t**q / rest**q
+    w *= q * scale * t ** (q - 1.0) / rest ** (q + 1.0) * v
     phi = _phi(s_sir[:, None], v, alpha, n_u)
     return -2.0 * math.pi * (w * -np.expm1(-mu * phi)).sum(axis=-1)
 
@@ -499,9 +506,11 @@ def optimal_access_probability(r0_over_w1: float, theta: float) -> float:
 
     The offloading problem fixes p just above R0 / (W1 log2(1+theta)),
     by the relative margin ``_ACCESS_MARGIN``, to stay strictly feasible.
+    At R0/W1 = 0 every p > 0 is feasible and no smallest one exists.
     """
-    if r0_over_w1 < 0:
-        raise ConfigError("r0_over_w1 must be non-negative")
+    if not r0_over_w1 > 0:
+        raise ConfigError(f"r0_over_w1 must be positive to choose access_p, "
+                          f"got {r0_over_w1!r}")
     bits_per_hz = math.log2(1.0 + theta) if theta > 0 else 0.0
     if not bits_per_hz > 0:  # theta = 1e-320 is positive, log2(1 + theta) is 0
         raise ConfigError(f"log2(1 + theta) must be positive, got theta = {theta!r}")

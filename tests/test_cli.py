@@ -306,6 +306,35 @@ class TestScenarioValidation:
         assert main(["run", str(path)]) == 2
         assert f"configuration error: {key} must be" in capsys.readouterr().err
 
+    def test_exponent_form_numbers_load(self, tmp_path, capsys):
+        # YAML 1.1 reads 2e1 and 1e-06 as strings; JSON, and this loader,
+        # read them as numbers. A quoted number stays a string.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["library"]["beta"] = 1e-06
+        mapping["delay"]["zeta_tot"] = "ZETA"
+        path = tmp_path / "scenario.yaml"
+        path.write_text(json.dumps(mapping).replace('"ZETA"', "2e1"))
+        assert "1e-06" in path.read_text()
+        sc = load_scenario(path)
+        assert (sc.lib.beta, sc.zeta_tot) == (1e-06, 20.0)
+        path.write_text(json.dumps(mapping).replace('"ZETA"', '"2e1"'))
+        with pytest.raises(ConfigError, match="delay.zeta_tot must be a number, got '2e1'"):
+            load_scenario(path)
+
+    def test_automatic_access_probability_needs_positive_rate(self, tmp_path, capsys):
+        # At R0/W1 = 0 every p > 0 is feasible: `auto` has no smallest one.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping.update(tasks=["offload"], output_dir=str(tmp_path / "out"),
+                       offload={"r0_over_w1": 0.0})
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["run", str(path)]) == 2
+        assert "r0_over_w1 must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        mapping["network"]["access_p"] = 0.3
+        path.write_text(yaml.safe_dump(mapping))
+        assert load_scenario(path).cfg.access_p == 0.3
+
     def test_automatic_access_probability_loads(self, tmp_path):
         # The schema keeps `auto`; a number given instead is taken as it is.
         mapping = copy.deepcopy(cli._TABLE1)

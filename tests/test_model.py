@@ -1,6 +1,7 @@
-"""Domain types, Zipf popularity, placement sampler, baseline schemes."""
+"""Domain types, Zipf popularity, the placement oracle, baseline schemes."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from clustercache.model import (
     ContentLibrary,
     NetworkConfig,
     baseline_policy,
-    sample_cache_realization,
     zipf_popularity,
 )
 
+from caching_oracle import sample_caches
 from conftest import TABLE1
 
 
@@ -50,23 +51,21 @@ class TestZipfPopularity:
 class TestPlacementSampler:
     def test_deterministic_when_binary(self):
         policy = CachingPolicy(np.array([1.0, 1.0, 0.0, 0.0]), cache_size=2)
-        for draw in (0.0, 0.31, 0.999):
-            assert sample_cache_realization(policy, draw).cached == {1, 2}
+        got = sample_caches(policy, [0.0, 0.31, 0.999])
+        assert np.array_equal(got, [[0, 1]] * 3)
 
     def test_hand_traced_cut(self):
         # Blocks: file1 [0, .6), file2 [.6, 1.2), file3 [1.2, 2), file4 [2, 3).
         # Cut points 0.5, 1.5, 2.5 land in files 1, 3, 4.
         policy = CachingPolicy(np.array([0.6, 0.6, 0.8, 1.0]), cache_size=3)
-        assert sample_cache_realization(policy, 0.5).cached == {1, 3, 4}
+        assert np.array_equal(sample_caches(policy, 0.5), [0, 2, 3])
 
     def test_marginals_match_probabilities(self, rng):
         b = np.array([0.9, 0.7, 0.55, 0.4, 0.25, 0.2])
         policy = CachingPolicy(b, cache_size=3)
         draws = 100_000
-        counts = np.zeros(6)
-        for u in rng.random(draws):
-            for f in sample_cache_realization(policy, u).cached:
-                counts[f - 1] += 1
+        counts = np.bincount(sample_caches(policy, rng.random(draws)).ravel(),
+                             minlength=b.size)
         freq = counts / draws
         se = np.sqrt(b * (1 - b) / draws)
         assert np.all(np.abs(freq - b) <= 3 * se)
@@ -76,17 +75,17 @@ class TestPlacementSampler:
 
     def test_always_m_distinct_files(self, rng):
         b = np.array([0.35, 0.3, 0.25, 0.05, 0.05])
-        policy = CachingPolicy(b, cache_size=1)
-        for u in rng.random(500):
-            got = sample_cache_realization(policy, u)
-            assert len(got.cached) == 1
-            assert all(1 <= f <= 5 for f in got.cached)
-
-    def test_bad_draw_rejected(self):
-        policy = CachingPolicy(np.array([1.0, 1.0]), cache_size=2)
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(ConfigError):
-                sample_cache_realization(policy, bad)
+        got = sample_caches(CachingPolicy(b, cache_size=1), rng.random((20, 25)))
+        assert got.shape == (20, 25, 1)
+        assert np.all((0 <= got) & (got < 5))
+        b = np.array([0.9, 0.7, 0.55, 0.4, 0.25, 0.2])
+        got = sample_caches(CachingPolicy(b, cache_size=3), rng.random(500))
+        assert np.all(np.diff(got, axis=-1) > 0)
+        # A segment longer than one block would cover two cuts.
+        outside_box = SimpleNamespace(b=np.array([1.5, 0.5]), cache_size=2,
+                                      n_files=2)
+        with pytest.raises(ValueError):
+            sample_caches(outside_box, 0.2)
 
 
 class TestBaselinePolicies:

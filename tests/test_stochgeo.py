@@ -261,6 +261,8 @@ def _adaptive_coverage(cfg, intensity):
 ENGINE_CONFIGS = {
     **{f"sigma={s:g},theta_db={t:g}": dict(sigma=s, theta=10 ** (t / 10))
        for s in (10.0, 20.0, 30.0) for t in (0.0, 3.0)},
+    "alpha=2.5": dict(alpha=2.5),
+    "alpha=2.75,theta_db=3": dict(alpha=2.75, theta=10 ** (3 / 10)),
     "alpha=3": dict(alpha=3.0),
     "alpha=6": dict(alpha=6.0),
     "theta=10,p=0.5": dict(theta=10.0, access_p=0.5),
@@ -469,6 +471,9 @@ class TestAverageRateAndAccess:
         )
         with pytest.raises(InfeasibleAccessProbability):
             optimal_access_probability(2.0, 1.0)
+        for rate in (0.0, -0.1, float("nan")):  # no smallest feasible p
+            with pytest.raises(ConfigError, match="r0_over_w1"):
+                optimal_access_probability(rate, 1.0)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-320, -0.5, -2.0, float("nan")])
     def test_optimal_access_probability_rejects_zero_rate(self, theta):
