@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -420,7 +419,9 @@ def _delay_point(scenario: Scenario, value: float) -> dict:
         "error": "",
         "diagnostics": {"bcd_steps": len(trace.steps), "converged": trace.converged,
                         "restarts_used": trace.restarts_used,
-                        "best_start": trace.best_start, "gap": trace.gap},
+                        "best_start": trace.best_start, "gap": trace.gap,
+                        "d2d_idle": queueing._arrival_fractions(
+                            trace.final_policy.b, lib.popularity, k)[0] == 0.0},
     }
 
 
@@ -553,6 +554,8 @@ def _write_csv(path: Path, columns, rows):
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
     """Execute all tasks of a scenario; returns the process exit code."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out = Path(scenario.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -579,6 +582,10 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
         else:
             work = [(scenario, task, v) for v in scenario.grid]
             if jobs > 1:
+                # Imported only here: with the logging it loads, it would
+                # add about 6 ms to every start.
+                import concurrent.futures
+
                 with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                     results = list(pool.map(_compute_task_point, work))
             else:

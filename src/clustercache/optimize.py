@@ -18,6 +18,9 @@
   fractions, solves the resulting energy-form problem exactly by the
   same multiplier search and line-searches the segment towards it
   (partial linearisation, a generalised conditional gradient step).
+  Along the segment both request fractions are degree-k polynomials,
+  so each trial point of the search costs O(k), not a pass over the
+  library (``queueing._segment_fractions``).
 
 The multiplier search (``_search_multiplier``) is regula falsi on the
 budget residual sum(b) - M with the Anderson-Bjorck/Illinois update and a
@@ -87,6 +90,13 @@ _RHO_MAX = 1.0 - 1e-9
 # amount, or after this many steps.
 _BCD_TOL = 1e-8
 _BCD_MAX_ITERATIONS = 200
+# The golden-section line search of a BCD caching step shrinks its
+# bracket by the golden ratio until it is this narrow: two evaluations,
+# then one per shrink.
+_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+_LINE_SEARCH_TOL = 1e-10
+_LINE_SEARCH_EVALUATIONS = 2 + math.ceil(
+    math.log(_LINE_SEARCH_TOL) / math.log(_GOLDEN_RATIO))
 
 
 @dataclass(frozen=True)
@@ -504,16 +514,21 @@ def weighted_delay(
     return _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1)[1]
 
 
+def _optimised_split(a1, a2, zeta_tot, o1, o2, w_total):
+    """``_split_delay`` at the optimal W1, or (nan, inf) where no bandwidth
+    split stabilises the queues."""
+    try:
+        return _split_delay(a1, a2, zeta_tot, o1, o2, w_total)
+    except (NoStableSplitError, UnstableQueueError):
+        return math.nan, math.inf
+
+
 def _optimised_delay(b, q, k, zeta_tot, o1, o2, w_total):
     """(W1*(b), D(b, W1*(b))): the bandwidth-optimised delay at b.
 
     The delay is infinite where no bandwidth split stabilises the queues.
     """
-    a1, a2 = _arrival_fractions(b, q, k)
-    try:
-        return _split_delay(a1, a2, zeta_tot, o1, o2, w_total)
-    except (NoStableSplitError, UnstableQueueError):
-        return math.nan, math.inf
+    return _optimised_split(*_arrival_fractions(b, q, k), zeta_tot, o1, o2, w_total)
 
 
 def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
@@ -543,18 +558,17 @@ def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
 
 def _golden_section(fn, tol):
     """(x, fn(x)) at the golden-section minimum of ``fn`` on [0, 1]."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, 1.0
-    x1, x2 = 1.0 - ratio, ratio
+    x1, x2 = 1.0 - _GOLDEN_RATIO, _GOLDEN_RATIO
     f1, f2 = fn(x1), fn(x2)
     while hi - lo > tol:
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
-            x1 = hi - ratio * (hi - lo)
+            x1 = hi - _GOLDEN_RATIO * (hi - lo)
             f1 = fn(x1)
         else:
             lo, x1, f1 = x1, x2, f2
-            x2 = lo + ratio * (hi - lo)
+            x2 = lo + _GOLDEN_RATIO * (hi - lo)
             f2 = fn(x2)
     return (x1, f1) if f1 < f2 else (x2, f2)
 
@@ -656,12 +670,19 @@ def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m):
     converged = False
     for _ in range(_BCD_MAX_ITERATIONS):
         s, _ = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)
-        gamma, value = _golden_section(lambda g: delay_at(b + g * (s - b))[1], 1e-10)
-        full = delay_at(s)[1]
-        if full <= value:
-            gamma, value = 1.0, full
-        if value < delay:
-            b = s if gamma == 1.0 else b + gamma * (s - b)
+        if not np.array_equal(s, b):  # a zero step keeps b: no search
+            # The search only picks gamma; the accept test compares exact
+            # delays, as the trace records them.
+            fractions = queueing._segment_fractions(b, s, q, k, _LINE_SEARCH_EVALUATIONS)
+            gamma, _ = _golden_section(
+                lambda g: _optimised_split(*fractions(g), zeta_tot, o1, o2, w_total)[1],
+                _LINE_SEARCH_TOL)
+            value = delay_at(b + gamma * (s - b))[1]
+            full = delay_at(s)[1]
+            if full <= value:
+                gamma, value = 1.0, full
+            if value < delay:
+                b = s if gamma == 1.0 else b + gamma * (s - b)
         # The closed-form bandwidth step at the (possibly new) caching vector.
         w1, new_delay = delay_at(b)
         steps.append(step(b, w1, new_delay))

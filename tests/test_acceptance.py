@@ -39,6 +39,7 @@ from clustercache.cli import default_table1, run_scenario
 from clustercache.errors import NoStableSplitError, UnstableQueueError
 from clustercache.model import ContentLibrary, baseline_policy
 
+import bcd_oracle
 from conftest import random_box_simplex
 from test_optimize import (
     _golden_section,
@@ -292,12 +293,13 @@ def test_criterion_06_bandwidth_closed_form_vs_golden_section(table1):
     )
 
 
-def test_criterion_07_bcd_monotone_and_terminates(table1):
+def _criterion_07_runs(table1):
+    """(run number, ``_bcd_run`` arguments) of criterion 7's 20 stable
+    random starts."""
     cfg = table1.cfg
     lib = ContentLibrary.zipf(DELAY_LIB_FILES, 0.5, DELAY_LIB_M)
     o1, o2 = queueing.service_coefficients(cfg, lib)
     rng = np.random.default_rng(707)
-    problems = []
     runs = 0
     while runs < 20:
         rows = random_box_simplex(rng, 1, DELAY_LIB_FILES, DELAY_LIB_M)
@@ -307,10 +309,14 @@ def test_criterion_07_bcd_monotone_and_terminates(table1):
                                       table1.zeta_tot, o1, o2, cfg.w_total):
             continue
         runs += 1
-        steps, converged, _ = optimize._bcd_run(
-            _policy(rows[0], DELAY_LIB_M).b, lib.popularity, DELAY_K,
-            table1.zeta_tot, o1, o2, cfg.w_total, DELAY_LIB_M,
-        )
+        yield runs, (_policy(rows[0], DELAY_LIB_M).b, lib.popularity, DELAY_K,
+                     table1.zeta_tot, o1, o2, cfg.w_total, DELAY_LIB_M)
+
+
+def test_criterion_07_bcd_monotone_and_terminates(table1):
+    problems = []
+    for runs, args in _criterion_07_runs(table1):
+        steps, converged, _ = optimize._bcd_run(*args)
         delays = [s.delay for s in steps]
         monotone = all(b <= a + 1e-12 for a, b in zip(delays, delays[1:]))
         if not (monotone and converged and len(steps) <= 201):
@@ -319,6 +325,14 @@ def test_criterion_07_bcd_monotone_and_terminates(table1):
         7, "BCD trace non-increasing, terminates <= 200 iterations (20 starts)",
         not problems, f"problems={problems}",
     )
+
+
+def test_criterion_07_starts_match_direct_line_search(table1):
+    # The same 20 runs end where the direct-objective oracle's do.
+    for runs, args in _criterion_07_runs(table1):
+        delay = optimize._bcd_run(*args)[0][-1].delay
+        oracle = bcd_oracle.bcd_run(*args)[0][-1].delay
+        assert delay == pytest.approx(oracle, rel=1e-12, abs=0.0), runs
 
 
 def test_criterion_08_monotonicity_suite(table1, bcd_beta_sweep):

@@ -430,12 +430,25 @@ class TestRunScenario:
         assert len(points) == len(sc.grid)
         for point in points:
             assert set(point) == {"bcd_steps", "converged", "restarts_used",
-                                  "best_start", "gap"}
+                                  "best_start", "gap", "d2d_idle"}
             assert point["converged"] is True
             assert point["bcd_steps"] >= 1
             assert point["restarts_used"] == sc.bcd_restarts
             assert 0 <= point["best_start"] < sc.bcd_restarts
             assert np.isfinite(point["gap"])
+
+    def test_delay_flags_an_idle_d2d_queue(self, tmp_path):
+        # On Table 1 the optimum sends no request over D2D from beta = 0.5
+        # on (W1 is then the stability margin), and some at beta = 0.
+        sc = replace(default_table1(), tasks=("delay",), output_dir=str(tmp_path))
+        assert run_scenario(sc) == 0
+        summary = json.loads((tmp_path / "table1_summary.json").read_text())
+        points = summary["tasks"]["delay"]["point_diagnostics"]
+        assert sc.grid == (0.0, 0.5, 1.0, 1.5, 2.0)
+        assert [point["d2d_idle"] for point in points] == [False] + [True] * 4
+        rows = list(csv.DictReader(
+            (tmp_path / "table1_delay.csv").read_text().splitlines()[1:]))
+        assert [float(row["w1_opt_hz"]) < 1.0 for row in rows] == [False] + [True] * 4
 
     def test_offload_and_energy_summary_diagnostics(self, tmp_path):
         sc = _tiny_scenario(tmp_path, tasks=("offload", "energy"), grid=(0.5, 1.0))
@@ -685,6 +698,17 @@ class TestMainEntryPoint:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
+        scenario = tmp_path / "delay.yaml"
+        scenario.write_text(yaml.dump({**cli._TABLE1, "tasks": ["delay"]},
+                                      Dumper=cli._Dumper))
+        for argv in (["run", str(scenario)], ["validate", "--mc-trials", "100"]):
+            out = tmp_path / "out"
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 2
+            assert "--jobs" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_validate_rows_match_benchmark_reference(self, tmp_path):
         # The benchmark's CSV check fails every validate row that has no
         # counterpart, by `quantity`, in its reference file; a renamed or
@@ -714,6 +738,16 @@ class TestMainEntryPoint:
         code = ("import sys, clustercache.cli; "
                 "sys.exit(sorted(m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')) or None)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_leaves_out_the_process_pool(self):
+        # Only --jobs above 1 needs concurrent.futures, which loads logging.
+        code = ("import sys, clustercache.cli; "
+                "sys.exit(sorted({'concurrent.futures', 'logging'} & set(sys.modules))"
+                " or None)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)

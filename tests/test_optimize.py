@@ -9,7 +9,9 @@ Oracles used here:
 * a direct simulation of the cache-placement process for the offloading
   objective's void-probability term;
 * bisection for the offloading stationary point and the budget
-  multiplier (``kkt_oracle``).
+  multiplier (``kkt_oracle``);
+* the BCD run whose line search re-sums the library at every trial
+  point (``bcd_oracle``).
 """
 
 import itertools
@@ -48,6 +50,7 @@ from clustercache.optimize import (
     weighted_delay,
 )
 
+import bcd_oracle
 import kkt_oracle
 from conftest import TABLE1, random_box_simplex
 
@@ -1026,3 +1029,45 @@ class TestSeparableCachingStep:
         assert trace.final_delay == 0.0
         assert trace.converged
         assert trace.gap == 0.0
+
+
+class TestBcdLineSearch:
+    """The line search on the segment form of the request fractions."""
+
+    def test_matches_direct_objective_oracle(self, table1_cfg):
+        rng = np.random.default_rng(1818)
+        cases = 0
+        while cases < 30:
+            n = int(rng.integers(3, 200))
+            m = int(rng.integers(1, n))
+            k = int(rng.integers(1, 21))
+            zeta = float(rng.uniform(0.1, 5.0))
+            lib = ContentLibrary.zipf(n, float(rng.uniform(0.0, 2.0)), m)
+            q, w = lib.popularity, table1_cfg.w_total
+            o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+            rows = random_box_simplex(rng, 1, n, m)
+            if rows.shape[0] == 0 or not opt._stabilizable(rows[0], q, k, zeta,
+                                                            o1, o2, w):
+                continue
+            cases += 1
+            steps, converged, _ = opt._bcd_run(rows[0], q, k, zeta, o1, o2, w, m)
+            oracle = bcd_oracle.bcd_run(rows[0], q, k, zeta, o1, o2, w, m)
+            assert converged == oracle[1]
+            assert steps[-1].delay == pytest.approx(oracle[0][-1].delay,
+                                                    rel=1e-12, abs=0.0)
+
+    def test_counts_library_passes(self, table1_cfg, table1_lib, monkeypatch):
+        # Each search builds its moments in one pass and a zero step makes
+        # none; the direct search made 324 passes here.
+        calls = []
+        direct = queueing._arrival_fractions
+
+        def counted(b, q, k):
+            calls.append(k)
+            return direct(b, q, k)
+
+        monkeypatch.setattr(opt, "_arrival_fractions", counted)
+        monkeypatch.setattr(queueing, "_arrival_fractions", counted)
+        trace = optimize_delay_bcd(table1_cfg, table1_lib, 8, 2.0, restarts=2, seed=1)
+        assert trace.converged
+        assert len(calls) <= 40
