@@ -28,11 +28,11 @@ import sys
 import time
 import zlib
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: import it here, not in a run
-import yaml
 
 from . import __version__, montecarlo, optimize, queueing, stochgeo
 from .errors import (
@@ -180,26 +180,37 @@ def default_table1() -> Scenario:
     return _parse_scenario(_TABLE1, _TABLE1["name"])
 
 
-class _Loader(yaml.SafeLoader):
-    """YAML 1.1 with exponent-form numbers (``2e3``, ``1e-06``) as floats,
-    as YAML 1.2 and JSON read them."""
+@cache
+def _yaml() -> tuple:
+    """(yaml, loader, dumper) of the scenario format, built on first use.
 
+    Only reading a scenario file and ``print-default-config`` need yaml,
+    so ``validate`` never imports it. The loader is YAML 1.1 with
+    exponent-form numbers (``2e3``, ``1e-06``) as floats, as YAML 1.2 and
+    JSON read them; the dumper quotes the strings the loader would read
+    as numbers.
+    """
+    import yaml
 
-class _Dumper(yaml.SafeDumper):
-    """Quotes the strings that ``_Loader`` would read as numbers."""
+    class Loader(yaml.SafeLoader):
+        pass
 
+    class Dumper(yaml.SafeDumper):
+        pass
 
-for _cls in (_Loader, _Dumper):
-    _cls.add_implicit_resolver(
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
-        list("-+0123456789"))
+    for cls in (Loader, Dumper):
+        cls.add_implicit_resolver(
+            "tag:yaml.org,2002:float",
+            re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+            list("-+0123456789"))
+    return yaml, Loader, Dumper
 
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a YAML scenario file."""
+    yaml, loader, _ = _yaml()
     try:
-        raw = yaml.load(Path(path).read_text(), Loader=_Loader)
+        raw = yaml.load(Path(path).read_text(), Loader=loader)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -338,13 +349,16 @@ def _fmt(x) -> str:
 # Per-task point computations (top level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-def _table_misses() -> int:
-    return stochgeo._coverage_table.cache_info().misses  # one per table built
+def _tables_built_since(start: int) -> dict:
+    """Diagnostics of the coverage tables built since ``start`` entries of
+    the build log: their number and the radial node count of each."""
+    nodes = stochgeo._TABLE_NODES[start:]
+    return {"table_builds": len(nodes), "table_nodes": nodes}
 
 
 def _offload_point(scenario: Scenario, value: float) -> dict:
     cfg, lib = _apply_sweep(scenario, value)
-    builds = _table_misses()
+    builds = len(stochgeo._TABLE_NODES)
     prob = stochgeo.prob_rate_exceeds(cfg, scenario.r0_over_w1).value
     pc = optimize.optimize_offloading(cfg, lib, prob)
     rows = {
@@ -357,7 +371,7 @@ def _offload_point(scenario: Scenario, value: float) -> dict:
         rows[col] = optimize.objective_offloading(policy, lib, cfg.n_bar, prob)
     rows["error"] = ""
     rows["diagnostics"] = {"kkt_iterations": pc.iterations, "multiplier": pc.multiplier,
-                           "table_builds": _table_misses() - builds}
+                           **_tables_built_since(builds)}
     return rows
 
 
@@ -368,7 +382,7 @@ def _energy_point(scenario: Scenario, value: float) -> dict:
     r2 = stochgeo.average_rate(w2, cfg.theta, stochgeo.bs_coverage(cfg.theta, cfg.alpha))
     zipf = baseline_policy("zipf-proportional", lib)
     cpf = baseline_policy("cpf", lib)
-    builds = _table_misses()
+    builds = len(stochgeo._TABLE_NODES)
     e_pc = e_zipf = e_cpf = 0.0
     iterations = degenerate = 0
     for k, weight in optimize._poisson_weights(cfg.n_bar):
@@ -388,7 +402,7 @@ def _energy_point(scenario: Scenario, value: float) -> dict:
         "e_cpf_j": e_cpf,
         "error": "",
         "diagnostics": {"kkt_iterations": iterations, "degenerate": degenerate,
-                        "table_builds": _table_misses() - builds},
+                        **_tables_built_since(builds)},
     }
 
 
@@ -646,7 +660,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "print-default-config":
-            print(yaml.dump(_TABLE1, Dumper=_Dumper, sort_keys=False), end="")
+            yaml, _, dumper = _yaml()
+            print(yaml.dump(_TABLE1, Dumper=dumper, sort_keys=False), end="")
             return 0
         updates = {"seed": args.seed, "output_dir": args.out,
                    "mc_trials": args.mc_trials}

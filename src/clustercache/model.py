@@ -178,6 +178,9 @@ def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
     """Zipf popularity vector: element i proportional to (i+1)^-beta.
 
     Returns a length-``n_files`` probability vector; uniform when beta = 0.
+    A beta so large that the least popular file's probability underflows
+    to zero is a configuration error: that file, and the budget any
+    caching scheme would give it, would silently drop out.
     """
     if n_files < 1:
         raise ConfigError(f"n_files must be at least 1, got {n_files}")
@@ -185,7 +188,11 @@ def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
         raise ConfigError(f"beta must be non-negative and finite, got {beta}")
     ranks = np.arange(1, n_files + 1, dtype=float)
     weights = ranks ** (-beta)
-    return weights / weights.sum()
+    q = weights / weights.sum()
+    if not q[-1] > 0.0:
+        raise ConfigError(f"beta = {beta!r} is too large for {n_files} files: the "
+                          f"popularity of file {n_files} underflows to zero")
+    return q
 
 
 def _capped_proportional(weights: np.ndarray, budget: int) -> np.ndarray:
@@ -203,7 +210,9 @@ def _capped_proportional(weights: np.ndarray, budget: int) -> np.ndarray:
         total = weights[free].sum()
         if total <= 0 or remaining <= 0:
             break
-        b[free] = weights[free] * (remaining / total)
+        # Divided first: remaining / total overflows when the free
+        # weights sum to a subnormal.
+        b[free] = weights[free] / total * remaining
         over = free & (b >= 1.0)
         if not over.any():
             break

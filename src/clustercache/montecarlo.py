@@ -79,7 +79,13 @@ lambda_p:
   share their draws, is new;
 * cells are drawn and scored one at a time and then freed, so a
   simulation holds one cell's members at a time plus one batch-length
-  field per distinct (kind, sigma, radius, lambda_p).
+  field per distinct (kind, sigma, radius, lambda_p);
+* the member kernel draws its offsets and fades, and keeps its
+  per-member scratch arrays, in one workspace per simulation
+  (``_Workspace``): a buffer grown to exactly the largest call so far
+  and freed when the simulation returns. The draws and their order are
+  those of fresh arrays, so the estimates are too; the buffer spares
+  each call the page faults of fresh memory.
 
 Trials are processed in fixed-size batches; each batch draws its own
 SFC64 generator, spawned from ``SeedSequence(seed)``, so estimates are
@@ -312,10 +318,26 @@ def _trial_sums(values: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None
     out[starts == bounds[1:]] = 0.0
 
 
+class _Workspace:
+    """The scratch memory of one simulation, which every member-kernel call
+    in it reuses: a buffer as large as the largest call so far, and no
+    larger, so that peak memory does not grow."""
+
+    def __init__(self):
+        self._buffer = np.empty(0)
+
+    def take(self, size: int) -> np.ndarray:
+        """An uninitialised float array of ``size`` entries."""
+        if self._buffer.size < size:
+            self._buffer = None  # freed before its successor is allocated
+            self._buffer = np.empty(size)
+        return self._buffer[:size]
+
+
 def _member_interference(rng, alpha: float, clusters: np.ndarray,
                          cx: np.ndarray, cy: np.ndarray | None,
                          active: np.ndarray | None, scales,
-                         first_scales=()) -> tuple:
+                         first_scales=(), *, work: _Workspace) -> tuple:
     """Interference of cluster members, per trial, in units of each scale.
 
     Trial t holds ``clusters[t]`` clusters, stored in trial order:
@@ -327,7 +349,8 @@ def _member_interference(rng, alpha: float, clusters: np.ndarray,
     unit-power interference. Returns (rows, first_rows): ``rows[i]`` sums
     every member at s = ``scales[i]``, ``first_rows[i]`` only the first
     member of each cluster at s = ``first_scales[i]`` (every cluster must
-    then hold a member). Every row shares the offsets and fades.
+    then hold a member). Every row shares the offsets and fades, which
+    are drawn into ``work`` with the sums' scratch arrays.
     """
     n = clusters.size
     trials = _bounds(clusters)
@@ -339,13 +362,14 @@ def _member_interference(rng, alpha: float, clusters: np.ndarray,
         cx = np.repeat(cx, active)
         cy = None if cy is None else np.repeat(cy, active)
     size = cx.size
-    z = rng.standard_normal((2, size))
-    fade = rng.standard_exponential(size)
+    buffer = work.take(5 * size + 1)
+    z = rng.standard_normal(out=buffer[:2 * size].reshape(2, size))
+    fade = rng.standard_exponential(out=buffer[2 * size:3 * size])
     # In place: allocating fresh arrays of a batch's size costs about a
     # third of the kernel. The zero past the members ends every sum.
-    values = np.empty(size + 1)
+    values = buffer[3 * size:4 * size + 1]
     values[size] = 0.0
-    d2, y2 = values[:size], np.empty(size)
+    d2, y2 = values[:size], buffer[4 * size + 1:]
     if cy is None:
         np.square(z[1], out=y2)
     rows = np.empty((len(scales), n))
@@ -375,7 +399,8 @@ def _disk_radii(rng, inner: float, outer: float, size: int) -> np.ndarray:
 
 
 def _remote_interference(rng, n: int, alpha: float, mu: float, annulus: tuple,
-                         layer: tuple, sigmas, link_sigmas) -> tuple:
+                         layer: tuple, sigmas, link_sigmas, *,
+                         work: _Workspace) -> tuple:
     """Interference from the remote clusters of one cell, per trial, in
     units of each sigma: (ALOHA rows at ``sigmas``, single-link rows at
     ``link_sigmas``).
@@ -396,12 +421,12 @@ def _remote_interference(rng, n: int, alpha: float, mu: float, annulus: tuple,
         u = rng.random(cx.size)
         active = 1 + np.searchsorted(_poisson_cdf(mu, 1), u, side="right")
     rows, links = _member_interference(rng, alpha, clusters, cx, None, active,
-                                       sigmas, link_sigmas)
+                                       sigmas, link_sigmas, work=work)
     if link_sigmas:
         silent = rng.poisson(rate * math.exp(-mu), n)
         cx = _disk_radii(rng, inner, outer, int(silent.sum()))
         links += _member_interference(rng, alpha, silent, cx, None, None,
-                                      link_sigmas)[0]
+                                      link_sigmas, work=work)[0]
     return rows, links
 
 
@@ -417,7 +442,7 @@ def _local_counts(rng, cdfs: tuple, n: int) -> np.ndarray:
 
 
 def _local_interference(rng, alpha: float, centers: np.ndarray,
-                        counts: np.ndarray) -> np.ndarray:
+                        counts: np.ndarray, *, work: _Workspace) -> np.ndarray:
     """Unit-power interference from the representative cluster, in units
     of sigma, one row per row of ``counts``.
 
@@ -433,7 +458,8 @@ def _local_interference(rng, alpha: float, centers: np.ndarray,
     below = np.zeros(n, dtype=counts.dtype)
     for level in np.sort(counts, axis=0):
         ((layer,), _) = _member_interference(rng, alpha, one, centers[:, 0],
-                                             centers[:, 1], level - below, (1.0,))
+                                             centers[:, 1], level - below, (1.0,),
+                                             work=work)
         fields += np.where(counts >= level, layer, 0.0)
         below = level
     return fields
@@ -501,6 +527,7 @@ def _sir_hits(requests: tuple, trials: int, seed: int,
     cdfs = tuple(cdf for _, cdf in tables.values())
     n_batches = (trials + _BATCH - 1) // _BATCH
     hits = [[0] * len(rows) for rows in table_of]
+    work = _Workspace()
     done = 0
     for rng in _batch_generators(seed, n_batches):
         n = min(_BATCH, trials - done)
@@ -508,11 +535,12 @@ def _sir_hits(requests: tuple, trials: int, seed: int,
         x0 = rng.standard_normal((n, 2))
         y0 = rng.standard_normal((n, 2))
         serve_d2 = np.square(x0 + y0).sum(axis=1)
-        local = _local_interference(rng, alpha, x0, _local_counts(rng, cdfs, n))
+        local = _local_interference(rng, alpha, x0, _local_counts(rng, cdfs, n),
+                                    work=work)
         remote = np.zeros((len(fields), n))
         for annulus, layer, kinds in cells:
             drawn = _remote_interference(rng, n, alpha, mu, annulus, layer,
-                                         kinds[0][0], kinds[1][0])
+                                         kinds[0][0], kinds[1][0], work=work)
             for (_, users, rows), field in zip(kinds, drawn):
                 remote[users] += field[rows]
         signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * alpha)

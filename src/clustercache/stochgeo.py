@@ -22,6 +22,13 @@ Numerical conventions
   contraction sum_r w(r) f_R(r) exp(density * log L_inter(r) - intensity
   * I(r)), so one table serves every sigma and lambda_p, P(R1 > R0)
   (intensity p*nbar) and every cluster size k (intensity p*k).
+* Radial breaks closer than a factor 1.25 are one break, the larger:
+  near theta = 1 the two scales would otherwise cut sliver panels that
+  each get a full rule (at theta = 3 dB, alpha = 4 the panels are those
+  of 0 dB; at theta = 1 the two scales coincide). Radial nodes of
+  weight w(r) f_R(r) below 1e-18 are left out. The exponent of every
+  contraction is at most 0, so a coverage moves by at most the weight
+  left out, which is below 1e-15 for every rule.
 * Tables are built on the same panels by a ladder of rules of rising
   order, ``_RULES``. A coverage is the value of the first rule that
   agrees with the rule below it within max(1e-9, 1e-7 * value); a
@@ -82,6 +89,13 @@ _RICE_WINDOW = 12.0
 # the same panels. The gap between a rule and the one below it is that
 # rule's error estimate; the next rule is built only when it fails.
 _RULES = ((12, 12, 32), (16, 16, 48), (24, 24, 64))
+# Radial panel breaks closer than this factor are merged into one.
+_BREAK_RATIO = 1.25
+# Radial nodes whose weight w(r) f_R(r) is below this are left out.
+_WEIGHTLESS = 1e-18
+# The radial node count of every table built in this process, in build
+# order: a sweep point's diagnostics report the entries it added.
+_TABLE_NODES: list = []
 # Serving distances per table chunk are capped so no temporary holds more
 # than about this many doubles.
 _CHUNK_DOUBLES = 65536
@@ -369,18 +383,39 @@ def _intra_integral(s_sir: np.ndarray, alpha: float, n: int) -> np.ndarray:
     return (w * s_sir / (s_sir + h**alpha) * serving_distance_pdf(h, 1.0)).sum(axis=-1)
 
 
+def _radial_edges(alpha: float, theta: float) -> list:
+    """Panel edges of the serving distance r, in units of sigma, on [0, 14].
+
+    Panels break where r, and where the kernel knee theta**(1/alpha) * r,
+    passes 1, 2 and 4; at large theta the coverage integrand lives on the
+    second, much shorter scale. Breaks closer than a factor
+    ``_BREAK_RATIO`` are one break, the larger, so no sliver panel gets a
+    rule of its own.
+    """
+    breaks = [1.0, 2.0, 4.0]
+    breaks += [b * theta ** (-1.0 / alpha) for b in breaks]
+    edges = [_RAYLEIGH_CUTOFF]
+    for b in sorted(breaks, reverse=True):
+        if b * _BREAK_RATIO < edges[-1]:
+            edges.append(b)
+    return [0.0, *reversed(edges)]
+
+
+def _radial_rule(alpha: float, theta: float, n: int):
+    """Serving-distance nodes r and weights w(r) f_R(r) of n-point panels on
+    :func:`_radial_edges`, without the nodes of weight below ``_WEIGHTLESS``."""
+    r, w = _gl_rule(_radial_edges(alpha, theta), n)
+    w *= serving_distance_pdf(r, 1.0)
+    keep = w >= _WEIGHTLESS
+    return r[keep], w[keep]
+
+
 @lru_cache(maxsize=1024)
 def _coverage_table(alpha: float, theta: float, mu: float, level: int) -> _RuleTable:
     """The table of rule ``_RULES[level]``, in units of sigma: it serves
     every sigma, lambda_p, power and bandwidth of its (alpha, theta, mu)."""
     n_r, n_t, n_u = _RULES[level]
-    # Panels break where r, and where the kernel knee theta**(1/alpha) * r,
-    # passes 1, 2 and 4; at large theta the coverage integrand lives on the
-    # second, much shorter scale.
-    breaks = np.array([1.0, 2.0, 4.0])
-    breaks = np.concatenate([breaks, breaks * theta ** (-1.0 / alpha)])
-    cut = _RAYLEIGH_CUTOFF
-    r, w = _gl_rule(sorted({0.0, cut, *breaks[breaks < cut]}), n_r)
+    r, weights = _radial_rule(alpha, theta, n_r)
     s_sir = theta * r**alpha
     # The Rice kernel of one serving distance spans 4 t panels x 2 u panels.
     chunk = max(1, _CHUNK_DOUBLES // (8 * n_t * n_u))
@@ -388,13 +423,14 @@ def _coverage_table(alpha: float, theta: float, mu: float, level: int) -> _RuleT
         _log_inter(s_sir[i:i + chunk], alpha, mu, n_t, n_u)
         for i in range(0, r.size, chunk)
     ])
-    table = _RuleTable(w * serving_distance_pdf(r, 1.0), log_inter,
+    table = _RuleTable(weights, log_inter,
                        _intra_integral(s_sir, alpha, n_u))
     for array in table:
         if not np.isfinite(array).all():
             raise NumericFailure(f"coverage table (alpha, theta, mu) = "
                                  f"{(alpha, theta, mu)} has non-finite entries")
         array.setflags(write=False)  # shared by every caller through the cache
+    _TABLE_NODES.append(r.size)
     return table
 
 

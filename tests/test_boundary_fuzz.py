@@ -119,7 +119,7 @@ def scenario_path(tmp_path_factory):
 def _load(path, mapping):
     # The loader reads an unquoted 1e-06 as a number: its dumper quotes
     # the strings of _NOT_A_NUMBER that look like one.
-    path.write_text(yaml.dump(mapping, Dumper=cli._Dumper))
+    path.write_text(yaml.dump(mapping, Dumper=cli._yaml()[2]))
     return load_scenario(path)
 
 

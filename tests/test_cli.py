@@ -471,17 +471,25 @@ class TestRunScenario:
         builds = [point["table_builds"] for point in offload + energy]
         assert builds == [2] + [0] * (len(builds) - 1)
         assert sum(builds) == stochgeo._coverage_table.cache_info().misses
+        # Each built table's radial node count, in build order.
+        key = (sc.cfg.alpha, sc.cfg.theta, sc.cfg.access_p * sc.cfg.n_bar)
+        nodes = [stochgeo._coverage_table(*key, level).weights.size for level in (0, 1)]
+        assert [point["table_nodes"] for point in offload + energy] == (
+            [nodes] + [[]] * (len(builds) - 1))
         mixture = list(optimize._poisson_weights(sc.cfg.n_bar))
         for value, point, built in zip(sc.grid, offload, builds):
-            assert set(point) == {"kkt_iterations", "multiplier", "table_builds"}
+            assert set(point) == {"kkt_iterations", "multiplier", "table_builds",
+                                  "table_nodes"}
             cfg, lib = cli._apply_sweep(sc, value)
             prob = stochgeo.prob_rate_exceeds(cfg, sc.r0_over_w1).value
             sol = optimize.optimize_offloading(cfg, lib, prob)
             assert point == {"kkt_iterations": sol.iterations,
-                             "multiplier": sol.multiplier, "table_builds": built}
+                             "multiplier": sol.multiplier, "table_builds": built,
+                             "table_nodes": nodes if built else []}
             assert 0 < point["kkt_iterations"] < optimize._MULTIPLIER_ITERATIONS
         for point in energy:
-            assert set(point) == {"kkt_iterations", "degenerate", "table_builds"}
+            assert set(point) == {"kkt_iterations", "degenerate", "table_builds",
+                                  "table_nodes"}
             # Only k = 1 (no D2D partner) takes the top-M vertex here; every
             # other k of the Poisson mixture runs the multiplier search.
             assert point["degenerate"] == 1
@@ -698,11 +706,27 @@ class TestMainEntryPoint:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("where", ["library", "sweep"])
+    @pytest.mark.parametrize("beta", [1000.0, 1060.0, 1100.0])
+    def test_beta_whose_popularities_underflow_exit_code(self, tmp_path, capsys,
+                                                         where, beta):
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["tasks"] = ["offload"]
+        if where == "library":
+            mapping["library"]["beta"] = beta
+        else:
+            mapping["sweep"]["grid"] = [1.0, beta]
+        path = tmp_path / "beta.yaml"
+        path.write_text(yaml.dump(mapping, Dumper=cli._yaml()[2]))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "underflows to zero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
         scenario = tmp_path / "delay.yaml"
         scenario.write_text(yaml.dump({**cli._TABLE1, "tasks": ["delay"]},
-                                      Dumper=cli._Dumper))
+                                      Dumper=cli._yaml()[2]))
         for argv in (["run", str(scenario)], ["validate", "--mc-trials", "100"]):
             out = tmp_path / "out"
             assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 2
@@ -742,6 +766,19 @@ class TestMainEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_and_validate_leave_out_yaml(self, tmp_path):
+        # Only reading a scenario file and print-default-config need yaml.
+        code = ("import sys, clustercache.cli as cli; "
+                "on_import = 'yaml' in sys.modules; "
+                f"cli.main(['validate', '--mc-trials', '200', '--out', {str(tmp_path)!r}]); "
+                "sys.exit('yaml imported with the CLI' if on_import else "
+                "'yaml imported by validate' if 'yaml' in sys.modules else None)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "table1_validate.csv").is_file()
 
     def test_cli_import_leaves_out_the_process_pool(self):
         # Only --jobs above 1 needs concurrent.futures, which loads logging.

@@ -12,6 +12,7 @@ from clustercache.model import (
     CachingPolicy,
     ContentLibrary,
     NetworkConfig,
+    _capped_proportional,
     baseline_policy,
     zipf_popularity,
 )
@@ -112,6 +113,31 @@ class TestBaselinePolicies:
             policy = baseline_policy(kind, lib)
             assert abs(policy.b.sum() - m) < 1e-9
             assert np.all(policy.b >= 0) and np.all(policy.b <= 1)
+
+    def test_subnormal_weights_stay_finite(self):
+        # The free weights sum to a subnormal, where budget / sum overflows.
+        with np.errstate(all="raise"):
+            b = _capped_proportional(np.array([5e-324, 0.0, 1e-320]), 1)
+        assert np.all(np.isfinite(b)) and np.all((b >= 0) & (b <= 1))
+        assert b[1] == 0.0
+        assert abs(b.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("beta", [1000.0, 1060.0, 1100.0])
+    def test_beta_whose_popularities_underflow_is_rejected(self, beta):
+        # Files of zero popularity left zipf-proportional with NaN entries
+        # (beta = 1060) or short of the budget (1000, 1100).
+        with pytest.raises(ConfigError, match="underflows to zero"):
+            ContentLibrary.zipf(500, beta, 10)
+
+    def test_largest_representable_beta_gives_valid_policies(self):
+        # 500**-119 is subnormal, 500**-120 is zero.
+        lib = ContentLibrary.zipf(500, 119.0, 10)
+        assert lib.popularity[-1] > 0.0
+        with np.errstate(all="raise"):
+            policy = baseline_policy("zipf-proportional", lib)
+        assert abs(policy.b.sum() - 10) < 1e-9
+        with pytest.raises(ConfigError):
+            ContentLibrary.zipf(500, 120.0, 10)
 
     def test_unknown_kind_rejected(self):
         lib = ContentLibrary.zipf(5, 1.0, 2)

@@ -85,8 +85,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = montecarlo._member_interference
 
-    def spy(rng, alpha, clusters, cx, cy, active, scales, first_scales=()):
-        out = real(rng, alpha, clusters, cx, cy, active, scales, first_scales)
+    def spy(rng, alpha, clusters, cx, cy, active, scales, first_scales=(), *, work):
+        out = real(rng, alpha, clusters, cx, cy, active, scales, first_scales,
+                   work=work)
         calls.append(dict(clusters=clusters, cx=cx, cy=cy, active=active,
                           scales=scales, first_scales=first_scales, out=out[0]))
         return out
@@ -102,7 +103,7 @@ def _remote(rng, cfg, n, radius, single_link):
     aloha, link = _remote_interference(
         rng, n, cfg.alpha, cfg.access_p * cfg.n_bar, (0.0, radius),
         (0.0, cfg.lambda_p), () if single_link else sigmas,
-        sigmas if single_link else ())
+        sigmas if single_link else (), work=montecarlo._Workspace())
     (field,) = link if single_link else aloha
     return field
 
@@ -204,7 +205,8 @@ class TestMemberKernel:
         else:
             cdf = _binomial_cdf(k - 1, p)
         counts = _local_counts(_philox(5), (cdf,), n)
-        _local_interference(_philox(6), cfg.alpha, centers, counts)
+        _local_interference(_philox(6), cfg.alpha, centers, counts,
+                            work=montecarlo._Workspace())
         (call,) = kernel_calls
         (active,) = counts
         assert np.array_equal(call["active"], active)
@@ -243,7 +245,8 @@ class TestMemberKernel:
         n = 2000
         centers = src.standard_normal((n, 2))
         counts = src.integers(0, 4, (2, n))
-        fields = _local_interference(_philox(12), cfg.alpha, centers, counts)
+        fields = _local_interference(_philox(12), cfg.alpha, centers, counts,
+                                     work=montecarlo._Workspace())
         shared, extra = kernel_calls
         low = counts.min(axis=0)
         np.testing.assert_array_equal(shared["active"], low)
@@ -267,7 +270,8 @@ class TestMemberKernel:
         active = src.integers(0, 4, owner.size)
         rng = _RecordingRng(7)
         (got,), _ = _member_interference(rng, cfg.alpha, clusters, cx, cy,
-                                         active, (cfg.sigma,))
+                                         active, (cfg.sigma,),
+                                         work=montecarlo._Workspace())
         (normals,), (fade,) = (rng.draws["standard_normal"],
                                rng.draws["standard_exponential"])
         offsets = cfg.sigma * normals
@@ -351,6 +355,39 @@ class TestDeterminism:
         a = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=99)[0]
         b = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=100)[0]
         assert a.mean != b.mean
+
+    @staticmethod
+    def _mixed_requests(cfg):
+        """Every request kind, at several sigmas, thresholds and densities."""
+        return ([ProbRateExceeds(replace(cfg, sigma=sigma, theta=theta), 0.1)
+                 for sigma in (10.0, 30.0) for theta in (1.0, 2.0)]
+                + [SingleLinkCoverage(replace(cfg, sigma=20.0, lambda_p=lam))
+                   for lam in (10e-6, 20e-6)]
+                + [ConditionalCoverage(cfg, 5), ConditionalCoverage(cfg, 2)])
+
+    @staticmethod
+    def _covered(results, trials):
+        return [tuple(round(e.mean * trials) for e in (r.exact, r.poisson_approx))
+                if isinstance(r, montecarlo.ConditionalCoveragePair)
+                else round(r.mean * trials) for r in results]
+
+    def test_fixed_seed_reproduces_recorded_counts(self, table1_cfg):
+        # Covered-trial counts recorded before the member kernel drew into a
+        # reused workspace: the draws, their order and the arithmetic are
+        # unchanged. Three batches, the last one partial.
+        results = simulate(self._mixed_requests(table1_cfg), 25_000, 3)
+        assert self._covered(results, 25_000) == [
+            19233, 18335, 17035, 15550, 23192, 21639, (20058, 19233), (23314, 22194)]
+
+    def test_calls_share_no_workspace_state(self, table1_cfg):
+        # A simulation's scratch memory lives for that call only: a call
+        # after another with larger (or smaller) buffers reads the same.
+        small = [ProbRateExceeds(table1_cfg, 0.1)]
+        large = self._mixed_requests(table1_cfg)
+        first_small = simulate(small, 12_000, 8)
+        first_large = simulate(large, 12_000, 9)
+        assert simulate(small, 12_000, 8) == first_small
+        assert simulate(large, 12_000, 9) == first_large
 
     def test_half_width_formula(self, table1_cfg):
         est = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=99)[0]
@@ -475,16 +512,18 @@ class TestFamily:
         cells = []
         remote, member = montecarlo._remote_interference, montecarlo._member_interference
 
-        def remote_spy(rng, n, alpha, mu, annulus, layer, sigmas, link_sigmas):
+        def remote_spy(rng, n, alpha, mu, annulus, layer, sigmas, link_sigmas,
+                       *, work):
             cells.append(dict(annulus=annulus, layer=layer, sigmas=sigmas))
-            return remote(rng, n, alpha, mu, annulus, layer, sigmas, link_sigmas)
+            return remote(rng, n, alpha, mu, annulus, layer, sigmas, link_sigmas,
+                          work=work)
 
         def member_spy(rng, alpha, clusters, cx, cy, active, scales,
-                       first_scales=()):
+                       first_scales=(), *, work):
             if cy is None:  # the clusters of the cell just opened
                 cells[-1].update(clusters=clusters, cx=cx)
             return member(rng, alpha, clusters, cx, cy, active, scales,
-                          first_scales)
+                          first_scales, work=work)
 
         monkeypatch.setattr(montecarlo, "_remote_interference", remote_spy)
         monkeypatch.setattr(montecarlo, "_member_interference", member_spy)
@@ -612,7 +651,8 @@ class TestSharedDraw:
         active = src.integers(1, 4, owner.size)
         rng = _RecordingRng(15)
         (every,), (first,) = _member_interference(
-            rng, cfg.alpha, clusters, cx, None, active, [cfg.sigma], [cfg.sigma])
+            rng, cfg.alpha, clusters, cx, None, active, [cfg.sigma], [cfg.sigma],
+            work=montecarlo._Workspace())
         (normals,), (fade,) = (rng.draws["standard_normal"],
                                rng.draws["standard_exponential"])
         d2 = (np.repeat(cx, active) / cfg.sigma + normals[0]) ** 2 + normals[1] ** 2

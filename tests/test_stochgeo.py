@@ -378,6 +378,74 @@ class TestCoverageEngine:
             d2d_coverage_conditional(replace(table1_cfg, sigma=23.5), 3)
 
 
+# The radial breaks and nodes the tables had before sliver panels were
+# merged and weightless nodes dropped.
+UNMERGED = dict(_BREAK_RATIO=1.0, _WEIGHTLESS=0.0)
+THETAS = (0.5, 0.8, 1.2, 10**0.3, 2.4)
+
+
+class TestRadialRule:
+    def test_three_db_has_the_nodes_of_zero_db(self, monkeypatch,
+                                               fresh_coverage_caches):
+        # validate's 3 dB key: the breaks theta**(-1/alpha) * {1, 2, 4} lie
+        # a factor 1.19 below {1, 2, 4} and merge into them.
+        def nodes(theta, level):
+            return stochgeo._coverage_table(4.0, theta, 0.5, level).weights.size
+
+        assert [nodes(10**0.3, level) for level in (0, 1)] == [
+            nodes(1.0, level) for level in (0, 1)]
+        assert stochgeo._radial_edges(4.0, 10**0.3) == [0.0, 1.0, 2.0, 4.0, 14.0]
+        assert stochgeo._radial_edges(4.0, 1.0) == [0.0, 1.0, 2.0, 4.0, 14.0]
+        for name, value in UNMERGED.items():
+            monkeypatch.setattr(stochgeo, name, value)
+        # Seven panels, then, against four at 0 dB.
+        assert [stochgeo._radial_rule(4.0, 10**0.3, n)[0].size
+                for n, _, _ in stochgeo._RULES[:2]] == [84, 112]
+        assert stochgeo._radial_edges(4.0, 1.0) == [0.0, 1.0, 2.0, 4.0, 14.0]
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+    def test_merged_ladder_matches_the_unmerged_top_rule(
+            self, table1_cfg, alpha, monkeypatch, fresh_coverage_caches):
+        # sigma = 10, 20, 30 m at 20 clusters/km^2; P(R1 > R0) and k = 1, 12.
+        densities = (2e-3, 8e-3, 1.8e-2)
+        intensities = (0.1, 0.5, 1.2)
+        mu = table1_cfg.access_p * table1_cfg.n_bar
+
+        def ladder(cfg):
+            """Each coverage, and the number of tables the ladder built."""
+            _clear_coverage_caches()
+            values = [stochgeo._coverage(replace(cfg, lambda_p=d / cfg.sigma**2), i, "")
+                      for d in densities for i in intensities]
+            return values, stochgeo._coverage_table.cache_info().misses
+
+        for theta in THETAS:
+            cfg = replace(table1_cfg, alpha=alpha, theta=theta)
+            merged, builds = ladder(cfg)
+            with monkeypatch.context() as unmerged:
+                for name, value in UNMERGED.items():
+                    unmerged.setattr(stochgeo, name, value)
+                _clear_coverage_caches()
+                top = stochgeo._coverage_table(alpha, theta, mu, len(stochgeo._RULES) - 1)
+                reference = [top.coverage(d, i) for d in densities for i in intensities]
+                # The merged ladder builds no rule the unmerged one does not:
+                # two tables is the least a ladder builds.
+                assert builds == 2 or builds <= ladder(cfg)[1]
+            np.testing.assert_allclose(merged, reference, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+    def test_dropped_radial_weight_is_below_1e_15(self, alpha):
+        for theta in THETAS + (1.0, 100.0):
+            for n, _, _ in stochgeo._RULES:
+                r, w = stochgeo._gl_rule(stochgeo._radial_edges(alpha, theta), n)
+                full = w * serving_distance_pdf(r, 1.0)
+                kept_r, kept_w = stochgeo._radial_rule(alpha, theta, n)
+                dropped = full < 1e-18
+                assert dropped.any()
+                np.testing.assert_array_equal(kept_r, r[~dropped])
+                np.testing.assert_array_equal(kept_w, full[~dropped])
+                assert full[dropped].sum() <= 1e-15
+
+
 class TestBsCoverage:
     def test_alpha4_closed_form(self):
         got = bs_coverage(1.0, 4.0).value
