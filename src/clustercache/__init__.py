@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     InfeasibleAccessProbability,
     InfeasibleLoadError,
-    NoStableSplitError,
     NumericFailure,
     UnstableQueueError,
 )

@@ -29,20 +29,18 @@ class InfeasibleAccessProbability(ClusterCacheError, ValueError):
 
 
 class UnstableQueueError(ClusterCacheError, ValueError):
-    """Arrival rate meets or exceeds service rate for one of the queues."""
+    """A queue's utilisation, arrival over service rate, is not below 1 by
+    the stability margin (it is infinite at a zero service rate)."""
 
     def __init__(self, queue: int, zeta: float, mu: float):
         self.queue = queue
         self.zeta = zeta
         self.mu = mu
+        utilisation = zeta / mu if mu > 0 else float("inf")
         super().__init__(
-            f"queue {queue} is unstable: arrival rate {zeta:.6g} /s >= "
-            f"service rate {mu:.6g} /s"
+            f"queue {queue} is unstable: utilisation {utilisation:.12g} "
+            f"(arrival rate {zeta:.6g} /s, service rate {mu:.6g} /s)"
         )
-
-
-class NoStableSplitError(ClusterCacheError, ValueError):
-    """No bandwidth split can stabilise both queues for this policy."""
 
 
 class InfeasibleLoadError(ClusterCacheError, ValueError):

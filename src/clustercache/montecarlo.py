@@ -580,7 +580,7 @@ def simulate(requests, trials: int, seed: int,
     """
     requests = tuple(requests)
     if not requests:
-        raise ConfigError("a family needs at least one point")
+        raise ConfigError("simulate needs at least one request")
     _check_count("trials", trials, 1)
     _check_count("seed", seed, 0)
     if region_radius is not None and not (
@@ -592,6 +592,6 @@ def simulate(requests, trials: int, seed: int,
         values = {getattr(r.cfg, name) for r in requests}
         if len(values) > 1:
             raise ConfigError(
-                f"the points of a family must share {name}, got {sorted(values)}")
+                f"the requests must share {name}, got {sorted(values)}")
     hits = _sir_hits(requests, trials, seed, region_radius)
     return [r.result(h, trials) for r, h in zip(requests, hits)]

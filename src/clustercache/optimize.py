@@ -47,7 +47,6 @@ import numpy.random  # numpy loads it lazily: import it here, not in a run
 from .errors import (
     ConfigError,
     InfeasibleLoadError,
-    NoStableSplitError,
     NumericFailure,
     UnstableQueueError,
 )
@@ -449,34 +448,24 @@ def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
     """(W1, weighted delay) for the D2D and BS request fractions a1, a2.
 
     zeta_i = zeta_tot a_i; see ``weighted_delay`` for the delay. When
-    ``w1`` is None it is the closed-form D2D bandwidth minimising the
-    delay, W1* = [zeta_1 + w (O2 W - zeta_2)] / (O1 + w O2) with
-    w = sqrt(O1 zeta_1 / (O2 zeta_2)), clamped into the open stability
-    interval (zeta_1/O1, W - zeta_2/O2). When no request leaves the
-    devices both queues are empty and the split is immaterial: W1 = W/2.
-    Raises NoStableSplitError when the stability interval is empty and
-    UnstableQueueError for a queue past ``_RHO_MAX`` at W1.
+    ``w1`` is None it is the D2D bandwidth minimising the delay: queue i
+    needs x_i = zeta_i/O_i Hz, and the slack S = W - x1 - x2 is shared in
+    proportion to sqrt(x_i), W1* = x1 + S sqrt(x1) / (sqrt(x1) +
+    sqrt(x2)), for a delay of (sqrt(x1) + sqrt(x2))^2 / (zeta_tot S).
+    W1* is kept in [0, W], which matters only when S <= 0. When no
+    request leaves the devices both queues are empty and the split is
+    immaterial: W1 = W/2. Raises UnstableQueueError for a queue whose
+    utilisation at W1 exceeds ``_RHO_MAX``, which every S <= 0 gives.
     """
     zeta = (zeta_tot * a1, zeta_tot * a2)
-    if w1 is None and zeta == (0.0, 0.0):
-        w1 = w_total / 2.0
-    elif w1 is None:
-        lo = zeta[0] / o1
-        hi = w_total - zeta[1] / o2
-        if not lo < hi:
-            raise NoStableSplitError(
-                f"no bandwidth split stabilises both queues: need W1 > {lo:.6g} Hz "
-                f"and W1 < {hi:.6g} Hz out of {w_total:.6g} Hz"
-            )
-        if zeta[0] == 0.0:
-            w1 = lo
-        elif zeta[1] == 0.0:
-            w1 = w_total
+    if w1 is None:
+        x1, x2 = zeta[0] / o1, zeta[1] / o2
+        roots = math.sqrt(x1) + math.sqrt(x2)
+        if roots == 0.0:
+            w1 = w_total / 2.0
         else:
-            weight = math.sqrt(o1 * zeta[0] / (o2 * zeta[1]))
-            w1 = (zeta[0] + weight * (o2 * w_total - zeta[1])) / (o1 + weight * o2)
-        margin = min(1e-9 * w_total, 0.25 * (hi - lo))
-        w1 = float(min(max(w1, lo + margin), hi - margin))
+            w1 = x1 + (w_total - x1 - x2) * math.sqrt(x1) / roots
+            w1 = min(max(w1, 0.0), w_total)
     if zeta_tot == 0.0:
         return w1, 0.0
     mu = (o1 * w1, o2 * (w_total - w1))
@@ -519,7 +508,7 @@ def _optimised_split(a1, a2, zeta_tot, o1, o2, w_total):
     split stabilises the queues."""
     try:
         return _split_delay(a1, a2, zeta_tot, o1, o2, w_total)
-    except (NoStableSplitError, UnstableQueueError):
+    except UnstableQueueError:
         return math.nan, math.inf
 
 
@@ -542,18 +531,24 @@ def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
     delay), the linearisation sum q_i [A (1-b_i) + (B-A)(1-b_i)^k] has the
     energy form with x = q and is minimised exactly by
     ``_energy_form_minimiser`` (the top-M vertex when B <= A or k = 1).
+    An idle queue (mu_i = 0, so a_i = 0) has slope +inf, as the
+    bandwidth-optimised delay (sqrt(x1) + sqrt(x2))^2 / (zeta_tot S) has
+    in x_i at 0; the gap takes each slope times the change of its
+    fraction, and none where that change is 0 (a1 is identically 0 at
+    k = 1).
     """
     a1, a2 = _arrival_fractions(b, q, k)
-    mu1, mu2 = o1 * w1, o2 * (w_total - w1)
     if zeta_tot == 0.0:
-        slope1 = slope2 = 0.0  # the delay is identically zero
+        slopes = (0.0, 0.0)  # the delay is identically zero
     else:
-        slope1 = mu1 / (mu1 - zeta_tot * a1) ** 2
-        slope2 = mu2 / (mu2 - zeta_tot * a2) ** 2
-    s = _energy_form_minimiser(q, k, slope1, slope2, m)[0]
+        slopes = tuple(mu / (mu - zeta_tot * a) ** 2 if mu > 0.0 else math.inf
+                       for mu, a in ((o1 * w1, a1), (o2 * (w_total - w1), a2)))
+    s = _energy_form_minimiser(q, k, *slopes, m)[0]
     miss_km1 = (1.0 - b) ** (k - 1)
-    grad = q * (slope1 * (k * miss_km1 - 1.0) - slope2 * k * miss_km1)
-    return s, float(grad @ (b - s))
+    step = b - s
+    moves = ((q * (k * miss_km1 - 1.0)) @ step, -k * ((q * miss_km1) @ step))
+    gap = sum(slope * move for slope, move in zip(slopes, moves) if move != 0.0)
+    return s, float(gap)
 
 
 def _golden_section(fn, tol):

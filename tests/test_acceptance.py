@@ -36,7 +36,7 @@ import mpmath
 
 from clustercache import montecarlo, optimize, queueing, stochgeo
 from clustercache.cli import default_table1, run_scenario
-from clustercache.errors import NoStableSplitError, UnstableQueueError
+from clustercache.errors import UnstableQueueError
 from clustercache.model import ContentLibrary, baseline_policy
 
 import bcd_oracle
@@ -270,7 +270,7 @@ def test_criterion_06_bandwidth_closed_form_vs_golden_section(table1):
         a1, a2 = optimize._arrival_fractions(policy.b, lib.popularity, DELAY_K)
         try:
             w1, _ = optimize._split_delay(a1, a2, zeta, o1, o2, cfg.w_total)
-        except NoStableSplitError:
+        except UnstableQueueError:
             continue
 
         def delay_at(w1):

@@ -439,16 +439,35 @@ class TestRunScenario:
 
     def test_delay_flags_an_idle_d2d_queue(self, tmp_path):
         # On Table 1 the optimum sends no request over D2D from beta = 0.5
-        # on (W1 is then the stability margin), and some at beta = 0.
+        # on, and some at beta = 0. An idle D2D queue gets no bandwidth.
         sc = replace(default_table1(), tasks=("delay",), output_dir=str(tmp_path))
         assert run_scenario(sc) == 0
         summary = json.loads((tmp_path / "table1_summary.json").read_text())
         points = summary["tasks"]["delay"]["point_diagnostics"]
         assert sc.grid == (0.0, 0.5, 1.0, 1.5, 2.0)
-        assert [point["d2d_idle"] for point in points] == [False] + [True] * 4
+        idle = [point["d2d_idle"] for point in points]
+        assert idle == [False] + [True] * 4
         rows = list(csv.DictReader(
             (tmp_path / "table1_delay.csv").read_text().splitlines()[1:]))
-        assert [float(row["w1_opt_hz"]) < 1.0 for row in rows] == [False] + [True] * 4
+        assert [float(row["w1_opt_hz"]) == 0.0 for row in rows] == idle
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_delay_gap_is_finite_json(self, tmp_path, k):
+        # At k = 1 every D2D queue is idle (a1 = 0 for any policy): its
+        # slope is infinite, and the gap must still be a finite number
+        # that a strict JSON parser reads.
+        sc = replace(default_table1(), tasks=("delay",), delay_k=k,
+                     output_dir=str(tmp_path))
+        assert run_scenario(sc) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        summary = json.loads((tmp_path / "table1_summary.json").read_text(),
+                             parse_constant=reject)
+        points = summary["tasks"]["delay"]["point_diagnostics"]
+        assert len(points) == len(sc.grid)
+        assert all(np.isfinite(point["gap"]) for point in points)
 
     def test_offload_and_energy_summary_diagnostics(self, tmp_path):
         sc = _tiny_scenario(tmp_path, tasks=("offload", "energy"), grid=(0.5, 1.0))

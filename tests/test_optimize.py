@@ -28,7 +28,6 @@ from scipy.stats import poisson
 from clustercache.errors import (
     ConfigError,
     InfeasibleLoadError,
-    NoStableSplitError,
     NumericFailure,
     UnstableQueueError,
 )
@@ -678,7 +677,7 @@ class TestOptimalBandwidth:
         cfg, lib, o1, o2 = self._setup()
         policy = _policy(np.r_[np.zeros(96), np.ones(4)], 4)  # tail cached only
         w1, _ = _split_of(policy, lib, 8, 1.0, o1, o2, cfg.w_total)
-        assert w1 < 1e-6 * cfg.w_total + 1e-3
+        assert w1 == 0.0
 
     def test_matches_golden_section(self, rng):
         cfg, lib, o1, o2 = self._setup()
@@ -691,7 +690,7 @@ class TestOptimalBandwidth:
             zeta = float(rng.uniform(0.3, 1.2))
             try:
                 w1, _ = _split_of(policy, lib, 8, zeta, o1, o2, cfg.w_total)
-            except NoStableSplitError:
+            except UnstableQueueError:
                 continue
             kept += 1
 
@@ -722,16 +721,38 @@ class TestOptimalBandwidth:
             policy = _policy(b[0], 4)
             try:
                 w1, _ = _split_of(policy, lib, 8, 1.0, o1, o2, cfg.w_total)
-            except NoStableSplitError:
+            except UnstableQueueError:
                 continue
             a1, a2 = opt._arrival_fractions(policy.b, lib.popularity, 8)
             assert 1.0 * a1 / o1 < w1 < cfg.w_total - 1.0 * a2 / o2
 
     def test_no_stable_split_raises(self):
+        # No split stabilises both queues (W < x1 + x2): the optimal split
+        # fails the utilisation rule, and its error names a service rate
+        # that is not negative.
         cfg, lib, o1, o2 = self._setup()
         policy = _policy(np.full(100, 0.04), 4)
-        with pytest.raises(NoStableSplitError):
+        with pytest.raises(UnstableQueueError) as info:
             _split_of(policy, lib, 8, 1e4, o1, o2, cfg.w_total)
+        assert info.value.mu >= 0.0
+        assert "utilisation" in str(info.value)
+
+    def test_delay_at_split_matches_closed_form(self, rng):
+        # At W1* the delay is (sqrt(x1) + sqrt(x2))^2 / (zeta (W - x1 - x2))
+        # with x_i = zeta a_i / O_i.
+        cfg, lib, o1, o2 = self._setup()
+        w_total = cfg.w_total
+        checked = 0
+        while checked < 200:
+            a1, a2 = rng.dirichlet(np.ones(3))[:2]
+            zeta = float(rng.uniform(0.1, 5.0))
+            x1, x2 = zeta * a1 / o1, zeta * a2 / o2
+            if x1 + x2 >= 0.999 * w_total:
+                continue
+            _, delay = opt._split_delay(a1, a2, zeta, o1, o2, w_total)
+            closed = (math.sqrt(x1) + math.sqrt(x2)) ** 2 / (zeta * (w_total - x1 - x2))
+            assert delay == pytest.approx(closed, rel=1e-12)
+            checked += 1
 
 
 class TestWeightedDelay:
@@ -939,7 +960,7 @@ class TestSeparableCachingStep:
         for policy in rivals:
             try:
                 _, rival = _split_of(policy, lib, k, zeta, o1, o2, w)
-            except (NoStableSplitError, UnstableQueueError):
+            except UnstableQueueError:
                 continue
             assert trace.final_delay <= rival * (1 + 1e-12)
 

@@ -161,8 +161,10 @@ class TestPerQueueDelay:
             )
 
     def test_boundary_rejected(self):
-        for zeta in (1.0, 1.0 - 1e-12):
-            with pytest.raises(UnstableQueueError, match="queue 2 "):
+        # The message states the utilisation, also inside the margin below 1.
+        for zeta, shown in ((1.0, "1"), (1.0 - 1e-12, "0.999999999999")):
+            with pytest.raises(UnstableQueueError,
+                               match=f"queue 2 is unstable: utilisation {shown} "):
                 _one_queue_delay(zeta, 1.0)
 
     def test_weighted_average_arithmetic(self):
