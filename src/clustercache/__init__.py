@@ -42,12 +42,8 @@ from .optimize import (
     optimize_offloading,
     weighted_delay,
 )
-from .queueing import (
-    service_coefficients,
-    service_rate,
-)
+from .queueing import service_coefficients
 from .stochgeo import (
-    CoverageResult,
     average_rate,
     bs_coverage,
     d2d_coverage_conditional,

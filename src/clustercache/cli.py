@@ -359,7 +359,7 @@ def _tables_built_since(start: int) -> dict:
 def _offload_point(scenario: Scenario, value: float) -> dict:
     cfg, lib = _apply_sweep(scenario, value)
     builds = len(stochgeo._TABLE_NODES)
-    prob = stochgeo.prob_rate_exceeds(cfg, scenario.r0_over_w1).value
+    prob = stochgeo.prob_rate_exceeds(cfg, scenario.r0_over_w1)
     pc = optimize.optimize_offloading(cfg, lib, prob)
     rows = {
         "value": value,
@@ -505,14 +505,14 @@ def _validate_rows(scenario: Scenario) -> list:
         trials, _point_seed(scenario.seed, "validate"))
     for i, ((tag, request, analytic_fn), mc) in enumerate(zip(points, estimates)):
         analytic, analytic_s = _timed(analytic_fn, request.cfg)
-        add(tag, analytic.value, mc.mean, mc.half_width_95, 0.02,
+        add(tag, analytic, mc.mean, mc.half_width_95, 0.02,
             analytic_s, None if i else mc_s, trials)
 
     # Hand-derived reference: theta=1, alpha=4, sigma=10 m, 20 clusters/km^2
     # gives 1/(1 + 400 pi * 2e-5 * pi/2) ~= 0.962.
     ref_cfg = replace(cfg, sigma=10.0, theta=1.0, alpha=4.0, lambda_p=2e-5)
     analytic, analytic_s = _timed(stochgeo.d2d_coverage_single_link, ref_cfg)
-    add("single_link_reference_point", analytic.value, 0.962, 0.0, 0.01,
+    add("single_link_reference_point", analytic, 0.962, 0.0, 0.01,
         analytic_s, None, 0)
 
     # On Table 1, k = n_bar = 5, so Poisson(p*k) is Poisson(p*n_bar) and
@@ -522,7 +522,7 @@ def _validate_rows(scenario: Scenario) -> list:
     # construction, not a bug.
     pair = estimates[-1]
     analytic, analytic_s = _timed(stochgeo.d2d_coverage_conditional, cfg, 5)
-    add("conditional_coverage k=5 (poisson approx)", analytic.value,
+    add("conditional_coverage k=5 (poisson approx)", analytic,
         pair.poisson_approx.mean, pair.poisson_approx.half_width_95, 0.02,
         analytic_s, None, trials)
     # Informational: the exact-vs-approximate gap quantifies the Poisson

@@ -12,6 +12,7 @@ per-device cache stores exactly ``M`` files.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,15 @@ __all__ = [
 # Tolerances used when validating caching policies.
 _BOX_TOL = 1e-12
 _BUDGET_TOL = 1e-9
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a ``value`` that is not an integer (bools included) of at
+    least ``least`` with :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

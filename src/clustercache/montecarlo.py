@@ -104,7 +104,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily: import it here, not in a run
 
 from .errors import ConfigError, InfeasibleAccessProbability
-from .model import NetworkConfig
+from .model import NetworkConfig, _check_count
 
 __all__ = [
     "McEstimate",
@@ -147,13 +147,6 @@ class ConditionalCoveragePair:
 
     exact: McEstimate
     poisson_approx: McEstimate
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
 class _Request:

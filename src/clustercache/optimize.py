@@ -56,6 +56,7 @@ from .model import (
     NetworkConfig,
     _BUDGET_TOL,
     _capped_proportional,
+    _check_count,
     _snap_budget,
     baseline_policy,
 )
@@ -333,8 +334,7 @@ def energy_conditional(
     k * sum_i q_i S_i [ (1-b_i)(1 - (1-b_i)^(k-1)) Pd/R1 + (1-b_i)^k Pb/R2 ]
     with S_i converted from Mbits to bits so S_i/R is seconds.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    _check_count("k", k, 1)
     if r1 <= 0 or r2 <= 0:
         raise ConfigError("rates must be positive")
     q = lib.popularity
@@ -391,8 +391,7 @@ def optimize_energy(
     solution flags this top-M vertex (also taken when at most M files
     are requested) as degenerate.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    _check_count("k", k, 1)
     if r1 <= 0 or r2 <= 0:
         raise ConfigError("rates must be positive")
     m = lib.cache_size
@@ -495,8 +494,7 @@ def weighted_delay(
     whose stability constraint fails. Self-served requests contribute
     zero delay.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    _check_count("k", k, 1)
     if not 0 <= w1 <= w_total:
         raise ConfigError(f"w1 must lie in [0, {w_total}], got {w1}")
     a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)
@@ -599,8 +597,7 @@ def optimize_delay_bcd(
     and returns the best run over ``restarts`` feasible starts. Raises
     InfeasibleLoadError when no caching policy stabilises the queues.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    _check_count("k", k, 1)
     if restarts < 1:
         raise ConfigError("restarts must be at least 1")
     q = lib.popularity

@@ -1,4 +1,5 @@
-"""Traffic decomposition and service rates of the per-cluster queues.
+"""Traffic decomposition and per-Hz service coefficients
+(``service_coefficients``) of the per-cluster queues.
 
 Each cluster generates file requests as a Poisson stream of rate
 ``zeta_tot``. A request for file i is self-served with probability b_i,
@@ -17,12 +18,10 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
 from .model import ContentLibrary, NetworkConfig
 from . import stochgeo
 
 __all__ = [
-    "service_rate",
     "service_coefficients",
 ]
 
@@ -88,25 +87,16 @@ def _segment_fractions(b, s, q, k: int, evaluations: int):
     return fractions
 
 
-def service_rate(w: float, theta: float, coverage: stochgeo.CoverageResult,
-                 s_bar_mbits: float) -> float:
-    """Requests served per second: P_c * W * log2(1+theta) / mean size."""
-    if s_bar_mbits <= 0:
-        raise ConfigError("s_bar_mbits must be positive")
-    if w < 0:
-        raise ConfigError("bandwidth must be non-negative")
-    return stochgeo.average_rate(w, theta, coverage) / (s_bar_mbits * 1e6)
-
-
 def service_coefficients(cfg: NetworkConfig, lib: ContentLibrary) -> tuple[float, float]:
-    """Per-Hz service coefficients (O1, O2) in requests/s/Hz.
+    """Per-Hz service coefficients (O1, O2) in requests/s/Hz: each is
+    P_c log2(1 + theta) over the mean file size in bits.
 
     O1 uses the single-active-link D2D coverage (one D2D transmission per
     cluster in the delay model); O2 uses the nearest-BS coverage.
     """
     p_cd = stochgeo.d2d_coverage_single_link(cfg)
     p_cb = stochgeo.bs_coverage(cfg.theta, cfg.alpha)
-    o1 = service_rate(1.0, cfg.theta, p_cd, lib.mean_size_mbits)
-    o2 = service_rate(1.0, cfg.theta, p_cb, lib.mean_size_mbits)
-    return o1, o2
+    bits = lib.mean_size_mbits * 1e6
+    return (stochgeo.average_rate(1.0, cfg.theta, p_cd) / bits,
+            stochgeo.average_rate(1.0, cfg.theta, p_cb) / bits)
 

@@ -35,6 +35,14 @@ Numerical conventions
   higher rule is built only when the lower two disagree. If the top two
   disagree, :class:`~clustercache.errors.NumericFailure` reports both
   values. A table with a non-finite entry raises it too.
+* Every coverage is a float in [0, 1]. A computed coverage that lies
+  within 1e-9 outside it is clamped into it: a table's weights can sum to
+  just above 1, and the single-link closed form rounds to just above 1
+  at a vanishing lambda_p. Further outside, or NaN, it raises
+  :class:`~clustercache.errors.NumericFailure`, since a computation and
+  not an input produced it. :func:`average_rate` rejects a coverage
+  outside [0, 1] from its caller with
+  :class:`~clustercache.errors.ConfigError`.
 * The tables are tested against an adaptive Gauss-Kronrod oracle of
   the two transforms, ``tests/laplace_oracle.py``, which shares none of
   their quadrature code.
@@ -56,7 +64,6 @@ Numerical conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -64,10 +71,9 @@ import numpy as np
 import numpy.polynomial.legendre  # numpy loads it lazily: import it here, not in a run
 
 from .errors import ConfigError, InfeasibleAccessProbability, NumericFailure
-from .model import NetworkConfig
+from .model import NetworkConfig, _check_count
 
 __all__ = [
-    "CoverageResult",
     "serving_distance_pdf",
     "prob_rate_exceeds",
     "d2d_coverage_conditional",
@@ -101,23 +107,6 @@ _TABLE_NODES: list = []
 _CHUNK_DOUBLES = 65536
 # Relative margin of the access probability above the rate threshold.
 _ACCESS_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class CoverageResult:
-    """A coverage probability, clamped into [0, 1] within 1e-9."""
-
-    value: float
-
-    def __post_init__(self):
-        v = self.value
-        if -1e-9 <= v < 0.0:
-            v = 0.0
-        elif 1.0 < v <= 1.0 + 1e-9:
-            v = 1.0
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"coverage must lie in [0, 1], got {self.value!r}")
-        object.__setattr__(self, "value", v)
 
 
 # Cephes Chebyshev coefficients of e^(-x) I0(x) in x/2 - 2 on [0, 8] and of
@@ -434,6 +423,15 @@ def _coverage_table(alpha: float, theta: float, mu: float, level: int) -> _RuleT
     return table
 
 
+def _clamped(value: float, what: str) -> float:
+    """A computed probability, clamped into [0, 1] if it lies within 1e-9
+    of it; further outside, NaN included, it raises
+    :class:`~clustercache.errors.NumericFailure`."""
+    if not -1e-9 <= value <= 1.0 + 1e-9:
+        raise NumericFailure(f"{what} = {value!r} lies outside [0, 1]")
+    return min(max(value, 0.0), 1.0)
+
+
 def _coverage(cfg: NetworkConfig, intensity: float, what: str) -> float:
     """Serving-distance average of L_inter * L_intra at ``intensity``."""
     key = (cfg.alpha, cfg.theta, cfg.access_p * cfg.n_bar)
@@ -443,7 +441,8 @@ def _coverage(cfg: NetworkConfig, intensity: float, what: str) -> float:
         low, high = high, _coverage_table(*key, level).coverage(density, intensity)
         tol = max(ATOL, RTOL * abs(high))
         if abs(high - low) <= tol:
-            return high
+            # The weights of a table can sum to just above 1.
+            return _clamped(high, what)
     raise NumericFailure(
         f"quadrature for {what} did not converge: fixed-order rules "
         f"{_RULES[-1]} and {_RULES[-2]} give {high!r} and {low!r}, "
@@ -452,7 +451,7 @@ def _coverage(cfg: NetworkConfig, intensity: float, what: str) -> float:
 
 
 @lru_cache(maxsize=512)
-def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float) -> CoverageResult:
+def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float) -> float:
     """Probability that the D2D link rate exceeds the threshold R0.
 
     Under fixed-rate transmission the event reduces to an SIR outage
@@ -461,20 +460,21 @@ def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float) -> CoverageResult:
     to exceed R0; otherwise the probability is identically zero and an
     :class:`InfeasibleAccessProbability` is raised.
     """
-    if r0_over_w1 < 0:
-        raise ConfigError("r0_over_w1 must be non-negative")
+    if not (math.isfinite(r0_over_w1) and r0_over_w1 >= 0):
+        raise ConfigError(
+            f"r0_over_w1 must be finite and non-negative, got {r0_over_w1!r}")
     spectral_capacity = cfg.access_p * math.log2(1.0 + cfg.theta)
     if not spectral_capacity > r0_over_w1:
         raise InfeasibleAccessProbability(
             f"access_p * log2(1 + theta) = {spectral_capacity:.6g} bits/s/Hz "
             f"does not exceed R0/W1 = {r0_over_w1:.6g} bits/s/Hz"
         )
-    value = _coverage(cfg, cfg.access_p * cfg.n_bar, "P(R1 > R0)")
-    return CoverageResult(value=value)
+    return _coverage(cfg, cfg.access_p * cfg.n_bar, "P(R1 > R0)")
 
 
-@lru_cache(maxsize=512)
-def d2d_coverage_conditional(cfg: NetworkConfig, k: int) -> CoverageResult:
+# typed: k = True or 2.0 must reach the integer check, not the entry of 1 or 2.
+@lru_cache(maxsize=512, typed=True)
+def d2d_coverage_conditional(cfg: NetworkConfig, k: int) -> float:
     """D2D coverage probability conditioned on k devices in the cluster.
 
     The intra-cluster interferers are modelled as a Gaussian field of
@@ -482,16 +482,13 @@ def d2d_coverage_conditional(cfg: NetworkConfig, k: int) -> CoverageResult:
     all, and the interference-free value 1 is returned so sweeps stay
     total.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    _check_count("k", k, 1)
     if cfg.access_p == 0.0:
-        return CoverageResult(value=1.0)
-    value = _coverage(cfg, cfg.access_p * k, f"D2D coverage | k={k}")
-    return CoverageResult(value=value)
+        return 1.0
+    return _coverage(cfg, cfg.access_p * k, f"D2D coverage | k={k}")
 
 
-@lru_cache(maxsize=512)
-def bs_coverage(theta: float, alpha: float) -> CoverageResult:
+def bs_coverage(theta: float, alpha: float) -> float:
     """Coverage probability of the nearest-BS downlink under Rayleigh fading.
 
     Equal to 1 / 2F1(1, -d; 1-d; -theta) with d = 2/alpha; independent of
@@ -506,11 +503,10 @@ def bs_coverage(theta: float, alpha: float) -> CoverageResult:
     denom = _hyp2f1_bs(theta, delta)
     if not math.isfinite(denom) or denom < 1.0:
         raise NumericFailure(f"hypergeometric evaluation failed: 2F1 = {denom!r}")
-    return CoverageResult(value=1.0 / denom)
+    return 1.0 / denom
 
 
-@lru_cache(maxsize=512)
-def d2d_coverage_single_link(cfg: NetworkConfig) -> CoverageResult:
+def d2d_coverage_single_link(cfg: NetworkConfig) -> float:
     """D2D coverage with exactly one active link per cluster.
 
     With a single transmitter per cluster the displaced interferer field
@@ -527,14 +523,19 @@ def d2d_coverage_single_link(cfg: NetworkConfig) -> CoverageResult:
         * math.gamma(1.0 - delta)
         + 1.0 / (4.0 * cfg.sigma**2)
     )
-    return CoverageResult(value=1.0 / (4.0 * cfg.sigma**2 * z))
+    # At a vanishing lambda_p the quotient rounds to just above 1.
+    return _clamped(1.0 / (4.0 * cfg.sigma**2 * z), "single-link D2D coverage")
 
 
-def average_rate(w: float, theta: float, coverage: CoverageResult) -> float:
+def average_rate(w: float, theta: float, coverage: float) -> float:
     """Average throughput W * log2(1 + theta) * P_c in bits/s."""
-    if w < 0:
-        raise ConfigError("bandwidth must be non-negative")
-    return w * math.log2(1.0 + theta) * coverage.value
+    if not w >= 0:
+        raise ConfigError(f"bandwidth must be non-negative, got {w!r}")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ConfigError(f"theta must be finite and positive, got {theta!r}")
+    if not 0.0 <= coverage <= 1.0:
+        raise ConfigError(f"coverage must lie in [0, 1], got {coverage!r}")
+    return w * math.log2(1.0 + theta) * coverage
 
 
 def optimal_access_probability(r0_over_w1: float, theta: float) -> float:

@@ -86,7 +86,7 @@ def test_criterion_01_rate_probability_vs_monte_carlo(table1):
     for sigma in (10.0, 20.0, 30.0):
         for theta_db in (0.0, 3.0):
             cfg = replace(table1.cfg, sigma=sigma, theta=10 ** (theta_db / 10))
-            analytic = stochgeo.prob_rate_exceeds(cfg, 0.1).value
+            analytic = stochgeo.prob_rate_exceeds(cfg, 0.1)
             (mc,) = montecarlo.simulate(
                 [montecarlo.ProbRateExceeds(cfg, 0.1)], 100_000,
                 seed=int(1000 * sigma + theta_db),
@@ -107,7 +107,7 @@ def test_criterion_02_single_link_closed_form_vs_monte_carlo(table1):
     for sigma in (10.0, 20.0, 30.0):
         for lam_km2 in (10.0, 20.0):
             cfg = replace(table1.cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)
-            analytic = stochgeo.d2d_coverage_single_link(cfg).value
+            analytic = stochgeo.d2d_coverage_single_link(cfg)
             (mc,) = montecarlo.simulate(
                 [montecarlo.SingleLinkCoverage(cfg)], 100_000,
                 seed=int(100 * sigma + lam_km2),
@@ -115,7 +115,7 @@ def test_criterion_02_single_link_closed_form_vs_monte_carlo(table1):
             gap = abs(analytic - mc.mean)
             if gap >= 0.02:
                 failures.append((sigma, lam_km2, analytic, mc.mean, gap))
-    reference = stochgeo.d2d_coverage_single_link(table1.cfg).value
+    reference = stochgeo.d2d_coverage_single_link(table1.cfg)
     point_ok = abs(reference - 0.962) <= 0.01
     _check(
         2, "single-link coverage vs MC grid + 0.962 reference point",
@@ -125,7 +125,7 @@ def test_criterion_02_single_link_closed_form_vs_monte_carlo(table1):
 
 
 def test_criterion_03_bs_coverage_closed_form():
-    got = stochgeo.bs_coverage(1.0, 4.0).value
+    got = stochgeo.bs_coverage(1.0, 4.0)
     closed = 1.0 / (1.0 + math.atan(1.0))
     with mpmath.workdps(30):
         series = float(1 / mpmath.hyp2f1(1, -0.5, 0.5, -1))
@@ -184,7 +184,7 @@ def test_criterion_05_scheme_dominance(table1, bcd_beta_sweep):
 
     # Offloading: the optimized policy dominates; the proportional scheme
     # at least approximately dominates deterministic top-M caching.
-    prob = stochgeo.prob_rate_exceeds(cfg, 0.1).value
+    prob = stochgeo.prob_rate_exceeds(cfg, 0.1)
     for beta in (0.0, 0.5, 1.0, 1.5, 2.0):
         lib = ContentLibrary.zipf(500, beta, 10)
         pc = optimize.optimize_offloading(cfg, lib, prob).objective
@@ -343,17 +343,17 @@ def test_criterion_08_monotonicity_suite(table1, bcd_beta_sweep):
         return all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
 
     in_sigma = [
-        stochgeo.prob_rate_exceeds(replace(cfg, sigma=s), 0.1).value
+        stochgeo.prob_rate_exceeds(replace(cfg, sigma=s), 0.1)
         for s in (10.0, 20.0, 30.0, 40.0, 50.0)
     ]
     # The theta grid needs an access probability feasible across the whole
     # grid (p log2(1+theta) > R0/W1 fails at theta=0.5 for the default p).
     in_theta = [
-        stochgeo.prob_rate_exceeds(replace(cfg, theta=t, access_p=0.5), 0.1).value
+        stochgeo.prob_rate_exceeds(replace(cfg, theta=t, access_p=0.5), 0.1)
         for t in (0.5, 1.0, 2.0, 4.0, 8.0)
     ]
     in_lambda = [
-        stochgeo.prob_rate_exceeds(replace(cfg, lambda_p=l * 1e-6), 0.1).value
+        stochgeo.prob_rate_exceeds(replace(cfg, lambda_p=l * 1e-6), 0.1)
         for l in (5.0, 10.0, 20.0, 40.0, 80.0)
     ]
     for name, seq in (("sigma", in_sigma), ("theta", in_theta),

@@ -500,7 +500,7 @@ class TestRunScenario:
             assert set(point) == {"kkt_iterations", "multiplier", "table_builds",
                                   "table_nodes"}
             cfg, lib = cli._apply_sweep(sc, value)
-            prob = stochgeo.prob_rate_exceeds(cfg, sc.r0_over_w1).value
+            prob = stochgeo.prob_rate_exceeds(cfg, sc.r0_over_w1)
             sol = optimize.optimize_offloading(cfg, lib, prob)
             assert point == {"kkt_iterations": sol.iterations,
                              "multiplier": sol.multiplier, "table_builds": built,

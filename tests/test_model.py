@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from clustercache import optimize, stochgeo
 from clustercache.errors import ConfigError
 from clustercache.model import (
     CachingPolicy,
@@ -188,3 +189,27 @@ class TestDomainTypes:
         policy = CachingPolicy(np.array([0.25, 0.75]), cache_size=1)
         with pytest.raises(ValueError):  # frozen and read-only
             policy.b[0] = 0.9
+
+
+# Every public function that takes the cluster size k, called at k.
+_K_TAKERS = {
+    "d2d_coverage_conditional":
+        lambda cfg, lib, b, k: stochgeo.d2d_coverage_conditional(cfg, k),
+    "energy_conditional":
+        lambda cfg, lib, b, k: optimize.energy_conditional(b, lib, cfg, k, 1e6, 1e6),
+    "optimize_energy":
+        lambda cfg, lib, b, k: optimize.optimize_energy(cfg, lib, k, 1e6, 1e6),
+    "weighted_delay":
+        lambda cfg, lib, b, k: optimize.weighted_delay(b, lib, k, 1.0, 1e7, 1e-6,
+                                                       1e-6, 2e7),
+    "optimize_delay_bcd":
+        lambda cfg, lib, b, k: optimize.optimize_delay_bcd(cfg, lib, k, 1.0, restarts=1),
+}
+
+
+@pytest.mark.parametrize("k", [0, 2.5, True, float("nan")])
+@pytest.mark.parametrize("function", sorted(_K_TAKERS))
+def test_cluster_size_must_be_a_positive_integer(function, k, table1_cfg, table1_lib):
+    policy = baseline_policy("zipf-proportional", table1_lib)
+    with pytest.raises(ConfigError, match="k must be"):
+        _K_TAKERS[function](table1_cfg, table1_lib, policy, k)

@@ -409,7 +409,7 @@ class TestProbRateExceedsMc:
 
     def test_matches_analytic(self, table1_cfg):
         (est,) = _rate_exceeds((table1_cfg,), 0.1, 20000, seed=31)
-        analytic = prob_rate_exceeds(table1_cfg, 0.1).value
+        analytic = prob_rate_exceeds(table1_cfg, 0.1)
         assert abs(est.mean - analytic) < 0.02
 
     def test_feasibility_enforced(self, table1_cfg):
@@ -432,7 +432,7 @@ class TestConditionalCoverageMc:
 
     def test_poisson_approx_matches_analytic(self, table1_cfg):
         pair = _conditional(table1_cfg, 5, 20000, seed=23)
-        analytic = d2d_coverage_conditional(table1_cfg, 5).value
+        analytic = d2d_coverage_conditional(table1_cfg, 5)
         assert abs(pair.poisson_approx.mean - analytic) < 0.02
 
     def test_exact_vs_approx_gap_is_small(self, table1_cfg):
@@ -470,7 +470,7 @@ class TestSingleLinkMc:
     def test_reference_point(self, table1_cfg):
         est = _single_link((table1_cfg,), 20000, seed=41)[0]
         assert est.mean == pytest.approx(0.962, abs=0.01)
-        analytic = d2d_coverage_single_link(table1_cfg).value
+        analytic = d2d_coverage_single_link(table1_cfg)
         assert abs(est.mean - analytic) < 0.02
 
     def test_monotone_decreasing_in_sigma(self, table1_cfg):
@@ -578,14 +578,14 @@ class TestFamily:
                   for theta in (1.0, 2.0)]
         estimates = _rate_exceeds(points, 0.1, 20000, seed=31)
         for cfg, est in zip(points, estimates):
-            assert abs(est.mean - prob_rate_exceeds(cfg, 0.1).value) < 0.02
+            assert abs(est.mean - prob_rate_exceeds(cfg, 0.1)) < 0.02
 
     def test_single_link_matches_analytic(self, table1_cfg):
         # The tolerance of TestSingleLinkMc, at every point.
         points = _family_points(table1_cfg)
         estimates = _single_link(points, 20000, seed=41)
         for cfg, est in zip(points, estimates):
-            assert abs(est.mean - d2d_coverage_single_link(cfg).value) < 0.02
+            assert abs(est.mean - d2d_coverage_single_link(cfg)) < 0.02
 
     @pytest.mark.parametrize("field, value", [("alpha", 3.5), ("access_p", 0.2),
                                               ("n_bar", 6.0)])

@@ -215,7 +215,7 @@ class TestKktKernels:
             return b, v, iterations
 
         monkeypatch.setattr(opt, "_search_multiplier", recording)
-        prob = stochgeo.prob_rate_exceeds(cfg, 0.1).value
+        prob = stochgeo.prob_rate_exceeds(cfg, 0.1)
         sol = optimize_offloading(cfg, lib, prob)
         v_hi = float(opt._offload_gradient(0.0, lib.popularity, cfg.n_bar, prob).max())
         oracle_v, _ = kkt_oracle.bisect_multiplier(

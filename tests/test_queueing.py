@@ -1,6 +1,7 @@
-"""Arrival split, service rates and the M/M/1 queue delays."""
+"""Arrival split, service coefficients and the M/M/1 queue delays."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from clustercache.errors import UnstableQueueError
 from clustercache.model import CachingPolicy, ContentLibrary, _capped_proportional
 from clustercache.optimize import _LINE_SEARCH_EVALUATIONS, weighted_delay
-from clustercache.queueing import _arrival_fractions, _segment_fractions, service_rate
-from clustercache.stochgeo import CoverageResult
+from clustercache import stochgeo
+from clustercache.queueing import _arrival_fractions, _segment_fractions, service_coefficients
 
 
 def _policy(b, m):
@@ -128,17 +129,29 @@ class TestSegmentFractions:
 
 
 class TestServiceRate:
-    def test_reference_value(self):
+    @staticmethod
+    def _coefficients(monkeypatch, cfg, coverage, mean_size_mbits):
+        """(O1, O2) with both coverages set to ``coverage``."""
+        monkeypatch.setattr(stochgeo, "d2d_coverage_single_link", lambda cfg: coverage)
+        monkeypatch.setattr(stochgeo, "bs_coverage", lambda theta, alpha: coverage)
+        lib = ContentLibrary.zipf(50, 1.0, 5, mean_size_mbits=mean_size_mbits)
+        return service_coefficients(cfg, lib)
+
+    def test_reference_value(self, monkeypatch, table1_cfg):
         # 0.5 coverage, 10 MHz, theta = 1, 5 Mbit mean size -> 1 req/s.
-        assert service_rate(10e6, 1.0, CoverageResult(0.5), 5.0) == pytest.approx(1.0)
+        for o in self._coefficients(monkeypatch, table1_cfg, 0.5, 5.0):
+            assert 10e6 * o == pytest.approx(1.0)
 
-    def test_zero_coverage_means_no_service(self):
-        assert service_rate(10e6, 1.0, CoverageResult(0.0), 5.0) == 0.0
+    def test_zero_coverage_means_no_service(self, monkeypatch, table1_cfg):
+        assert self._coefficients(monkeypatch, table1_cfg, 0.0, 5.0) == (0.0, 0.0)
 
-    def test_linear_in_bandwidth(self):
-        one = service_rate(7e6, 2.0, CoverageResult(0.8), 3.0)
-        two = service_rate(14e6, 2.0, CoverageResult(0.8), 3.0)
-        assert two == pytest.approx(2 * one, rel=1e-14)
+    def test_linear_in_bandwidth(self, monkeypatch, table1_cfg):
+        cfg = replace(table1_cfg, theta=2.0)
+        for o in self._coefficients(monkeypatch, cfg, 0.8, 3.0):
+            one, two = 7e6 * o, 14e6 * o
+            assert two == pytest.approx(2 * one, rel=1e-14)
+            assert one == pytest.approx(stochgeo.average_rate(7e6, 2.0, 0.8) / 3e6,
+                                        rel=1e-14)
 
 
 class TestPerQueueDelay:

@@ -12,6 +12,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
@@ -22,7 +24,6 @@ from clustercache.errors import (
 )
 from clustercache.model import NetworkConfig
 from clustercache.stochgeo import (
-    CoverageResult,
     average_rate,
     bs_coverage,
     d2d_coverage_conditional,
@@ -176,7 +177,7 @@ class TestLaplaceTransforms:
 class TestProbRateExceeds:
     def test_outage_certain_at_huge_threshold(self, table1_cfg):
         values = [
-            prob_rate_exceeds(replace(table1_cfg, theta=t, access_p=0.5), 0.1).value
+            prob_rate_exceeds(replace(table1_cfg, theta=t, access_p=0.5), 0.1)
             for t in (1.0, 10.0, 100.0, 1e4, 1e6)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -186,14 +187,14 @@ class TestProbRateExceeds:
         # Larger spread means longer serving links and closer interferers.
         cfg = NetworkConfig(**{**TABLE1, "n_bar": 12.0, "sigma": 30.0})
         values = [
-            prob_rate_exceeds(replace(cfg, sigma=s), 0.1).value
+            prob_rate_exceeds(replace(cfg, sigma=s), 0.1)
             for s in (10.0, 20.0, 30.0, 40.0, 50.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_decreasing_in_cluster_population(self, table1_cfg):
         values = [
-            prob_rate_exceeds(replace(table1_cfg, n_bar=n), 0.1).value
+            prob_rate_exceeds(replace(table1_cfg, n_bar=n), 0.1)
             for n in (2.0, 4.0, 8.0, 16.0, 32.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -201,7 +202,7 @@ class TestProbRateExceeds:
     def test_decreasing_in_access_probability(self, table1_cfg):
         # More simultaneous transmitters only add interference.
         values = [
-            prob_rate_exceeds(replace(table1_cfg, access_p=p), 0.1).value
+            prob_rate_exceeds(replace(table1_cfg, access_p=p), 0.1)
             for p in (0.2, 0.4, 0.6, 0.8, 1.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -210,12 +211,17 @@ class TestProbRateExceeds:
         with pytest.raises(InfeasibleAccessProbability):
             prob_rate_exceeds(replace(table1_cfg, access_p=0.05), 0.1)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.1])
+    def test_rejects_non_finite_threshold(self, table1_cfg, rate):
+        with pytest.raises(ConfigError, match="r0_over_w1"):
+            prob_rate_exceeds(table1_cfg, rate)
+
 
 class TestConditionalCoverage:
     def test_degenerate_without_transmissions(self, table1_cfg):
         # No device transmits: nothing interferes, and coverage is certain.
         result = d2d_coverage_conditional(replace(table1_cfg, access_p=0.0), 3)
-        assert result == CoverageResult(1.0)
+        assert result == 1.0
 
     def test_matches_direct_composition_at_k1(self, table1_cfg):
         # k=1 and p=1: integral of f_R * L_inter * L_intra(intensity 1).
@@ -226,11 +232,11 @@ class TestConditionalCoverage:
             * laplace_intra(cfg.theta * r**cfg.alpha, 1.0, cfg.sigma, cfg.alpha),
             0, 14 * cfg.sigma,
         )
-        got = d2d_coverage_conditional(cfg, 1).value
+        got = d2d_coverage_conditional(cfg, 1)
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_non_increasing_in_k(self, table1_cfg):
-        values = [d2d_coverage_conditional(table1_cfg, k).value
+        values = [d2d_coverage_conditional(table1_cfg, k)
                   for k in (1, 2, 5, 10, 20)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -293,7 +299,7 @@ class TestCoverageEngine:
     @pytest.mark.parametrize("overrides", ENGINE_CONFIGS.values(), ids=ENGINE_CONFIGS)
     def test_matches_adaptive_oracle(self, table1_cfg, overrides):
         cfg = replace(table1_cfg, **overrides)
-        got = prob_rate_exceeds(cfg, 0.1).value
+        got = prob_rate_exceeds(cfg, 0.1)
         expected = _adaptive_coverage(cfg, cfg.access_p * cfg.n_bar)
         assert abs(got - expected) <= max(1e-9, 1e-7 * expected)
 
@@ -313,8 +319,8 @@ class TestCoverageEngine:
                          lambda_p=table1_cfg.lambda_p / c**2)
         for coverage in (lambda cfg: prob_rate_exceeds(cfg, 0.1),
                          lambda cfg: d2d_coverage_conditional(cfg, 5)):
-            assert coverage(scaled).value == pytest.approx(
-                coverage(table1_cfg).value, rel=1e-15, abs=0.0)
+            assert coverage(scaled) == pytest.approx(
+                coverage(table1_cfg), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("field, values", [
         ("sigma", (5.0, 10.0, 20.0, 30.0, 40.0)),
@@ -448,7 +454,7 @@ class TestRadialRule:
 
 class TestBsCoverage:
     def test_alpha4_closed_form(self):
-        got = bs_coverage(1.0, 4.0).value
+        got = bs_coverage(1.0, 4.0)
         assert got == pytest.approx(1.0 / (1.0 + math.atan(1.0)), abs=1e-10)
 
     def test_against_high_precision_series(self):
@@ -457,10 +463,10 @@ class TestBsCoverage:
             delta = 2.0 / alpha
             with mpmath.workdps(30):
                 expected = float(1 / mpmath.hyp2f1(1, -delta, 1 - delta, -theta))
-            assert bs_coverage(theta, alpha).value == pytest.approx(expected, abs=1e-10)
+            assert bs_coverage(theta, alpha) == pytest.approx(expected, abs=1e-10)
 
     def test_limit_at_vanishing_threshold(self):
-        assert bs_coverage(1e-12, 4.0).value == pytest.approx(1.0, abs=1e-9)
+        assert bs_coverage(1e-12, 4.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_series_match_scipy(self):
         # Both series regimes (theta <= 3 and theta > 3) over the path-loss
@@ -478,7 +484,7 @@ class TestBsCoverage:
         for theta in np.geomspace(1e-3, 1e5, 97):
             root = math.sqrt(theta)
             expected = 1.0 / (1.0 + root * math.atan(root))
-            assert bs_coverage(theta, 4.0).value == pytest.approx(expected, rel=1e-14)
+            assert bs_coverage(theta, 4.0) == pytest.approx(expected, rel=1e-14)
 
     def test_series_that_does_not_converge_raises(self, monkeypatch):
         monkeypatch.setattr(stochgeo, "_SERIES_TERMS", 5)
@@ -492,41 +498,41 @@ class TestBsCoverage:
         for theta, alpha in ((1.0, 3.0), (2.0, 4.0)):
             kappa, _ = quad(lambda y: theta * y / (theta + y**alpha), 1, np.inf)
             expected = 1.0 / (1.0 + 2.0 * kappa)
-            got = bs_coverage(theta, alpha).value
+            got = bs_coverage(theta, alpha)
             assert got == pytest.approx(expected, rel=1e-9)
             assert 0.0 < got < 1.0
 
 
 class TestSingleLinkCoverage:
     def test_limit_at_vanishing_density(self, table1_cfg):
-        got = d2d_coverage_single_link(replace(table1_cfg, lambda_p=1e-300)).value
+        got = d2d_coverage_single_link(replace(table1_cfg, lambda_p=1e-300))
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_point_arithmetic(self, table1_cfg):
         # 1/(1 + 400 pi 2e-5 Gamma(1.5)Gamma(0.5)) with Gamma product pi/2.
         expected = 1.0 / (1.0 + 400.0 * math.pi * 2e-5 * (math.pi / 2.0))
-        assert d2d_coverage_single_link(table1_cfg).value == pytest.approx(
+        assert d2d_coverage_single_link(table1_cfg) == pytest.approx(
             expected, abs=1e-12
         )
         assert expected == pytest.approx(0.9620, abs=5e-5)
 
     def test_monotone_decreasing_in_each_parameter(self, table1_cfg):
-        base = d2d_coverage_single_link(table1_cfg).value
+        base = d2d_coverage_single_link(table1_cfg)
         for field, values in (("theta", (2.0, 4.0)), ("sigma", (20.0, 30.0)),
                               ("lambda_p", (4e-5, 8e-5))):
             prev = base
             for v in values:
-                cur = d2d_coverage_single_link(replace(table1_cfg, **{field: v})).value
+                cur = d2d_coverage_single_link(replace(table1_cfg, **{field: v}))
                 assert cur < prev
                 prev = cur
 
 
 class TestAverageRateAndAccess:
     def test_zero_bandwidth(self):
-        assert average_rate(0.0, 1.0, CoverageResult(1.0)) == 0.0
+        assert average_rate(0.0, 1.0, 1.0) == 0.0
 
     def test_unit_coverage(self):
-        assert average_rate(20e6, 1.0, CoverageResult(1.0)) == 2e7
+        assert average_rate(20e6, 1.0, 1.0) == 2e7
 
     def test_composed_with_bs_coverage(self):
         w2 = 10e6
@@ -549,7 +555,54 @@ class TestAverageRateAndAccess:
         with pytest.raises(ConfigError, match="log2"):
             optimal_access_probability(0.1, theta)
 
-    def test_coverage_result_validation(self):
-        assert CoverageResult(1.0 + 1e-12).value == 1.0
+    @pytest.mark.parametrize("w, theta, coverage", [
+        (float("nan"), 1.0, 0.5), (-1.0, 1.0, 0.5), (1e6, -2.0, 0.5),
+        (1e6, 0.0, 0.5), (1e6, float("inf"), 0.5), (1e6, float("nan"), 0.5),
+        (1e6, 1.0, -1e-12), (1e6, 1.0, 1.0 + 1e-12), (1e6, 1.0, float("nan")),
+    ])
+    def test_average_rate_rejects_invalid_input(self, w, theta, coverage):
         with pytest.raises(ConfigError):
-            CoverageResult(1.2)
+            average_rate(w, theta, coverage)
+
+
+# Configs around the paper's operating point (p * nbar = 0.5): up to
+# p * nbar = 2 the rule ladder converged on 1,200 random coverages.
+_IN_RANGE_CONFIGS = st.builds(
+    NetworkConfig,
+    lambda_p=st.floats(1e-6, 2e-4), n_bar=st.floats(1.0, 10.0),
+    sigma=st.floats(2.0, 50.0), alpha=st.floats(2.5, 6.0),
+    theta=st.floats(0.1, 100.0), p_d=st.just(0.2), p_b=st.just(20.0),
+    w_total=st.just(20e6), access_p=st.floats(0.05, 0.2),
+)
+
+
+class TestCoverageFloats:
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=_IN_RANGE_CONFIGS, k=st.integers(1, 20),
+           threshold=st.floats(0.0, 0.99))
+    @example(cfg=NetworkConfig(**{**TABLE1, "lambda_p": 1e-300}), k=1, threshold=0.5)
+    def test_every_coverage_is_a_probability(self, cfg, k, threshold):
+        r0_over_w1 = threshold * cfg.access_p * math.log2(1.0 + cfg.theta)
+        for value in (prob_rate_exceeds(cfg, r0_over_w1),
+                      d2d_coverage_conditional(cfg, k),
+                      bs_coverage(cfg.theta, cfg.alpha),
+                      d2d_coverage_single_link(cfg)):
+            assert type(value) is float
+            assert 0.0 <= value <= 1.0
+
+    @pytest.mark.xfail(raises=NumericFailure, strict=True,
+                       reason="the rule ladder does not converge at large p * nbar "
+                              "and alpha: its top two rules differ by 5.26e-9 "
+                              "against a tolerance of 5.21e-9")
+    def test_ladder_converges_at_dense_intra_cluster_load(self, table1_cfg):
+        cfg = replace(table1_cfg, lambda_p=1.895577306302794e-4, sigma=21.0,
+                      alpha=6.0, access_p=1.0)
+        assert 0.0 <= d2d_coverage_conditional(cfg, 12) <= 1.0
+
+    def test_clamp_of_computed_coverage(self):
+        assert stochgeo._clamped(1.0 + 1e-12, "coverage") == 1.0
+        assert stochgeo._clamped(-1e-12, "coverage") == 0.0
+        assert stochgeo._clamped(0.25, "coverage") == 0.25
+        for value in (1.2, -1e-6, float("nan")):
+            with pytest.raises(NumericFailure, match="outside"):
+                stochgeo._clamped(value, "coverage")
