@@ -409,11 +409,7 @@ def _energy_point(scenario: Scenario, value: float) -> dict:
 def _delay_point(scenario: Scenario, value: float) -> dict:
     cfg, lib = _apply_sweep(scenario, value)
     k, zeta = scenario.delay_k, scenario.zeta_tot
-    trace = optimize.optimize_delay_bcd(
-        cfg, lib, k, zeta,
-        restarts=scenario.bcd_restarts,
-        seed=_point_seed(scenario.seed, "delay", value),
-    )
+    trace = optimize.optimize_delay_bcd(cfg, lib, k, zeta, restarts=scenario.bcd_restarts)
     o1, o2 = queueing.service_coefficients(cfg, lib)
     zipf = baseline_policy("zipf-proportional", lib)
     try:

@@ -15,12 +15,10 @@
   caching vector and the D2D/BS bandwidth split by block coordinate
   descent. The bandwidth block has a closed form. The caching step
   linearises the bandwidth-optimised delay in the D2D and BS request
-  fractions, solves the resulting energy-form problem exactly by the
-  same multiplier search and line-searches the segment towards it
-  (partial linearisation, a generalised conditional gradient step).
-  Along the segment both request fractions are degree-k polynomials,
-  so each trial point of the search costs O(k), not a pass over the
-  library (``queueing._segment_fractions``).
+  fractions and steps to the exact minimiser of that linearisation, an
+  energy-form problem solved by the same multiplier search; it keeps the
+  step only if the exact delay falls. The runs start from points of the
+  caching frontier, the top-M vertex first (``optimize_delay_bcd``).
 
 The multiplier search (``_search_multiplier``) is regula falsi on the
 budget residual sum(b) - M with the Anderson-Bjorck/Illinois update and a
@@ -42,7 +40,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import numpy.random  # numpy loads it lazily: import it here, not in a run
 
 from .errors import (
     ConfigError,
@@ -55,7 +52,6 @@ from .model import (
     ContentLibrary,
     NetworkConfig,
     _BUDGET_TOL,
-    _capped_proportional,
     _check_count,
     _snap_budget,
     baseline_policy,
@@ -90,13 +86,6 @@ _RHO_MAX = 1.0 - 1e-9
 # amount, or after this many steps.
 _BCD_TOL = 1e-8
 _BCD_MAX_ITERATIONS = 200
-# The golden-section line search of a BCD caching step shrinks its
-# bracket by the golden ratio until it is this narrow: two evaluations,
-# then one per shrink.
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-_LINE_SEARCH_TOL = 1e-10
-_LINE_SEARCH_EVALUATIONS = 2 + math.ceil(
-    math.log(_LINE_SEARCH_TOL) / math.log(_GOLDEN_RATIO))
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,9 @@ class BcdTrace:
 
     ``gap`` is the final linearisation gap grad D . (b - s), with s the
     exact minimiser of the delay linearised at the returned point (zero
-    at a block minimum); ``best_start`` indexes the winning start.
+    at a block minimum); ``best_start`` indexes the winning run among
+    the ``restarts_used`` stable frontier starts, in order of rising rho,
+    so 0 is the top-M vertex whenever that vertex is stable.
     """
 
     steps: tuple
@@ -321,6 +312,11 @@ def _search_multiplier(policy_at, v_lo, v_hi, m, n, decreasing):
 # Energy (minimisation)
 # ---------------------------------------------------------------------------
 
+def _check_rates(r1, r2) -> None:
+    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise ConfigError(f"rates must be finite and positive, got r1 = {r1}, r2 = {r2}")
+
+
 def energy_conditional(
     policy: CachingPolicy,
     lib: ContentLibrary,
@@ -335,8 +331,7 @@ def energy_conditional(
     with S_i converted from Mbits to bits so S_i/R is seconds.
     """
     _check_count("k", k, 1)
-    if r1 <= 0 or r2 <= 0:
-        raise ConfigError("rates must be positive")
+    _check_rates(r1, r2)
     q = lib.popularity
     s_bits = lib.sizes * 1e6
     miss = 1.0 - policy.b
@@ -392,8 +387,7 @@ def optimize_energy(
     are requested) as degenerate.
     """
     _check_count("k", k, 1)
-    if r1 <= 0 or r2 <= 0:
-        raise ConfigError("rates must be positive")
+    _check_rates(r1, r2)
     m = lib.cache_size
     x = lib.popularity * lib.sizes * 1e6  # q_i S_i in bits
     b, multiplier, iterations = _energy_form_minimiser(
@@ -443,6 +437,11 @@ def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
 # Delay (joint caching and bandwidth minimisation)
 # ---------------------------------------------------------------------------
 
+def _check_load(zeta_tot) -> None:
+    if not 0.0 <= zeta_tot < math.inf:
+        raise ConfigError(f"zeta_tot must be finite and non-negative, got {zeta_tot}")
+
+
 def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
     """(W1, weighted delay) for the D2D and BS request fractions a1, a2.
 
@@ -451,10 +450,12 @@ def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
     needs x_i = zeta_i/O_i Hz, and the slack S = W - x1 - x2 is shared in
     proportion to sqrt(x_i), W1* = x1 + S sqrt(x1) / (sqrt(x1) +
     sqrt(x2)), for a delay of (sqrt(x1) + sqrt(x2))^2 / (zeta_tot S).
-    W1* is kept in [0, W], which matters only when S <= 0. When no
-    request leaves the devices both queues are empty and the split is
-    immaterial: W1 = W/2. Raises UnstableQueueError for a queue whose
-    utilisation at W1 exceeds ``_RHO_MAX``, which every S <= 0 gives.
+    W1* is kept in [0, W], which matters when S <= 0, and below W while
+    the BS queue has load, as W - W1* can be under the float spacing at W
+    (a2 ~ 1e-34 at large k). When no request leaves the devices both
+    queues are empty and the split is immaterial: W1 = W/2. Raises
+    UnstableQueueError for a queue whose utilisation at W1 exceeds
+    ``_RHO_MAX``, which every S <= 0 gives.
     """
     zeta = (zeta_tot * a1, zeta_tot * a2)
     if w1 is None:
@@ -464,7 +465,7 @@ def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
             w1 = w_total / 2.0
         else:
             w1 = x1 + (w_total - x1 - x2) * math.sqrt(x1) / roots
-            w1 = min(max(w1, 0.0), w_total)
+            w1 = min(max(w1, 0.0), math.nextafter(w_total, 0.0) if x2 > 0.0 else w_total)
     if zeta_tot == 0.0:
         return w1, 0.0
     mu = (o1 * w1, o2 * (w_total - w1))
@@ -495,27 +496,20 @@ def weighted_delay(
     zero delay.
     """
     _check_count("k", k, 1)
+    _check_load(zeta_tot)
     if not 0 <= w1 <= w_total:
         raise ConfigError(f"w1 must lie in [0, {w_total}], got {w1}")
     a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)
     return _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1)[1]
 
 
-def _optimised_split(a1, a2, zeta_tot, o1, o2, w_total):
-    """``_split_delay`` at the optimal W1, or (nan, inf) where no bandwidth
-    split stabilises the queues."""
+def _optimised_delay(b, q, k, zeta_tot, o1, o2, w_total):
+    """(W1*(b), D(b, W1*(b))): the bandwidth-optimised delay at b, or
+    (nan, inf) where no bandwidth split stabilises the queues."""
     try:
-        return _split_delay(a1, a2, zeta_tot, o1, o2, w_total)
+        return _split_delay(*_arrival_fractions(b, q, k), zeta_tot, o1, o2, w_total)
     except UnstableQueueError:
         return math.nan, math.inf
-
-
-def _optimised_delay(b, q, k, zeta_tot, o1, o2, w_total):
-    """(W1*(b), D(b, W1*(b))): the bandwidth-optimised delay at b.
-
-    The delay is infinite where no bandwidth split stabilises the queues.
-    """
-    return _optimised_split(*_arrival_fractions(b, q, k), zeta_tot, o1, o2, w_total)
 
 
 def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
@@ -549,35 +543,10 @@ def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
     return s, float(gap)
 
 
-def _golden_section(fn, tol):
-    """(x, fn(x)) at the golden-section minimum of ``fn`` on [0, 1]."""
-    lo, hi = 0.0, 1.0
-    x1, x2 = 1.0 - _GOLDEN_RATIO, _GOLDEN_RATIO
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN_RATIO * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN_RATIO * (hi - lo)
-            f2 = fn(x2)
-    return (x1, f1) if f1 < f2 else (x2, f2)
-
-
 def _stabilizable(b, q, k, zeta_tot, o1, o2, w_total) -> bool:
     """Whether some bandwidth split keeps both queues of b stable, by the
     test of ``_split_delay``."""
     return math.isfinite(_optimised_delay(b, q, k, zeta_tot, o1, o2, w_total)[1])
-
-
-def _random_feasible_policy(rng, q, k, zeta_tot, o1, o2, w_total, m, anchors):
-    for _ in range(200):
-        b = _capped_proportional(rng.random(q.size) + 1e-12, m)
-        if _stabilizable(b, q, k, zeta_tot, o1, o2, w_total):
-            return b
-    return anchors[0].copy()
 
 
 def optimize_delay_bcd(
@@ -586,36 +555,49 @@ def optimize_delay_bcd(
     k: int,
     zeta_tot: float,
     restarts: int = 16,
-    seed: int | None = None,
 ) -> BcdTrace:
     """Minimise the weighted delay over (caching vector, bandwidth split).
 
-    Alternates the closed-form bandwidth allocation with a caching step
-    (exact minimiser of the delay linearised in the two arrival fractions,
-    then a line search on the bandwidth-optimised delay), keeps a caching
-    step only when it lowers the delay (so the trace is non-increasing),
-    and returns the best run over ``restarts`` feasible starts. Raises
-    InfeasibleLoadError when no caching policy stabilises the queues.
+    Alternates the closed-form bandwidth allocation with a caching step to
+    the exact minimiser of the delay linearised in the two request
+    fractions, kept only when it lowers the delay (so the trace is
+    non-increasing), and returns the best run over ``restarts`` starts on
+    the caching frontier. Raises InfeasibleLoadError when no caching
+    policy stabilises the queues.
+
+    The frontier: the delay depends on b only through the request
+    fractions (a1, a2), and the bandwidth-optimised delay (sqrt(x1) +
+    sqrt(x2))^2 / (zeta_tot (W - x1 - x2)), x_i = zeta_tot a_i / O_i, is
+    quasi-concave (concave numerator over an affine positive denominator)
+    and increasing in both. Its minimum over the convex hull of the
+    attainable (a1, a2) therefore lies at a lower-left extreme point of
+    that hull, which is attainable and minimises a1 + rho a2 for some
+    rho >= 0: the energy form with x = q. For rho <= 1 that form is
+    concave and its minimiser is the top-M vertex (every 0/1 policy has
+    a1 = 0); for rho > 1 and k >= 2 it is strictly convex with the unique
+    minimiser s(rho) = ``_energy_form_minimiser(q, k, 1, rho, M)``. Every
+    caching step lands on this curve, at rho = c2/c1 of the step's slopes.
+    The starts are rho = 1 (top-M) and ``restarts`` - 1 values of rho
+    geometric on [2, 1e8], of which the stable ones run. When none is
+    stable the one start is the minimum-load policy: the stability load
+    zeta_tot (a1/O1 + a2/O2) / W has the energy form with x = q, so
+    ``_energy_form_minimiser`` gives the least load of any policy, and
+    no policy is stable if it is not.
     """
     _check_count("k", k, 1)
-    if restarts < 1:
-        raise ConfigError("restarts must be at least 1")
+    _check_load(zeta_tot)
+    _check_count("restarts", restarts, 1)
     q = lib.popularity
     m = lib.cache_size
     o1, o2 = queueing.service_coefficients(cfg, lib)
     w_total = cfg.w_total
 
-    # Restart anchors are the stable ones among the uniform and the
-    # proportional policies. When neither is stable the anchor is the
-    # minimum-load policy: the stability load zeta_tot (a1/O1 + a2/O2) / W
-    # has the energy form with x = q, so ``_energy_form_minimiser`` gives
-    # the least load of any policy, and no policy is stable if it is not.
-    anchors = [
-        b for b in (np.full(lib.n_files, m / lib.n_files),
-                    baseline_policy("zipf-proportional", lib).b)
+    rhos = [1.0, *np.geomspace(2.0, 1e8, restarts - 1)]
+    starts = [
+        b for b in (_energy_form_minimiser(q, k, 1.0, rho, m)[0] for rho in rhos)
         if _stabilizable(b, q, k, zeta_tot, o1, o2, w_total)
     ]
-    if not anchors:
+    if not starts:
         least = _energy_form_minimiser(q, k, 1.0 / o1, 1.0 / o2, m)[0]
         if not _stabilizable(least, q, k, zeta_tot, o1, o2, w_total):
             a1, a2 = _arrival_fractions(least, q, k)
@@ -625,24 +607,11 @@ def optimize_delay_bcd(
                 f"of any policy is {zeta_tot * (a1 / o1 + a2 / o2) / w_total:.6g} "
                 f"(stability needs less than 1)"
             )
-        anchors = [least]
+        starts = [least]
 
-    rng = np.random.Generator(np.random.Philox(key=0 if seed is None else seed))
-    # Seed the restart set with the stabilizable deterministic schemes so a
-    # run can never end worse than the best of them, then fill with random
-    # feasible draws.
-    starts = [anchor.copy() for anchor in anchors[:restarts]]
-    while len(starts) < restarts:
-        starts.append(
-            _random_feasible_policy(rng, q, k, zeta_tot, o1, o2, w_total, m, anchors)
-        )
-
-    best = None
-    for index, b0 in enumerate(starts):
-        run = _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m)
-        if best is None or run[0][-1].delay < best[1][0][-1].delay:
-            best = (index, run)
-    best_start, (steps, converged, gap) = best
+    runs = [_bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m) for b0 in starts]
+    best_start = min(range(len(runs)), key=lambda i: runs[i][0][-1].delay)
+    steps, converged, gap = runs[best_start]
     return BcdTrace(steps=tuple(steps), converged=converged,
                     restarts_used=len(starts), gap=gap, best_start=best_start)
 
@@ -662,21 +631,13 @@ def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m):
     converged = False
     for _ in range(_BCD_MAX_ITERATIONS):
         s, _ = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)
-        if not np.array_equal(s, b):  # a zero step keeps b: no search
-            # The search only picks gamma; the accept test compares exact
-            # delays, as the trace records them.
-            fractions = queueing._segment_fractions(b, s, q, k, _LINE_SEARCH_EVALUATIONS)
-            gamma, _ = _golden_section(
-                lambda g: _optimised_split(*fractions(g), zeta_tot, o1, o2, w_total)[1],
-                _LINE_SEARCH_TOL)
-            value = delay_at(b + gamma * (s - b))[1]
-            full = delay_at(s)[1]
-            if full <= value:
-                gamma, value = 1.0, full
-            if value < delay:
-                b = s if gamma == 1.0 else b + gamma * (s - b)
-        # The closed-form bandwidth step at the (possibly new) caching vector.
-        w1, new_delay = delay_at(b)
+        # The full caching step, then the closed-form bandwidth step at s;
+        # a step that does not lower the exact delay leaves (b, W1) as is.
+        w1_s, new_delay = delay_at(s)
+        if new_delay < delay:
+            b, w1 = s, w1_s
+        else:
+            new_delay = delay
         steps.append(step(b, w1, new_delay))
         if abs(delay - new_delay) <= _BCD_TOL * max(new_delay, 1e-300):
             converged = True

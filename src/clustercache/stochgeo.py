@@ -495,10 +495,10 @@ def bs_coverage(theta: float, alpha: float) -> float:
     the BS density and of all transmit powers (SIR metric). For alpha = 4
     this reduces to 1 / (1 + sqrt(theta) * arctan(sqrt(theta))).
     """
-    if theta <= 0:
-        raise ConfigError("theta must be positive")
-    if alpha <= 2:
-        raise ConfigError("alpha must exceed 2")
+    if not 0.0 < theta < math.inf:
+        raise ConfigError(f"theta must be finite and positive, got {theta}")
+    if not 2.0 < alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and exceed 2, got {alpha}")
     delta = 2.0 / alpha
     denom = _hyp2f1_bs(theta, delta)
     if not math.isfinite(denom) or denom < 1.0:

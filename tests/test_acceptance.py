@@ -73,9 +73,8 @@ def bcd_beta_sweep(table1):
         lib = ContentLibrary.zipf(DELAY_LIB_FILES, beta, DELAY_LIB_M)
         out[beta] = (
             lib,
-            optimize.optimize_delay_bcd(
-                table1.cfg, lib, DELAY_K, table1.zeta_tot, restarts=8, seed=1208
-            ),
+            optimize.optimize_delay_bcd(table1.cfg, lib, DELAY_K, table1.zeta_tot,
+                                        restarts=8),
         )
     return out
 
@@ -372,9 +371,8 @@ def test_criterion_08_monotonicity_suite(table1, bcd_beta_sweep):
     def bcd_delay(sigma, lam_km2):
         point = replace(cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)
         lib = ContentLibrary.zipf(DELAY_LIB_FILES, 0.5, DELAY_LIB_M)
-        return optimize.optimize_delay_bcd(
-            point, lib, DELAY_K, table1.zeta_tot, restarts=8, seed=808
-        ).final_delay
+        return optimize.optimize_delay_bcd(point, lib, DELAY_K, table1.zeta_tot,
+                                           restarts=8).final_delay
 
     delay_sigma = [bcd_delay(s, 20.0) for s in (10.0, 20.0, 30.0)]
     if not all(a <= b + 1e-12 for a, b in zip(delay_sigma, delay_sigma[1:])):

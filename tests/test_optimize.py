@@ -10,13 +10,14 @@ Oracles used here:
   objective's void-probability term;
 * bisection for the offloading stationary point and the budget
   multiplier (``kkt_oracle``);
-* the BCD run whose line search re-sums the library at every trial
-  point (``bcd_oracle``).
+* the BCD that golden-section searches every caching step, from the
+  uniform, zipf-proportional and random starts (``bcd_oracle``).
 """
 
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 import warnings
 
 import numpy as np
@@ -656,6 +657,32 @@ def _split_of(policy, lib, k, zeta, o1, o2, w_total):
     return opt._split_delay(a1, a2, zeta, o1, o2, w_total)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, math.nan), "zeta_tot"),
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, -1.0), "zeta_tot"),
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, math.inf), "zeta_tot"),
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, 2.0, restarts=2.5), "restarts"),
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, 2.0, restarts=True), "restarts"),
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, 2.0, restarts=0), "restarts"),
+    (lambda cfg, lib: weighted_delay(baseline_policy("cpf", lib), lib, 8, math.nan,
+                                     1e7, 1e-6, 1e-6, cfg.w_total), "zeta_tot"),
+    (lambda cfg, lib: weighted_delay(baseline_policy("cpf", lib), lib, 8, -1.0,
+                                     1e7, 1e-6, 1e-6, cfg.w_total), "zeta_tot"),
+    (lambda cfg, lib: energy_conditional(baseline_policy("cpf", lib), lib, cfg, 8,
+                                         math.nan, 1e7), "rates"),
+    (lambda cfg, lib: energy_conditional(baseline_policy("cpf", lib), lib, cfg, 8,
+                                         1e7, math.inf), "rates"),
+    (lambda cfg, lib: optimize_energy(cfg, lib, 8, math.nan, 1e7), "rates"),
+    (lambda cfg, lib: optimize_energy(cfg, lib, 8, 1e7, -1.0), "rates"),
+    (lambda cfg, lib: optimize_energy(cfg, lib, 8, 0.0, 1e7), "rates"),
+])
+def test_rejects_bad_load_and_rates(table1_cfg, call, match):
+    # NaN, infinite or negative loads and rates, and a restart count that
+    # is not a positive integer, are configuration errors.
+    with pytest.raises(ConfigError, match=match):
+        call(table1_cfg, ContentLibrary.zipf(100, 1.0, 4))
+
+
 class TestOptimalBandwidth:
     def _setup(self, beta=0.5, n_files=100, m=4):
         cfg = _cfg()
@@ -678,6 +705,25 @@ class TestOptimalBandwidth:
         policy = _policy(np.r_[np.zeros(96), np.ones(4)], 4)  # tail cached only
         w1, _ = _split_of(policy, lib, 8, 1.0, o1, o2, cfg.w_total)
         assert w1 == 0.0
+
+    def test_tiny_bs_load_keeps_bandwidth(self):
+        # At k = 35 the uniform policy over 8 of 9 equally popular files
+        # sends a2 = (1/9)^35 of the requests to the BS. W - W1* is then
+        # far below the float spacing at W, and W1* rounded onto W would
+        # leave a loaded BS queue no bandwidth: a load of 1.4% of capacity
+        # would read infeasible. W1 stays below W, and the delay is the
+        # closed form.
+        cfg, lib = _cfg(), ContentLibrary.zipf(9, 0.0, 8)
+        o1, o2 = queueing.service_coefficients(cfg, lib)
+        zeta, w = 0.5, cfg.w_total
+        a1, a2 = opt._arrival_fractions(np.full(9, 8 / 9), lib.popularity, 35)
+        assert 0.0 < a2 < 1e-33
+        w1, delay = opt._split_delay(a1, a2, zeta, o1, o2, w)
+        assert w1 < w
+        x1, x2 = zeta * a1 / o1, zeta * a2 / o2
+        closed = (math.sqrt(x1) + math.sqrt(x2)) ** 2 / (zeta * (w - x1 - x2))
+        assert delay == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert optimize_delay_bcd(cfg, lib, 35, zeta, restarts=2).final_delay <= delay
 
     def test_matches_golden_section(self, rng):
         cfg, lib, o1, o2 = self._setup()
@@ -812,7 +858,7 @@ class TestWeightedDelay:
 class TestDelayBcd:
     def test_trace_is_monotone_and_converges(self, table1_cfg):
         lib = ContentLibrary.zipf(100, 0.5, 4)
-        trace = optimize_delay_bcd(table1_cfg, lib, 8, 2.0, restarts=4, seed=1)
+        trace = optimize_delay_bcd(table1_cfg, lib, 8, 2.0, restarts=4)
         delays = [s.delay for s in trace.steps]
         assert all(b <= a + 1e-12 for a, b in zip(delays, delays[1:]))
         assert trace.converged
@@ -820,7 +866,7 @@ class TestDelayBcd:
 
     def test_fixed_point_property(self, table1_cfg):
         lib = ContentLibrary.zipf(100, 0.5, 4)
-        first = optimize_delay_bcd(table1_cfg, lib, 8, 2.0, restarts=4, seed=1)
+        first = optimize_delay_bcd(table1_cfg, lib, 8, 2.0, restarts=4)
         o1, o2 = queueing.service_coefficients(table1_cfg, lib)
         steps, _, _ = opt._bcd_run(first.final_policy.b, lib.popularity, 8, 2.0,
                                    o1, o2, table1_cfg.w_total, 4)
@@ -832,7 +878,7 @@ class TestDelayBcd:
         lib = ContentLibrary.zipf(5, 1.0, 2)
         k, zeta = 3, 0.8
         o1, o2 = queueing.service_coefficients(cfg, lib)
-        trace = optimize_delay_bcd(cfg, lib, k, zeta, restarts=8, seed=3)
+        trace = optimize_delay_bcd(cfg, lib, k, zeta, restarts=8)
 
         rows = simplex_grid(5, 2, 0.1)
         miss = 1.0 - rows
@@ -854,20 +900,20 @@ class TestDelayBcd:
     def test_delay_decreases_with_popularity_skew(self, table1_cfg):
         lib_flat = ContentLibrary.zipf(100, 0.5, 4)
         lib_skew = ContentLibrary.zipf(100, 1.5, 4)
-        d_flat = optimize_delay_bcd(table1_cfg, lib_flat, 8, 2.0, restarts=4,
-                                    seed=5).final_delay
-        d_skew = optimize_delay_bcd(table1_cfg, lib_skew, 8, 2.0, restarts=4,
-                                    seed=5).final_delay
+        d_flat = optimize_delay_bcd(table1_cfg, lib_flat, 8, 2.0, restarts=4).final_delay
+        d_skew = optimize_delay_bcd(table1_cfg, lib_skew, 8, 2.0, restarts=4).final_delay
         assert d_skew < d_flat
 
     def test_infeasible_load_raises(self, table1_cfg):
         lib = ContentLibrary.zipf(100, 0.5, 4)
         with pytest.raises(InfeasibleLoadError):
-            optimize_delay_bcd(table1_cfg, lib, 8, 1e4, restarts=2, seed=1)
+            optimize_delay_bcd(table1_cfg, lib, 8, 1e4, restarts=2)
 
     def test_starts_from_the_only_stable_anchor(self, table1_cfg):
-        # Between the stability limit of the next policy down and that of
-        # the zipf-proportional policy, only the latter is a stable start.
+        # A load between the stability limits of the uniform and top-M
+        # policies and that of the zipf-proportional policy: the top-M
+        # start (rho = 1) is unstable, so of two frontier starts only the
+        # one at rho = 2 runs, and it converges.
         lib = ContentLibrary.zipf(100, 0.5, 4)
         k = 8
         o1, o2 = queueing.service_coefficients(table1_cfg, lib)
@@ -884,9 +930,10 @@ class TestDelayBcd:
         next_down = max(uniform, top_m)
         assert proportional > next_down
         zeta = 0.5 * (proportional + next_down)
-        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2, seed=1)
+        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2)
         assert math.isfinite(trace.final_delay)
         assert trace.converged
+        assert trace.restarts_used == 1
 
     @staticmethod
     def _load_per_request(rows, q, k, o1, o2, w_total):
@@ -909,10 +956,8 @@ class TestDelayBcd:
         assert load <= grid.min() * (1 + 1e-12)
         limit = 1.0 / load
         with pytest.raises(InfeasibleLoadError, match="least load"):
-            optimize_delay_bcd(table1_cfg, lib, k, limit * (1 + 1e-6),
-                               restarts=2, seed=1)
-        trace = optimize_delay_bcd(table1_cfg, lib, k, limit * (1 - 1e-6),
-                                   restarts=2, seed=1)
+            optimize_delay_bcd(table1_cfg, lib, k, limit * (1 + 1e-6), restarts=2)
+        trace = optimize_delay_bcd(table1_cfg, lib, k, limit * (1 - 1e-6), restarts=2)
         assert math.isfinite(trace.final_delay)
 
     def test_stabilises_a_load_no_baseline_scheme_does(self, table1_cfg):
@@ -929,9 +974,63 @@ class TestDelayBcd:
                   baseline_policy("cpf", lib).b):
             assert zeta * self._load_per_request(b, q, k, o1, o2, w)[0] > 1.0
         assert zeta * self._load_per_request(least, q, k, o1, o2, w)[0] < 0.96
-        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2, seed=1)
+        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2)
         assert trace.converged
         assert trace.final_delay == pytest.approx(2.2728, rel=1e-4)
+
+
+class TestFrontierStarts:
+    """The BCD from deterministic starts on the caching frontier, against
+    the line-search BCD from random restarts (``bcd_oracle``)."""
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_uniform_popularity_gives_top_m(self, table1_cfg, k):
+        # Table 1 at beta = 0: every file is equally popular, the uniform
+        # policy is a stationary point, and the optimum is the top-M vertex
+        # with an idle D2D queue.
+        lib = ContentLibrary.zipf(500, 0.0, 10)
+        trace = optimize_delay_bcd(table1_cfg, lib, k, 2.0, restarts=8)
+        np.testing.assert_array_equal(trace.final_policy.b,
+                                      baseline_policy("cpf", lib).b)
+        assert trace.final_delay == pytest.approx(3.4950493369311015, rel=1e-12, abs=0.0)
+        assert trace.final_w1 == 0.0
+        assert opt._arrival_fractions(trace.final_policy.b, lib.popularity, k)[0] == 0.0
+
+    def test_interior_optimum_from_a_later_start(self, table1_cfg):
+        # Here the optimum serves requests over D2D, and a start with
+        # rho > 1 reaches it; the top-M vertex is 50% worse.
+        lib = ContentLibrary.zipf(127, 0.44, 19)
+        k, zeta = 9, 2.89
+        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=8)
+        assert trace.final_delay == pytest.approx(1.6963755386, rel=1e-8, abs=0.0)
+        assert opt._arrival_fractions(trace.final_policy.b, lib.popularity, k)[0] > 0.0
+        assert trace.best_start > 0
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        _, top_m = _split_of(baseline_policy("cpf", lib), lib, k, zeta, o1, o2,
+                             table1_cfg.w_total)
+        assert top_m >= 2.538
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(5, 300), m_share=st.floats(0.0, 1.0), k=st.integers(1, 40),
+           zeta=st.floats(0.1, 8.0), beta=st.floats(0.0, 2.5),
+           log_scale=st.floats(-1.0, 2.0), restarts=st.sampled_from([2, 4, 8]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_no_worse_than_random_restarts(self, n, m_share, k, zeta, beta,
+                                           log_scale, restarts, seed):
+        # O1 scaled by 0.1-100 reaches optima deep inside the frontier.
+        cfg = _cfg()
+        lib = ContentLibrary.zipf(n, beta, 1 + int(m_share * min(38, n - 2)))
+        o1, o2 = queueing.service_coefficients(cfg, lib)
+        with mock.patch.object(queueing, "service_coefficients",
+                               lambda cfg, lib: (o1 * 10.0**log_scale, o2)):
+            try:
+                oracle = bcd_oracle.best_of_starts(cfg, lib, k, zeta, restarts, seed)
+            except InfeasibleLoadError:
+                with pytest.raises(InfeasibleLoadError):
+                    optimize_delay_bcd(cfg, lib, k, zeta, restarts=restarts)
+                return
+            trace = optimize_delay_bcd(cfg, lib, k, zeta, restarts=restarts)
+        assert trace.final_delay <= oracle * (1.0 + opt._BCD_TOL)
 
 
 class TestSeparableCachingStep:
@@ -948,7 +1047,7 @@ class TestSeparableCachingStep:
         k, zeta = 8, 2.0
         o1, o2 = queueing.service_coefficients(table1_cfg, lib)
         w = table1_cfg.w_total
-        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2, seed=1)
+        trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2)
         assert trace.converged
         assert 0 <= trace.best_start < trace.restarts_used
         assert abs(trace.gap) <= 1e-8 * trace.final_delay
@@ -999,7 +1098,7 @@ class TestSeparableCachingStep:
                                             o1, o2, w, 4)
         cpf = baseline_policy("cpf", lib).b
         np.testing.assert_array_equal(s, cpf)
-        trace = optimize_delay_bcd(table1_cfg, lib, 1, 2.0, restarts=2, seed=1)
+        trace = optimize_delay_bcd(table1_cfg, lib, 1, 2.0, restarts=2)
         delays = [step.delay for step in trace.steps]
         assert all(after <= before for before, after in zip(delays, delays[1:]))
         np.testing.assert_array_equal(trace.final_policy.b, cpf)
@@ -1040,46 +1139,24 @@ class TestSeparableCachingStep:
             warnings.simplefilter("error")
             w1, _ = _split_of(_policy(b, 2), lib, 3, 0.8, o1, o2, w)
             s, _ = opt._linearised_caching_step(b, w1, q, 3, 0.8, o1, o2, w, 2)
-            trace = optimize_delay_bcd(table1_cfg, lib, 3, 0.8, restarts=4, seed=1)
+            trace = optimize_delay_bcd(table1_cfg, lib, 3, 0.8, restarts=4)
         assert np.all(s[6:] == 0.0) and s.sum() == pytest.approx(2.0, abs=1e-9)
         assert np.all(trace.final_policy.b[6:] == 0.0)
 
     def test_zero_load_is_degenerate(self, table1_cfg):
         lib = ContentLibrary.zipf(100, 1.0, 4)
-        trace = optimize_delay_bcd(table1_cfg, lib, 8, 0.0, restarts=2, seed=1)
+        trace = optimize_delay_bcd(table1_cfg, lib, 8, 0.0, restarts=2)
         assert trace.final_delay == 0.0
         assert trace.converged
         assert trace.gap == 0.0
 
 
 class TestBcdLineSearch:
-    """The line search on the segment form of the request fractions."""
-
-    def test_matches_direct_objective_oracle(self, table1_cfg):
-        rng = np.random.default_rng(1818)
-        cases = 0
-        while cases < 30:
-            n = int(rng.integers(3, 200))
-            m = int(rng.integers(1, n))
-            k = int(rng.integers(1, 21))
-            zeta = float(rng.uniform(0.1, 5.0))
-            lib = ContentLibrary.zipf(n, float(rng.uniform(0.0, 2.0)), m)
-            q, w = lib.popularity, table1_cfg.w_total
-            o1, o2 = queueing.service_coefficients(table1_cfg, lib)
-            rows = random_box_simplex(rng, 1, n, m)
-            if rows.shape[0] == 0 or not opt._stabilizable(rows[0], q, k, zeta,
-                                                            o1, o2, w):
-                continue
-            cases += 1
-            steps, converged, _ = opt._bcd_run(rows[0], q, k, zeta, o1, o2, w, m)
-            oracle = bcd_oracle.bcd_run(rows[0], q, k, zeta, o1, o2, w, m)
-            assert converged == oracle[1]
-            assert steps[-1].delay == pytest.approx(oracle[0][-1].delay,
-                                                    rel=1e-12, abs=0.0)
+    """What the caching steps cost, in passes over the library."""
 
     def test_counts_library_passes(self, table1_cfg, table1_lib, monkeypatch):
-        # Each search builds its moments in one pass and a zero step makes
-        # none; the direct search made 324 passes here.
+        # A caching step makes two passes, one for its slopes and one for
+        # the delay at its full step, and each start one for its stability.
         calls = []
         direct = queueing._arrival_fractions
 
@@ -1089,6 +1166,6 @@ class TestBcdLineSearch:
 
         monkeypatch.setattr(opt, "_arrival_fractions", counted)
         monkeypatch.setattr(queueing, "_arrival_fractions", counted)
-        trace = optimize_delay_bcd(table1_cfg, table1_lib, 8, 2.0, restarts=2, seed=1)
+        trace = optimize_delay_bcd(table1_cfg, table1_lib, 8, 2.0, restarts=2)
         assert trace.converged
         assert len(calls) <= 40

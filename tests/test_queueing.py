@@ -1,19 +1,15 @@
 """Arrival split, service coefficients and the M/M/1 queue delays."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from clustercache.errors import UnstableQueueError
-from clustercache.model import CachingPolicy, ContentLibrary, _capped_proportional
-from clustercache.optimize import _LINE_SEARCH_EVALUATIONS, weighted_delay
+from clustercache.model import CachingPolicy, ContentLibrary
+from clustercache.optimize import weighted_delay
 from clustercache import stochgeo
-from clustercache.queueing import _arrival_fractions, _segment_fractions, service_coefficients
+from clustercache.queueing import _arrival_fractions, service_coefficients
 
 
 def _policy(b, m):
@@ -77,55 +73,6 @@ class TestArrivalRates:
             high = _arrival_fractions(_policy(larger, 4).b, lib.popularity, 5)
             assert high[1] <= low[1] + 1e-12
             assert 1.0 - sum(high) >= 1.0 - sum(low) - 1e-12
-
-
-@st.composite
-def _segments(draw):
-    """(b, s, q, k): two policies in the box with sum M over 1-60 files,
-    Zipf popularities and k in 1-60 or past the moments' crossover."""
-    n = draw(st.integers(1, 60))
-    weights = arrays(float, n, elements=st.just(0.0) | st.floats(1e-12, 1.0))
-    w_b, w_s = draw(weights), draw(weights)
-    live = min(np.count_nonzero(w_b), np.count_nonzero(w_s))
-    assume(live > 0)
-    m = draw(st.integers(1, live))
-    b, s = _capped_proportional(w_b, m), _capped_proportional(w_s, m)
-    assume(abs(b.sum() - m) <= 1e-9 and abs(s.sum() - m) <= 1e-9)
-    q = np.arange(1.0, n + 1.0) ** -draw(st.floats(0.0, 2.0))
-    q /= q.sum()
-    k = draw(st.integers(1, 60) | st.just(4 * _LINE_SEARCH_EVALUATIONS))
-    return b, s, q, k
-
-
-class TestSegmentFractions:
-    """The fractions along b + gamma (s - b), from k + 1 moments."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(segment=_segments(), gamma=st.floats(0.0, 1.0))
-    def test_matches_arrival_fractions(self, segment, gamma):
-        b, s, q, k = segment
-        fractions = _segment_fractions(b, s, q, k, _LINE_SEARCH_EVALUATIONS)
-        # The reference rounds each miss probability 1 - (b + g (s - b)) by
-        # up to 4 eps, which moves either fraction by up to 4 k eps (q sums
-        # to 1): at g = 1e-142 it reads a1 = 0 where the moments give
-        # the exact 2 q g.
-        rounding = 4 * k * np.finfo(float).eps
-        for g in (0.0, gamma, 1.0):
-            got = fractions(g)
-            want = _arrival_fractions(b + g * (s - b), q, k)
-            for x, y in zip(got, want):
-                assert math.isclose(x, y, rel_tol=1e-13, abs_tol=rounding), (g, got, want)
-            if k == 1:
-                assert got[0] == 0.0
-
-    def test_single_device_has_no_d2d_fraction(self, rng):
-        # At k = 1 every moment of a1 is exactly 0, so no rounding residue
-        # reaches the delay as a phantom D2D load.
-        q = ContentLibrary.zipf(500, 1.0, 10).popularity
-        for _ in range(20):
-            b, s = (_capped_proportional(rng.random(500), 10) for _ in range(2))
-            fractions = _segment_fractions(b, s, q, 1, _LINE_SEARCH_EVALUATIONS)
-            assert all(fractions(g)[0] == 0.0 for g in rng.random(50))
 
 
 class TestServiceRate:

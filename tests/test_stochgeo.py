@@ -468,6 +468,16 @@ class TestBsCoverage:
     def test_limit_at_vanishing_threshold(self):
         assert bs_coverage(1e-12, 4.0) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("theta, alpha, name", [
+        (math.nan, 4.0, "theta"), (math.inf, 4.0, "theta"), (0.0, 4.0, "theta"),
+        (1.0, math.nan, "alpha"), (1.0, math.inf, "alpha"), (1.0, 2.0, "alpha"),
+    ])
+    def test_rejects_invalid_input(self, theta, alpha, name):
+        # NaN fails every ordered comparison, so a range check alone lets
+        # it into a series that cannot converge.
+        with pytest.raises(ConfigError, match=name):
+            bs_coverage(theta, alpha)
+
     def test_series_match_scipy(self):
         # Both series regimes (theta <= 3 and theta > 3) over the path-loss
         # exponents and thresholds a NetworkConfig can reasonably take.
