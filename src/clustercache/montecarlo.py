@@ -82,10 +82,10 @@ lambda_p:
   field per distinct (kind, sigma, radius, lambda_p);
 * the member kernel draws its offsets and fades, and keeps its
   per-member scratch arrays, in one workspace per simulation
-  (``_Workspace``): a buffer grown to exactly the largest call so far
-  and freed when the simulation returns. The draws and their order are
-  those of fresh arrays, so the estimates are too; the buffer spares
-  each call the page faults of fresh memory.
+  (``_Workspace``): a buffer grown by at least a factor 1.25 whenever a
+  call needs more, and freed when the simulation returns. The draws and
+  their order are those of fresh arrays, so the estimates are too; the
+  buffer spares each call the page faults of fresh memory.
 
 Trials are processed in fixed-size batches; each batch draws its own
 SFC64 generator, spawned from ``SeedSequence(seed)``, so estimates are
@@ -119,6 +119,8 @@ __all__ = [
 _BATCH = 10_000
 # Tail mass below which the count tables of the inverse-CDF draws stop.
 _TAIL = 1e-17
+# Least factor by which the member-kernel workspace grows.
+_GROWTH = 1.25
 
 
 @dataclass(frozen=True)
@@ -313,8 +315,9 @@ def _trial_sums(values: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None
 
 class _Workspace:
     """The scratch memory of one simulation, which every member-kernel call
-    in it reuses: a buffer as large as the largest call so far, and no
-    larger, so that peak memory does not grow."""
+    in it reuses. It grows by at least a factor ``_GROWTH`` when a call
+    needs more, so calls whose sizes creep up by a fraction of a percent
+    do not each fault in a fresh buffer."""
 
     def __init__(self):
         self._buffer = np.empty(0)
@@ -322,8 +325,9 @@ class _Workspace:
     def take(self, size: int) -> np.ndarray:
         """An uninitialised float array of ``size`` entries."""
         if self._buffer.size < size:
+            grown = max(size, int(_GROWTH * self._buffer.size))
             self._buffer = None  # freed before its successor is allocated
-            self._buffer = np.empty(size)
+            self._buffer = np.empty(grown)
         return self._buffer[:size]
 
 

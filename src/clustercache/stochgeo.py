@@ -22,6 +22,19 @@ Numerical conventions
   contraction sum_r w(r) f_R(r) exp(density * log L_inter(r) - intensity
   * I(r)), so one table serves every sigma and lambda_p, P(R1 > R0)
   (intensity p*nbar) and every cluster size k (intensity p*k).
+* log L_inter of every serving distance of a table is computed on one
+  shared grid: cluster-center distances v on panels at most 2 wide on
+  [0, c], with c = 13 + the largest kernel knee, and interferer
+  distances u on [0, c + 12], with breaks at 2**j from just below the
+  smallest knee up to 1 and then at most 2 apart, so every knee lies in
+  a panel its rule resolves. The Rice density is one band-limited table:
+  it is evaluated once per (v, u) pair, only for the u panels within the
+  Rice window v +/- 12 of each v panel, and the Rice-averaged kernel
+  phi(s, v) of every r is the matrix product K @ G.T of the kernel
+  K[s, u] = w(u) s/(s + u**alpha) with the density G[v, u]. The Bessel
+  work of a table thus grows linearly in c and not with its number of
+  r nodes. Beyond c, v is mapped as below and each Rice window is split
+  at its midpoint, above every knee.
 * Radial breaks closer than a factor 1.25 are one break, the larger:
   near theta = 1 the two scales would otherwise cut sliver panels that
   each get a full rule (at theta = 3 dB, alpha = 4 the panels are those
@@ -89,12 +102,14 @@ RTOL = 1e-7
 _RAYLEIGH_CUTOFF = 14.0
 # Rice(v, sigma) mass outside v +/- 12*sigma is below 1e-30.
 _RICE_WINDOW = 12.0
-# Gauss-Legendre points per panel of the coverage tables, as (r, t, u):
-# serving distance, mapped cluster-center distance, and interferer
-# distance (Rice window and intra-cluster integral), in rising order on
-# the same panels. The gap between a rule and the one below it is that
-# rule's error estimate; the next rule is built only when it fails.
-_RULES = ((12, 12, 32), (16, 16, 48), (24, 24, 64))
+# Gauss-Legendre points per panel of the coverage tables, as (r, v, u):
+# serving distance, cluster-center distance and interferer distance, in
+# rising order on the same panels. The wide panels get twice the v or u
+# points: the mapped tail of v, its two 12-wide halves of each Rice
+# window and the three panels of the intra-cluster integral. The gap
+# between a rule and the one below it is that rule's error estimate; the
+# next rule is built only when it fails.
+_RULES = ((12, 6, 16), (16, 8, 24), (24, 12, 32))
 # Radial panel breaks closer than this factor are merged into one.
 _BREAK_RATIO = 1.25
 # Radial nodes whose weight w(r) f_R(r) is below this are left out.
@@ -102,9 +117,11 @@ _WEIGHTLESS = 1e-18
 # The radial node count of every table built in this process, in build
 # order: a sweep point's diagnostics report the entries it added.
 _TABLE_NODES: list = []
-# Serving distances per table chunk are capped so no temporary holds more
-# than about this many doubles.
-_CHUNK_DOUBLES = 65536
+# Widest panel of the cluster-center and interferer distances, in sigma.
+_PANEL = 2.0
+# Rice-density (v, u) pairs per pass of a table build: about 0.5 MB per
+# array, and one pass for each of the two tables a Table-1 coverage builds.
+_RICE_PASS = 65536
 # Relative margin of the access probability above the rate threshold.
 _ACCESS_MARGIN = 1e-6
 
@@ -146,8 +163,8 @@ _I0E_B = (
 # Elements per pass of the Chebyshev recurrence. Its four buffers (1 MB)
 # are then reused and stay in a core's L2 cache; whole-array buffers came
 # from fresh pages on every call, and the page faults cost more than the
-# arithmetic. Of 8K, 16K, 32K and unblocked, 32K built the coverage
-# tables fastest.
+# arithmetic. A Table-1 coverage table evaluates 20K-50K arguments: 16K
+# and 32K built the table pairs equally fast, 8K and 64K 6-12% slower.
 _I0E_BLOCK = 32768
 # Terms after which a hypergeometric series of _hyp2f1_bs counts as not
 # converging; on alpha in [2.05, 8] and theta in [1e-3, 1e5] it needs 90.
@@ -241,11 +258,12 @@ def _hyp2f1_bs(theta: float, delta: float) -> float:
 
 
 def serving_distance_pdf(r, sigma: float):
-    """Density of the serving distance: Rayleigh with scale sqrt(2)*sigma."""
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
+    """Density of the serving distance: Rayleigh with scale sqrt(2)*sigma,
+    0 at a negative ``r``."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
     r = np.asarray(r, dtype=float)
-    out = (r / (2.0 * sigma**2)) * np.exp(-(r**2) / (4.0 * sigma**2))
+    out = (np.maximum(r, 0.0) / (2.0 * sigma**2)) * np.exp(-(r**2) / (4.0 * sigma**2))
     return out if out.ndim else float(out)
 
 
@@ -277,46 +295,16 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def _gl_panels(edges, n: int):
-    """Nodes of n-point Gauss-Legendre panels between the consecutive
-    entries on the last axis of ``edges``, shape (..., panels, n), and the
-    half width of each panel, shape (..., panels)."""
-    x, _ = _gl_nodes(n)
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges, axis=-1)
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    return mid[..., None] + half[..., None] * x, half
-
-
 def _gl_rule(edges, n: int):
-    """:func:`_gl_panels` as flat nodes and weights: the panels of each
+    """Nodes and weights of n-point Gauss-Legendre panels between the
+    consecutive entries on the last axis of ``edges``: the panels of each
     leading index are laid out along the last axis."""
-    nodes, half = _gl_panels(edges, n)
-    shape = nodes.shape[:-2] + (-1,)
-    return nodes.reshape(shape), (half[..., None] * _gl_nodes(n)[1]).reshape(shape)
-
-
-def _phi(s_sir, v, alpha: float, n: int):
-    """E[ s/(s + U^alpha) ] for U ~ Rice(v, 1), with s = theta*r^alpha.
-
-    ``s_sir`` and ``v`` (non-negative) broadcast against each other. The
-    Rice mass lives in a +/- 12 window around v; the kernel transitions
-    around u = s**(1/alpha), so the window is split there (at its midpoint
-    when the knee lies outside) and each half gets an n-point rule.
-    """
-    s_sir, v = np.broadcast_arrays(np.asarray(s_sir, dtype=float),
-                                   np.asarray(v, dtype=float))
-    lo = np.maximum(0.0, v - _RICE_WINDOW)
-    hi = v + _RICE_WINDOW
-    knee = s_sir ** (1.0 / alpha)
-    split = np.where((lo < knee) & (knee < hi), knee, 0.5 * (lo + hi))
-    u, half = _gl_panels(np.stack([lo, split, hi], axis=-1), n)
-    s_sir = s_sir[..., None, None]
-    f = u**alpha  # s/(s + u**alpha), in place
-    f += s_sir
-    np.divide(s_sir, f, out=f)
-    f *= _rice_pdf(u, v[..., None, None], 1.0)
-    return ((f @ _gl_nodes(n)[1]) * half).sum(axis=-1)
+    x, w = _gl_nodes(n)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
 
 
 class _RuleTable(NamedTuple):
@@ -332,32 +320,92 @@ class _RuleTable(NamedTuple):
         return float(self.weights @ np.exp(exponent))
 
 
-def _log_inter(s_sir: np.ndarray, alpha: float, mu: float, n_t: int, n_u: int):
+def _even_breaks(lo: float, hi: float) -> np.ndarray:
+    """lo, hi and equally spaced breaks between them at most ``_PANEL`` apart."""
+    return np.linspace(lo, hi, math.ceil((hi - lo) / _PANEL) + 1)
+
+
+def _u_edges(kappa_min: float, top: float) -> np.ndarray:
+    """Panel edges of the interferer distance u on [0, top]: breaks at 2**j
+    from just below ``kappa_min`` up to 1, then at most ``_PANEL`` apart.
+
+    Every kernel knee kappa >= kappa_min lies in a panel at most a factor
+    2, or ``_PANEL``, wide, which a panel's rule resolves without a split
+    at kappa. Knees below 2**-30 (or that underflow to 0) share the first
+    panel: its Rice mass, at most u**2 / 2, is below 1e-18.
+    """
+    lowest = min(math.floor(math.log2(max(kappa_min, 2.0**-30))), 0)
+    return np.concatenate([[0.0], 2.0 ** np.arange(lowest, 0),
+                           _even_breaks(1.0, top)])
+
+
+def _log_inter(s_sir: np.ndarray, alpha: float, mu: float, n_v: int, n_u: int):
     """log L_inter / (lambda_p sigma**2) at each SIR argument, with sigma = 1.
 
-    -2 pi Int_0^inf (1 - exp(-mu phi(s, v))) v dv with phi the
-    Rice-averaged fading kernel and mu = p nbar, the integral mapped to
-    (0, 1) through v = c*(t/(1-t))**q with c = s**(1/alpha) + 13. The
-    integrand decays like v**(1-alpha), so with q = max(1, 2/(alpha-2))
-    it vanishes like (1-t)**(q*(alpha-2)-1), at least linearly, at t = 1.
+    -2 pi Int_0^inf (1 - exp(-mu phi(s, v))) v dv, with mu = p nbar and
+    phi(s, v) = E[s/(s + U**alpha)] for U ~ Rice(v, 1) the Rice-averaged
+    fading kernel. All SIR arguments share one grid: v on panels at most
+    ``_PANEL`` wide on [0, c], with c = max kappa + 13 and kappa =
+    s**(1/alpha) the kernel knee, and u on :func:`_u_edges` on
+    [0, c + 12]. The Rice density of each (v, u) pair is evaluated once,
+    and only for the u panels within the Rice window of the v panel, so
+    phi = K @ G.T with K[s, u] = w(u) s/(s + u**alpha) and G[v, u] the
+    Rice density; the cost grows linearly in c.
+
+    Beyond c the integral is mapped to t in (1/2, 1) through
+    v = c*(t/(1-t))**q; the integrand decays like v**(1-alpha), so with
+    q = max(1, 2/(alpha-2)) it vanishes like (1-t)**(q*(alpha-2)-1), at
+    least linearly, at t = 1. There every Rice window [v - 12, v + 12]
+    lies above every knee and is split at its midpoint. The t panel and
+    the half windows, 12 wide, get twice the points of a v or u panel.
     """
-    q = max(1.0, 2.0 / (alpha - 2.0))
     knee = s_sir ** (1.0 / alpha)
-    scale = knee + 13.0
-    # Breaks at v = 1, knee and knee + 13 (t = 1/2): v = b maps to
-    # t = b**(1/q) / (c**(1/q) + b**(1/q)).
-    root, knee_root = scale ** (1.0 / q), knee ** (1.0 / q)
-    t_sigma, t_knee = 1.0 / (root + 1.0), knee_root / (root + knee_root)
-    edges = np.stack([np.zeros_like(knee), np.minimum(t_sigma, t_knee),
-                      np.maximum(t_sigma, t_knee), np.full_like(knee, 0.5),
-                      np.ones_like(knee)], axis=-1)
-    t, w = _gl_rule(edges, n_t)
-    scale = scale[:, None]
+    scale = float(knee.max()) + _RICE_WINDOW + 1.0
+    s_col = s_sir[:, None]
+
+    v_edges = _even_breaks(0.0, scale)
+    u_edges = _u_edges(float(knee.min()), scale + _RICE_WINDOW)
+    v, v_weights = _gl_rule(v_edges, n_v)
+    u, u_weights = _gl_rule(u_edges, n_u)
+    # The u nodes within the Rice window of each v panel: those of the u
+    # panels that end above its low edge - 12 and start below its high
+    # edge + 12.
+    first = np.searchsorted(u_edges[1:], v_edges[:-1] - _RICE_WINDOW, "right") * n_u
+    stop = np.searchsorted(u_edges[:-1], v_edges[1:] + _RICE_WINDOW, "left") * n_u
+    pairs = n_v * (stop - first)
+    v_panels = v.reshape(-1, n_v)
+    phi = np.empty((s_sir.size, v.size + 2 * n_v))
+    # Consecutive v panels of about _RICE_PASS pairs at a time, with the
+    # kernel of the u nodes they reach.
+    passes = np.flatnonzero(np.diff((np.cumsum(pairs) - 1) // _RICE_PASS)) + 1
+    for panels in np.split(np.arange(pairs.size), passes):
+        lo, hi = first[panels[0]], stop[panels[-1]]
+        kernel = s_col / (s_col + u[lo:hi] ** alpha)
+        kernel *= u_weights[lo:hi]
+        rice = _rice_pdf(  # the (v, u) pairs of each v panel, u fastest
+            np.concatenate([np.tile(u[first[p]:stop[p]], n_v) for p in panels]),
+            np.concatenate([np.repeat(v_panels[p], stop[p] - first[p]) for p in panels]),
+            1.0)
+        start = 0
+        for p in panels:
+            end = start + pairs[p]
+            phi[:, p * n_v:(p + 1) * n_v] = (kernel[:, first[p] - lo:stop[p] - lo]
+                                             @ rice[start:end].reshape(n_v, -1).T)
+            start = end
+
+    q = max(1.0, 2.0 / (alpha - 2.0))
+    t, t_weights = _gl_rule([0.5, 1.0], 2 * n_v)
     rest = 1.0 - t
-    v = scale * t**q / rest**q
-    w *= q * scale * t ** (q - 1.0) / rest ** (q + 1.0) * v
-    phi = _phi(s_sir[:, None], v, alpha, n_u)
-    return -2.0 * math.pi * (w * -np.expm1(-mu * phi)).sum(axis=-1)
+    tail = scale * t**q / rest**q
+    t_weights *= q * scale * t ** (q - 1.0) / rest ** (q + 1.0)
+    window = np.stack([tail - _RICE_WINDOW, tail, tail + _RICE_WINDOW], axis=-1)
+    tail_u, tail_rice = _gl_rule(window, 2 * n_u)
+    tail_rice *= _rice_pdf(tail_u, tail[:, None], 1.0)
+    for j, (us, density) in enumerate(zip(tail_u, tail_rice), start=v.size):
+        phi[:, j] = (s_col / (s_col + us**alpha)) @ density
+
+    weights = np.concatenate([v_weights * v, t_weights * tail])
+    return -2.0 * math.pi * (-np.expm1(-mu * phi) @ weights)
 
 
 def _intra_integral(s_sir: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -403,17 +451,11 @@ def _radial_rule(alpha: float, theta: float, n: int):
 def _coverage_table(alpha: float, theta: float, mu: float, level: int) -> _RuleTable:
     """The table of rule ``_RULES[level]``, in units of sigma: it serves
     every sigma, lambda_p, power and bandwidth of its (alpha, theta, mu)."""
-    n_r, n_t, n_u = _RULES[level]
+    n_r, n_v, n_u = _RULES[level]
     r, weights = _radial_rule(alpha, theta, n_r)
     s_sir = theta * r**alpha
-    # The Rice kernel of one serving distance spans 4 t panels x 2 u panels.
-    chunk = max(1, _CHUNK_DOUBLES // (8 * n_t * n_u))
-    log_inter = np.concatenate([
-        _log_inter(s_sir[i:i + chunk], alpha, mu, n_t, n_u)
-        for i in range(0, r.size, chunk)
-    ])
-    table = _RuleTable(weights, log_inter,
-                       _intra_integral(s_sir, alpha, n_u))
+    table = _RuleTable(weights, _log_inter(s_sir, alpha, mu, n_v, n_u),
+                       _intra_integral(s_sir, alpha, 2 * n_u))
     for array in table:
         if not np.isfinite(array).all():
             raise NumericFailure(f"coverage table (alpha, theta, mu) = "

@@ -389,6 +389,18 @@ class TestDeterminism:
         assert simulate(small, 12_000, 8) == first_small
         assert simulate(large, 12_000, 9) == first_large
 
+    def test_workspace_grows_by_a_quarter_at_least(self):
+        # Sizes that creep up by a fraction of a percent share one buffer.
+        work = montecarlo._Workspace()
+        assert work.take(1000).size == 1000
+        assert work.take(1001).size == 1001
+        buffer = work._buffer
+        assert buffer.size == 1250
+        for size in (1002, 1250, 10):
+            assert work.take(size).size == size
+            assert work._buffer is buffer
+        assert work.take(1251).size == 1251 and work._buffer.size == 1562
+
     def test_half_width_formula(self, table1_cfg):
         est = _rate_exceeds((table1_cfg,), 0.1, 5000, seed=99)[0]
         n = est.samples

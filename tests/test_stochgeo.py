@@ -55,6 +55,18 @@ class TestServingDistancePdf:
         val, _ = quad(lambda r: serving_distance_pdf(r, 17.0), 0, np.inf)
         assert abs(val - 1.0) < 1e-10
 
+    def test_no_density_at_negative_distance(self):
+        # As for the Rice density: a distance is never negative.
+        assert serving_distance_pdf(-1.0, 1.0) == 0.0
+        np.testing.assert_array_equal(serving_distance_pdf([-3.0, -1e-300, 0.0], 2.0),
+                                      [0.0, 0.0, 0.0])
+        assert serving_distance_pdf(1.0, 1.0) > 0.0
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_invalid_sigma(self, sigma):
+        with pytest.raises(ConfigError, match="sigma"):
+            serving_distance_pdf(1.0, sigma)
+
 
 class TestRicePdf:
     def test_reduces_to_rayleigh_at_zero_offset(self):
@@ -277,7 +289,9 @@ ENGINE_CONFIGS = {
     "sigma=50,lambda=200/km2": dict(sigma=50.0, lambda_p=200e-6),
     "n_bar=40,p=0.5": dict(n_bar=40.0, access_p=0.5),
 }
-STRESS = dict(sigma=50.0, lambda_p=200e-6)
+# A dense network with a crowded cluster: the two lowest rules differ by
+# three times the tolerance (coverage 2.5e-3), so the ladder climbs to its top rule.
+STRESS = dict(theta=10.0, n_bar=40.0, access_p=1.0, sigma=50.0, lambda_p=50e-6)
 
 
 def _clear_coverage_caches():
@@ -376,10 +390,37 @@ class TestCoverageEngine:
             prob_rate_exceeds(replace(table1_cfg, sigma=23.5), 0.1)
         assert "rules (4, 4, 6) and (3, 3, 4) give" in str(failure.value)
 
+    def test_table1_tables_share_their_bessel_work(self, table1_cfg, monkeypatch,
+                                                   fresh_coverage_caches):
+        # The Rice density is evaluated once per (v, u) pair of a table, not
+        # once per serving distance: the per-distance kernels took 516,096
+        # Bessel arguments for these two tables.
+        arguments = 0
+        i0e = stochgeo._i0e_inplace
+
+        def counting(x):
+            nonlocal arguments
+            arguments += x.size
+            return i0e(x)
+
+        monkeypatch.setattr(stochgeo, "_i0e_inplace", counting)
+        prob_rate_exceeds(table1_cfg, 0.1)
+        assert stochgeo._coverage_table.cache_info().misses == 2
+        assert 0 < arguments <= 100_000
+
+    def test_vanishing_threshold(self, table1_cfg, fresh_coverage_caches):
+        # Kernel knees far below the first interferer-distance panel, and
+        # SIR arguments that underflow to 0, where the intra-cluster
+        # integral is 0/0.
+        assert d2d_coverage_conditional(replace(table1_cfg, theta=1e-60), 3) == \
+            pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NumericFailure, match="non-finite"), np.errstate(invalid="ignore"):
+            d2d_coverage_conditional(replace(table1_cfg, theta=1e-320), 3)
+
     def test_non_finite_table_raises(self, table1_cfg, monkeypatch,
                                      fresh_coverage_caches):
         monkeypatch.setattr(stochgeo, "_log_inter",
-                            lambda s_sir, alpha, mu, n_t, n_u: np.full(s_sir.shape, np.nan))
+                            lambda s_sir, alpha, mu, n_v, n_u: np.full(s_sir.shape, np.nan))
         with pytest.raises(NumericFailure, match="non-finite"):
             d2d_coverage_conditional(replace(table1_cfg, sigma=23.5), 3)
 
@@ -575,8 +616,7 @@ class TestAverageRateAndAccess:
             average_rate(w, theta, coverage)
 
 
-# Configs around the paper's operating point (p * nbar = 0.5): up to
-# p * nbar = 2 the rule ladder converged on 1,200 random coverages.
+# Configs around the paper's operating point (p * nbar = 0.5).
 _IN_RANGE_CONFIGS = st.builds(
     NetworkConfig,
     lambda_p=st.floats(1e-6, 2e-4), n_bar=st.floats(1.0, 10.0),
@@ -600,14 +640,32 @@ class TestCoverageFloats:
             assert type(value) is float
             assert 0.0 <= value <= 1.0
 
-    @pytest.mark.xfail(raises=NumericFailure, strict=True,
-                       reason="the rule ladder does not converge at large p * nbar "
-                              "and alpha: its top two rules differ by 5.26e-9 "
-                              "against a tolerance of 5.21e-9")
     def test_ladder_converges_at_dense_intra_cluster_load(self, table1_cfg):
         cfg = replace(table1_cfg, lambda_p=1.895577306302794e-4, sigma=21.0,
                       alpha=6.0, access_p=1.0)
         assert 0.0 <= d2d_coverage_conditional(cfg, 12) <= 1.0
+
+    def test_ladder_converges_on_the_wide_envelope(self):
+        # alpha 2.5-6, theta 0.1-100, nbar 1-40, p 0.05-1: P(R1 > R0) and
+        # k = 1, 5, 20 all converge; every tenth config meets the adaptive
+        # oracle at one of its four intensities, in turn.
+        rng = np.random.default_rng(2026)
+        for i in range(40):
+            cfg = NetworkConfig(
+                lambda_p=float(np.exp(rng.uniform(np.log(1e-6), np.log(2e-4)))),
+                n_bar=float(rng.uniform(1.0, 40.0)), sigma=float(rng.uniform(2.0, 50.0)),
+                alpha=float(rng.uniform(2.5, 6.0)),
+                theta=float(np.exp(rng.uniform(np.log(0.1), np.log(100.0)))),
+                p_d=0.2, p_b=20.0, w_total=20e6, access_p=float(rng.uniform(0.05, 1.0)))
+            ks = (1, 5, 20)
+            values = [prob_rate_exceeds(cfg, 0.0)] + [
+                d2d_coverage_conditional(cfg, k) for k in ks]
+            assert all(0.0 <= value <= 1.0 for value in values)
+            if i % 10 == 0:
+                which = i // 10
+                intensity = cfg.access_p * (cfg.n_bar if which == 0 else ks[which - 1])
+                expected = _adaptive_coverage(cfg, intensity)
+                assert abs(values[which] - expected) <= max(1e-9, 1e-7 * expected)
 
     def test_clamp_of_computed_coverage(self):
         assert stochgeo._clamped(1.0 + 1e-12, "coverage") == 1.0
