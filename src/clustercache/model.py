@@ -109,13 +109,13 @@ class ContentLibrary:
     sizes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_count("n_files", self.n_files, 1)
+        _check_count("cache_size", self.cache_size, 1)
         q = np.asarray(self.popularity, dtype=float)
         s = np.asarray(self.sizes, dtype=float)
-        if self.n_files < 1:
-            raise ConfigError("n_files must be at least 1")
         if q.shape != (self.n_files,) or s.shape != (self.n_files,):
             raise ConfigError("popularity and sizes must have length n_files")
-        if not 0 < self.cache_size < self.n_files:
+        if not self.cache_size < self.n_files:
             raise ConfigError(
                 f"cache_size must satisfy 0 < M < N_f, got M={self.cache_size}, "
                 f"N_f={self.n_files}"
@@ -170,8 +170,7 @@ class CachingPolicy:
         if np.any(b < -_BOX_TOL) or np.any(b > 1 + _BOX_TOL):
             raise ConfigError("caching probabilities must lie in [0, 1]")
         b = np.clip(b, 0.0, 1.0)
-        if self.cache_size <= 0:
-            raise ConfigError("cache_size must be a positive integer")
+        _check_count("cache_size", self.cache_size, 1)
         if abs(b.sum() - self.cache_size) > _BUDGET_TOL:
             raise ConfigError(
                 f"sum(b) = {b.sum()!r} violates the cache budget M = {self.cache_size}"
@@ -192,8 +191,7 @@ def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
     to zero is a configuration error: that file, and the budget any
     caching scheme would give it, would silently drop out.
     """
-    if n_files < 1:
-        raise ConfigError(f"n_files must be at least 1, got {n_files}")
+    _check_count("n_files", n_files, 1)
     if not 0 <= beta < math.inf:
         raise ConfigError(f"beta must be non-negative and finite, got {beta}")
     ranks = np.arange(1, n_files + 1, dtype=float)

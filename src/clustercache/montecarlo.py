@@ -8,11 +8,11 @@ threshold crossings. Nothing here shares code with the quadrature path.
 Construction per trial (typical receiver at the origin):
 
 * the representative cluster is drawn in units of sigma: its center is
-  a standard normal vector from the origin and the serving device a
-  standard normal vector from the center, so the serving distance is
+  a standard normal vector x0 from the origin and the serving device a
+  standard normal vector y0 from the center, so the serving distance is
   sigma times a Rayleigh(sqrt(2)) variate;
 * remote cluster centers form a Poisson process in a disk whose radius
-  R defaults to max(15*sigma, 5/sqrt(pi*lambda_p)) (631 m on Table 1).
+  R is max(15*sigma, 5/sqrt(pi*lambda_p)) (631 m on Table 1).
   Leaving out the clusters beyond R biases every coverage estimate
   upward, by at most theta E[r**alpha] 2 pi lambda_p mu R**(2-alpha) /
   (alpha-2) with mu = p*n_bar (E[r**4] = 32 sigma**4 at alpha = 4). The
@@ -38,19 +38,23 @@ Construction per trial (typical receiver at the origin):
 * counts other than the cluster counts come from one uniform each,
   inverted through a CDF table cut where its tail mass drops below
   1e-17. The local counts of all requests invert the same uniform and
-  share their members (a smaller count takes a prefix of a larger), so
-  the exact and approximate conditional coverage differ only where
-  their laws do;
-* each remote center is drawn at a uniform-area radius on the +x axis.
-  The interference at the origin depends only on the members'
-  distances, member offsets are i.i.d. isotropic Gaussians and clusters
-  are independent, so rotating each remote cluster about the origin
-  leaves the law of the interference unchanged and the angle need not
-  be drawn;
+  share their members (each sums a prefix of the members of the
+  largest), so the exact and approximate conditional coverage differ
+  only where their laws do;
+* every cluster center lies on the +x axis: the representative one at
+  |x0| (the serving device at |x0| + y0, its members at |x0| + z), each
+  remote one at a uniform-area radius. The interference and the
+  serving distance depend only on distances to the origin, member
+  offsets are i.i.d. isotropic Gaussians and clusters are independent,
+  so rotating each cluster about the origin leaves every law unchanged
+  and no angle need be drawn;
 * every active transmitter fades independently; a contribution is
   fade * d2**(-alpha/2) with d2 the squared distance, so no square root
-  is taken. Members are stored in trial order and each trial's
-  contributions are summed by one ``np.add.reduceat`` per sigma.
+  is taken. One member kernel computes every interference row (sigma,
+  cap): per trial, the sum over the first cap members of each cluster,
+  all of them when cap is None (ALOHA), the first when cap is 1 (the
+  single link), a per-cluster count for the local counts. Members are
+  stored in trial order and each row is one ``np.add.reduceat``.
 
 One simulation serves a list of *requests* (``ProbRateExceeds``,
 ``SingleLinkCoverage``, ``ConditionalCoverage``) that share alpha,
@@ -96,7 +100,6 @@ any order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -177,8 +180,9 @@ class ProbRateExceeds(_Request):
 
     def __post_init__(self):
         cfg = self.cfg
-        if not math.isfinite(self.r0_over_w1):
-            raise ConfigError(f"r0_over_w1 must be finite, got {self.r0_over_w1!r}")
+        if not (math.isfinite(self.r0_over_w1) and self.r0_over_w1 >= 0):
+            raise ConfigError(f"r0_over_w1 must be finite and non-negative, "
+                              f"got {self.r0_over_w1!r}")
         rate = cfg.access_p * math.log2(1.0 + cfg.theta)
         if not rate > self.r0_over_w1:
             raise InfeasibleAccessProbability(
@@ -332,62 +336,62 @@ class _Workspace:
 
 
 def _member_interference(rng, alpha: float, clusters: np.ndarray,
-                         cx: np.ndarray, cy: np.ndarray | None,
-                         active: np.ndarray | None, scales,
-                         first_scales=(), *, work: _Workspace) -> tuple:
-    """Interference of cluster members, per trial, in units of each scale.
+                         cx: np.ndarray, active: np.ndarray | None, rows,
+                         *, work: _Workspace) -> np.ndarray:
+    """Interference of cluster members per trial, one row per (scale, cap)
+    in ``rows``.
 
     Trial t holds ``clusters[t]`` clusters, stored in trial order:
-    cluster j has its center at (``cx[j]``, ``cy[j]``) (on the x axis
-    when ``cy`` is None) and ``active[j]`` active members (exactly one
-    when ``active`` is None). Each member lies s times a standard normal
-    vector from its center and fades independently with unit mean; a row
-    at scale s sums fade * (d/s)**-alpha, which is s**alpha times the
-    unit-power interference. Returns (rows, first_rows): ``rows[i]`` sums
-    every member at s = ``scales[i]``, ``first_rows[i]`` only the first
-    member of each cluster at s = ``first_scales[i]`` (every cluster must
-    then hold a member). Every row shares the offsets and fades, which
-    are drawn into ``work`` with the sums' scratch arrays.
+    cluster j has its center at ``cx[j]`` on the +x axis and ``active[j]``
+    members (one when ``active`` is None, and then every row sums it).
+    Each member lies s times a standard normal vector from its center and
+    fades independently with unit mean. Row (s, cap) sums fade *
+    (d/s)**-alpha, s**alpha times the unit-power interference, over the
+    first ``cap`` members of each cluster: all of them when cap is None,
+    else cap is an int or a per-cluster int array. Every row shares the
+    offsets and fades, drawn into ``work`` with the sums' scratch arrays.
     """
-    n = clusters.size
     trials = _bounds(clusters)
-    first = None  # member index of each cluster's first member
-    members = trials
+    members, ranks = trials, {}
     if active is not None:
-        first = _bounds(active)
-        members = first[trials]
+        starts = _bounds(active)
+        members = starts[trials]
+        for _, cap in rows:
+            if cap is not None and id(cap) not in ranks:
+                # Per rank r below the cap, each cluster's member of rank r or
+                # the zero past all members; rows of one cap object share them.
+                kept = np.append(np.minimum(active, cap), 0)
+                ranks[id(cap)] = [np.where(kept > r, starts + r, starts[-1])
+                                  for r in range(max(kept.max(), 1))]
         cx = np.repeat(cx, active)
-        cy = None if cy is None else np.repeat(cy, active)
     size = cx.size
-    buffer = work.take(5 * size + 1)
+    buffer = work.take(4 * size + 2 + clusters.sum())
     z = rng.standard_normal(out=buffer[:2 * size].reshape(2, size))
     fade = rng.standard_exponential(out=buffer[2 * size:3 * size])
     # In place: allocating fresh arrays of a batch's size costs about a
-    # third of the kernel. The zero past the members ends every sum.
-    values = buffer[3 * size:4 * size + 1]
+    # third of the kernel. The zero past the members ends every sum;
+    # ``picked`` holds a capped row's sum per cluster.
+    values, picked = buffer[3 * size:4 * size + 1], buffer[4 * size + 1:]
     values[size] = 0.0
-    d2, y2 = values[:size], buffer[4 * size + 1:]
-    if cy is None:
-        np.square(z[1], out=y2)
-    rows = np.empty((len(scales), n))
-    first_rows = np.empty((len(first_scales), n))
-    for scale in sorted({*scales, *first_scales}):
-        if cy is not None:
-            np.divide(cy, scale, out=y2)
-            y2 += z[1]
-            y2 *= y2
+    d2, y2 = values[:size], np.square(z[1], out=z[1])
+    out = np.empty((len(rows), clusters.size))
+    for scale in sorted({scale for scale, _ in rows}):
         np.divide(cx, scale, out=d2)
         d2 += z[0]
         d2 *= d2
         d2 += y2
         np.power(d2, -0.5 * alpha, out=d2)
         d2 *= fade
-        if scale in scales:
-            _trial_sums(values, members, rows[scales.index(scale)])
-        if scale in first_scales:
-            _trial_sums(values if first is None else values[first], trials,
-                        first_rows[first_scales.index(scale)])
-    return rows, first_rows
+        for row, (s, cap) in zip(out, rows):
+            if s == scale and id(cap) in ranks:
+                first, *more = ranks[id(cap)]
+                sums = np.take(values, first, out=picked)
+                for index in more:
+                    sums += values[index]
+                _trial_sums(sums, trials, row)
+            elif s == scale:
+                _trial_sums(values, members, row)
+    return out
 
 
 def _disk_radii(rng, inner: float, outer: float, size: int) -> np.ndarray:
@@ -396,35 +400,34 @@ def _disk_radii(rng, inner: float, outer: float, size: int) -> np.ndarray:
 
 
 def _remote_interference(rng, n: int, alpha: float, mu: float, annulus: tuple,
-                         layer: tuple, sigmas, link_sigmas, *,
-                         work: _Workspace) -> tuple:
-    """Interference from the remote clusters of one cell, per trial, in
-    units of each sigma: (ALOHA rows at ``sigmas``, single-link rows at
-    ``link_sigmas``).
+                         layer: tuple, rows, *, work: _Workspace) -> np.ndarray:
+    """Interference from the remote clusters of one cell, per trial, one
+    row per (sigma, cap) in ``rows``, in units of its sigma: cap None is
+    an ALOHA field, cap 1 a single link.
 
     The cell holds the clusters with centers in the ``annulus`` (inner,
     outer) radii and density in the ``layer`` (low, high) of lambda_p.
-    Its active clusters are drawn once for both kinds; the single link
-    takes their first members and the cell's silent clusters, drawn only
-    when ``link_sigmas`` is not empty. Centers lie on the +x axis; the
-    module docstring explains why both leave every law unchanged.
+    Its active clusters are drawn once for every row; a single link takes
+    their first members and the cell's silent clusters, drawn only then.
+    Centers lie on the +x axis; the module docstring explains why both
+    leave every law unchanged.
     """
     inner, outer = annulus
     rate = (layer[1] - layer[0]) * math.pi * (outer**2 - inner**2)
     clusters = rng.poisson(rate * -math.expm1(-mu), n)
     cx = _disk_radii(rng, inner, outer, int(clusters.sum()))
     active = None  # the single link alone needs no member counts
-    if sigmas:
+    if any(cap is None for _, cap in rows):
         u = rng.random(cx.size)
         active = 1 + np.searchsorted(_poisson_cdf(mu, 1), u, side="right")
-    rows, links = _member_interference(rng, alpha, clusters, cx, None, active,
-                                       sigmas, link_sigmas, work=work)
-    if link_sigmas:
+    out = _member_interference(rng, alpha, clusters, cx, active, rows, work=work)
+    links = [i for i, (_, cap) in enumerate(rows) if cap == 1]
+    if links:
         silent = rng.poisson(rate * math.exp(-mu), n)
         cx = _disk_radii(rng, inner, outer, int(silent.sum()))
-        links += _member_interference(rng, alpha, silent, cx, None, None,
-                                      link_sigmas, work=work)[0]
-    return rows, links
+        out[links] += _member_interference(rng, alpha, silent, cx, None,
+                                           [rows[i] for i in links], work=work)
+    return out
 
 
 def _local_counts(rng, cdfs: tuple, n: int) -> np.ndarray:
@@ -438,37 +441,6 @@ def _local_counts(rng, cdfs: tuple, n: int) -> np.ndarray:
     return np.array([np.searchsorted(cdf, u, side="right") for cdf in cdfs])
 
 
-def _local_interference(rng, alpha: float, centers: np.ndarray,
-                        counts: np.ndarray, *, work: _Workspace) -> np.ndarray:
-    """Unit-power interference from the representative cluster, in units
-    of sigma, one row per row of ``counts``.
-
-    ``centers`` is the cluster center of each trial in units of sigma.
-    The rows share their members: row i sums the first ``counts[i]``
-    members of each trial. Members are drawn in layers between
-    consecutive sorted counts, and each row takes the layers up to its
-    own count.
-    """
-    n = centers.shape[0]
-    one = np.ones(n, dtype=np.intp)
-    fields = np.zeros(counts.shape)
-    below = np.zeros(n, dtype=counts.dtype)
-    for level in np.sort(counts, axis=0):
-        ((layer,), _) = _member_interference(rng, alpha, one, centers[:, 0],
-                                             centers[:, 1], level - below, (1.0,),
-                                             work=work)
-        fields += np.where(counts >= level, layer, 0.0)
-        below = level
-    return fields
-
-
-def _kind_rows(fields: list, users: list) -> tuple:
-    """(sigmas, users, rows): the distinct sigmas of the fields in
-    ``users``, and the row of ``sigmas`` each of them takes."""
-    sigmas = sorted({fields[i][1] for i in users})
-    return sigmas, users, [sigmas.index(fields[i][1]) for i in users]
-
-
 def _cells(fields: list) -> list:
     """The annulus x density-layer cells that some remote field takes.
 
@@ -476,9 +448,10 @@ def _cells(fields: list) -> list:
     keys. Annuli lie between consecutive distinct radii and layers
     between consecutive distinct densities; a field takes every cell
     inside its radius and below its density. Each cell is (annulus,
-    layer, (aloha, link)), where each kind is (sigmas, users, rows) from
-    ``_kind_rows``: field ``users[i]`` takes row ``rows[i]`` of that
-    kind's interference. Cells no field takes are left out.
+    layer, rows, users, picks): ``rows`` are the distinct (sigma, cap)
+    rows of ``_remote_interference`` its fields need, cap 1 for a single
+    link and None otherwise, and field ``users[i]`` takes row
+    ``picks[i]``. Cells no field takes are left out.
     """
     radii = sorted({radius for _, _, radius, _ in fields})
     levels = sorted({density for _, _, _, density in fields})
@@ -488,15 +461,15 @@ def _cells(fields: list) -> list:
             users = [i for i, (_, _, radius, density) in enumerate(fields)
                      if radius >= annulus[1] and density >= layer[1]]
             if users:
-                kinds = tuple(
-                    _kind_rows(fields, [i for i in users if fields[i][0] == link])
-                    for link in (False, True))
-                cells.append((annulus, layer, kinds))
+                wanted = [(fields[i][1], 1 if fields[i][0] else None)
+                          for i in users]
+                rows = list(dict.fromkeys(wanted))
+                cells.append((annulus, layer, rows, users,
+                              [rows.index(row) for row in wanted]))
     return cells
 
 
-def _sir_hits(requests: tuple, trials: int, seed: int,
-              region_radius: float | None) -> list:
+def _sir_hits(requests: tuple, trials: int, seed: int) -> list:
     """Covered-trial counts ``hits[i][j]`` of request i with its local-count
     CDF table j, on one network draw shared by all ``requests``.
 
@@ -510,9 +483,7 @@ def _sir_hits(requests: tuple, trials: int, seed: int,
     alpha, mu = cfg0.alpha, cfg0.access_p * cfg0.n_bar
     # A request's remote field depends on its kind and (sigma, radius,
     # lambda_p) only.
-    keys = [(r.single_link, r.cfg.sigma,
-             region_radius if region_radius is not None
-             else default_region_radius(r.cfg),
+    keys = [(r.single_link, r.cfg.sigma, default_region_radius(r.cfg),
              r.cfg.lambda_p) for r in requests]
     fields = sorted(set(keys))
     field_of = [fields.index(key) for key in keys]
@@ -531,15 +502,16 @@ def _sir_hits(requests: tuple, trials: int, seed: int,
         done += n
         x0 = rng.standard_normal((n, 2))
         y0 = rng.standard_normal((n, 2))
-        serve_d2 = np.square(x0 + y0).sum(axis=1)
-        local = _local_interference(rng, alpha, x0, _local_counts(rng, cdfs, n),
-                                    work=work)
+        center = np.hypot(x0[:, 0], x0[:, 1])  # x0 rotated onto the +x axis
+        serve_d2 = (center + y0[:, 0]) ** 2 + y0[:, 1] ** 2
+        counts = _local_counts(rng, cdfs, n)
+        local = _member_interference(
+            rng, alpha, np.ones(n, dtype=np.intp), center, counts.max(axis=0),
+            [(1.0, count) for count in counts], work=work)
         remote = np.zeros((len(fields), n))
-        for annulus, layer, kinds in cells:
-            drawn = _remote_interference(rng, n, alpha, mu, annulus, layer,
-                                         kinds[0][0], kinds[1][0], work=work)
-            for (_, users, rows), field in zip(kinds, drawn):
-                remote[users] += field[rows]
+        for annulus, layer, rows, users, picks in cells:
+            remote[users] += _remote_interference(rng, n, alpha, mu, annulus,
+                                                  layer, rows, work=work)[picks]
         signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * alpha)
         for request_hits, request, f, rows in zip(hits, requests, field_of,
                                                   table_of):
@@ -565,30 +537,24 @@ def _estimate(hits: int, trials: int) -> McEstimate:
     )
 
 
-def simulate(requests, trials: int, seed: int,
-             region_radius: float | None = None) -> list:
+def simulate(requests, trials: int, seed: int) -> list:
     """Simulate every request on one network draw; one result per request,
     in order (an ``McEstimate``, or a ``ConditionalCoveragePair`` for a
     ``ConditionalCoverage``).
 
     The requests must share alpha, access_p and n_bar; their kind, sigma,
-    theta and lambda_p may differ (module docstring). ``region_radius``
-    replaces every request's default simulation disk radius.
+    theta and lambda_p may differ (module docstring). Each request's
+    remote clusters fill the disk of ``default_region_radius``.
     """
     requests = tuple(requests)
     if not requests:
         raise ConfigError("simulate needs at least one request")
     _check_count("trials", trials, 1)
     _check_count("seed", seed, 0)
-    if region_radius is not None and not (
-            isinstance(region_radius, numbers.Real)
-            and math.isfinite(region_radius) and region_radius > 0):
-        raise ConfigError(
-            f"region_radius must be a finite positive number, got {region_radius!r}")
     for name in ("alpha", "access_p", "n_bar"):
         values = {getattr(r.cfg, name) for r in requests}
         if len(values) > 1:
             raise ConfigError(
                 f"the requests must share {name}, got {sorted(values)}")
-    hits = _sir_hits(requests, trials, seed, region_radius)
+    hits = _sir_hits(requests, trials, seed)
     return [r.result(h, trials) for r, h in zip(requests, hits)]

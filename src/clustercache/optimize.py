@@ -139,6 +139,12 @@ class BcdTrace:
 # Offloading gain (maximisation)
 # ---------------------------------------------------------------------------
 
+def _check_policy(policy: CachingPolicy, lib: ContentLibrary) -> None:
+    if policy.n_files != lib.n_files:
+        raise ConfigError(f"the policy has {policy.n_files} files but the "
+                          f"library has {lib.n_files}")
+
+
 def objective_offloading(
     policy: CachingPolicy, lib: ContentLibrary, n_bar: float, prob_r1: float
 ) -> float:
@@ -148,6 +154,7 @@ def objective_offloading(
     factor is the probability that at least one cluster member caches
     file i.
     """
+    _check_policy(policy, lib)
     b = policy.b
     q = lib.popularity
     d2d = (1.0 - b) * (-np.expm1(-n_bar * b))
@@ -332,6 +339,7 @@ def energy_conditional(
     """
     _check_count("k", k, 1)
     _check_rates(r1, r2)
+    _check_policy(policy, lib)
     q = lib.popularity
     s_bits = lib.sizes * 1e6
     miss = 1.0 - policy.b
@@ -497,6 +505,10 @@ def weighted_delay(
     """
     _check_count("k", k, 1)
     _check_load(zeta_tot)
+    for name, value in (("o1", o1), ("o2", o2), ("w_total", w_total)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    _check_policy(policy, lib)
     if not 0 <= w1 <= w_total:
         raise ConfigError(f"w1 must lie in [0, {w_total}], got {w1}")
     a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)

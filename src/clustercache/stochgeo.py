@@ -571,8 +571,8 @@ def d2d_coverage_single_link(cfg: NetworkConfig) -> float:
 
 def average_rate(w: float, theta: float, coverage: float) -> float:
     """Average throughput W * log2(1 + theta) * P_c in bits/s."""
-    if not w >= 0:
-        raise ConfigError(f"bandwidth must be non-negative, got {w!r}")
+    if not 0 <= w < math.inf:
+        raise ConfigError(f"bandwidth must be finite and non-negative, got {w!r}")
     if not (math.isfinite(theta) and theta > 0):
         raise ConfigError(f"theta must be finite and positive, got {theta!r}")
     if not 0.0 <= coverage <= 1.0:
@@ -587,12 +587,13 @@ def optimal_access_probability(r0_over_w1: float, theta: float) -> float:
     by the relative margin ``_ACCESS_MARGIN``, to stay strictly feasible.
     At R0/W1 = 0 every p > 0 is feasible and no smallest one exists.
     """
-    if not r0_over_w1 > 0:
-        raise ConfigError(f"r0_over_w1 must be positive to choose access_p, "
-                          f"got {r0_over_w1!r}")
+    if not 0 < r0_over_w1 < math.inf:
+        raise ConfigError(f"r0_over_w1 must be positive and finite to choose "
+                          f"access_p, got {r0_over_w1!r}")
     bits_per_hz = math.log2(1.0 + theta) if theta > 0 else 0.0
-    if not bits_per_hz > 0:  # theta = 1e-320 is positive, log2(1 + theta) is 0
-        raise ConfigError(f"log2(1 + theta) must be positive, got theta = {theta!r}")
+    if not 0 < bits_per_hz < math.inf:  # theta = 1e-320 > 0 has log2(1 + theta) = 0
+        raise ConfigError(f"log2(1 + theta) must be finite and positive, "
+                          f"got theta = {theta!r}")
     p_star = r0_over_w1 / bits_per_hz * (1.0 + _ACCESS_MARGIN)
     if p_star > 1.0:
         raise InfeasibleAccessProbability(

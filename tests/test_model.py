@@ -181,6 +181,18 @@ class TestDomainTypes:
         lib = ContentLibrary(2, 0.0, 1, np.array([0.5, 0.5]), np.array([4.0, 6.0]))
         assert lib.mean_size_mbits == 5.0
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: ContentLibrary.zipf(20, 1.0, True), "cache_size must be an integer"),
+        (lambda: ContentLibrary.zipf(20.0, 1.0, 4), "n_files must be an integer"),
+        (lambda: CachingPolicy(np.array([1.0, 1.0, 0.5]), cache_size=2.5),
+         "cache_size must be an integer"),
+        (lambda: zipf_popularity(2.5, 1.0), "n_files must be an integer"),
+    ])
+    def test_counts_must_be_integers(self, build, match):
+        # Bools and whole floats are not counts, as for k and trials.
+        with pytest.raises(ConfigError, match=match):
+            build()
+
     def test_policy_invariants(self):
         with pytest.raises(ConfigError):  # budget violated
             CachingPolicy(np.array([0.5, 0.4]), cache_size=1)

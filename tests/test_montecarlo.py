@@ -20,7 +20,6 @@ from clustercache.errors import ConfigError, InfeasibleAccessProbability
 from clustercache.montecarlo import (
     _binomial_cdf,
     _local_counts,
-    _local_interference,
     _member_interference,
     _poisson_cdf,
     _remote_interference,
@@ -44,14 +43,13 @@ def _philox(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _rate_exceeds(points, r0_over_w1, trials, seed, **kwargs):
+def _rate_exceeds(points, r0_over_w1, trials, seed):
     return simulate([ProbRateExceeds(cfg, r0_over_w1) for cfg in points],
-                    trials, seed, **kwargs)
+                    trials, seed)
 
 
-def _single_link(points, trials, seed, **kwargs):
-    return simulate([SingleLinkCoverage(cfg) for cfg in points], trials, seed,
-                    **kwargs)
+def _single_link(points, trials, seed):
+    return simulate([SingleLinkCoverage(cfg) for cfg in points], trials, seed)
 
 
 def _conditional(cfg, k, trials, seed):
@@ -80,32 +78,48 @@ class _RecordingRng:
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Arguments the samplers hand to the member kernel and its rows over
-    all members, one dict per call."""
+    """Arguments the samplers hand to the member kernel and its rows, one
+    dict per call."""
     calls = []
     real = montecarlo._member_interference
 
-    def spy(rng, alpha, clusters, cx, cy, active, scales, first_scales=(), *, work):
-        out = real(rng, alpha, clusters, cx, cy, active, scales, first_scales,
-                   work=work)
-        calls.append(dict(clusters=clusters, cx=cx, cy=cy, active=active,
-                          scales=scales, first_scales=first_scales, out=out[0]))
+    def spy(rng, alpha, clusters, cx, active, rows, *, work):
+        out = real(rng, alpha, clusters, cx, active, rows, work=work)
+        calls.append(dict(clusters=clusters, cx=cx, active=active, rows=rows,
+                          out=out))
         return out
 
     monkeypatch.setattr(montecarlo, "_member_interference", spy)
     return calls
 
 
+def _is_local(rows):
+    """Whether kernel ``rows`` are the representative cluster's: only its
+    rows cap each cluster by an array (the local counts)."""
+    return any(np.ndim(cap) for _, cap in rows)
+
+
 def _remote(rng, cfg, n, radius, single_link):
     """One point's remote field in units of its sigma: a single cell, its
     whole disk at its whole density."""
-    sigmas = (cfg.sigma,)
-    aloha, link = _remote_interference(
+    (field,) = _remote_interference(
         rng, n, cfg.alpha, cfg.access_p * cfg.n_bar, (0.0, radius),
-        (0.0, cfg.lambda_p), () if single_link else sigmas,
-        sigmas if single_link else (), work=montecarlo._Workspace())
-    (field,) = link if single_link else aloha
+        (0.0, cfg.lambda_p), [(cfg.sigma, 1 if single_link else None)],
+        work=montecarlo._Workspace())
     return field
+
+
+def _contributions(rng, cx, active, scale, alpha):
+    """Each member's fade * (d/scale)**-alpha, from the offsets and fades a
+    ``_RecordingRng`` handed to one kernel call."""
+    (normals,), (fade,) = rng.draws["standard_normal"], rng.draws["standard_exponential"]
+    d2 = (np.repeat(cx, active) / scale + normals[0]) ** 2 + normals[1] ** 2
+    return fade * d2 ** (-alpha / 2)
+
+
+def _ranks(active):
+    """Each member's place in its cluster, 0 for the first."""
+    return np.arange(active.sum()) - np.repeat(np.cumsum(active) - active, active)
 
 
 def _assert_moments(samples, mean, var, fourth_cumulant):
@@ -152,7 +166,7 @@ class TestMemberKernel:
         radius = default_region_radius(cfg)
         _remote(_philox(2), cfg, 4000, radius, False)
         (call,) = kernel_calls
-        assert call["cy"] is None
+        assert call["rows"] == [(cfg.sigma, None)]
         assert call["cx"].min() >= 0.0 and call["cx"].max() <= radius
         ks = stats.kstest((call["cx"] / radius) ** 2, "uniform")
         assert ks.pvalue > 0.01
@@ -194,25 +208,27 @@ class TestMemberKernel:
     @pytest.mark.parametrize("mode, k", [("aloha", 0), ("binomial", 9),
                                          ("poisson_pk", 9)])
     def test_local_active_counts(self, table1_cfg, kernel_calls, mode, k):
+        # The representative cluster is one cluster per trial, centered at
+        # |x0| on the +x axis in units of sigma (|x0|**2 is exponential
+        # with mean 2), holding the largest local count of its trial; each
+        # table's row (at scale 1) caps it at that table's count.
         cfg = table1_cfg
         n = 50000
-        centers = _philox(4).standard_normal((n, 2))  # in units of sigma
         p = cfg.access_p
-        if mode == "aloha":
-            cdf = _poisson_cdf(p * cfg.n_bar, 0)
-        elif mode == "poisson_pk":
-            cdf = _poisson_cdf(p * k, 0)
-        else:
-            cdf = _binomial_cdf(k - 1, p)
-        counts = _local_counts(_philox(5), (cdf,), n)
-        _local_interference(_philox(6), cfg.alpha, centers, counts,
-                            work=montecarlo._Workspace())
-        (call,) = kernel_calls
-        (active,) = counts
-        assert np.array_equal(call["active"], active)
-        assert np.array_equal(call["clusters"], np.ones(n))
-        assert np.array_equal(call["cx"], centers[:, 0])
-        assert np.array_equal(call["cy"], centers[:, 1])
+        simulate([ProbRateExceeds(cfg, 0.1) if mode == "aloha"
+                  else ConditionalCoverage(cfg, k)], n, seed=4)
+        calls = [call for call in kernel_calls if _is_local(call["rows"])]
+        assert all(scale == 1.0 for call in calls for scale, _ in call["rows"])
+        caps = np.concatenate([[cap for _, cap in call["rows"]] for call in calls],
+                              axis=1)
+        assert np.array_equal(np.concatenate([c["active"] for c in calls]),
+                              caps.max(axis=0))
+        assert np.array_equal(np.concatenate([c["clusters"] for c in calls]),
+                              np.ones(n))
+        centers = np.concatenate([call["cx"] for call in calls])
+        assert centers.min() >= 0.0
+        assert stats.kstest(centers**2, "expon", args=(0, 2)).pvalue > 0.01
+        active = caps[1] if mode == "poisson_pk" else caps[0]
         if mode == "aloha":
             _assert_poisson_counts(active, p * cfg.n_bar)
         elif mode == "poisson_pk":
@@ -237,23 +253,33 @@ class TestMemberKernel:
         np.testing.assert_array_equal(binomial, stats.binom.ppf(u, k - 1, p))
         np.testing.assert_array_equal(poisson, stats.poisson.ppf(u, p * k))
 
-    def test_local_fields_share_members(self, table1_cfg, kernel_calls):
-        # Each row sums the first counts[i] members of its trial: the
-        # smaller count takes the shared layer, the larger one both.
+    def test_local_fields_share_members(self, table1_cfg):
+        # One call draws the largest count of each trial and row i sums the
+        # first counts[i] of those members: rows of equal counts are equal,
+        # and a larger count adds the members past the smaller one.
         cfg = table1_cfg
         src = _philox(11)
         n = 2000
-        centers = src.standard_normal((n, 2))
+        centers = np.abs(src.standard_normal(n))
         counts = src.integers(0, 4, (2, n))
-        fields = _local_interference(_philox(12), cfg.alpha, centers, counts,
-                                     work=montecarlo._Workspace())
-        shared, extra = kernel_calls
-        low = counts.min(axis=0)
-        np.testing.assert_array_equal(shared["active"], low)
-        np.testing.assert_array_equal(extra["active"], counts.max(axis=0) - low)
+        high = counts.max(axis=0)
+        rng = _RecordingRng(12)
+        fields = _member_interference(rng, cfg.alpha, np.ones(n, dtype=np.intp),
+                                      centers, high, [(1.0, c) for c in counts],
+                                      work=montecarlo._Workspace())
+        assert rng.draws["standard_normal"][0].shape == (2, high.sum())
+        contribution = _contributions(rng, centers, high, 1.0, cfg.alpha)
+        owner, rank = np.repeat(np.arange(n), high), _ranks(high)
         for row, field in zip(counts, fields):
-            expected = shared["out"][0] + np.where(row > low, extra["out"][0], 0.0)
-            np.testing.assert_array_equal(field, expected)
+            np.testing.assert_allclose(field, np.bincount(
+                owner, weights=contribution * (rank < row[owner]), minlength=n),
+                rtol=1e-12)
+        same = counts[0] == counts[1]
+        np.testing.assert_array_equal(fields[0][same], fields[1][same])
+        larger = counts[0] > counts[1]
+        assert np.all(fields[0][larger] > fields[1][larger])
+        smaller = counts[0] < counts[1]
+        assert np.all(fields[0][smaller] < fields[1][smaller])
 
     def test_offsets_are_rayleigh_and_sum_is_exact(self, table1_cfg):
         # Each active member is Gaussian-displaced from its center, so its
@@ -265,13 +291,12 @@ class TestMemberKernel:
         n = 3000
         clusters = np.full(n, 2)
         owner = np.repeat(np.arange(n), clusters)
-        cx = src.uniform(-200.0, 200.0, owner.size)
-        cy = src.uniform(-200.0, 200.0, owner.size)
+        cx = src.uniform(0.0, 300.0, owner.size)
         active = src.integers(0, 4, owner.size)
         rng = _RecordingRng(7)
-        (got,), _ = _member_interference(rng, cfg.alpha, clusters, cx, cy,
-                                         active, (cfg.sigma,),
-                                         work=montecarlo._Workspace())
+        (got,) = _member_interference(rng, cfg.alpha, clusters, cx, active,
+                                      [(cfg.sigma, None)],
+                                      work=montecarlo._Workspace())
         (normals,), (fade,) = (rng.draws["standard_normal"],
                                rng.draws["standard_exponential"])
         offsets = cfg.sigma * normals
@@ -280,7 +305,7 @@ class TestMemberKernel:
         ks = stats.kstest(radial, "rayleigh", args=(0, cfg.sigma))
         assert ks.pvalue > 0.01
         cluster = np.repeat(np.arange(owner.size), active)
-        pos = np.column_stack([cx[cluster], cy[cluster]]) + offsets.T
+        pos = np.column_stack([cx[cluster], np.zeros(cluster.size)]) + offsets.T
         expected = np.bincount(
             owner[cluster],
             weights=fade * np.linalg.norm(pos, axis=1) ** (-cfg.alpha),
@@ -372,12 +397,12 @@ class TestDeterminism:
                 else round(r.mean * trials) for r in results]
 
     def test_fixed_seed_reproduces_recorded_counts(self, table1_cfg):
-        # Covered-trial counts recorded before the member kernel drew into a
-        # reused workspace: the draws, their order and the arithmetic are
-        # unchanged. Three batches, the last one partial.
+        # Covered-trial counts recorded when every cluster center moved onto
+        # the +x axis and one member kernel call took the representative
+        # cluster. Three batches, the last one partial.
         results = simulate(self._mixed_requests(table1_cfg), 25_000, 3)
         assert self._covered(results, 25_000) == [
-            19233, 18335, 17035, 15550, 23192, 21639, (20058, 19233), (23314, 22194)]
+            19161, 18298, 17052, 15559, 23198, 21625, (20004, 19161), (23240, 22143)]
 
     def test_calls_share_no_workspace_state(self, table1_cfg):
         # A simulation's scratch memory lives for that call only: a call
@@ -492,13 +517,14 @@ class TestSingleLinkMc:
         ]
         assert means[0] > means[1] > means[2]
 
-    def test_truncation_bias_below_noise(self, table1_cfg):
+    def test_truncation_bias_below_noise(self, table1_cfg, monkeypatch):
         # Doubling the simulation disk moves the estimate by less than
         # the combined 95% half-widths.
         radius = default_region_radius(table1_cfg)
-        (a,) = _single_link((table1_cfg,), 50000, seed=47, region_radius=radius)
-        (b,) = _single_link((table1_cfg,), 50000, seed=47,
-                            region_radius=2 * radius)
+        (a,) = _single_link((table1_cfg,), 50000, seed=47)
+        monkeypatch.setattr(montecarlo, "default_region_radius",
+                            lambda cfg: 2 * radius)
+        (b,) = _single_link((table1_cfg,), 50000, seed=47)
         assert abs(a.mean - b.mean) < a.half_width_95 + b.half_width_95
 
 
@@ -524,18 +550,15 @@ class TestFamily:
         cells = []
         remote, member = montecarlo._remote_interference, montecarlo._member_interference
 
-        def remote_spy(rng, n, alpha, mu, annulus, layer, sigmas, link_sigmas,
-                       *, work):
-            cells.append(dict(annulus=annulus, layer=layer, sigmas=sigmas))
-            return remote(rng, n, alpha, mu, annulus, layer, sigmas, link_sigmas,
-                          work=work)
+        def remote_spy(rng, n, alpha, mu, annulus, layer, rows, *, work):
+            cells.append(dict(annulus=annulus, layer=layer,
+                              sigmas=sorted({sigma for sigma, _ in rows})))
+            return remote(rng, n, alpha, mu, annulus, layer, rows, work=work)
 
-        def member_spy(rng, alpha, clusters, cx, cy, active, scales,
-                       first_scales=(), *, work):
-            if cy is None:  # the clusters of the cell just opened
+        def member_spy(rng, alpha, clusters, cx, active, rows, *, work):
+            if not _is_local(rows):  # the clusters of the cell just opened
                 cells[-1].update(clusters=clusters, cx=cx)
-            return member(rng, alpha, clusters, cx, cy, active, scales,
-                          first_scales, work=work)
+            return member(rng, alpha, clusters, cx, active, rows, work=work)
 
         monkeypatch.setattr(montecarlo, "_remote_interference", remote_spy)
         monkeypatch.setattr(montecarlo, "_member_interference", member_spy)
@@ -559,17 +582,18 @@ class TestFamily:
     def test_cells_tile_each_field(self, table1_cfg):
         # The cells a field takes lie inside its disk and below its density,
         # and their (area x density) measures sum to its own pi R^2 lambda_p;
-        # a field is scored with the fields of its own kind.
+        # a field is scored at its own sigma with the cap of its kind (1,
+        # the first member, for a single link; None, every member, else).
         fields = sorted({(link, cfg.sigma, default_region_radius(cfg), cfg.lambda_p)
                          for cfg in _family_points(table1_cfg)
                          for link in (False, True)})
         cells = montecarlo._cells(fields)
         for i, (link, sigma, radius, density) in enumerate(fields):
-            taken = [(annulus, layer, sigmas[rows[users.index(i)]])
-                     for annulus, layer, kinds in cells
-                     for sigmas, users, rows in (kinds[link],) if i in users]
+            taken = [(annulus, layer, rows[picks[users.index(i)]])
+                     for annulus, layer, rows, users, picks in cells if i in users]
             assert all(annulus[1] <= radius and layer[1] <= density
-                       and scale == sigma for annulus, layer, scale in taken)
+                       and row == (sigma, 1 if link else None)
+                       for annulus, layer, row in taken)
             measure = sum(math.pi * (annulus[1]**2 - annulus[0]**2)
                           * (layer[1] - layer[0]) for annulus, layer, _ in taken)
             assert measure == pytest.approx(math.pi * radius**2 * density, rel=1e-12)
@@ -636,9 +660,10 @@ class TestSharedDraw:
         mu = cfg.access_p * cfg.n_bar
         n = 10_000  # one batch
         simulate([ProbRateExceeds(cfg, 0.1), SingleLinkCoverage(cfg)], n, seed=13)
-        active, silent = [call for call in kernel_calls if call["cy"] is None]
-        assert active["scales"] == active["first_scales"] == [cfg.sigma]
-        assert silent["active"] is None and silent["scales"] == [cfg.sigma]
+        active, silent = [call for call in kernel_calls
+                          if not _is_local(call["rows"])]
+        assert active["rows"] == [(cfg.sigma, None), (cfg.sigma, 1)]
+        assert silent["active"] is None and silent["rows"] == [(cfg.sigma, 1)]
         _assert_poisson_counts(active["clusters"] + silent["clusters"], area)
         centers = np.concatenate([active["cx"], silent["cx"]])
         assert centers.max() <= radius
@@ -651,9 +676,9 @@ class TestSharedDraw:
         _assert_moments(active["active"], e1, e2 - e1**2, kappa4)
 
     def test_first_rows_sum_each_clusters_first_member(self, table1_cfg):
-        # first_rows sums, per trial, the first member of each cluster
-        # (members of a cluster are stored together, in cluster order), at
-        # the same offsets and fades as the rows over all members.
+        # A row capped at 1 sums, per trial, the first member of each
+        # cluster (members of a cluster are stored together, in cluster
+        # order), at the same offsets and fades as the row over all members.
         cfg = table1_cfg
         src = _philox(14)
         n = 2000
@@ -662,13 +687,10 @@ class TestSharedDraw:
         cx = src.uniform(0.0, 300.0, owner.size)
         active = src.integers(1, 4, owner.size)
         rng = _RecordingRng(15)
-        (every,), (first,) = _member_interference(
-            rng, cfg.alpha, clusters, cx, None, active, [cfg.sigma], [cfg.sigma],
+        every, first = _member_interference(
+            rng, cfg.alpha, clusters, cx, active, [(cfg.sigma, None), (cfg.sigma, 1)],
             work=montecarlo._Workspace())
-        (normals,), (fade,) = (rng.draws["standard_normal"],
-                               rng.draws["standard_exponential"])
-        d2 = (np.repeat(cx, active) / cfg.sigma + normals[0]) ** 2 + normals[1] ** 2
-        contribution = fade * d2 ** (-cfg.alpha / 2)
+        contribution = _contributions(rng, cx, active, cfg.sigma, cfg.alpha)
         member_owner = np.repeat(owner, active)
         np.testing.assert_allclose(
             every, np.bincount(member_owner, weights=contribution, minlength=n),
@@ -678,13 +700,33 @@ class TestSharedDraw:
             first, np.bincount(owner, weights=contribution[starts], minlength=n),
             rtol=1e-12)
 
+    def test_per_cluster_cap_sums_a_prefix_of_each_cluster(self, table1_cfg):
+        # A per-cluster cap c_j sums the first min(c_j, active_j) members of
+        # cluster j, whatever the other clusters of its trial hold; rows at
+        # two scales share the members.
+        cfg = table1_cfg
+        src = _philox(16)
+        n = 2000
+        clusters = src.integers(0, 4, n)
+        owner = np.repeat(np.arange(n), clusters)
+        cx = src.uniform(0.0, 300.0, owner.size)
+        active = src.integers(0, 5, owner.size)
+        cap = src.integers(0, 6, owner.size)
+        rng = _RecordingRng(17)
+        scales = (cfg.sigma, 3 * cfg.sigma)
+        rows = _member_interference(rng, cfg.alpha, clusters, cx, active,
+                                    [(scale, cap) for scale in scales],
+                                    work=montecarlo._Workspace())
+        kept = _ranks(active) < np.repeat(cap, active)
+        member_owner = np.repeat(owner, active)
+        for scale, row in zip(scales, rows):
+            contribution = _contributions(rng, cx, active, scale, cfg.alpha)
+            np.testing.assert_allclose(
+                row, np.bincount(member_owner[kept], weights=contribution[kept],
+                                 minlength=n), rtol=1e-12)
+
 
 class TestArguments:
-    @pytest.mark.parametrize("radius", [math.nan, -5.0, 0.0, math.inf])
-    def test_rejects_bad_region_radius(self, table1_cfg, radius):
-        with pytest.raises(ConfigError, match="region_radius must be"):
-            _single_link([table1_cfg], 1000, 1, region_radius=radius)
-
     @pytest.mark.parametrize("trials", [1000.5, 1000.0])
     def test_rejects_non_integral_trials(self, table1_cfg, trials):
         with pytest.raises(ConfigError, match="trials must be an integer"):
@@ -698,6 +740,15 @@ class TestArguments:
     def test_rejects_non_finite_rate_threshold(self, table1_cfg):
         with pytest.raises(ConfigError, match="r0_over_w1 must be finite"):
             ProbRateExceeds(table1_cfg, math.nan)
+
+    def test_rejects_negative_rate_threshold(self, table1_cfg):
+        # As the analytic prob_rate_exceeds does.
+        with pytest.raises(ConfigError, match="r0_over_w1 must be finite and "
+                                              "non-negative, got -1.0"):
+            ProbRateExceeds(table1_cfg, -1.0)
+        with pytest.raises(ConfigError, match="r0_over_w1 must be finite and "
+                                              "non-negative, got -1.0"):
+            prob_rate_exceeds(table1_cfg, -1.0)
 
     def test_rejects_too_few_trials(self, table1_cfg):
         with pytest.raises(ConfigError, match="trials must be at least 1"):

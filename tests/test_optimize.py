@@ -675,12 +675,34 @@ def _split_of(policy, lib, k, zeta, o1, o2, w_total):
     (lambda cfg, lib: optimize_energy(cfg, lib, 8, math.nan, 1e7), "rates"),
     (lambda cfg, lib: optimize_energy(cfg, lib, 8, 1e7, -1.0), "rates"),
     (lambda cfg, lib: optimize_energy(cfg, lib, 8, 0.0, 1e7), "rates"),
+] + [
+    (lambda cfg, lib, service=service: weighted_delay(
+        baseline_policy("cpf", lib), lib, 8, 1.0, 1e6, *service), name)
+    for service, name in [((math.nan, 1e-6, 2e7), "o1"), ((math.inf, 1e-6, 2e7), "o1"),
+                          ((0.0, 1e-6, 2e7), "o1"), ((1e-6, -1e-6, 2e7), "o2"),
+                          ((1e-6, math.inf, 2e7), "o2"), ((1e-6, 1e-6, math.inf), "w_total"),
+                          ((1e-6, 1e-6, 0.0), "w_total")]
 ])
 def test_rejects_bad_load_and_rates(table1_cfg, call, match):
-    # NaN, infinite or negative loads and rates, and a restart count that
-    # is not a positive integer, are configuration errors.
+    # NaN, infinite or negative loads, rates and service coefficients
+    # (o1, o2, w_total of weighted_delay), and a restart count that is not
+    # a positive integer, are configuration errors.
     with pytest.raises(ConfigError, match=match):
         call(table1_cfg, ContentLibrary.zipf(100, 1.0, 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg, lib, policy: objective_offloading(policy, lib, cfg.n_bar, 0.5),
+    lambda cfg, lib, policy: energy_conditional(policy, lib, cfg, 8, 1e7, 1e7),
+    lambda cfg, lib, policy: weighted_delay(policy, lib, 8, 1.0, 1e7, 1e-6, 1e-6,
+                                            cfg.w_total),
+], ids=["objective_offloading", "energy_conditional", "weighted_delay"])
+def test_policy_length_must_match_library(table1_cfg, call):
+    lib = ContentLibrary.zipf(100, 1.0, 4)
+    policy = baseline_policy("cpf", ContentLibrary.zipf(50, 1.0, 4))
+    with pytest.raises(ConfigError, match="policy has 50 files but the library "
+                                          "has 100"):
+        call(table1_cfg, lib, policy)
 
 
 class TestOptimalBandwidth:

@@ -596,13 +596,15 @@ class TestAverageRateAndAccess:
         )
         with pytest.raises(InfeasibleAccessProbability):
             optimal_access_probability(2.0, 1.0)
-        for rate in (0.0, -0.1, float("nan")):  # no smallest feasible p
+        for rate in (0.0, -0.1, float("nan"), math.inf):  # no smallest feasible p
             with pytest.raises(ConfigError, match="r0_over_w1"):
                 optimal_access_probability(rate, 1.0)
 
-    @pytest.mark.parametrize("theta", [0.0, 1e-320, -0.5, -2.0, float("nan")])
+    @pytest.mark.parametrize("theta", [0.0, 1e-320, -0.5, -2.0, float("nan"),
+                                       math.inf])
     def test_optimal_access_probability_rejects_zero_rate(self, theta):
-        # log2(1 + theta) = 0 (theta = 1e-320 rounds to it) has no feasible p.
+        # log2(1 + theta) = 0 (theta = 1e-320 rounds to it) has no feasible p;
+        # log2(1 + inf) = inf would give access_p = 0, which carries no rate.
         with pytest.raises(ConfigError, match="log2"):
             optimal_access_probability(0.1, theta)
 
@@ -610,6 +612,7 @@ class TestAverageRateAndAccess:
         (float("nan"), 1.0, 0.5), (-1.0, 1.0, 0.5), (1e6, -2.0, 0.5),
         (1e6, 0.0, 0.5), (1e6, float("inf"), 0.5), (1e6, float("nan"), 0.5),
         (1e6, 1.0, -1e-12), (1e6, 1.0, 1.0 + 1e-12), (1e6, 1.0, float("nan")),
+        (math.inf, 1.0, 0.5),
     ])
     def test_average_rate_rejects_invalid_input(self, w, theta, coverage):
         with pytest.raises(ConfigError):
