@@ -38,6 +38,7 @@ from . import __version__, montecarlo, optimize, queueing, stochgeo
 from .errors import (
     ClusterCacheError,
     ConfigError,
+    InfeasibleAccessProbability,
     NumericFailure,
     UnstableQueueError,
 )
@@ -668,7 +669,9 @@ def main(argv=None) -> int:
             updates["tasks"] = ("validate",)
         updates = {k: v for k, v in updates.items() if v is not None}
         return run_scenario(replace(scenario, **updates), jobs=args.jobs)
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleAccessProbability) as exc:
+        # Infeasible: the validate table's P(R1 > R0) points, at a network
+        # that cannot carry R0/W1.
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:

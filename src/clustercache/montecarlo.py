@@ -26,15 +26,18 @@ Construction per trial (typical receiver at the origin):
   thinning theorem, Poisson(mu) active members with mu = p*n_bar.
   P(R1 > R0) draws that local count, the conditional coverage both
   Binomial(k-1, p) and Poisson(p*k), and the single link none;
-* remote clusters are split by the marking theorem into active ones
-  (with at least one active member) and silent ones, two independent
-  Poisson processes of intensities lambda_p*(1 - exp(-mu)) and
-  lambda_p*exp(-mu). An active cluster holds a zero-truncated
-  Poisson(mu) number of active members, so the active clusters alone
-  give the ALOHA field its exact law. The single-link model gives every
-  cluster one always-active member: it takes the first member of each
-  active cluster and one member of each silent cluster, which together
-  form exactly its field of intensity lambda_p;
+* only remote clusters with at least one active member are drawn: by the
+  marking theorem they form a Poisson process of intensity
+  lambda_p*(1 - exp(-mu)), each holding a zero-truncated Poisson(mu)
+  number of active members, which gives the ALOHA field its exact law;
+* the single-link model gives every cluster one always-active member, a
+  Gaussian displacement of a Poisson process of intensity lambda_p. By
+  the displacement theorem that is again a Poisson process of intensity
+  lambda_p, which is how the closed form treats it, so no cluster is
+  drawn: a transmitter count per trial, a uniform-area squared distance
+  and a fade each. Truncated to the request's disk, it differs from the
+  displaced members of the clusters centered in that disk only within a
+  few sigma of the edge, where both truncate the same infinite field;
 * counts other than the cluster counts come from one uniform each,
   inverted through a CDF table cut where its tail mass drops below
   1e-17. The local counts of all requests invert the same uniform and
@@ -50,11 +53,12 @@ Construction per trial (typical receiver at the origin):
   and no angle need be drawn;
 * every active transmitter fades independently; a contribution is
   fade * d2**(-alpha/2) with d2 the squared distance, so no square root
-  is taken. One member kernel computes every interference row (sigma,
-  cap): per trial, the sum over the first cap members of each cluster,
-  all of them when cap is None (ALOHA), the first when cap is 1 (the
-  single link), a per-cluster count for the local counts. Members are
-  stored in trial order and each row is one ``np.add.reduceat``.
+  is taken. One member kernel computes every cluster interference row
+  (sigma, cap): per trial, the sum over the first cap members of each
+  cluster, all of them when cap is None (the remote ALOHA field), a
+  per-cluster count for the local counts. Members are stored in trial
+  order and each row, like the single-link sum, is one
+  ``np.add.reduceat``.
 
 One simulation serves a list of *requests* (``ProbRateExceeds``,
 ``SingleLinkCoverage``, ``ConditionalCoverage``) that share alpha,
@@ -68,12 +72,13 @@ lambda_p:
   inside its radius and below its density; by the restriction and
   superposition theorems those cells form exactly its own remote field
   (intensity lambda_p on its own disk). A cell draws its active
-  clusters once for every request that takes it, and its silent
-  clusters only if a single-link request does;
+  clusters once, shared by every ALOHA request that takes it, and its
+  single-link transmitters once, shared by every single-link request;
 * member offsets are standard normal vectors scaled by each request's
   sigma: a member of a center at distance c lies at squared distance
   (c + sigma z_x)**2 + (sigma z_y)**2, one set of offsets and fades for
-  every sigma. With everything in units of sigma, SIR > theta reads
+  every sigma. The single-link transmitters do not depend on sigma at
+  all. With everything in units of sigma, SIR > theta reads
   s1 > theta (L1 + sigma**alpha I_remote(sigma)), where s1 and L1 are
   the representative cluster's signal and interference in units of
   sigma. Their law depends on alpha and mu alone, so the representative
@@ -84,8 +89,8 @@ lambda_p:
 * cells are drawn and scored one at a time and then freed, so a
   simulation holds one cell's members at a time plus one batch-length
   field per distinct (kind, sigma, radius, lambda_p);
-* the member kernel draws its offsets and fades, and keeps its
-  per-member scratch arrays, in one workspace per simulation
+* the member kernel and the single-link draw keep their draws and
+  per-member scratch arrays in one workspace per simulation
   (``_Workspace``): a buffer grown by at least a factor 1.25 whenever a
   call needs more, and freed when the simulation returns. The draws and
   their order are those of fresh arrays, so the estimates are too; the
@@ -336,34 +341,31 @@ class _Workspace:
 
 
 def _member_interference(rng, alpha: float, clusters: np.ndarray,
-                         cx: np.ndarray, active: np.ndarray | None, rows,
+                         cx: np.ndarray, active: np.ndarray, rows,
                          *, work: _Workspace) -> np.ndarray:
     """Interference of cluster members per trial, one row per (scale, cap)
     in ``rows``.
 
     Trial t holds ``clusters[t]`` clusters, stored in trial order:
     cluster j has its center at ``cx[j]`` on the +x axis and ``active[j]``
-    members (one when ``active`` is None, and then every row sums it).
-    Each member lies s times a standard normal vector from its center and
-    fades independently with unit mean. Row (s, cap) sums fade *
-    (d/s)**-alpha, s**alpha times the unit-power interference, over the
-    first ``cap`` members of each cluster: all of them when cap is None,
-    else cap is an int or a per-cluster int array. Every row shares the
-    offsets and fades, drawn into ``work`` with the sums' scratch arrays.
+    members. Each member lies s times a standard normal vector from its
+    center and fades independently with unit mean. Row (s, cap) sums fade
+    * (d/s)**-alpha, s**alpha times the unit-power interference, over the
+    first ``cap`` members of each cluster: all of them when cap is None
+    (the remote ALOHA field), else cap is a per-cluster int array (the
+    local counts). Every row shares the offsets and fades, drawn into
+    ``work`` with the sums' scratch arrays.
     """
-    trials = _bounds(clusters)
-    members, ranks = trials, {}
-    if active is not None:
-        starts = _bounds(active)
-        members = starts[trials]
-        for _, cap in rows:
-            if cap is not None and id(cap) not in ranks:
-                # Per rank r below the cap, each cluster's member of rank r or
-                # the zero past all members; rows of one cap object share them.
-                kept = np.append(np.minimum(active, cap), 0)
-                ranks[id(cap)] = [np.where(kept > r, starts + r, starts[-1])
-                                  for r in range(max(kept.max(), 1))]
-        cx = np.repeat(cx, active)
+    trials, starts = _bounds(clusters), _bounds(active)
+    members, ranks = starts[trials], {}
+    for _, cap in rows:
+        if cap is not None and id(cap) not in ranks:
+            # Per rank r below the cap, each cluster's member of rank r or
+            # the zero past all members; rows of one cap object share them.
+            kept = np.append(np.minimum(active, cap), 0)
+            ranks[id(cap)] = [np.where(kept > r, starts + r, starts[-1])
+                              for r in range(max(kept.max(), 1))]
+    cx = np.repeat(cx, active)
     size = cx.size
     buffer = work.take(4 * size + 2 + clusters.sum())
     z = rng.standard_normal(out=buffer[:2 * size].reshape(2, size))
@@ -383,14 +385,14 @@ def _member_interference(rng, alpha: float, clusters: np.ndarray,
         np.power(d2, -0.5 * alpha, out=d2)
         d2 *= fade
         for row, (s, cap) in zip(out, rows):
-            if s == scale and id(cap) in ranks:
+            if s == scale and cap is None:
+                _trial_sums(values, members, row)
+            elif s == scale:
                 first, *more = ranks[id(cap)]
                 sums = np.take(values, first, out=picked)
                 for index in more:
                     sums += values[index]
                 _trial_sums(sums, trials, row)
-            elif s == scale:
-                _trial_sums(values, members, row)
     return out
 
 
@@ -401,32 +403,45 @@ def _disk_radii(rng, inner: float, outer: float, size: int) -> np.ndarray:
 
 def _remote_interference(rng, n: int, alpha: float, mu: float, annulus: tuple,
                          layer: tuple, rows, *, work: _Workspace) -> np.ndarray:
-    """Interference from the remote clusters of one cell, per trial, one
+    """Interference from the remote transmitters of one cell, per trial, one
     row per (sigma, cap) in ``rows``, in units of its sigma: cap None is
-    an ALOHA field, cap 1 a single link.
+    an ALOHA field, cap 1 a single link (one transmitter per cluster).
 
     The cell holds the clusters with centers in the ``annulus`` (inner,
     outer) radii and density in the ``layer`` (low, high) of lambda_p.
-    Its active clusters are drawn once for every row; a single link takes
-    their first members and the cell's silent clusters, drawn only then.
-    Centers lie on the +x axis; the module docstring explains why both
-    leave every law unchanged.
+    Its active clusters, centered on the +x axis (module docstring), are
+    drawn only for the ALOHA rows, once for all of them. The single-link
+    transmitters are, by the displacement theorem, a Poisson process of
+    the layer's intensity on the annulus, drawn once whatever sigma:
+    row (sigma, 1) is sigma**alpha times its sum.
     """
     inner, outer = annulus
     rate = (layer[1] - layer[0]) * math.pi * (outer**2 - inner**2)
-    clusters = rng.poisson(rate * -math.expm1(-mu), n)
-    cx = _disk_radii(rng, inner, outer, int(clusters.sum()))
-    active = None  # the single link alone needs no member counts
-    if any(cap is None for _, cap in rows):
+    out = np.empty((len(rows), n))
+    aloha = [i for i, (_, cap) in enumerate(rows) if cap is None]
+    if aloha:
+        clusters = rng.poisson(rate * -math.expm1(-mu), n)
+        cx = _disk_radii(rng, inner, outer, int(clusters.sum()))
         u = rng.random(cx.size)
         active = 1 + np.searchsorted(_poisson_cdf(mu, 1), u, side="right")
-    out = _member_interference(rng, alpha, clusters, cx, active, rows, work=work)
+        out[aloha] = _member_interference(rng, alpha, clusters, cx, active,
+                                          [rows[i] for i in aloha], work=work)
     links = [i for i, (_, cap) in enumerate(rows) if cap == 1]
     if links:
-        silent = rng.poisson(rate * math.exp(-mu), n)
-        cx = _disk_radii(rng, inner, outer, int(silent.sum()))
-        out[links] += _member_interference(rng, alpha, silent, cx, None,
-                                           [rows[i] for i in links], work=work)
+        # Squared distances uniform in area on the annulus, in m**2.
+        counts = rng.poisson(rate, n)
+        size = int(counts.sum())
+        buffer = work.take(2 * size + 1)
+        d2 = rng.random(out=buffer[:size])
+        d2 *= outer**2 - inner**2
+        d2 += inner**2
+        np.power(d2, -0.5 * alpha, out=d2)
+        d2 *= rng.standard_exponential(out=buffer[size:2 * size])
+        buffer[size] = 0.0  # ends the last sum
+        field = np.empty(n)
+        _trial_sums(buffer[:size + 1], _bounds(counts), field)
+        for i in links:
+            np.multiply(field, rows[i][0] ** alpha, out=out[i])
     return out
 
 
@@ -449,9 +464,11 @@ def _cells(fields: list) -> list:
     between consecutive distinct densities; a field takes every cell
     inside its radius and below its density. Each cell is (annulus,
     layer, rows, users, picks): ``rows`` are the distinct (sigma, cap)
-    rows of ``_remote_interference`` its fields need, cap 1 for a single
-    link and None otherwise, and field ``users[i]`` takes row
-    ``picks[i]``. Cells no field takes are left out.
+    rows of ``_remote_interference`` its fields need, cap None for an
+    ALOHA field (its active clusters serve every such row) and cap 1 for
+    a single link (its one Poisson draw serves every such row), and
+    field ``users[i]`` takes row ``picks[i]``. Cells no field takes are
+    left out.
     """
     radii = sorted({radius for _, _, radius, _ in fields})
     levels = sorted({density for _, _, _, density in fields})

@@ -732,6 +732,21 @@ class TestMainEntryPoint:
         bad.write_text("network: {}\nlibrary: {}\n")
         assert main(["run", str(bad)]) == 2
 
+    def test_validate_on_infeasible_network_exit_code(self, tmp_path, capsys):
+        # At theta = 0 dB, access_p * log2(1 + theta) = 0.1 cannot carry
+        # R0/W1 = 0.12: the validate table's P(R1 > R0) points are a
+        # configuration error, reported on one line.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["network"]["access_p"] = 0.1
+        mapping["offload"]["r0_over_w1"] = 0.12
+        path = tmp_path / "infeasible.yaml"
+        path.write_text(yaml.dump(mapping, Dumper=cli._yaml()[2]))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--mc-trials", "200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: at theta = 1:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 

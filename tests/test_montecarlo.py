@@ -146,18 +146,14 @@ class TestMemberKernel:
     def test_remote_cluster_counts_are_poisson(self, table1_cfg, kernel_calls):
         # Only clusters with an active member are drawn: by the thinning
         # theorem they form a Poisson process of intensity
-        # lambda_p (1 - exp(-p n_bar)). The single-link model takes them
-        # and the silent clusters, together all of them.
+        # lambda_p (1 - exp(-p n_bar)).
         cfg = table1_cfg
         radius = default_region_radius(cfg)
         area = cfg.lambda_p * math.pi * radius**2
         mu = cfg.access_p * cfg.n_bar
-        n = 20000
-        _remote(_philox(1), cfg, n, radius, False)
-        _remote(_philox(1), cfg, n, radius, True)
-        nonempty, active, silent = kernel_calls
+        _remote(_philox(1), cfg, 20000, radius, False)
+        (nonempty,) = kernel_calls
         _assert_poisson_counts(nonempty["clusters"], area * -math.expm1(-mu))
-        _assert_poisson_counts(active["clusters"] + silent["clusters"], area)
 
     def test_remote_center_radii_are_uniform_in_disk(self, table1_cfg,
                                                      kernel_calls):
@@ -173,11 +169,10 @@ class TestMemberKernel:
 
     def test_remote_active_counts_are_thinned(self, table1_cfg, kernel_calls):
         # A drawn cluster holds a zero-truncated Poisson(p n_bar) number of
-        # active members; a single-link cluster exactly one (active=None).
+        # active members.
         cfg = table1_cfg
         _remote(_philox(3), cfg, 4000, default_region_radius(cfg), False)
-        _remote(_philox(3), cfg, 4000, default_region_radius(cfg), True)
-        thinned, *single = kernel_calls
+        (thinned,) = kernel_calls
         active = thinned["active"]
         mu = cfg.access_p * cfg.n_bar
         nonzero = -math.expm1(-mu)
@@ -187,7 +182,6 @@ class TestMemberKernel:
         kappa4 = e4 - 4 * e3 * e1 - 3 * e2**2 + 12 * e2 * e1**2 - 6 * e1**4
         assert active.min() >= 1
         _assert_moments(active, e1, e2 - e1**2, kappa4)
-        assert all(call["active"] is None for call in single)
 
     def test_remote_total_active_count_matches_untruncated_field(
             self, table1_cfg, kernel_calls):
@@ -331,6 +325,79 @@ class TestMemberKernel:
         assert laplace_inter(s_sir, cfg) == pytest.approx(mc, rel=0.01)
 
 
+class TestSingleLinkField:
+    """One always-active transmitter per cluster: by the displacement
+    theorem a Poisson process of the cell's intensity on its annulus,
+    drawn once for every sigma."""
+
+    ANNULUS, LAYER = (200.0, 631.0), (1e-5, 2e-5)
+
+    def _cell(self, rng, cfg, n, sigmas):
+        return _remote_interference(
+            rng, n, cfg.alpha, cfg.access_p * cfg.n_bar, self.ANNULUS,
+            self.LAYER, [(sigma, 1) for sigma in sigmas],
+            work=montecarlo._Workspace())
+
+    def test_counts_are_poisson(self, table1_cfg, kernel_calls):
+        # Per trial, Poisson(layer width * pi (outer**2 - inner**2)); no
+        # cluster reaches the member kernel.
+        rng = _RecordingRng(21)
+        self._cell(rng, table1_cfg, 20000, [table1_cfg.sigma])
+        (counts,) = rng.draws["poisson"]
+        (inner, outer), (low, high) = self.ANNULUS, self.LAYER
+        _assert_poisson_counts(counts, (high - low) * math.pi * (outer**2 - inner**2))
+        assert kernel_calls == []
+
+    def test_squared_radii_are_uniform_on_the_annulus(self, table1_cfg):
+        # The field sums fade * d**-alpha (d in metres at sigma = 1) over the
+        # drawn transmitters, whose squared distances are uniform on
+        # [inner**2, outer**2].
+        cfg = table1_cfg
+        n = 4000
+        rng = _RecordingRng(22)
+        (field,) = self._cell(rng, cfg, n, [1.0])
+        (counts,), (u,), (fade,) = (rng.draws["poisson"], rng.draws["random"],
+                                    rng.draws["standard_exponential"])
+        inner, outer = self.ANNULUS
+        d2 = inner**2 + (outer**2 - inner**2) * u
+        assert stats.kstest(d2, "uniform",
+                            args=(inner**2, outer**2 - inner**2)).pvalue > 0.01
+        owner = np.repeat(np.arange(n), counts)
+        np.testing.assert_allclose(field, np.bincount(
+            owner, weights=fade * d2 ** (-cfg.alpha / 2), minlength=n), rtol=1e-12)
+
+    def test_rows_are_sigma_alpha_multiples_of_one_sum(self, table1_cfg):
+        # Nothing of the draw depends on sigma: row (sigma, 1) is sigma**alpha
+        # times the sum in metres.
+        cfg = table1_cfg
+        sigmas = (10.0, 30.0)
+        rows = self._cell(_philox(23), cfg, 2000, sigmas)
+        (metres,) = self._cell(_philox(23), cfg, 2000, [1.0])
+        assert np.count_nonzero(metres) > 0
+        for sigma, row in zip(sigmas, rows):
+            np.testing.assert_allclose(row, sigma**cfg.alpha * metres, rtol=1e-12)
+
+    def test_laplace_functional_matches_analytic(self, table1_cfg):
+        # E[exp(-s I)] of the field on its disk of radius R, with I the sum of
+        # fade * d**-alpha, against the Poisson process's Laplace functional
+        # exp(-2 pi lambda_p int_0^R v s v**-alpha / (1 + s v**-alpha) dv),
+        # exact on the disk; s = theta (2 sigma)**alpha and the bound as in
+        # test_remote_laplace_functional_matches_analytic.
+        cfg = table1_cfg
+        s_sir = cfg.theta * (2 * cfg.sigma) ** cfg.alpha
+        radius = default_region_radius(cfg)
+        rng = _philox(24)
+        total = 0.0
+        batches = 40
+        for _ in range(batches):
+            unit = _remote(rng, cfg, 10_000, radius, True) / cfg.sigma**cfg.alpha
+            total += np.exp(-s_sir * unit).sum()
+        mc = total / (batches * 10_000)
+        integral, _ = quad(lambda v: v * s_sir / (v**cfg.alpha + s_sir), 0.0, radius)
+        analytic = math.exp(-2 * math.pi * cfg.lambda_p * integral)
+        assert analytic == pytest.approx(mc, rel=0.01)
+
+
 def _scipy_poisson_cdf(mu, first):
     """The count table as built from scipy.special.pdtrc (the upper tail)."""
     at_least = special.pdtrc(first - 1, mu) if first else 1.0
@@ -397,12 +464,12 @@ class TestDeterminism:
                 else round(r.mean * trials) for r in results]
 
     def test_fixed_seed_reproduces_recorded_counts(self, table1_cfg):
-        # Covered-trial counts recorded when every cluster center moved onto
-        # the +x axis and one member kernel call took the representative
-        # cluster. Three batches, the last one partial.
+        # Covered-trial counts recorded when each cell's single-link field
+        # became one Poisson process of transmitters. Three batches, the
+        # last one partial.
         results = simulate(self._mixed_requests(table1_cfg), 25_000, 3)
         assert self._covered(results, 25_000) == [
-            19161, 18298, 17052, 15559, 23198, 21625, (20004, 19161), (23240, 22143)]
+            19185, 18323, 17108, 15633, 23172, 21563, (20010, 19185), (23271, 22172)]
 
     def test_calls_share_no_workspace_state(self, table1_cfg):
         # A simulation's scratch memory lives for that call only: a call
@@ -647,33 +714,50 @@ class TestFamily:
 
 
 class TestSharedDraw:
-    def test_single_link_shares_active_clusters(self, table1_cfg, kernel_calls):
-        # A single-link request in a cell an ALOHA request takes: the cell
-        # draws its active clusters once, Poisson(lambda_p pi R^2
-        # (1 - exp(-mu))) with zero-truncated Poisson(mu) members for the
-        # ALOHA field, and its silent clusters for the single link. Active
-        # plus silent clusters are Poisson(lambda_p pi R^2) per trial, with
-        # squared radii uniform on the disk.
+    def test_single_link_adds_no_members_to_shared_cells(self, table1_cfg,
+                                                         kernel_calls):
+        # A single-link request in a cell an ALOHA request takes: the member
+        # kernel gets the cell's active clusters for the ALOHA row alone,
+        # Poisson(lambda_p pi R^2 (1 - exp(-mu))) per trial with squared
+        # radii uniform on the disk and zero-truncated Poisson(mu) members.
         cfg = table1_cfg
         radius = default_region_radius(cfg)
         area = cfg.lambda_p * math.pi * radius**2
         mu = cfg.access_p * cfg.n_bar
         n = 10_000  # one batch
         simulate([ProbRateExceeds(cfg, 0.1), SingleLinkCoverage(cfg)], n, seed=13)
-        active, silent = [call for call in kernel_calls
-                          if not _is_local(call["rows"])]
-        assert active["rows"] == [(cfg.sigma, None), (cfg.sigma, 1)]
-        assert silent["active"] is None and silent["rows"] == [(cfg.sigma, 1)]
-        _assert_poisson_counts(active["clusters"] + silent["clusters"], area)
-        centers = np.concatenate([active["cx"], silent["cx"]])
-        assert centers.max() <= radius
-        assert stats.kstest((centers / radius) ** 2, "uniform").pvalue > 0.01
+        (active,) = [call for call in kernel_calls if not _is_local(call["rows"])]
+        assert active["rows"] == [(cfg.sigma, None)]
         _assert_poisson_counts(active["clusters"], area * -math.expm1(-mu))
+        assert active["cx"].max() <= radius
+        assert stats.kstest((active["cx"] / radius) ** 2, "uniform").pvalue > 0.01
         nonzero = -math.expm1(-mu)
         e1, e2, e3, e4 = (m / nonzero for m in _poisson_raw_moments(mu))
         kappa4 = e4 - 4 * e3 * e1 - 3 * e2**2 + 12 * e2 * e1**2 - 6 * e1**4
         assert active["active"].min() >= 1
         _assert_moments(active["active"], e1, e2 - e1**2, kappa4)
+
+    def test_member_work_is_bounded(self, table1_cfg, kernel_calls):
+        # Members the kernel draws at 1e4 trials and seed 1. Single-link
+        # requests alone give it none (375,157 when each cluster's
+        # transmitter was a displaced member); the validate request list (six
+        # P(R1 > R0), six single links, one conditional pair) at most
+        # 200,000 (407,671 then, 130,418 with the single link drawn apart).
+        cfg = table1_cfg
+        links = [SingleLinkCoverage(replace(cfg, sigma=sigma, lambda_p=lam))
+                 for sigma in (10.0, 20.0, 30.0) for lam in (10e-6, 20e-6)]
+        rates = [ProbRateExceeds(replace(cfg, sigma=sigma, theta=theta), 0.1)
+                 for sigma in (10.0, 20.0, 30.0) for theta in (1.0, 10**0.3)]
+
+        def members():
+            drawn = sum(int(call["active"].sum()) for call in kernel_calls)
+            kernel_calls.clear()
+            return drawn
+
+        simulate(links, 10_000, 1)
+        assert members() == 0
+        simulate(rates + links + [ConditionalCoverage(cfg, 5)], 10_000, 1)
+        assert 0 < members() <= 200_000
 
     def test_first_rows_sum_each_clusters_first_member(self, table1_cfg):
         # A row capped at 1 sums, per trial, the first member of each
@@ -688,7 +772,8 @@ class TestSharedDraw:
         active = src.integers(1, 4, owner.size)
         rng = _RecordingRng(15)
         every, first = _member_interference(
-            rng, cfg.alpha, clusters, cx, active, [(cfg.sigma, None), (cfg.sigma, 1)],
+            rng, cfg.alpha, clusters, cx, active,
+            [(cfg.sigma, None), (cfg.sigma, np.ones_like(active))],
             work=montecarlo._Workspace())
         contribution = _contributions(rng, cx, active, cfg.sigma, cfg.alpha)
         member_owner = np.repeat(owner, active)
