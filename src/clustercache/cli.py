@@ -443,7 +443,26 @@ def _timed(fn, *args):
     return value, time.perf_counter() - started
 
 
-def _validate_rows(scenario: Scenario) -> list:
+def _validate_points(scenario: Scenario) -> list:
+    """The simulated (quantity, request, analytic function) rows of the
+    validate table; building them checks that the network carries R0/W1."""
+    cfg, r0 = scenario.cfg, scenario.r0_over_w1
+    return [
+        (f"prob_rate_exceeds sigma={sigma:g} theta_db={theta_db:g}",
+         montecarlo.ProbRateExceeds(
+             replace(cfg, sigma=sigma, theta=_db_to_linear(theta_db)), r0),
+         lambda point: stochgeo.prob_rate_exceeds(point, r0))
+        for sigma in (10.0, 20.0, 30.0) for theta_db in (0.0, 3.0)
+    ] + [
+        (f"single_link sigma={sigma:g} lambda_p_per_km2={lam_km2:g}",
+         montecarlo.SingleLinkCoverage(
+             replace(cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)),
+         stochgeo.d2d_coverage_single_link)
+        for sigma in (10.0, 20.0, 30.0) for lam_km2 in (10.0, 20.0)
+    ]
+
+
+def _validate_rows(scenario: Scenario, points: list) -> list:
     """Analytic-vs-Monte-Carlo validation table on the scenario parameters.
 
     One simulation, on one network draw and one seed, serves every
@@ -482,20 +501,6 @@ def _validate_rows(scenario: Scenario) -> list:
             },
         })
 
-    r0 = scenario.r0_over_w1
-    points = [
-        (f"prob_rate_exceeds sigma={sigma:g} theta_db={theta_db:g}",
-         montecarlo.ProbRateExceeds(
-             replace(cfg, sigma=sigma, theta=_db_to_linear(theta_db)), r0),
-         lambda point: stochgeo.prob_rate_exceeds(point, r0))
-        for sigma in (10.0, 20.0, 30.0) for theta_db in (0.0, 3.0)
-    ] + [
-        (f"single_link sigma={sigma:g} lambda_p_per_km2={lam_km2:g}",
-         montecarlo.SingleLinkCoverage(
-             replace(cfg, sigma=sigma, lambda_p=lam_km2 * 1e-6)),
-         stochgeo.d2d_coverage_single_link)
-        for sigma in (10.0, 20.0, 30.0) for lam_km2 in (10.0, 20.0)
-    ]
     conditional = montecarlo.ConditionalCoverage(cfg, 5)
     estimates, mc_s = _timed(
         montecarlo.simulate, [request for _, request, _ in points] + [conditional],
@@ -567,6 +572,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
     """Execute all tasks of a scenario; returns the process exit code."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    # Before any task runs and any file is written (InfeasibleAccessProbability).
+    points = _validate_points(scenario) if "validate" in scenario.tasks else None
     out = Path(scenario.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -586,7 +593,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
     for task in scenario.tasks:
         started = time.perf_counter()
         if task == "validate":
-            rows = _validate_rows(scenario)
+            rows = _validate_rows(scenario, points)
             timings = [time.perf_counter() - started]
             if any(not r["pass"] for r in rows):
                 exit_code = max(exit_code, 4)

@@ -27,23 +27,29 @@ Construction per trial (typical receiver at the origin):
   P(R1 > R0) draws that local count, the conditional coverage both
   Binomial(k-1, p) and Poisson(p*k), and the single link none;
 * only remote clusters with at least one active member are drawn: by the
-  marking theorem they form a Poisson process of intensity
-  lambda_p*(1 - exp(-mu)), each holding a zero-truncated Poisson(mu)
-  number of active members, which gives the ALOHA field its exact law;
+  marking theorem those with exactly m active members form independent
+  Poisson processes of intensity lambda_p P(N = m), N ~ Poisson(mu),
+  which gives the ALOHA field its exact law. Their counts are one
+  vector Poisson draw over the zero-truncated Poisson(mu) table, cut
+  where its tail mass drops below 1e-17;
 * the single-link model gives every cluster one always-active member, a
   Gaussian displacement of a Poisson process of intensity lambda_p. By
   the displacement theorem that is again a Poisson process of intensity
   lambda_p, which is how the closed form treats it, so no cluster is
-  drawn: a transmitter count per trial, a uniform-area squared distance
-  and a fade each. Truncated to the request's disk, it differs from the
-  displaced members of the clusters centered in that disk only within a
-  few sigma of the edge, where both truncate the same infinite field;
-* counts other than the cluster counts come from one uniform each,
-  inverted through a CDF table cut where its tail mass drops below
-  1e-17. The local counts of all requests invert the same uniform and
-  share their members (each sums a prefix of the members of the
-  largest), so the exact and approximate conditional coverage differ
-  only where their laws do;
+  drawn: a transmitter count, a trial label, a uniform-area squared
+  distance and a fade each. Truncated to the request's disk, it differs
+  from the displaced members of the clusters centered in that disk only
+  within a few sigma of the edge, where both truncate the same infinite
+  field;
+* every remote Poisson field of a cell is drawn once per batch of n
+  trials: a Poisson total of n times its mean per trial and a uniform
+  trial label per point; by the colouring theorem each trial's points
+  form independent Poisson fields of the trial's intensity;
+* the local counts come from one uniform per trial, inverted through a
+  CDF table cut at the same 1e-17. The local counts of all requests
+  invert the same uniform and share their members (each sums a prefix
+  of the members of the largest), so the exact and approximate
+  conditional coverage differ only where their laws do;
 * every cluster center lies on the +x axis: the representative one at
   |x0| (the serving device at |x0| + y0, its members at |x0| + z), each
   remote one at a uniform-area radius. The interference and the
@@ -56,9 +62,10 @@ Construction per trial (typical receiver at the origin):
   is taken. One member kernel computes every cluster interference row
   (sigma, cap): per trial, the sum over the first cap members of each
   cluster, all of them when cap is None (the remote ALOHA field), a
-  per-cluster count for the local counts. Members are stored in trial
-  order and each row, like the single-link sum, is one
-  ``np.add.reduceat``.
+  per-cluster count for the local counts, where a member counts when
+  its rank in its cluster is below the cap. The representative cluster
+  of trial t carries label t. Each row, like the single-link sum, is
+  one ``np.bincount`` over the trial labels.
 
 One simulation serves a list of *requests* (``ProbRateExceeds``,
 ``SingleLinkCoverage``, ``ConditionalCoverage``) that share alpha,
@@ -89,12 +96,13 @@ lambda_p:
 * cells are drawn and scored one at a time and then freed, so a
   simulation holds one cell's members at a time plus one batch-length
   field per distinct (kind, sigma, radius, lambda_p);
-* the member kernel and the single-link draw keep their draws and
-  per-member scratch arrays in one workspace per simulation
+* the member kernel and the single-link draw keep their float draws
+  and per-member scratch arrays in one workspace per simulation
   (``_Workspace``): a buffer grown by at least a factor 1.25 whenever a
   call needs more, and freed when the simulation returns. The draws and
   their order are those of fresh arrays, so the estimates are too; the
-  buffer spares each call the page faults of fresh memory.
+  buffer spares each call the page faults of fresh memory. Integer
+  arrays (trial labels, member ranks) are fresh in each call.
 
 Trials are processed in fixed-size batches; each batch draws its own
 SFC64 generator, spawned from ``SeedSequence(seed)``, so estimates are
@@ -302,26 +310,6 @@ def _binomial_cdf(n: int, p: float) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _bounds(counts: np.ndarray) -> np.ndarray:
-    """Offsets 0, c0, c0 + c1, ... of items stored in the order of
-    ``counts``: item group i is [bounds[i], bounds[i + 1])."""
-    bounds = np.zeros(counts.size + 1, dtype=np.intp)
-    np.cumsum(counts, out=bounds[1:])
-    return bounds
-
-
-def _trial_sums(values: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> None:
-    """``out[t]`` = sum of values[bounds[t]:bounds[t + 1]].
-
-    ``values`` ends in a zero past bounds[-1], so every start is an index
-    for ``np.add.reduceat``; it returns the item at the start of an empty
-    group, which is set to 0 here.
-    """
-    starts = bounds[:-1]
-    np.add.reduceat(values, starts, out=out)
-    out[starts == bounds[1:]] = 0.0
-
-
 class _Workspace:
     """The scratch memory of one simulation, which every member-kernel call
     in it reuses. It grows by at least a factor ``_GROWTH`` when a call
@@ -340,43 +328,34 @@ class _Workspace:
         return self._buffer[:size]
 
 
-def _member_interference(rng, alpha: float, clusters: np.ndarray,
+def _member_interference(rng, alpha: float, n: int, label: np.ndarray,
                          cx: np.ndarray, active: np.ndarray, rows,
                          *, work: _Workspace) -> np.ndarray:
-    """Interference of cluster members per trial, one row per (scale, cap)
-    in ``rows``.
+    """Interference of cluster members in each of ``n`` trials, one row per
+    (scale, cap) in ``rows``.
 
-    Trial t holds ``clusters[t]`` clusters, stored in trial order:
-    cluster j has its center at ``cx[j]`` on the +x axis and ``active[j]``
-    members. Each member lies s times a standard normal vector from its
-    center and fades independently with unit mean. Row (s, cap) sums fade
-    * (d/s)**-alpha, s**alpha times the unit-power interference, over the
-    first ``cap`` members of each cluster: all of them when cap is None
-    (the remote ALOHA field), else cap is a per-cluster int array (the
-    local counts). Every row shares the offsets and fades, drawn into
-    ``work`` with the sums' scratch arrays.
+    Cluster j belongs to trial ``label[j]``, has its center at ``cx[j]``
+    on the +x axis and ``active[j]`` members. Each member lies s times a
+    standard normal vector from its center and fades independently with
+    unit mean. Row (s, cap) sums fade * (d/s)**-alpha, s**alpha times the
+    unit-power interference, over the first ``cap`` members of each
+    cluster: all of them when cap is None (the remote ALOHA field), else
+    cap is a per-cluster int array (the local counts). Every row shares
+    the offsets and fades, drawn into ``work`` with the masked weights.
     """
-    trials, starts = _bounds(clusters), _bounds(active)
-    members, ranks = starts[trials], {}
-    for _, cap in rows:
-        if cap is not None and id(cap) not in ranks:
-            # Per rank r below the cap, each cluster's member of rank r or
-            # the zero past all members; rows of one cap object share them.
-            kept = np.append(np.minimum(active, cap), 0)
-            ranks[id(cap)] = [np.where(kept > r, starts + r, starts[-1])
-                              for r in range(max(kept.max(), 1))]
-    cx = np.repeat(cx, active)
-    size = cx.size
-    buffer = work.take(4 * size + 2 + clusters.sum())
+    owner = np.repeat(label, active)
+    size = owner.size
+    if any(cap is not None for _, cap in rows):
+        rank = np.arange(size) - np.repeat(np.cumsum(active) - active, active)
+    buffer = work.take(5 * size)
     z = rng.standard_normal(out=buffer[:2 * size].reshape(2, size))
     fade = rng.standard_exponential(out=buffer[2 * size:3 * size])
     # In place: allocating fresh arrays of a batch's size costs about a
-    # third of the kernel. The zero past the members ends every sum;
-    # ``picked`` holds a capped row's sum per cluster.
-    values, picked = buffer[3 * size:4 * size + 1], buffer[4 * size + 1:]
-    values[size] = 0.0
-    d2, y2 = values[:size], np.square(z[1], out=z[1])
-    out = np.empty((len(rows), clusters.size))
+    # third of the kernel.
+    d2, masked = buffer[3 * size:4 * size], buffer[4 * size:]
+    y2 = np.square(z[1], out=z[1])
+    cx = np.repeat(cx, active)
+    out = np.empty((len(rows), n))
     for scale in sorted({scale for scale, _ in rows}):
         np.divide(cx, scale, out=d2)
         d2 += z[0]
@@ -385,32 +364,33 @@ def _member_interference(rng, alpha: float, clusters: np.ndarray,
         np.power(d2, -0.5 * alpha, out=d2)
         d2 *= fade
         for row, (s, cap) in zip(out, rows):
-            if s == scale and cap is None:
-                _trial_sums(values, members, row)
-            elif s == scale:
-                first, *more = ranks[id(cap)]
-                sums = np.take(values, first, out=picked)
-                for index in more:
-                    sums += values[index]
-                _trial_sums(sums, trials, row)
+            if s == scale:
+                weights = d2 if cap is None else np.multiply(
+                    d2, rank < np.repeat(cap, active), out=masked)
+                row[:] = np.bincount(owner, weights, minlength=n)
     return out
 
 
-def _disk_radii(rng, inner: float, outer: float, size: int) -> np.ndarray:
-    """Uniform-area radii between ``inner`` and ``outer``."""
-    return np.sqrt(inner**2 + (outer**2 - inner**2) * rng.random(size))
+def _active_law(mu: float) -> np.ndarray:
+    """P(N = m) for m = 1, 2, ... of N ~ Poisson(mu): the zero-truncated
+    table's probabilities times P(N > 0), cut where it is."""
+    return -math.expm1(-mu) * np.diff(_poisson_cdf(mu, 1), prepend=0.0)
 
 
-def _remote_interference(rng, n: int, alpha: float, mu: float, annulus: tuple,
-                         layer: tuple, rows, *, work: _Workspace) -> np.ndarray:
-    """Interference from the remote transmitters of one cell, per trial, one
-    row per (sigma, cap) in ``rows``, in units of its sigma: cap None is
-    an ALOHA field, cap 1 a single link (one transmitter per cluster).
+def _remote_interference(rng, n: int, alpha: float, active_law: np.ndarray,
+                         annulus: tuple, layer: tuple, rows,
+                         *, work: _Workspace) -> np.ndarray:
+    """Interference from the remote transmitters of one cell in each of
+    ``n`` trials, one row per (sigma, cap) in ``rows``, in units of its
+    sigma: cap None is an ALOHA field, cap 1 a single link (one
+    transmitter per cluster).
 
     The cell holds the clusters with centers in the ``annulus`` (inner,
     outer) radii and density in the ``layer`` (low, high) of lambda_p.
-    Its active clusters, centered on the +x axis (module docstring), are
-    drawn only for the ALOHA rows, once for all of them. The single-link
+    Each of its fields is drawn once for the batch, as a total and trial
+    labels (module docstring). Its active clusters, centered on the +x
+    axis, with m members at the rate of ``active_law[m - 1]``, are drawn
+    only for the ALOHA rows, once for all of them. The single-link
     transmitters are, by the displacement theorem, a Poisson process of
     the layer's intensity on the annulus, drawn once whatever sigma:
     row (sigma, 1) is sigma**alpha times its sum.
@@ -420,26 +400,24 @@ def _remote_interference(rng, n: int, alpha: float, mu: float, annulus: tuple,
     out = np.empty((len(rows), n))
     aloha = [i for i, (_, cap) in enumerate(rows) if cap is None]
     if aloha:
-        clusters = rng.poisson(rate * -math.expm1(-mu), n)
-        cx = _disk_radii(rng, inner, outer, int(clusters.sum()))
-        u = rng.random(cx.size)
-        active = 1 + np.searchsorted(_poisson_cdf(mu, 1), u, side="right")
-        out[aloha] = _member_interference(rng, alpha, clusters, cx, active,
+        counts = rng.poisson(n * rate * active_law)
+        active = np.repeat(np.arange(1, counts.size + 1), counts)
+        cx = np.sqrt(inner**2 + (outer**2 - inner**2) * rng.random(active.size))
+        label = rng.integers(0, n, active.size)
+        out[aloha] = _member_interference(rng, alpha, n, label, cx, active,
                                           [rows[i] for i in aloha], work=work)
     links = [i for i, (_, cap) in enumerate(rows) if cap == 1]
     if links:
         # Squared distances uniform in area on the annulus, in m**2.
-        counts = rng.poisson(rate, n)
-        size = int(counts.sum())
-        buffer = work.take(2 * size + 1)
+        size = int(rng.poisson(n * rate))
+        label = rng.integers(0, n, size)
+        buffer = work.take(2 * size)
         d2 = rng.random(out=buffer[:size])
         d2 *= outer**2 - inner**2
         d2 += inner**2
         np.power(d2, -0.5 * alpha, out=d2)
-        d2 *= rng.standard_exponential(out=buffer[size:2 * size])
-        buffer[size] = 0.0  # ends the last sum
-        field = np.empty(n)
-        _trial_sums(buffer[:size + 1], _bounds(counts), field)
+        d2 *= rng.standard_exponential(out=buffer[size:])
+        field = np.bincount(label, d2, minlength=n)
         for i in links:
             np.multiply(field, rows[i][0] ** alpha, out=out[i])
     return out
@@ -497,7 +475,7 @@ def _sir_hits(requests: tuple, trials: int, seed: int) -> list:
     docstring), drawn and scored one cell at a time.
     """
     cfg0 = requests[0].cfg
-    alpha, mu = cfg0.alpha, cfg0.access_p * cfg0.n_bar
+    alpha, active_law = cfg0.alpha, _active_law(cfg0.access_p * cfg0.n_bar)
     # A request's remote field depends on its kind and (sigma, radius,
     # lambda_p) only.
     keys = [(r.single_link, r.cfg.sigma, default_region_radius(r.cfg),
@@ -523,12 +501,13 @@ def _sir_hits(requests: tuple, trials: int, seed: int) -> list:
         serve_d2 = (center + y0[:, 0]) ** 2 + y0[:, 1] ** 2
         counts = _local_counts(rng, cdfs, n)
         local = _member_interference(
-            rng, alpha, np.ones(n, dtype=np.intp), center, counts.max(axis=0),
+            rng, alpha, n, np.arange(n), center, counts.max(axis=0),
             [(1.0, count) for count in counts], work=work)
         remote = np.zeros((len(fields), n))
         for annulus, layer, rows, users, picks in cells:
-            remote[users] += _remote_interference(rng, n, alpha, mu, annulus,
-                                                  layer, rows, work=work)[picks]
+            remote[users] += _remote_interference(rng, n, alpha, active_law,
+                                                  annulus, layer, rows,
+                                                  work=work)[picks]
         signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * alpha)
         for request_hits, request, f, rows in zip(hits, requests, field_of,
                                                   table_of):

@@ -661,7 +661,8 @@ class TestRunScenario:
             return engine(requests, *args)
 
         monkeypatch.setattr(montecarlo, "_sir_hits", spy)
-        rows = cli._validate_rows(replace(default_table1(), mc_trials=2000))
+        scenario = replace(default_table1(), mc_trials=2000)
+        rows = cli._validate_rows(scenario, cli._validate_points(scenario))
         (requests,) = calls
         assert len(requests) == 13 and len(rows) == 15
 
@@ -747,6 +748,23 @@ class TestMainEntryPoint:
         assert err.startswith("configuration error: at theta = 1:")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_infeasible_validate_fails_before_any_task(self, tmp_path, capsys):
+        # The validate table's requests are built before the first task
+        # runs, so an offload task listed first writes no CSV and the run
+        # leaves no file at all.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["network"]["access_p"] = 0.1
+        mapping["offload"]["r0_over_w1"] = 0.12
+        mapping["tasks"] = ["offload", "validate"]
+        path = tmp_path / "infeasible.yaml"
+        path.write_text(yaml.dump(mapping, Dumper=cli._yaml()[2]))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out),
+                     "--mc-trials", "200"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: at theta = 1:")
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
@@ -797,7 +815,8 @@ class TestMainEntryPoint:
             "mc_hw95": 0.0, "pass": False, "error": "",
             "signed_diff": 1.0, "z_score": "",
         }
-        monkeypatch.setattr(cli, "_validate_rows", lambda scenario: [failing_row])
+        monkeypatch.setattr(cli, "_validate_rows",
+                            lambda scenario, points: [failing_row])
         assert main(["validate", "--out", str(tmp_path)]) == 4
 
     def test_cli_import_leaves_out_scipy_integrate(self):
@@ -837,7 +856,7 @@ class TestMainEntryPoint:
     def test_run_imports_nothing_after_setup(self, tmp_path):
         # Every module a run needs is imported with the CLI, so the import
         # cost is paid in set-up and never inside run_scenario (numpy
-        # loads numpy.random and numpy.polynomial lazily). Blocking scipy
+        # loads numpy.random lazily). Blocking scipy
         # makes any import of it, with the CLI or during the all-task
         # run, raise: a run needs no scipy.
         code = f"""

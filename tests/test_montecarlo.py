@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from clustercache import montecarlo
 from clustercache.errors import ConfigError, InfeasibleAccessProbability
 from clustercache.montecarlo import (
+    _active_law,
     _binomial_cdf,
     _local_counts,
     _member_interference,
@@ -83,14 +84,19 @@ def kernel_calls(monkeypatch):
     calls = []
     real = montecarlo._member_interference
 
-    def spy(rng, alpha, clusters, cx, active, rows, *, work):
-        out = real(rng, alpha, clusters, cx, active, rows, work=work)
-        calls.append(dict(clusters=clusters, cx=cx, active=active, rows=rows,
+    def spy(rng, alpha, n, label, cx, active, rows, *, work):
+        out = real(rng, alpha, n, label, cx, active, rows, work=work)
+        calls.append(dict(n=n, label=label, cx=cx, active=active, rows=rows,
                           out=out))
         return out
 
     monkeypatch.setattr(montecarlo, "_member_interference", spy)
     return calls
+
+
+def _per_trial(call):
+    """Clusters per trial of one kernel call, from their trial labels."""
+    return np.bincount(call["label"], minlength=call["n"])
 
 
 def _is_local(rows):
@@ -103,7 +109,7 @@ def _remote(rng, cfg, n, radius, single_link):
     """One point's remote field in units of its sigma: a single cell, its
     whole disk at its whole density."""
     (field,) = _remote_interference(
-        rng, n, cfg.alpha, cfg.access_p * cfg.n_bar, (0.0, radius),
+        rng, n, cfg.alpha, _active_law(cfg.access_p * cfg.n_bar), (0.0, radius),
         (0.0, cfg.lambda_p), [(cfg.sigma, 1 if single_link else None)],
         work=montecarlo._Workspace())
     return field
@@ -136,6 +142,34 @@ def _assert_poisson_counts(counts, mean):
     _assert_moments(counts, mean, mean, mean)
 
 
+def _assert_chi2_fit(samples, probs):
+    """Pearson's chi-square test of the integer ``samples`` against the law
+    P(X = j) = probs[j], neighbouring values pooled until each bin
+    expects at least 5 samples; the p-value must exceed 0.001."""
+    expected = samples.size * np.asarray(probs)
+    observed = np.bincount(samples, minlength=expected.size)
+    assert observed.size == expected.size  # no sample outside the law
+    edges, mass = [0], 0.0
+    for j, e in enumerate(expected):
+        mass += e
+        if mass >= 5:
+            edges.append(j + 1)
+            mass = 0.0
+    edges[-1] = expected.size  # the remainder joins the last bin
+    assert stats.chisquare(np.add.reduceat(observed, edges[:-1]),
+                           np.add.reduceat(expected, edges[:-1])).pvalue > 0.001
+
+
+def _poisson_law(mean, first=0):
+    """P(X = j), j = 0..mean + 20 sqrt(mean) + 20, of Poisson(mean)
+    conditioned on X >= ``first``; the last entry holds the tail."""
+    top = int(mean + 20 * math.sqrt(mean) + 20)
+    probs = stats.poisson.pmf(np.arange(top + 1), mean)
+    probs[-1] += stats.poisson.sf(top, mean)
+    probs[:first] = 0.0
+    return probs / probs.sum()
+
+
 def _poisson_raw_moments(mu):
     # E[N^j], j = 1..4, of N ~ Poisson(mu).
     return (mu, mu + mu**2, mu**3 + 3 * mu**2 + mu,
@@ -146,14 +180,17 @@ class TestMemberKernel:
     def test_remote_cluster_counts_are_poisson(self, table1_cfg, kernel_calls):
         # Only clusters with an active member are drawn: by the thinning
         # theorem they form a Poisson process of intensity
-        # lambda_p (1 - exp(-p n_bar)).
+        # lambda_p (1 - exp(-p n_bar)). Drawn for the whole batch and
+        # labelled with uniform trials, each trial's count is Poisson.
         cfg = table1_cfg
         radius = default_region_radius(cfg)
         area = cfg.lambda_p * math.pi * radius**2
         mu = cfg.access_p * cfg.n_bar
         _remote(_philox(1), cfg, 20000, radius, False)
         (nonempty,) = kernel_calls
-        _assert_poisson_counts(nonempty["clusters"], area * -math.expm1(-mu))
+        counts = _per_trial(nonempty)
+        _assert_poisson_counts(counts, area * -math.expm1(-mu))
+        _assert_chi2_fit(counts, _poisson_law(area * -math.expm1(-mu)))
 
     def test_remote_center_radii_are_uniform_in_disk(self, table1_cfg,
                                                      kernel_calls):
@@ -182,6 +219,7 @@ class TestMemberKernel:
         kappa4 = e4 - 4 * e3 * e1 - 3 * e2**2 + 12 * e2 * e1**2 - 6 * e1**4
         assert active.min() >= 1
         _assert_moments(active, e1, e2 - e1**2, kappa4)
+        _assert_chi2_fit(active, _poisson_law(mu, first=1))
 
     def test_remote_total_active_count_matches_untruncated_field(
             self, table1_cfg, kernel_calls):
@@ -194,8 +232,7 @@ class TestMemberKernel:
         n = 20000
         _remote(_philox(9), cfg, n, radius, False)
         (call,) = kernel_calls
-        owner = np.repeat(np.arange(n), call["clusters"])
-        total = np.bincount(owner, weights=call["active"], minlength=n)
+        total = np.bincount(call["label"], weights=call["active"], minlength=n)
         m1, m2, _, m4 = _poisson_raw_moments(cfg.access_p * cfg.n_bar)
         _assert_moments(total, area * m1, area * m2, area * m4)
 
@@ -217,8 +254,8 @@ class TestMemberKernel:
                               axis=1)
         assert np.array_equal(np.concatenate([c["active"] for c in calls]),
                               caps.max(axis=0))
-        assert np.array_equal(np.concatenate([c["clusters"] for c in calls]),
-                              np.ones(n))
+        assert all(np.array_equal(c["label"], np.arange(c["n"])) for c in calls)
+        assert sum(c["n"] for c in calls) == n
         centers = np.concatenate([call["cx"] for call in calls])
         assert centers.min() >= 0.0
         assert stats.kstest(centers**2, "expon", args=(0, 2)).pvalue > 0.01
@@ -258,7 +295,7 @@ class TestMemberKernel:
         counts = src.integers(0, 4, (2, n))
         high = counts.max(axis=0)
         rng = _RecordingRng(12)
-        fields = _member_interference(rng, cfg.alpha, np.ones(n, dtype=np.intp),
+        fields = _member_interference(rng, cfg.alpha, n, np.arange(n),
                                       centers, high, [(1.0, c) for c in counts],
                                       work=montecarlo._Workspace())
         assert rng.draws["standard_normal"][0].shape == (2, high.sum())
@@ -288,7 +325,7 @@ class TestMemberKernel:
         cx = src.uniform(0.0, 300.0, owner.size)
         active = src.integers(0, 4, owner.size)
         rng = _RecordingRng(7)
-        (got,) = _member_interference(rng, cfg.alpha, clusters, cx, active,
+        (got,) = _member_interference(rng, cfg.alpha, n, owner, cx, active,
                                       [(cfg.sigma, None)],
                                       work=montecarlo._Workspace())
         (normals,), (fade,) = (rng.draws["standard_normal"],
@@ -334,18 +371,24 @@ class TestSingleLinkField:
 
     def _cell(self, rng, cfg, n, sigmas):
         return _remote_interference(
-            rng, n, cfg.alpha, cfg.access_p * cfg.n_bar, self.ANNULUS,
-            self.LAYER, [(sigma, 1) for sigma in sigmas],
+            rng, n, cfg.alpha, _active_law(cfg.access_p * cfg.n_bar),
+            self.ANNULUS, self.LAYER, [(sigma, 1) for sigma in sigmas],
             work=montecarlo._Workspace())
 
     def test_counts_are_poisson(self, table1_cfg, kernel_calls):
-        # Per trial, Poisson(layer width * pi (outer**2 - inner**2)); no
-        # cluster reaches the member kernel.
+        # Per trial, Poisson(layer width * pi (outer**2 - inner**2)): one
+        # Poisson total for the batch, each transmitter in a uniform
+        # trial. No cluster reaches the member kernel.
         rng = _RecordingRng(21)
-        self._cell(rng, table1_cfg, 20000, [table1_cfg.sigma])
-        (counts,) = rng.draws["poisson"]
+        n = 20000
+        self._cell(rng, table1_cfg, n, [table1_cfg.sigma])
+        (total,), (label,) = rng.draws["poisson"], rng.draws["integers"]
+        assert total.shape == () and label.size == total
+        counts = np.bincount(label, minlength=n)
         (inner, outer), (low, high) = self.ANNULUS, self.LAYER
-        _assert_poisson_counts(counts, (high - low) * math.pi * (outer**2 - inner**2))
+        rate = (high - low) * math.pi * (outer**2 - inner**2)
+        _assert_poisson_counts(counts, rate)
+        _assert_chi2_fit(counts, _poisson_law(rate))
         assert kernel_calls == []
 
     def test_squared_radii_are_uniform_on_the_annulus(self, table1_cfg):
@@ -356,13 +399,12 @@ class TestSingleLinkField:
         n = 4000
         rng = _RecordingRng(22)
         (field,) = self._cell(rng, cfg, n, [1.0])
-        (counts,), (u,), (fade,) = (rng.draws["poisson"], rng.draws["random"],
-                                    rng.draws["standard_exponential"])
+        (owner,), (u,), (fade,) = (rng.draws["integers"], rng.draws["random"],
+                                   rng.draws["standard_exponential"])
         inner, outer = self.ANNULUS
         d2 = inner**2 + (outer**2 - inner**2) * u
         assert stats.kstest(d2, "uniform",
                             args=(inner**2, outer**2 - inner**2)).pvalue > 0.01
-        owner = np.repeat(np.arange(n), counts)
         np.testing.assert_allclose(field, np.bincount(
             owner, weights=fade * d2 ** (-cfg.alpha / 2), minlength=n), rtol=1e-12)
 
@@ -429,6 +471,23 @@ class TestCountTables:
         assert np.all(np.diff(big) >= 0) and big[-1] == 1.0
         assert np.searchsorted(big, 0.5) == 900
 
+    def test_active_law_splits_the_zero_truncated_table(self):
+        # Remote clusters with m active members, m = 1, 2, ..., are drawn as
+        # independent Poisson processes of intensity lambda_p P(N = m): they
+        # hold P(N > 0) of the clusters, and their shares rebuild the
+        # zero-truncated Poisson(mu) table, cut where it is.
+        for mu in np.geomspace(1e-3, 50.0, 500):
+            law = _active_law(mu)
+            table = _poisson_cdf(mu, 1)
+            assert law.shape == table.shape and law.min() >= 0.0
+            assert law.sum() == pytest.approx(-math.expm1(-mu), rel=1e-12)
+            np.testing.assert_allclose(np.cumsum(law) / law.sum(), table,
+                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(
+                law, stats.poisson.pmf(np.arange(1, law.size + 1), mu),
+                rtol=1e-9, atol=1e-15)
+        np.testing.assert_array_equal(_active_law(0.0), [0.0])
+
     def test_binomial_cdf_matches_scipy(self):
         for n in range(51):
             for p in np.linspace(0.0, 1.0, 41):
@@ -464,12 +523,13 @@ class TestDeterminism:
                 else round(r.mean * trials) for r in results]
 
     def test_fixed_seed_reproduces_recorded_counts(self, table1_cfg):
-        # Covered-trial counts recorded when each cell's single-link field
-        # became one Poisson process of transmitters. Three batches, the
-        # last one partial.
+        # Covered-trial counts recorded when each cell's remote fields
+        # became one draw per batch (a Poisson total per field, or per
+        # active-member count, and a uniform trial label per point). Three
+        # batches, the last one partial.
         results = simulate(self._mixed_requests(table1_cfg), 25_000, 3)
         assert self._covered(results, 25_000) == [
-            19185, 18323, 17108, 15633, 23172, 21563, (20010, 19185), (23271, 22172)]
+            19155, 18275, 17053, 15616, 23251, 21680, (19970, 19155), (23265, 22148)]
 
     def test_calls_share_no_workspace_state(self, table1_cfg):
         # A simulation's scratch memory lives for that call only: a call
@@ -617,15 +677,15 @@ class TestFamily:
         cells = []
         remote, member = montecarlo._remote_interference, montecarlo._member_interference
 
-        def remote_spy(rng, n, alpha, mu, annulus, layer, rows, *, work):
+        def remote_spy(rng, n, alpha, law, annulus, layer, rows, *, work):
             cells.append(dict(annulus=annulus, layer=layer,
                               sigmas=sorted({sigma for sigma, _ in rows})))
-            return remote(rng, n, alpha, mu, annulus, layer, rows, work=work)
+            return remote(rng, n, alpha, law, annulus, layer, rows, work=work)
 
-        def member_spy(rng, alpha, clusters, cx, active, rows, *, work):
+        def member_spy(rng, alpha, n, label, cx, active, rows, *, work):
             if not _is_local(rows):  # the clusters of the cell just opened
-                cells[-1].update(clusters=clusters, cx=cx)
-            return member(rng, alpha, clusters, cx, active, rows, work=work)
+                cells[-1].update(clusters=np.bincount(label, minlength=n), cx=cx)
+            return member(rng, alpha, n, label, cx, active, rows, work=work)
 
         monkeypatch.setattr(montecarlo, "_remote_interference", remote_spy)
         monkeypatch.setattr(montecarlo, "_member_interference", member_spy)
@@ -728,7 +788,7 @@ class TestSharedDraw:
         simulate([ProbRateExceeds(cfg, 0.1), SingleLinkCoverage(cfg)], n, seed=13)
         (active,) = [call for call in kernel_calls if not _is_local(call["rows"])]
         assert active["rows"] == [(cfg.sigma, None)]
-        _assert_poisson_counts(active["clusters"], area * -math.expm1(-mu))
+        _assert_poisson_counts(_per_trial(active), area * -math.expm1(-mu))
         assert active["cx"].max() <= radius
         assert stats.kstest((active["cx"] / radius) ** 2, "uniform").pvalue > 0.01
         nonzero = -math.expm1(-mu)
@@ -772,7 +832,7 @@ class TestSharedDraw:
         active = src.integers(1, 4, owner.size)
         rng = _RecordingRng(15)
         every, first = _member_interference(
-            rng, cfg.alpha, clusters, cx, active,
+            rng, cfg.alpha, n, owner, cx, active,
             [(cfg.sigma, None), (cfg.sigma, np.ones_like(active))],
             work=montecarlo._Workspace())
         contribution = _contributions(rng, cx, active, cfg.sigma, cfg.alpha)
@@ -787,19 +847,19 @@ class TestSharedDraw:
 
     def test_per_cluster_cap_sums_a_prefix_of_each_cluster(self, table1_cfg):
         # A per-cluster cap c_j sums the first min(c_j, active_j) members of
-        # cluster j, whatever the other clusters of its trial hold; rows at
-        # two scales share the members.
+        # cluster j, whatever the other clusters of its trial hold and
+        # wherever they are stored; rows at two scales share the members.
         cfg = table1_cfg
         src = _philox(16)
         n = 2000
         clusters = src.integers(0, 4, n)
-        owner = np.repeat(np.arange(n), clusters)
+        owner = src.permutation(np.repeat(np.arange(n), clusters))
         cx = src.uniform(0.0, 300.0, owner.size)
         active = src.integers(0, 5, owner.size)
         cap = src.integers(0, 6, owner.size)
         rng = _RecordingRng(17)
         scales = (cfg.sigma, 3 * cfg.sigma)
-        rows = _member_interference(rng, cfg.alpha, clusters, cx, active,
+        rows = _member_interference(rng, cfg.alpha, n, owner, cx, active,
                                     [(scale, cap) for scale in scales],
                                     work=montecarlo._Workspace())
         kept = _ranks(active) < np.repeat(cap, active)

@@ -431,6 +431,32 @@ UNMERGED = dict(_BREAK_RATIO=1.0, _WEIGHTLESS=0.0)
 THETAS = (0.5, 0.8, 1.2, 10**0.3, 2.4)
 
 
+class TestGaussLegendre:
+    # Every order the rule ladder uses: each entry of _RULES and its double.
+    ORDERS = sorted({m * n for rule in stochgeo._RULES for n in rule
+                     for m in (1, 2)})
+
+    @pytest.mark.parametrize("n", ORDERS + [1, 2, 3])
+    def test_matches_leggauss(self, n):
+        # leggauss's own weights are off by up to 1.3e-12 relative at
+        # n = 48 and 64 (against a long-double Newton reference); the
+        # nodes agree to rounding.
+        x, w = stochgeo._gl_nodes(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=2e-16)
+        np.testing.assert_allclose(w, ref_w, rtol=3e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_integrates_degree_2n_minus_1_exactly(self, n):
+        # The integral over [-1, 1] of the Legendre polynomial P_d is 2 at
+        # d = 0 and 0 for d = 1..2n-1; each |P_d| <= 1 on the interval.
+        x, w = stochgeo._gl_nodes(n)
+        moments = np.polynomial.legendre.legvander(x, 2 * n - 1).T @ w
+        expected = np.zeros(2 * n)
+        expected[0] = 2.0
+        np.testing.assert_allclose(moments, expected, rtol=0.0, atol=1e-14)
+
+
 class TestRadialRule:
     def test_three_db_has_the_nodes_of_zero_db(self, monkeypatch,
                                                fresh_coverage_caches):
