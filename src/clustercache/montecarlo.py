@@ -26,21 +26,29 @@ Construction per trial (typical receiver at the origin):
   thinning theorem, Poisson(mu) active members with mu = p*n_bar.
   P(R1 > R0) draws that local count, the conditional coverage both
   Binomial(k-1, p) and Poisson(p*k), and the single link none;
-* only remote clusters with at least one active member are drawn: by the
-  marking theorem those with exactly m active members form independent
-  Poisson processes of intensity lambda_p P(N = m), N ~ Poisson(mu),
-  which gives the ALOHA field its exact law. Their counts are one
-  vector Poisson draw over the zero-truncated Poisson(mu) table, cut
-  where its tail mass drops below 1e-17;
-* the single-link model gives every cluster one always-active member, a
-  Gaussian displacement of a Poisson process of intensity lambda_p. By
-  the displacement theorem that is again a Poisson process of intensity
-  lambda_p, which is how the closed form treats it, so no cluster is
-  drawn: a transmitter count, a trial label, a uniform-area squared
-  distance and a fade each. Truncated to the request's disk, it differs
-  from the displaced members of the clusters centered in that disk only
-  within a few sigma of the edge, where both truncate the same infinite
-  field;
+* remote clusters are split by their active count: by the marking
+  theorem those with exactly m active members form independent Poisson
+  processes of intensity lambda_p P(N = m), N ~ Poisson(mu), which
+  gives the ALOHA field its exact law. Only the clusters with m >= 2
+  are drawn as clusters: their counts are one vector Poisson draw over
+  the entries m >= 2 of the zero-truncated Poisson(mu) table, cut where
+  its tail mass drops below 1e-17;
+* a Gaussian displacement of a Poisson process of clusters with one
+  transmitter each is, by the displacement theorem, again a Poisson
+  process of the same intensity. So no cluster is drawn for the
+  transmitters alone in their cluster: the single-link model's one
+  always-active member per cluster (intensity lambda_p, which is how
+  the closed form treats it) and the ALOHA clusters with exactly one
+  active member (the lone transmitters, intensity lambda_p P(N = 1))
+  are each a transmitter count, a trial label, a uniform-area squared
+  distance and a fade. Truncated to the request's disk, such a field
+  differs from the displaced members of the clusters centered in that
+  disk only within a few sigma of the edge, where both truncate the
+  same infinite field;
+* a cell with single-link rows does not draw its lone transmitters: they
+  are the first Binomial(size, P(N = 1)) points of its single-link draw.
+  Label, squared distance and fade are i.i.d. per point, so that prefix
+  is an independent P(N = 1)-thinning of the single-link process;
 * every remote Poisson field of a cell is drawn once per batch of n
   trials: a Poisson total of n times its mean per trial and a uniform
   trial label per point; by the colouring theorem each trial's points
@@ -61,11 +69,12 @@ Construction per trial (typical receiver at the origin):
   fade * d2**(-alpha/2) with d2 the squared distance, so no square root
   is taken. One member kernel computes every cluster interference row
   (sigma, cap): per trial, the sum over the first cap members of each
-  cluster, all of them when cap is None (the remote ALOHA field), a
-  per-cluster count for the local counts, where a member counts when
-  its rank in its cluster is below the cap. The representative cluster
-  of trial t carries label t. Each row, like the single-link sum, is
-  one ``np.bincount`` over the trial labels.
+  cluster, all of them when cap is None (the remote clusters with two
+  or more active members), a per-cluster count for the local counts,
+  where a member counts when its rank in its cluster is below the cap.
+  The representative cluster of trial t carries label t. Each row, like
+  the single-link and lone-transmitter sums, is one ``np.bincount`` over
+  the trial labels.
 
 One simulation serves a list of *requests* (``ProbRateExceeds``,
 ``SingleLinkCoverage``, ``ConditionalCoverage``) that share alpha,
@@ -78,14 +87,15 @@ lambda_p:
   clusters of intensity the layer's width. A request takes the cells
   inside its radius and below its density; by the restriction and
   superposition theorems those cells form exactly its own remote field
-  (intensity lambda_p on its own disk). A cell draws its active
-  clusters once, shared by every ALOHA request that takes it, and its
-  single-link transmitters once, shared by every single-link request;
+  (intensity lambda_p on its own disk). A cell draws its clusters with
+  two or more active members once, shared by every ALOHA request that
+  takes it, and its transmitters alone in a cluster once, shared by
+  every request that takes it;
 * member offsets are standard normal vectors scaled by each request's
   sigma: a member of a center at distance c lies at squared distance
   (c + sigma z_x)**2 + (sigma z_y)**2, one set of offsets and fades for
-  every sigma. The single-link transmitters do not depend on sigma at
-  all. With everything in units of sigma, SIR > theta reads
+  every sigma. The single-link and lone transmitters do not depend on
+  sigma at all. With everything in units of sigma, SIR > theta reads
   s1 > theta (L1 + sigma**alpha I_remote(sigma)), where s1 and L1 are
   the representative cluster's signal and interference in units of
   sigma. Their law depends on alpha and mu alone, so the representative
@@ -96,7 +106,7 @@ lambda_p:
 * cells are drawn and scored one at a time and then freed, so a
   simulation holds one cell's members at a time plus one batch-length
   field per distinct (kind, sigma, radius, lambda_p);
-* the member kernel and the single-link draw keep their float draws
+* the member kernel and the lone-transmitter draw keep their float draws
   and per-member scratch arrays in one workspace per simulation
   (``_Workspace``): a buffer grown by at least a factor 1.25 whenever a
   call needs more, and freed when the simulation returns. The draws and
@@ -339,7 +349,7 @@ def _member_interference(rng, alpha: float, n: int, label: np.ndarray,
     standard normal vector from its center and fades independently with
     unit mean. Row (s, cap) sums fade * (d/s)**-alpha, s**alpha times the
     unit-power interference, over the first ``cap`` members of each
-    cluster: all of them when cap is None (the remote ALOHA field), else
+    cluster: all of them when cap is None (the remote clusters), else
     cap is a per-cluster int array (the local counts). Every row shares
     the offsets and fades, drawn into ``work`` with the masked weights.
     """
@@ -373,7 +383,9 @@ def _member_interference(rng, alpha: float, n: int, label: np.ndarray,
 
 def _active_law(mu: float) -> np.ndarray:
     """P(N = m) for m = 1, 2, ... of N ~ Poisson(mu): the zero-truncated
-    table's probabilities times P(N > 0), cut where it is."""
+    table's probabilities times P(N > 0), cut where it is. Entry 0 is the
+    share of the lone transmitters, the rest that of the clusters the
+    member kernel draws."""
     return -math.expm1(-mu) * np.diff(_poisson_cdf(mu, 1), prepend=0.0)
 
 
@@ -388,38 +400,50 @@ def _remote_interference(rng, n: int, alpha: float, active_law: np.ndarray,
     The cell holds the clusters with centers in the ``annulus`` (inner,
     outer) radii and density in the ``layer`` (low, high) of lambda_p.
     Each of its fields is drawn once for the batch, as a total and trial
-    labels (module docstring). Its active clusters, centered on the +x
-    axis, with m members at the rate of ``active_law[m - 1]``, are drawn
-    only for the ALOHA rows, once for all of them. The single-link
-    transmitters are, by the displacement theorem, a Poisson process of
-    the layer's intensity on the annulus, drawn once whatever sigma:
-    row (sigma, 1) is sigma**alpha times its sum.
+    labels (module docstring). Its clusters with m >= 2 active members,
+    centered on the +x axis, at the rate of ``active_law[m - 1]``, are
+    drawn only for the ALOHA rows, once for all of them. Transmitters
+    alone in their cluster are, by the displacement theorem, a Poisson
+    process on the annulus, drawn once whatever sigma: at the layer's
+    intensity when the cell has single-link rows, which sum all of it,
+    and at ``active_law[0]`` of it otherwise. The ALOHA rows take a
+    Binomial(size, active_law[0]) prefix of that draw (all of it when
+    the cell has no single-link row); its points are i.i.d., so the
+    prefix is an independent thinning. Each row adds sigma**alpha times
+    the sum over the points it takes.
     """
     inner, outer = annulus
     rate = (layer[1] - layer[0]) * math.pi * (outer**2 - inner**2)
     out = np.empty((len(rows), n))
     aloha = [i for i, (_, cap) in enumerate(rows) if cap is None]
+    links = [i for i, (_, cap) in enumerate(rows) if cap == 1]
     if aloha:
-        counts = rng.poisson(n * rate * active_law)
-        active = np.repeat(np.arange(1, counts.size + 1), counts)
+        counts = rng.poisson(n * rate * active_law[1:])
+        active = np.repeat(np.arange(2, counts.size + 2), counts)
         cx = np.sqrt(inner**2 + (outer**2 - inner**2) * rng.random(active.size))
         label = rng.integers(0, n, active.size)
         out[aloha] = _member_interference(rng, alpha, n, label, cx, active,
                                           [rows[i] for i in aloha], work=work)
-    links = [i for i, (_, cap) in enumerate(rows) if cap == 1]
+    # The lone transmitters, after the kernel: both use the workspace.
+    # Squared distances uniform in area on the annulus, in m**2.
+    lone_share = active_law[0]
+    size = int(rng.poisson(n * rate * (1.0 if links else lone_share)))
+    label = rng.integers(0, n, size)
+    buffer = work.take(2 * size)
+    d2 = rng.random(out=buffer[:size])
+    d2 *= outer**2 - inner**2
+    d2 += inner**2
+    np.power(d2, -0.5 * alpha, out=d2)
+    d2 *= rng.standard_exponential(out=buffer[size:])
     if links:
-        # Squared distances uniform in area on the annulus, in m**2.
-        size = int(rng.poisson(n * rate))
-        label = rng.integers(0, n, size)
-        buffer = work.take(2 * size)
-        d2 = rng.random(out=buffer[:size])
-        d2 *= outer**2 - inner**2
-        d2 += inner**2
-        np.power(d2, -0.5 * alpha, out=d2)
-        d2 *= rng.standard_exponential(out=buffer[size:])
         field = np.bincount(label, d2, minlength=n)
         for i in links:
             np.multiply(field, rows[i][0] ** alpha, out=out[i])
+    if aloha:
+        kept = int(rng.binomial(size, lone_share)) if links else size
+        field = np.bincount(label[:kept], d2[:kept], minlength=n)
+        for i in aloha:
+            out[i] += rows[i][0] ** alpha * field
     return out
 
 
@@ -443,8 +467,9 @@ def _cells(fields: list) -> list:
     inside its radius and below its density. Each cell is (annulus,
     layer, rows, users, picks): ``rows`` are the distinct (sigma, cap)
     rows of ``_remote_interference`` its fields need, cap None for an
-    ALOHA field (its active clusters serve every such row) and cap 1 for
-    a single link (its one Poisson draw serves every such row), and
+    ALOHA field (its clusters and lone transmitters serve every such row)
+    and cap 1 for a single link (its one Poisson draw serves every such
+    row), and
     field ``users[i]`` takes row ``picks[i]``. Cells no field takes are
     left out.
     """

@@ -2,9 +2,9 @@
 
 The full 1e5-trial agreement grid lives in the acceptance suite; here the
 simulator's own statistics (cluster counts, center radii, thinned
-active counts, offsets, the remote Laplace functional, determinism,
-truncation, the cells a family of points shares) are verified and the
-agreement is spot-checked at 2e4 trials.
+active counts, lone transmitters, offsets, the remote Laplace functional,
+determinism, truncation, the cells a family of points shares) are
+verified and the agreement is spot-checked at 2e4 trials.
 """
 
 import math
@@ -59,11 +59,13 @@ def _conditional(cfg, k, trials, seed):
 
 
 class _RecordingRng:
-    """Forwards to a Philox generator and keeps a copy of every array it
-    returns (the kernel works on its draws in place)."""
+    """Forwards to a generator (a Philox one when given a seed) and keeps a
+    copy of every array it returns (the kernel works on its draws in
+    place)."""
 
-    def __init__(self, seed):
-        self._rng = _philox(seed)
+    def __init__(self, source):
+        self._rng = (source if isinstance(source, np.random.Generator)
+                     else _philox(source))
         self.draws = {}
 
     def __getattr__(self, name):
@@ -113,6 +115,25 @@ def _remote(rng, cfg, n, radius, single_link):
         (0.0, cfg.lambda_p), [(cfg.sigma, 1 if single_link else None)],
         work=montecarlo._Workspace())
     return field
+
+
+def _lone(rng, annulus):
+    """The lone transmitters the ALOHA rows of one ``_remote_interference``
+    call take, from the draws a ``_RecordingRng`` handed to it: their
+    trial labels, squared distances in m**2 and fades. They are the
+    Binomial prefix of the cell's last Poisson draw when the cell has
+    single-link rows, and all of it otherwise."""
+    label, u, fade = (rng.draws[name][-1] for name in
+                      ("integers", "random", "standard_exponential"))
+    kept = int(rng.draws["binomial"][0]) if "binomial" in rng.draws else label.size
+    inner, outer = annulus
+    d2 = inner**2 + (outer**2 - inner**2) * u
+    return label[:kept], d2[:kept], fade[:kept]
+
+
+def _lone_share(mu):
+    """P(N = 1) and P(N >= 2) of N ~ Poisson(mu)."""
+    return mu * math.exp(-mu), -math.expm1(-mu) - mu * math.exp(-mu)
 
 
 def _contributions(rng, cx, active, scale, alpha):
@@ -176,21 +197,36 @@ def _poisson_raw_moments(mu):
             mu**4 + 6 * mu**3 + 7 * mu**2 + mu)
 
 
+def _assert_at_least_two(active, mu):
+    """The active counts of the kernel's remote clusters fit Poisson(mu)
+    conditioned on N >= 2, by moments and chi-square."""
+    one, at_least_two = _lone_share(mu)
+    # Raw moments of the truncated law are the Poisson ones less the N = 1
+    # term (P(N = 1) for every power), over P(N >= 2); kappa_4 from the
+    # first four of them.
+    e1, e2, e3, e4 = ((m - one) / at_least_two for m in _poisson_raw_moments(mu))
+    kappa4 = e4 - 4 * e3 * e1 - 3 * e2**2 + 12 * e2 * e1**2 - 6 * e1**4
+    assert active.min() >= 2
+    _assert_moments(active, e1, e2 - e1**2, kappa4)
+    _assert_chi2_fit(active, _poisson_law(mu, first=2))
+
+
 class TestMemberKernel:
     def test_remote_cluster_counts_are_poisson(self, table1_cfg, kernel_calls):
-        # Only clusters with an active member are drawn: by the thinning
-        # theorem they form a Poisson process of intensity
-        # lambda_p (1 - exp(-p n_bar)). Drawn for the whole batch and
-        # labelled with uniform trials, each trial's count is Poisson.
+        # The kernel draws only clusters with two or more active members:
+        # by the marking theorem they form a Poisson process of intensity
+        # lambda_p P(N >= 2), N ~ Poisson(p n_bar). Drawn for the whole
+        # batch and labelled with uniform trials, each trial's count is
+        # Poisson.
         cfg = table1_cfg
         radius = default_region_radius(cfg)
         area = cfg.lambda_p * math.pi * radius**2
-        mu = cfg.access_p * cfg.n_bar
+        _, at_least_two = _lone_share(cfg.access_p * cfg.n_bar)
         _remote(_philox(1), cfg, 20000, radius, False)
-        (nonempty,) = kernel_calls
-        counts = _per_trial(nonempty)
-        _assert_poisson_counts(counts, area * -math.expm1(-mu))
-        _assert_chi2_fit(counts, _poisson_law(area * -math.expm1(-mu)))
+        (clustered,) = kernel_calls
+        counts = _per_trial(clustered)
+        _assert_poisson_counts(counts, area * at_least_two)
+        _assert_chi2_fit(counts, _poisson_law(area * at_least_two))
 
     def test_remote_center_radii_are_uniform_in_disk(self, table1_cfg,
                                                      kernel_calls):
@@ -205,34 +241,29 @@ class TestMemberKernel:
         assert ks.pvalue > 0.01
 
     def test_remote_active_counts_are_thinned(self, table1_cfg, kernel_calls):
-        # A drawn cluster holds a zero-truncated Poisson(p n_bar) number of
-        # active members.
+        # A cluster of the kernel holds a Poisson(p n_bar) number of active
+        # members conditioned on at least two.
         cfg = table1_cfg
         _remote(_philox(3), cfg, 4000, default_region_radius(cfg), False)
         (thinned,) = kernel_calls
-        active = thinned["active"]
-        mu = cfg.access_p * cfg.n_bar
-        nonzero = -math.expm1(-mu)
-        # Raw moments of the truncated law are the Poisson ones over P(N > 0);
-        # kappa_4 from the first four of them.
-        e1, e2, e3, e4 = (m / nonzero for m in _poisson_raw_moments(mu))
-        kappa4 = e4 - 4 * e3 * e1 - 3 * e2**2 + 12 * e2 * e1**2 - 6 * e1**4
-        assert active.min() >= 1
-        _assert_moments(active, e1, e2 - e1**2, kappa4)
-        _assert_chi2_fit(active, _poisson_law(mu, first=1))
+        _assert_at_least_two(thinned["active"], cfg.access_p * cfg.n_bar)
 
     def test_remote_total_active_count_matches_untruncated_field(
             self, table1_cfg, kernel_calls):
-        # Summed over a trial, the active members are compound Poisson with
-        # rate lambda_p pi R^2 and Poisson(p n_bar) marks, exactly as if
-        # every cluster were drawn: cumulants kappa_j = rate E[N^j].
+        # Summed over a trial, the kernel's members and the lone
+        # transmitters are compound Poisson with rate lambda_p pi R^2 and
+        # Poisson(p n_bar) marks, exactly as if every cluster were drawn:
+        # cumulants kappa_j = rate E[N^j].
         cfg = table1_cfg
         radius = default_region_radius(cfg)
         area = cfg.lambda_p * math.pi * radius**2
         n = 20000
-        _remote(_philox(9), cfg, n, radius, False)
+        rng = _RecordingRng(9)
+        _remote(rng, cfg, n, radius, False)
         (call,) = kernel_calls
-        total = np.bincount(call["label"], weights=call["active"], minlength=n)
+        lone, _, _ = _lone(rng, (0.0, radius))
+        total = (np.bincount(call["label"], weights=call["active"], minlength=n)
+                 + np.bincount(lone, minlength=n))
         m1, m2, _, m4 = _poisson_raw_moments(cfg.access_p * cfg.n_bar)
         _assert_moments(total, area * m1, area * m2, area * m4)
 
@@ -344,12 +375,17 @@ class TestMemberKernel:
         )
         np.testing.assert_allclose(got / cfg.sigma**cfg.alpha, expected, rtol=1e-12)
 
-    def test_remote_laplace_functional_matches_analytic(self, table1_cfg):
+    @pytest.mark.parametrize("mu", [None, 3.0], ids=["table1", "mu3"])
+    def test_remote_laplace_functional_matches_analytic(self, table1_cfg, mu):
         # Same check and bound as the raw-construction oracle
         # TestLaplaceTransforms::test_inter_against_direct_simulation:
         # E[exp(-s I)] at r = 2 sigma against laplace_inter, with
-        # s = theta r**alpha and I in units of the transmit power P_d.
+        # s = theta r**alpha and I in units of the transmit power P_d. On
+        # Table 1 (p n_bar = 0.5) most active members are lone
+        # transmitters; at p n_bar = 3 most are in the kernel's clusters.
         cfg = table1_cfg
+        if mu is not None:
+            cfg = replace(cfg, n_bar=mu / cfg.access_p)
         s_sir = cfg.theta * (2 * cfg.sigma) ** cfg.alpha
         radius = default_region_radius(cfg)
         rng = _philox(8)
@@ -440,6 +476,122 @@ class TestSingleLinkField:
         assert analytic == pytest.approx(mc, rel=0.01)
 
 
+class TestLoneTransmitters:
+    """ALOHA clusters with exactly one active member: by the displacement
+    theorem a Poisson process of intensity lambda_p P(N = 1) on the
+    annulus, drawn once for every sigma. A cell with single-link rows
+    takes them as a Binomial(size, P(N = 1)) prefix of its single-link
+    draw; a cell without draws them at their own intensity."""
+
+    ANNULUS, LAYER = TestSingleLinkField.ANNULUS, TestSingleLinkField.LAYER
+
+    def _cell(self, rng, cfg, n, sigmas, links, layer=LAYER):
+        rows = [(sigma, None) for sigma in sigmas]
+        if links:
+            rows += [(sigma, 1) for sigma in sigmas]
+        return _remote_interference(
+            rng, n, cfg.alpha, _active_law(cfg.access_p * cfg.n_bar),
+            self.ANNULUS, layer, rows, work=montecarlo._Workspace())
+
+    @pytest.mark.parametrize("links", [False, True], ids=["alone", "shared"])
+    def test_counts_are_poisson(self, table1_cfg, links):
+        # Per trial, Poisson(layer width * pi (outer**2 - inner**2) P(N = 1)),
+        # whether drawn at that intensity or kept from the single-link draw.
+        cfg = table1_cfg
+        n = 20000
+        rng = _RecordingRng(31)
+        self._cell(rng, cfg, n, [cfg.sigma], links)
+        assert ("binomial" in rng.draws) == links
+        label, _, _ = _lone(rng, self.ANNULUS)
+        counts = np.bincount(label, minlength=n)
+        (inner, outer), (low, high) = self.ANNULUS, self.LAYER
+        one, _ = _lone_share(cfg.access_p * cfg.n_bar)
+        rate = (high - low) * math.pi * (outer**2 - inner**2) * one
+        _assert_poisson_counts(counts, rate)
+        _assert_chi2_fit(counts, _poisson_law(rate))
+
+    @pytest.mark.parametrize("links", [False, True], ids=["alone", "shared"])
+    def test_squared_radii_are_uniform_on_the_annulus(self, table1_cfg, links):
+        # Read back from the ALOHA row: in a thin layer most trials hold at
+        # most one remote transmitter, and a trial whose only one is lone
+        # transmitter j reads sigma**alpha fade_j d2_j**(-alpha/2). Those
+        # squared distances are uniform on [inner**2, outer**2].
+        cfg = table1_cfg
+        n = 40000
+        rng = _RecordingRng(32)
+        row = self._cell(rng, cfg, n, [cfg.sigma], links,
+                         layer=(self.LAYER[0], self.LAYER[0] + 2e-7))[0]
+        label, _, fade = _lone(rng, self.ANNULUS)
+        clustered = rng.draws["integers"][0]  # the kernel's cluster labels
+        alone = ((np.bincount(label, minlength=n) == 1)
+                 & (np.bincount(clustered, minlength=n) == 0))
+        point = np.zeros(n, dtype=int)
+        point[label] = np.arange(label.size)
+        d2 = (cfg.sigma**cfg.alpha * fade[point[alone]] / row[alone]) ** (2 / cfg.alpha)
+        inner, outer = self.ANNULUS
+        assert d2.size > 1000
+        assert stats.kstest(d2, "uniform",
+                            args=(inner**2, outer**2 - inner**2)).pvalue > 0.01
+
+    @pytest.mark.parametrize("links", [False, True], ids=["alone", "shared"])
+    def test_rows_add_sigma_alpha_times_the_lone_sum(self, table1_cfg, links):
+        # Recomputed from the draws: ALOHA row (sigma, None) is the kernel's
+        # sum over the clusters with two or more active members plus
+        # sigma**alpha times the sum over the lone transmitters (the first
+        # K single-link points when the cell has single links); row
+        # (sigma, 1) is sigma**alpha times the sum over every single-link
+        # point.
+        cfg = table1_cfg
+        n = 2000
+        sigmas = (10.0, 30.0)
+        rng = _RecordingRng(33)
+        out = self._cell(rng, cfg, n, sigmas, links)
+        assert ("binomial" in rng.draws) == links
+        (inner, outer), alpha = self.ANNULUS, cfg.alpha
+        counts, u, label = (rng.draws[name][0]
+                            for name in ("poisson", "random", "integers"))
+        active = np.repeat(np.arange(2, counts.size + 2), counts)
+        cx = np.sqrt(inner**2 + (outer**2 - inner**2) * u)
+        (normals,), fade = rng.draws["standard_normal"], rng.draws["standard_exponential"][0]
+        owner = np.repeat(label, active)
+        lone = _lone(rng, self.ANNULUS)
+        assert 0 < lone[0].size and 0 < owner.size
+        lone_sum = np.bincount(lone[0], lone[2] * lone[1] ** (-alpha / 2),
+                               minlength=n)
+        for sigma, row in zip(sigmas, out):
+            d2 = (np.repeat(cx, active) / sigma + normals[0]) ** 2 + normals[1] ** 2
+            kernel = np.bincount(owner, fade * d2 ** (-alpha / 2), minlength=n)
+            np.testing.assert_allclose(row, sigma**alpha * lone_sum + kernel,
+                                       rtol=1e-12)
+        if links:
+            label, u, fade = (rng.draws[name][-1] for name in
+                              ("integers", "random", "standard_exponential"))
+            d2 = inner**2 + (outer**2 - inner**2) * u
+            metres = np.bincount(label, fade * d2 ** (-alpha / 2), minlength=n)
+            for sigma, row in zip(sigmas, out[len(sigmas):]):
+                np.testing.assert_allclose(row, sigma**alpha * metres, rtol=1e-12)
+
+    @pytest.mark.parametrize("field, value", [("access_p", 0.0), ("n_bar", 200.0)])
+    def test_extreme_active_laws_simulate(self, table1_cfg, field, value):
+        # access_p = 0: no remote device is active, P(N = 1) = 0 and the
+        # active law is one zero entry, so the ALOHA estimates read 1.
+        # n_bar = 200: p n_bar = 20, P(N = 1) is about 4e-8 and nearly every
+        # active member is in the kernel. Each once beside a single link
+        # (shared cells) and once alone.
+        cfg = replace(table1_cfg, **{field: value})
+        aloha = [ConditionalCoverage(cfg, 5)]
+        if cfg.access_p > 0:
+            aloha.append(ProbRateExceeds(cfg, 0.1))
+        for requests in (aloha + [SingleLinkCoverage(cfg)], aloha):
+            results = simulate(requests, 2000, seed=7)
+            means = [e.mean for r in results for e in
+                     ((r.exact, r.poisson_approx)
+                      if isinstance(r, montecarlo.ConditionalCoveragePair) else (r,))]
+            assert all(math.isfinite(m) and 0.0 <= m <= 1.0 for m in means)
+            if cfg.access_p == 0:
+                assert means[:2] == [1.0, 1.0]
+
+
 def _scipy_poisson_cdf(mu, first):
     """The count table as built from scipy.special.pdtrc (the upper tail)."""
     at_least = special.pdtrc(first - 1, mu) if first else 1.0
@@ -523,13 +675,14 @@ class TestDeterminism:
                 else round(r.mean * trials) for r in results]
 
     def test_fixed_seed_reproduces_recorded_counts(self, table1_cfg):
-        # Covered-trial counts recorded when each cell's remote fields
-        # became one draw per batch (a Poisson total per field, or per
-        # active-member count, and a uniform trial label per point). Three
-        # batches, the last one partial.
+        # Covered-trial counts recorded when the lone transmitters of the
+        # ALOHA field joined the single-link draw (a Binomial prefix of it,
+        # or a Poisson draw of their own in a cell without single links)
+        # and the kernel kept the clusters with two or more active
+        # members. Three batches, the last one partial.
         results = simulate(self._mixed_requests(table1_cfg), 25_000, 3)
         assert self._covered(results, 25_000) == [
-            19155, 18275, 17053, 15616, 23251, 21680, (19970, 19155), (23265, 22148)]
+            19170, 18284, 17021, 15533, 23164, 21623, (19973, 19170), (23249, 22132)]
 
     def test_calls_share_no_workspace_state(self, table1_cfg):
         # A simulation's scratch memory lives for that call only: a call
@@ -667,10 +820,11 @@ class TestFamily:
     def test_each_point_takes_its_own_cluster_field(self, table1_cfg,
                                                      monkeypatch):
         # Over the cells inside its radius and below its density, each
-        # point's remote cluster count is Poisson(lambda_p pi R^2
-        # (1 - exp(-p n_bar))) and the squared center radii are uniform on
-        # its own disk. (Over seeds 100-399 each point's KS p-value falls
-        # below 0.01 at 0.7-1.7% of the seeds.)
+        # point's count of remote clusters with two or more active members
+        # is Poisson(lambda_p pi R^2 P(N >= 2)), its lone transmitters
+        # Poisson(lambda_p pi R^2 P(N = 1)), and the squared center radii
+        # are uniform on its own disk. (Over seeds 100-399 each point's KS
+        # p-value falls below 0.01 at 0.7-1.7% of the seeds.)
         points = _family_points(table1_cfg)
         radii = [default_region_radius(cfg) for cfg in points]
         assert len(set(radii)) == 3
@@ -680,7 +834,10 @@ class TestFamily:
         def remote_spy(rng, n, alpha, law, annulus, layer, rows, *, work):
             cells.append(dict(annulus=annulus, layer=layer,
                               sigmas=sorted({sigma for sigma, _ in rows})))
-            return remote(rng, n, alpha, law, annulus, layer, rows, work=work)
+            rng = _RecordingRng(rng)
+            out = remote(rng, n, alpha, law, annulus, layer, rows, work=work)
+            cells[-1].update(lone=np.bincount(_lone(rng, annulus)[0], minlength=n))
+            return out
 
         def member_spy(rng, alpha, n, label, cx, active, rows, *, work):
             if not _is_local(rows):  # the clusters of the cell just opened
@@ -691,7 +848,7 @@ class TestFamily:
         monkeypatch.setattr(montecarlo, "_member_interference", member_spy)
         n = 10_000  # one batch
         _rate_exceeds(points, 0.1, n, seed=5)
-        mu = table1_cfg.access_p * table1_cfg.n_bar
+        one, at_least_two = _lone_share(table1_cfg.access_p * table1_cfg.n_bar)
         for c in cells:  # scored at the sigmas of the points it lies inside
             assert c["sigmas"] == sorted({
                 cfg.sigma for cfg, radius in zip(points, radii)
@@ -699,9 +856,10 @@ class TestFamily:
         for cfg, radius in zip(points, radii):
             mine = [c for c in cells
                     if c["annulus"][1] <= radius and c["layer"][1] <= cfg.lambda_p]
-            counts = sum(c["clusters"] for c in mine)
-            _assert_poisson_counts(
-                counts, cfg.lambda_p * math.pi * radius**2 * -math.expm1(-mu))
+            area = cfg.lambda_p * math.pi * radius**2
+            _assert_poisson_counts(sum(c["clusters"] for c in mine),
+                                   area * at_least_two)
+            _assert_poisson_counts(sum(c["lone"] for c in mine), area * one)
             centers = np.concatenate([c["cx"] for c in mine])
             assert centers.max() <= radius
             assert stats.kstest((centers / radius) ** 2, "uniform").pvalue > 0.01
@@ -777,9 +935,10 @@ class TestSharedDraw:
     def test_single_link_adds_no_members_to_shared_cells(self, table1_cfg,
                                                          kernel_calls):
         # A single-link request in a cell an ALOHA request takes: the member
-        # kernel gets the cell's active clusters for the ALOHA row alone,
-        # Poisson(lambda_p pi R^2 (1 - exp(-mu))) per trial with squared
-        # radii uniform on the disk and zero-truncated Poisson(mu) members.
+        # kernel gets the cell's clusters with two or more active members
+        # for the ALOHA row alone, Poisson(lambda_p pi R^2 P(N >= 2)) per
+        # trial with squared radii uniform on the disk and Poisson(mu)
+        # members conditioned on at least two.
         cfg = table1_cfg
         radius = default_region_radius(cfg)
         area = cfg.lambda_p * math.pi * radius**2
@@ -788,21 +947,19 @@ class TestSharedDraw:
         simulate([ProbRateExceeds(cfg, 0.1), SingleLinkCoverage(cfg)], n, seed=13)
         (active,) = [call for call in kernel_calls if not _is_local(call["rows"])]
         assert active["rows"] == [(cfg.sigma, None)]
-        _assert_poisson_counts(_per_trial(active), area * -math.expm1(-mu))
+        _assert_poisson_counts(_per_trial(active), area * _lone_share(mu)[1])
         assert active["cx"].max() <= radius
         assert stats.kstest((active["cx"] / radius) ** 2, "uniform").pvalue > 0.01
-        nonzero = -math.expm1(-mu)
-        e1, e2, e3, e4 = (m / nonzero for m in _poisson_raw_moments(mu))
-        kappa4 = e4 - 4 * e3 * e1 - 3 * e2**2 + 12 * e2 * e1**2 - 6 * e1**4
-        assert active["active"].min() >= 1
-        _assert_moments(active["active"], e1, e2 - e1**2, kappa4)
+        _assert_at_least_two(active["active"], mu)
 
     def test_member_work_is_bounded(self, table1_cfg, kernel_calls):
         # Members the kernel draws at 1e4 trials and seed 1. Single-link
         # requests alone give it none (375,157 when each cluster's
         # transmitter was a displaced member); the validate request list (six
         # P(R1 > R0), six single links, one conditional pair) at most
-        # 200,000 (407,671 then, 130,418 with the single link drawn apart).
+        # 200,000 (407,671 then, 130,418 with the single link drawn apart,
+        # 130,172 with every cluster drawn once per batch, 53,901 with the
+        # lone ALOHA transmitters drawn apart).
         cfg = table1_cfg
         links = [SingleLinkCoverage(replace(cfg, sigma=sigma, lambda_p=lam))
                  for sigma in (10.0, 20.0, 30.0) for lam in (10e-6, 20e-6)]
