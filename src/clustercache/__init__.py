@@ -25,8 +25,8 @@ from .model import (
 )
 from .montecarlo import (
     ConditionalCoverage,
-    ConditionalCoveragePair,
     McEstimate,
+    PoissonConditionalCoverage,
     ProbRateExceeds,
     SingleLinkCoverage,
     simulate,

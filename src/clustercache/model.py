@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleAccessProbability
 
 __all__ = [
     "NetworkConfig",
@@ -39,6 +39,27 @@ def _check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
+
+
+def _poisson_weights(mu: float, first: int, floor: float) -> np.ndarray:
+    """P(N = m) of N ~ Poisson(mu), mu > 0, up to a common factor, at
+    m = 0, 1, ...
+
+    By the ratio recurrence outward from the mode (weight 1), so no
+    weight near the mode over- or underflows, whatever mu (the weights
+    far below the mode may underflow to zero). Continued past m =
+    first + 1 until a weight is at most ``floor`` times the weight at
+    max(first, mode).
+    """
+    mode = int(mu)
+    weights = [1.0]
+    for m in range(mode, 0, -1):
+        weights.append(weights[-1] * m / mu)
+    weights.reverse()
+    while (len(weights) < first + 2
+           or weights[-1] > floor * weights[max(first, mode)]):
+        weights.append(weights[-1] * mu / len(weights))
+    return np.array(weights)
 
 
 @dataclass(frozen=True)
@@ -90,6 +111,23 @@ class NetworkConfig:
         for name in ("theta", "sigma", "lambda_p", "n_bar", "p_d", "p_b", "w_total"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+
+
+def _check_rate_threshold(cfg: NetworkConfig, r0_over_w1: float) -> None:
+    """Reject an R0/W1 that is not finite and non-negative
+    (:class:`ConfigError`) or that the ALOHA spectral efficiency
+    p log2(1 + theta) does not exceed (:class:`InfeasibleAccessProbability`:
+    the probability that the D2D rate exceeds R0 is then zero)."""
+    if not (math.isfinite(r0_over_w1) and r0_over_w1 >= 0):
+        raise ConfigError(
+            f"r0_over_w1 must be finite and non-negative, got {r0_over_w1!r}")
+    rate = cfg.access_p * math.log2(1.0 + cfg.theta)
+    if not rate > r0_over_w1:
+        raise InfeasibleAccessProbability(
+            f"at theta = {cfg.theta:.6g}: access_p * log2(1 + theta) = "
+            f"{rate:.6g} bits/s/Hz does not exceed R0/W1 = "
+            f"{r0_over_w1:.6g} bits/s/Hz"
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,8 +24,9 @@ Construction per trial (typical receiver at the origin):
 * only active transmitters are drawn. Poisson(n_bar) members that each
   transmit independently with the ALOHA probability p are, by the
   thinning theorem, Poisson(mu) active members with mu = p*n_bar.
-  P(R1 > R0) draws that local count, the conditional coverage both
-  Binomial(k-1, p) and Poisson(p*k), and the single link none;
+  P(R1 > R0) draws that local count, the conditional coverage
+  Binomial(k-1, p) (the exact model) or Poisson(p*k) (the law of the
+  analytic expression), and the single link none;
 * remote clusters are split by their active count: by the marking
   theorem those with exactly m active members form independent Poisson
   processes of intensity lambda_p P(N = m), N ~ Poisson(mu), which
@@ -56,8 +57,8 @@ Construction per trial (typical receiver at the origin):
 * the local counts come from one uniform per trial, inverted through a
   CDF table cut at the same 1e-17. The local counts of all requests
   invert the same uniform and share their members (each sums a prefix
-  of the members of the largest), so the exact and approximate
-  conditional coverage differ only where their laws do;
+  of the members of the largest), so the exact and Poisson conditional
+  coverage simulated together differ only where their laws do;
 * every cluster center lies on the +x axis: the representative one at
   |x0| (the serving device at |x0| + y0, its members at |x0| + z), each
   remote one at a uniform-area radius. The interference and the
@@ -77,9 +78,10 @@ Construction per trial (typical receiver at the origin):
   the trial labels.
 
 One simulation serves a list of *requests* (``ProbRateExceeds``,
-``SingleLinkCoverage``, ``ConditionalCoverage``) that share alpha,
-access_p and n_bar (hence mu) and may differ in kind, sigma, theta and
-lambda_p:
+``SingleLinkCoverage``, ``ConditionalCoverage``,
+``PoissonConditionalCoverage``) that share alpha, access_p and n_bar
+(hence mu) and may differ in kind, sigma, theta and lambda_p. Each
+request has one law and gives one ``McEstimate``:
 
 * the plane is split into annuli between the requests' distinct disk
   radii, and the density into layers between their distinct lambda_p.
@@ -129,15 +131,15 @@ from typing import ClassVar
 import numpy as np
 import numpy.random  # numpy loads it lazily: import it here, not in a run
 
-from .errors import ConfigError, InfeasibleAccessProbability
-from .model import NetworkConfig, _check_count
+from .errors import ConfigError
+from .model import NetworkConfig, _check_count, _check_rate_threshold, _poisson_weights
 
 __all__ = [
     "McEstimate",
-    "ConditionalCoveragePair",
     "ProbRateExceeds",
     "SingleLinkCoverage",
     "ConditionalCoverage",
+    "PoissonConditionalCoverage",
     "default_region_radius",
     "simulate",
 ]
@@ -162,36 +164,16 @@ class McEstimate:
             raise ConfigError("samples must be at least 1")
 
 
-@dataclass(frozen=True)
-class ConditionalCoveragePair:
-    """Conditional coverage estimated two ways.
-
-    ``exact`` keeps the cluster population fixed at k (binomial ALOHA
-    thinning of k-1 potential interferers); ``poisson_approx`` replaces
-    the interferer count by Poisson(p*k), which is the assumption behind
-    the analytic conditional coverage. Their gap measures that
-    approximation.
-    """
-
-    exact: McEstimate
-    poisson_approx: McEstimate
-
-
 class _Request:
-    """What a request kind tells the engine: the kind of its remote field,
-    its local-count CDF tables (``local_cdfs``) and how its covered-trial
-    counts, one per table, become its result (one ``McEstimate`` here)."""
+    """What a request kind tells the engine: the kind of its remote field
+    and the CDF table of its local interferer count (``local_cdf``)."""
 
     single_link: ClassVar[bool] = False
-
-    def result(self, hits: list, trials: int):
-        (covered,) = hits
-        return _estimate(covered, trials)
 
 
 @dataclass(frozen=True)
 class ProbRateExceeds(_Request):
-    """P(R1 > R0) under slotted ALOHA; simulates to one ``McEstimate``.
+    """P(R1 > R0) under slotted ALOHA.
 
     The serving transmission is conditioned on; every other device in the
     representative cluster (Poisson(n_bar) of them) and in all remote
@@ -202,26 +184,15 @@ class ProbRateExceeds(_Request):
     r0_over_w1: float
 
     def __post_init__(self):
-        cfg = self.cfg
-        if not (math.isfinite(self.r0_over_w1) and self.r0_over_w1 >= 0):
-            raise ConfigError(f"r0_over_w1 must be finite and non-negative, "
-                              f"got {self.r0_over_w1!r}")
-        rate = cfg.access_p * math.log2(1.0 + cfg.theta)
-        if not rate > self.r0_over_w1:
-            raise InfeasibleAccessProbability(
-                f"at theta = {cfg.theta:.6g}: access_p * log2(1 + theta) = "
-                f"{rate:.6g} bits/s/Hz does not exceed R0/W1 = "
-                f"{self.r0_over_w1:.6g} bits/s/Hz"
-            )
+        _check_rate_threshold(self.cfg, self.r0_over_w1)
 
-    def local_cdfs(self) -> tuple:
-        return (_poisson_cdf(self.cfg.access_p * self.cfg.n_bar, 0),)
+    def local_cdf(self) -> np.ndarray:
+        return _poisson_cdf(self.cfg.access_p * self.cfg.n_bar, 0)
 
 
 @dataclass(frozen=True)
 class SingleLinkCoverage(_Request):
-    """D2D coverage with one always-active link per cluster; simulates to
-    one ``McEstimate``.
+    """D2D coverage with one always-active link per cluster.
 
     No intra-cluster interference; each remote cluster contributes a
     single Gaussian-displaced transmitter.
@@ -230,19 +201,15 @@ class SingleLinkCoverage(_Request):
     cfg: NetworkConfig
     single_link: ClassVar[bool] = True
 
-    def local_cdfs(self) -> tuple:
-        return (np.ones(1),)  # no local interferer
+    def local_cdf(self) -> np.ndarray:
+        return np.ones(1)  # no local interferer
 
 
 @dataclass(frozen=True)
 class ConditionalCoverage(_Request):
-    """Conditional D2D coverage for a cluster of exactly k devices;
-    simulates to a ``ConditionalCoveragePair``.
-
-    Estimates, on the same serving links and remote clusters, the exact
-    model (serving device plus k-1 potential interferers, each active
-    with probability p) and the Poisson(p*k) interferer-count
-    approximation used by the analytic expression.
+    """Conditional D2D coverage for a cluster of exactly k devices, in the
+    exact model: the serving device plus k-1 potential interferers, each
+    active with probability p, so Binomial(k-1, p) of them interfere.
     """
 
     cfg: NetworkConfig
@@ -251,14 +218,22 @@ class ConditionalCoverage(_Request):
     def __post_init__(self):
         _check_count("k", self.k, 1)
 
-    def local_cdfs(self) -> tuple:
-        p = self.cfg.access_p
-        return (_binomial_cdf(self.k - 1, p), _poisson_cdf(p * self.k, 0))
+    def local_cdf(self) -> np.ndarray:
+        return _binomial_cdf(self.k - 1, self.cfg.access_p)
 
-    def result(self, hits: list, trials: int) -> ConditionalCoveragePair:
-        exact, approx = hits
-        return ConditionalCoveragePair(exact=_estimate(exact, trials),
-                                       poisson_approx=_estimate(approx, trials))
+
+@dataclass(frozen=True)
+class PoissonConditionalCoverage(ConditionalCoverage):
+    """Conditional D2D coverage for a cluster of k devices with Poisson(p*k)
+    interferers, the law of ``stochgeo.d2d_coverage_conditional``.
+
+    Simulated together with the ``ConditionalCoverage`` of the same k, the
+    two estimates share their draws, so their gap measures the Poisson
+    approximation with little noise.
+    """
+
+    def local_cdf(self) -> np.ndarray:
+        return _poisson_cdf(self.cfg.access_p * self.k, 0)
 
 
 def default_region_radius(cfg: NetworkConfig) -> float:
@@ -289,18 +264,9 @@ def _poisson_cdf(mu: float, first: int) -> np.ndarray:
     """
     if mu == 0.0:
         return np.ones(1)
-    # Probabilities up to a common factor, by the ratio recurrence outward
-    # from the mode (weight 1), so none near the mode over- or underflows;
-    # continued until the weights left out are below _TAIL**2 of the mode's
-    # (or of first's), far below any tail entry kept.
-    mode = int(mu)
-    weights = [1.0]
-    for m in range(mode, 0, -1):
-        weights.append(weights[-1] * m / mu)
-    weights.reverse()
-    while (len(weights) < first + 2
-           or weights[-1] > _TAIL * _TAIL * weights[max(first, mode)]):
-        weights.append(weights[-1] * mu / len(weights))
+    # The weights left out are below _TAIL**2 of the mode's (or of
+    # first's), far below any tail entry kept.
+    weights = _poisson_weights(mu, first, _TAIL * _TAIL)
     at_least = np.cumsum(weights[::-1])[::-1]  # P(N >= m), same factor
     tail = at_least[first + 1:] / at_least[first]
     return 1.0 - tail[:np.argmax(tail < _TAIL) + 1]
@@ -308,7 +274,8 @@ def _poisson_cdf(mu: float, first: int) -> np.ndarray:
 
 def _binomial_cdf(n: int, p: float) -> np.ndarray:
     """CDF of Binomial(n, p) at 0, 1, ..., n; the last entry is 1.0."""
-    # Probabilities up to a common factor, outward from the mode as above.
+    # Probabilities up to a common factor, outward from the mode as
+    # model._poisson_weights builds them.
     mode = min(n, int((n + 1) * p))
     weights = [1.0]
     for j in range(mode, 0, -1):
@@ -490,12 +457,12 @@ def _cells(fields: list) -> list:
 
 
 def _sir_hits(requests: tuple, trials: int, seed: int) -> list:
-    """Covered-trial counts ``hits[i][j]`` of request i with its local-count
-    CDF table j, on one network draw shared by all ``requests``.
+    """Covered-trial counts of each request, on one network draw shared by
+    all ``requests``.
 
     The serving link and the representative cluster are drawn once per
     trial in units of sigma and shared by every request; the local
-    fields of all tables share their members (common random numbers).
+    fields of all requests share their members (common random numbers).
     Each request's remote field is the sum of the cells it takes (module
     docstring), drawn and scored one cell at a time.
     """
@@ -510,11 +477,11 @@ def _sir_hits(requests: tuple, trials: int, seed: int) -> list:
     cells = _cells(fields)
     # Equal tables (the same law) share one row of local counts.
     tables = {}
-    table_of = [[tables.setdefault(cdf.tobytes(), (len(tables), cdf))[0]
-                 for cdf in r.local_cdfs()] for r in requests]
+    table_of = [tables.setdefault(cdf.tobytes(), (len(tables), cdf))[0]
+                for cdf in (r.local_cdf() for r in requests)]
     cdfs = tuple(cdf for _, cdf in tables.values())
     n_batches = (trials + _BATCH - 1) // _BATCH
-    hits = [[0] * len(rows) for rows in table_of]
+    hits = [0] * len(requests)
     work = _Workspace()
     done = 0
     for rng in _batch_generators(seed, n_batches):
@@ -534,14 +501,13 @@ def _sir_hits(requests: tuple, trials: int, seed: int) -> list:
                                                   annulus, layer, rows,
                                                   work=work)[picks]
         signal = rng.standard_exponential(n) * serve_d2 ** (-0.5 * alpha)
-        for request_hits, request, f, rows in zip(hits, requests, field_of,
-                                                  table_of):
-            for j, row in enumerate(rows):
-                # SIR > theta, written multiplicatively so empty interferer
-                # sets (interference == 0) count as covered without
-                # dividing by zero.
-                request_hits[j] += int(np.count_nonzero(
-                    signal > request.cfg.theta * (local[row] + remote[f])))
+        for i, (request, f, row) in enumerate(zip(requests, field_of,
+                                                  table_of)):
+            # SIR > theta, written multiplicatively so empty interferer
+            # sets (interference == 0) count as covered without dividing
+            # by zero.
+            hits[i] += int(np.count_nonzero(
+                signal > request.cfg.theta * (local[row] + remote[f])))
     return hits
 
 
@@ -559,13 +525,15 @@ def _estimate(hits: int, trials: int) -> McEstimate:
 
 
 def simulate(requests, trials: int, seed: int) -> list:
-    """Simulate every request on one network draw; one result per request,
-    in order (an ``McEstimate``, or a ``ConditionalCoveragePair`` for a
-    ``ConditionalCoverage``).
+    """Simulate every request on one network draw; one ``McEstimate`` per
+    request, in order.
 
     The requests must share alpha, access_p and n_bar; their kind, sigma,
     theta and lambda_p may differ (module docstring). Each request's
-    remote clusters fill the disk of ``default_region_radius``.
+    remote clusters fill the disk of ``default_region_radius``. The
+    estimates share their draws, so two requests that differ only in
+    their law (``ConditionalCoverage`` and ``PoissonConditionalCoverage``
+    of one k) differ only where their laws do.
     """
     requests = tuple(requests)
     if not requests:
@@ -577,5 +545,5 @@ def simulate(requests, trials: int, seed: int) -> list:
         if len(values) > 1:
             raise ConfigError(
                 f"the requests must share {name}, got {sorted(values)}")
-    hits = _sir_hits(requests, trials, seed)
-    return [r.result(h, trials) for r, h in zip(requests, hits)]
+    return [_estimate(hits, trials)
+            for hits in _sir_hits(requests, trials, seed)]

@@ -79,7 +79,6 @@ _SAFEGUARD_TRIALS = 4
 # is at most this relative amount, or raises after this many steps.
 _NEWTON_RTOL = 8.0 * np.finfo(float).eps
 _NEWTON_ITERATIONS = 8
-_POISSON_TAIL = 1e-10
 # A queue is treated as unstable once its utilisation exceeds this.
 _RHO_MAX = 1.0 - 1e-9
 # A BCD run stops once a step changes the delay by at most this relative
@@ -346,25 +345,6 @@ def energy_conditional(
     d2d_term = (miss - miss**k) * (cfg.p_d / r1)
     bs_term = miss**k * (cfg.p_b / r2)
     return float(k * (q @ (s_bits * (d2d_term + bs_term))))
-
-
-def _poisson_weights(n_bar: float):
-    """(k, P(n = k)) for n ~ Poisson(n_bar), k = 1, 2, ...
-
-    Stops once the remaining tail mass drops below ``_POISSON_TAIL``
-    (or past k = 200 (1 + n_bar)); k = 0 is skipped because an empty
-    cluster contributes nothing to the CLI's energy mixture.
-    """
-    weight = math.exp(-n_bar)
-    cumulative = weight
-    k = 0
-    while cumulative < 1.0 - _POISSON_TAIL:
-        k += 1
-        weight *= n_bar / k
-        cumulative += weight
-        yield k, weight
-        if k > 200 * (1 + n_bar):
-            return
 
 
 def _energy_policy_for_multiplier(v, x, k, cost_d2d, cost_bs):

@@ -83,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InfeasibleAccessProbability, NumericFailure
-from .model import NetworkConfig, _check_count
+from .model import NetworkConfig, _check_count, _check_rate_threshold
 
 __all__ = [
     "serving_distance_pdf",
@@ -513,15 +513,7 @@ def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float) -> float:
     to exceed R0; otherwise the probability is identically zero and an
     :class:`InfeasibleAccessProbability` is raised.
     """
-    if not (math.isfinite(r0_over_w1) and r0_over_w1 >= 0):
-        raise ConfigError(
-            f"r0_over_w1 must be finite and non-negative, got {r0_over_w1!r}")
-    spectral_capacity = cfg.access_p * math.log2(1.0 + cfg.theta)
-    if not spectral_capacity > r0_over_w1:
-        raise InfeasibleAccessProbability(
-            f"access_p * log2(1 + theta) = {spectral_capacity:.6g} bits/s/Hz "
-            f"does not exceed R0/W1 = {r0_over_w1:.6g} bits/s/Hz"
-        )
+    _check_rate_threshold(cfg, r0_over_w1)
     return _coverage(cfg, cfg.access_p * cfg.n_bar, "P(R1 > R0)")
 
 

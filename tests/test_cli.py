@@ -505,7 +505,7 @@ class TestRunScenario:
         nodes = [stochgeo._coverage_table(*key, level).weights.size for level in (0, 1)]
         assert [point["table_nodes"] for point in offload + energy] == (
             [nodes] + [[]] * (len(builds) - 1))
-        mixture = list(optimize._poisson_weights(sc.cfg.n_bar))
+        mixture = cli._energy_mixture(sc.cfg.n_bar)
         for value, point, built in zip(sc.grid, offload, builds):
             assert set(point) == {"kkt_iterations", "multiplier", "table_builds",
                                   "table_nodes"}
@@ -550,7 +550,7 @@ class TestRunScenario:
             e_pc, e_zipf, e_cpf = (float(row[f"e_{c}_j"]) for c in ("pc", "zipf", "cpf"))
             assert e_pc <= min(e_zipf, e_cpf)
         summary = json.loads((tmp_path / "table1_summary.json").read_text())
-        mixture = list(optimize._poisson_weights(mapping["network"]["n_bar"]))
+        mixture = cli._energy_mixture(mapping["network"]["n_bar"])
         assert len(mixture) == 25
         for point in summary["tasks"]["energy"]["point_diagnostics"]:
             assert point["degenerate"] == len(mixture)
@@ -664,7 +664,7 @@ class TestRunScenario:
         scenario = replace(default_table1(), mc_trials=2000)
         rows = cli._validate_rows(scenario, cli._validate_points(scenario))
         (requests,) = calls
-        assert len(requests) == 13 and len(rows) == 15
+        assert len(requests) == 14 and len(rows) == 15
 
 
 class TestMainEntryPoint:

@@ -40,7 +40,7 @@ from clustercache.model import (
     baseline_policy,
 )
 from clustercache import optimize as opt
-from clustercache import queueing, stochgeo
+from clustercache import cli, queueing, stochgeo
 from clustercache.optimize import (
     energy_conditional,
     objective_offloading,
@@ -230,7 +230,7 @@ class TestKktKernels:
         w1 = 0.5 * cfg.w_total
         r2 = stochgeo.average_rate(w1, cfg.theta,
                                    stochgeo.bs_coverage(cfg.theta, cfg.alpha))
-        for k, _ in opt._poisson_weights(cfg.n_bar):
+        for k, _ in cli._energy_mixture(cfg.n_bar):
             r1 = stochgeo.average_rate(w1, cfg.theta,
                                        stochgeo.d2d_coverage_conditional(cfg, k))
             optimize_energy(cfg, lib, k, r1, r2)
@@ -619,19 +619,35 @@ class TestEnergyConcave:
                 assert sol.objective <= found * (1 + 1e-12)
 
 
+# From n_bar = 709 on, exp(-n_bar) is subnormal or zero: a forward
+# recurrence from P(N = 0) loses its weights there.
+_MEANS = [1e-9, 1.0, 5.0, 40.0, 709.0, 750.0, 2000.0]
+
+
 class TestPoissonWeights:
     """The Poisson(n_bar) cluster-size weights of the CLI's energy mixture."""
 
-    @pytest.mark.parametrize("n_bar", [1e-9, 1.0, 5.0, 40.0])
+    @pytest.mark.parametrize("n_bar", _MEANS)
     def test_match_poisson_pmf_from_k1(self, n_bar):
-        ks, weights = zip(*opt._poisson_weights(n_bar))
+        ks, weights = zip(*cli._energy_mixture(n_bar))
         assert ks == tuple(range(1, len(ks) + 1))
-        np.testing.assert_allclose(weights, poisson.pmf(ks, n_bar), rtol=1e-9, atol=0)
+        # Far below the mode of a large mean the pmf is not a normal float.
+        pmf = poisson.pmf(ks, n_bar)
+        kept = pmf > 1e-300
+        np.testing.assert_allclose(np.array(weights)[kept], pmf[kept],
+                                   rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("n_bar", [1e-9, 1.0, 5.0, 40.0])
+    @pytest.mark.parametrize("n_bar", _MEANS)
     def test_tail_beyond_last_k_is_negligible(self, n_bar):
-        last_k = list(opt._poisson_weights(n_bar))[-1][0]
+        last_k = cli._energy_mixture(n_bar)[-1][0]
         assert poisson.sf(last_k, n_bar) < 1e-10
+        # The first such k: the mixture is cut no later than it must be.
+        assert poisson.sf(last_k - 1, n_bar) > 1e-10
+
+    @pytest.mark.parametrize("n_bar", _MEANS)
+    def test_sum_to_the_nonempty_share(self, n_bar):
+        total = math.fsum(weight for _, weight in cli._energy_mixture(n_bar))
+        assert abs(total + math.expm1(-n_bar)) <= 1e-10
 
 
 def _golden_section(fn, lo, hi, tol):
