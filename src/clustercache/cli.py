@@ -68,7 +68,8 @@ _SWEEP_VARIABLES = {
 }
 _SCHEMA_LINE = "# schema=1"
 # The energy task's Poisson(n_bar) cluster-size mixture stops at the first
-# k whose tail P(N > k) is at most this.
+# k whose tail P(N > k) is at most this, and leaves out the leading k
+# whose mass P(1 <= N <= k) is at most this.
 _MIXTURE_TAIL = 1e-10
 
 
@@ -380,13 +381,17 @@ def _offload_point(scenario: Scenario, value: float) -> dict:
 
 
 def _energy_mixture(n_bar: float) -> list:
-    """(k, P(N = k)) for N ~ Poisson(n_bar), k = 1, 2, ..., K, with K the
-    first k at which P(N > k) <= ``_MIXTURE_TAIL``, at any n_bar; k = 0
-    is skipped because an empty cluster contributes nothing."""
+    """(k, P(N = k)) for N ~ Poisson(n_bar), k = K0, ..., K, with K the
+    first k at which P(N > k) <= ``_MIXTURE_TAIL`` and K0 - 1 the last
+    k at which P(1 <= N <= k) <= ``_MIXTURE_TAIL`` (K0 = 1 where P(N = 1)
+    exceeds it), at any n_bar; k = 0 is skipped because an empty cluster
+    contributes nothing. The left-out k carry at most twice that mass."""
     weights = _poisson_weights(n_bar, 0, _MIXTURE_TAIL**2)
     at_least = np.cumsum(weights[::-1])[::-1]  # P(N >= k), same factor
     last = int(np.argmax(at_least[1:] / at_least[0] <= _MIXTURE_TAIL))
-    return list(enumerate((weights[1:last + 1] / at_least[0]).tolist(), start=1))
+    below = np.cumsum(weights[1:last + 1]) / at_least[0]  # P(1 <= N <= k)
+    first = 1 + int(np.count_nonzero(below <= _MIXTURE_TAIL))
+    return list(enumerate((weights[first:last + 1] / at_least[0]).tolist(), start=first))
 
 
 def _energy_point(scenario: Scenario, value: float) -> dict:

@@ -205,9 +205,9 @@ class CachingPolicy:
         b = np.asarray(self.b, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ConfigError("b must be a non-empty 1-D vector")
-        if np.any(b < -_BOX_TOL) or np.any(b > 1 + _BOX_TOL):
+        if (b < -_BOX_TOL).any() or (b > 1 + _BOX_TOL).any():
             raise ConfigError("caching probabilities must lie in [0, 1]")
-        b = np.clip(b, 0.0, 1.0)
+        b = _clip_unit(b)
         _check_count("cache_size", self.cache_size, 1)
         if abs(b.sum() - self.cache_size) > _BUDGET_TOL:
             raise ConfigError(
@@ -265,7 +265,7 @@ def _capped_proportional(weights: np.ndarray, budget: int) -> np.ndarray:
         b[over] = 1.0
         free &= ~over
         remaining = float(budget - b[~free].sum())
-    return np.clip(b, 0.0, 1.0)
+    return _clip_unit(b, out=b)
 
 
 def baseline_policy(kind: str, library: ContentLibrary) -> CachingPolicy:
@@ -300,4 +300,11 @@ def _snap_budget(b: np.ndarray, budget: int) -> np.ndarray:
         if interior.any():
             b = b.copy()
             b[interior] += gap / interior.sum()
-    return np.clip(b, 0.0, 1.0)
+    return _clip_unit(b)
+
+
+def _clip_unit(b: np.ndarray, out=None) -> np.ndarray:
+    """``np.clip(b, 0, 1)`` to the bit, NaN and -0.0 included, without
+    its Python wrapper; a new array unless ``out`` is given."""
+    out = np.maximum(0.0, b, out=out)  # max(0, -0.0) is -0.0, as in clip
+    return np.minimum(out, 1.0, out=out)

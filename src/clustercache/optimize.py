@@ -53,6 +53,7 @@ from .model import (
     NetworkConfig,
     _BUDGET_TOL,
     _check_count,
+    _clip_unit,
     _snap_budget,
     baseline_policy,
 )
@@ -189,18 +190,34 @@ def _offload_stationary_point(v, q, n_bar, prob_r1):
     rounding) is b = 1. Raises NumericFailure if the steps do not reach
     rounding level within ``_NEWTON_ITERATIONS``.
     """
-    c = (v / q - 1.0 + prob_r1) / prob_r1
+    c = v / q
+    c -= 1.0
+    c += prob_r1
+    c /= prob_r1
     positive = c > 0.0
-    log_c = np.log(np.where(positive, c, 1.0))
+    log_c = np.log(np.where(positive, c, 1.0), out=c)
+    log_c += n_bar
     # T = w + ln(1+w) runs from 0 (b = 1) to n_bar + ln(1+n_bar) (b = 0).
-    target = np.clip(np.where(positive, log_c + n_bar, 0.0),
-                     0.0, n_bar + math.log1p(n_bar))
-    w = target - np.log1p(target)
+    target = np.where(positive, log_c, 0.0)
+    np.minimum(np.maximum(0.0, target, out=target), n_bar + math.log1p(n_bar),
+               out=target)
+    w = np.subtract(target, np.log1p(target))
+    # The step (w + ln(1+w) - T) (1+w) / (2+w), worked in place in that
+    # order of operations.
+    scale = np.empty_like(w)
     for _ in range(_NEWTON_ITERATIONS):
-        step = (w + np.log1p(w) - target) * (1.0 + w) / (2.0 + w)
+        step = np.log1p(w)
+        step += w
+        step -= target
+        step *= np.add(1.0, w, out=scale)
+        step /= np.add(2.0, w, out=scale)
         w -= step
-        if np.all(np.abs(step) <= _NEWTON_RTOL * (1.0 + w)):
-            return np.clip(1.0 - w / n_bar, 0.0, 1.0)
+        np.add(1.0, w, out=scale)
+        scale *= _NEWTON_RTOL
+        if (np.abs(step) <= scale).all():
+            w /= n_bar
+            np.subtract(1.0, w, out=w)
+            return _clip_unit(w, out=w)
     raise NumericFailure(
         f"offloading stationary point: Newton step {np.max(np.abs(step)):.3g} "
         f"after {_NEWTON_ITERATIONS} iterations (n_bar = {n_bar:.6g}, "
@@ -347,14 +364,18 @@ def energy_conditional(
     return float(k * (q @ (s_bits * (d2d_term + bs_term))))
 
 
-def _energy_policy_for_multiplier(v, x, k, cost_d2d, cost_bs):
+def _energy_policy_for_multiplier(v, kxa, curvature, exponent):
     # Interior stationarity: beta^(k-1) = (v + k x A) / (k^2 x (A - B)),
-    # beta = 1 - b, A = Pd/R1, B = Pb/R2 (A < B). Negative bases mean the
-    # marginal saving still exceeds the multiplier at b = 1.
-    ratio = (v + k * x * cost_d2d) / (k**2 * x * (cost_d2d - cost_bs))
-    base = np.clip(ratio, 0.0, None)
-    beta = base ** (1.0 / (k - 1))
-    return np.clip(1.0 - beta, 0.0, 1.0)
+    # beta = 1 - b, A = Pd/R1, B = Pb/R2 (A < B), with kxa = k x A,
+    # curvature = k^2 x (A - B) and exponent = 1/(k-1). Negative bases mean
+    # the marginal saving still exceeds the multiplier at b = 1. One fresh
+    # array per call, worked in place: the search keeps its end policies.
+    b = np.add(v, kxa)
+    b /= curvature
+    np.maximum(b, 0.0, out=b)
+    b **= exponent
+    np.subtract(1.0, b, out=b)
+    return _clip_unit(b, out=b)
 
 
 def optimize_energy(
@@ -411,9 +432,12 @@ def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
         return b, math.nan, 0
     x = x[:live]
     grad_at_0 = -k * x * (k * cost_bs - (k - 1) * cost_d2d)
-    grad_at_1 = -k * x * cost_d2d
+    kxa = k * x * cost_d2d
+    grad_at_1 = -kxa
+    curvature = k**2 * x * (cost_d2d - cost_bs)
+    exponent = 1.0 / (k - 1)
     b[:live], multiplier, iterations = _search_multiplier(
-        lambda v: _energy_policy_for_multiplier(v, x, k, cost_d2d, cost_bs),
+        lambda v: _energy_policy_for_multiplier(v, kxa, curvature, exponent),
         float(grad_at_0.min()) * (1.0 + 1e-12),
         float(grad_at_1.max()) * (1.0 - 1e-12),
         m, live, decreasing=False,
@@ -574,7 +598,12 @@ def optimize_delay_bcd(
     stable the one start is the minimum-load policy: the stability load
     zeta_tot (a1/O1 + a2/O2) / W has the energy form with x = q, so
     ``_energy_form_minimiser`` gives the least load of any policy, and
-    no policy is stable if it is not.
+    no policy is stable if it is not. Starts that are equal to the bit
+    (at k = 1 every rho gives the top-M vertex) run once and share that
+    run: each still counts in ``restarts_used``, and ``best_start`` is
+    the first index of the least delay. The returned ``gap`` is the one
+    ``_bcd_run`` reports, computed by the last linearisation at the
+    returned point.
     """
     _check_count("k", k, 1)
     _check_load(zeta_tot)
@@ -601,15 +630,27 @@ def optimize_delay_bcd(
             )
         starts = [least]
 
-    runs = [_bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m) for b0 in starts]
-    best_start = min(range(len(runs)), key=lambda i: runs[i][0][-1].delay)
-    steps, converged, gap = runs[best_start]
+    runs = {}  # keyed by the start's bytes: equal starts share one run
+    for b0 in starts:
+        if b0.tobytes() not in runs:
+            runs[b0.tobytes()] = _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m)
+    results = [runs[b0.tobytes()] for b0 in starts]
+    delays = [steps[-1].delay for steps, _, _ in results]
+    best_start = delays.index(min(delays))
+    steps, converged, gap = results[best_start]
     return BcdTrace(steps=tuple(steps), converged=converged,
                     restarts_used=len(starts), gap=gap, best_start=best_start)
 
 
 def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m):
-    """One BCD run from b0: (steps, converged, final linearisation gap)."""
+    """One BCD run from b0: (steps, converged, final linearisation gap).
+
+    Each iterate linearises the delay once. A caching step's linear
+    minimisation also gives the gap at its own iterate (the Frank-Wolfe
+    duality gap; Jaggi, ICML 2013), so when the last step is rejected,
+    (b, W1) has not moved and that gap is returned; only when the last
+    step moved does the returned point take one more linearisation.
+    """
     def delay_at(b):
         return _optimised_delay(b, q, k, zeta_tot, o1, o2, w_total)
 
@@ -621,12 +662,14 @@ def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m):
     w1, delay = delay_at(b)
     steps = [step(b, w1, delay)]
     converged = False
+    moved = True  # b0 has no linearisation yet
     for _ in range(_BCD_MAX_ITERATIONS):
-        s, _ = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)
+        s, gap = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)
         # The full caching step, then the closed-form bandwidth step at s;
         # a step that does not lower the exact delay leaves (b, W1) as is.
         w1_s, new_delay = delay_at(s)
-        if new_delay < delay:
+        moved = new_delay < delay
+        if moved:
             b, w1 = s, w1_s
         else:
             new_delay = delay
@@ -635,5 +678,6 @@ def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m):
             converged = True
             break
         delay = new_delay
-    gap = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)[1]
+    if moved:
+        gap = _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m)[1]
     return steps, converged, gap

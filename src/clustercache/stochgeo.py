@@ -291,10 +291,9 @@ def _rice_pdf(u: np.ndarray, v, sigma: float) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _gl_nodes(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1] by Golub-Welsch: nodes
-    are the eigenvalues of the Jacobi matrix (``eigvalsh``; the first
-    ``eigh`` of a process costs ~45 ms), polished by a Newton step
-    from one three-term-recurrence pass, which also gives the weights
-    2 / ((1 - x**2) P_n'(x)**2)."""
+    are the eigenvalues of the Jacobi matrix (``eigvalsh``), polished by
+    a Newton step from one three-term-recurrence pass, which also gives
+    the weights 2 / ((1 - x**2) P_n'(x)**2)."""
     k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
     previous, p = np.ones(n), x.copy()

@@ -5,9 +5,14 @@ Newton iteration on the Lambert W equation) and the budget multiplier by
 regula falsi. These are the slow, plainly correct routines they
 replaced: a 60-step bisection of the marginal gain for the stationary
 point, and a bisection of the multiplier with the same stopping test.
+The energy rule and the offloading Newton iteration are also written
+out as plain array expressions, which the package's in-place kernels
+must match to the bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,3 +58,32 @@ def bisect_multiplier(policy_at, v_lo, v_hi, m, decreasing, max_iterations=120):
         else:
             v_hi = v
     return v, iterations
+
+
+def energy_policy(v, x, k, cost_d2d, cost_bs):
+    """The energy KKT rule at multiplier v, as plain array expressions.
+
+    The package evaluates the same expression in place, with its per-file
+    constants computed once per solve; it must give these bits.
+    """
+    ratio = (v + k * x * cost_d2d) / (k**2 * x * (cost_d2d - cost_bs))
+    base = np.clip(ratio, 0.0, None)
+    beta = base ** (1.0 / (k - 1))
+    return np.clip(1.0 - beta, 0.0, 1.0)
+
+
+def offload_newton_point(v, q, n_bar, prob_r1, rtol, iterations):
+    """The offloading stationary point by the package's Newton iteration,
+    as plain array expressions (None where it does not converge)."""
+    c = (v / q - 1.0 + prob_r1) / prob_r1
+    positive = c > 0.0
+    log_c = np.log(np.where(positive, c, 1.0))
+    target = np.clip(np.where(positive, log_c + n_bar, 0.0),
+                     0.0, n_bar + math.log1p(n_bar))
+    w = target - np.log1p(target)
+    for _ in range(iterations):
+        step = (w + np.log1p(w) - target) * (1.0 + w) / (2.0 + w)
+        w -= step
+        if np.all(np.abs(step) <= rtol * (1.0 + w)):
+            return np.clip(1.0 - w / n_bar, 0.0, 1.0)
+    return None

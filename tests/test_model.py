@@ -14,6 +14,8 @@ from clustercache.model import (
     ContentLibrary,
     NetworkConfig,
     _capped_proportional,
+    _clip_unit,
+    _snap_budget,
     baseline_policy,
     zipf_popularity,
 )
@@ -201,6 +203,40 @@ class TestDomainTypes:
         policy = CachingPolicy(np.array([0.25, 0.75]), cache_size=1)
         with pytest.raises(ValueError):  # frozen and read-only
             policy.b[0] = 0.9
+
+    def test_policy_does_not_alias_the_callers_vector(self):
+        b = np.array([0.25, 0.75])
+        policy = CachingPolicy(b, cache_size=1)
+        assert not np.shares_memory(policy.b, b)
+        b[0] = 0.5
+        assert policy.b[0] == 0.25
+
+
+class TestUnitClip:
+    """``_clip_unit``, the clamp to [0, 1] of the policy paths."""
+
+    VALUES = np.array([-0.0, 0.0, -1.0, 2.0, 0.5, 1.0, -1e-300, 1.0 + 2e-16,
+                       math.nan, math.inf, -math.inf, 5e-324, -5e-324])
+
+    @pytest.mark.parametrize("size", [1, 7, 64, 1001])
+    def test_bits_of_np_clip(self, size):
+        # The same bits as np.clip, NaN and -0.0 included, at sizes that
+        # take the vector loops and their remainders.
+        b = np.random.default_rng(size).choice(self.VALUES, size)
+        expected = np.clip(b, 0.0, 1.0)
+        assert _clip_unit(b).tobytes() == expected.tobytes()
+        assert np.signbit(_clip_unit(np.array([-0.0]))[0])
+
+    def test_fresh_array_unless_out(self):
+        b = np.array([-0.5, 0.25, 1.5])
+        clipped = _clip_unit(b)
+        assert not np.shares_memory(clipped, b)
+        assert b.tolist() == [-0.5, 0.25, 1.5]
+        assert _clip_unit(b, out=b) is b
+        assert b.tolist() == [0.0, 0.25, 1.0]
+        # The budget snap returns a new array even when it moves nothing.
+        unit = np.array([1.0, 0.0])
+        assert not np.shares_memory(_snap_budget(unit, 1), unit)
 
 
 # Every public function that takes the cluster size k, called at k.

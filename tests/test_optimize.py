@@ -378,6 +378,65 @@ def _projected_gradient_energy(q, s_bits, k, cost_d2d, cost_bs, budget,
     return b
 
 
+class TestInPlaceKernels:
+    """The in-place KKT kernels give the bits of their plain array
+    expressions (``kkt_oracle``), -0.0 included, and a fresh array on
+    every call."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 40), beta=st.floats(0.0, 2.5),
+           log_a=st.floats(-12.0, -3.0), log_ratio=st.floats(1e-6, 4.0),
+           index=st.integers(0, 59), t=st.floats(0.0, 1.0))
+    def test_energy_rule_matches_plain_expressions(self, k, beta, log_a, log_ratio,
+                                                   index, t):
+        x = ContentLibrary.zipf(60, beta, 6).popularity * 5e6
+        cost_d2d = 10.0**log_a
+        cost_bs = cost_d2d * 10.0**log_ratio
+        kxa = k * x * cost_d2d
+        curvature = k**2 * x * (cost_d2d - cost_bs)
+        exponent = 1.0 / (k - 1)
+        grad_at_0 = -k * x * (k * cost_bs - (k - 1) * cost_d2d)
+        v_lo, v_hi = grad_at_0.min() * (1.0 + 1e-12), -kxa.max() * (1.0 - 1e-12)
+        # Across the bracket, and at a file's b = 1 gradient, where its
+        # ratio is -0.0.
+        for v in (v_lo + t * (v_hi - v_lo), -kxa[index]):
+            fast = opt._energy_policy_for_multiplier(v, kxa, curvature, exponent)
+            plain = kkt_oracle.energy_policy(v, x, k, cost_d2d, cost_bs)
+            assert np.array_equal(fast, plain)
+            assert self._same_bits(fast, plain)
+        again = opt._energy_policy_for_multiplier(v, kxa, curvature, exponent)
+        assert not any(np.shares_memory(again, a) for a in (fast, kxa, curvature))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_bar=st.floats(0.1, 50.0), prob_r1=st.floats(1e-3, 1.0),
+           beta=st.floats(0.0, 2.0), index=st.integers(0, 59),
+           t=st.floats(0.0, 1.0))
+    def test_offload_rule_matches_plain_expressions(self, n_bar, prob_r1, beta,
+                                                    index, t):
+        q = ContentLibrary.zipf(60, beta, 6).popularity
+        grad_at_1 = opt._offload_gradient(1.0, q, n_bar, prob_r1)
+        grad_at_0 = opt._offload_gradient(0.0, q, n_bar, prob_r1)
+        for v in (grad_at_1[index] + t * (grad_at_0[index] - grad_at_1[index]),
+                  grad_at_1[index], grad_at_0[index]):
+            interior = (grad_at_1 <= v) & (v <= grad_at_0)
+            fast = opt._offload_stationary_point(v, q[interior], n_bar, prob_r1)
+            plain = kkt_oracle.offload_newton_point(
+                v, q[interior], n_bar, prob_r1, opt._NEWTON_RTOL,
+                opt._NEWTON_ITERATIONS)
+            assert np.array_equal(fast, plain)
+            assert self._same_bits(fast, plain)
+            policy = opt._offload_policy_for_multiplier(
+                v, q, n_bar, prob_r1, grad_at_1, grad_at_0)
+            assert self._same_bits(policy[interior], plain)
+            assert not np.shares_memory(
+                policy, opt._offload_policy_for_multiplier(
+                    v, q, n_bar, prob_r1, grad_at_1, grad_at_0))
+
+
 class TestEnergy:
     def test_hand_evaluated_reference(self):
         # k=2, q=(0.8, 0.2), unit sizes, Pd/R1 = 1 and Pb/R2 = 10 per Mbit:
@@ -627,10 +686,17 @@ _MEANS = [1e-9, 1.0, 5.0, 40.0, 709.0, 750.0, 2000.0]
 class TestPoissonWeights:
     """The Poisson(n_bar) cluster-size weights of the CLI's energy mixture."""
 
+    @staticmethod
+    def _head_mass(n_bar, first_k):
+        """P(1 <= N < first_k), the mass the lower cut leaves out."""
+        return poisson.cdf(first_k - 1, n_bar) - poisson.pmf(0, n_bar)
+
     @pytest.mark.parametrize("n_bar", _MEANS)
     def test_match_poisson_pmf_from_k1(self, n_bar):
+        # P(N = k) at consecutive k, counted from k = 1 (the lower cut
+        # drops a head of them from n_bar = 40 on).
         ks, weights = zip(*cli._energy_mixture(n_bar))
-        assert ks == tuple(range(1, len(ks) + 1))
+        assert ks == tuple(range(ks[0], ks[0] + len(ks)))
         # Far below the mode of a large mean the pmf is not a normal float.
         pmf = poisson.pmf(ks, n_bar)
         kept = pmf > 1e-300
@@ -645,9 +711,26 @@ class TestPoissonWeights:
         assert poisson.sf(last_k - 1, n_bar) > 1e-10
 
     @pytest.mark.parametrize("n_bar", _MEANS)
+    def test_head_before_first_k_is_negligible(self, n_bar):
+        first_k = cli._energy_mixture(n_bar)[0][0]
+        assert self._head_mass(n_bar, first_k) <= 1e-10
+        # The last such head: the mixture starts no later than it may.
+        assert self._head_mass(n_bar, first_k + 1) > 1e-10
+        # Up to n_bar = 20, P(N = 1) alone exceeds the cut.
+        assert (first_k == 1) == (n_bar <= 20)
+
+    def test_large_mean_keeps_few_sizes(self):
+        # At n_bar = 750 the cut drops the 582 sizes below k = 583.
+        mixture = cli._energy_mixture(750.0)
+        assert len(mixture) < 400
+        assert self._head_mass(750.0, mixture[0][0]) <= 1e-10
+
+    @pytest.mark.parametrize("n_bar", _MEANS)
     def test_sum_to_the_nonempty_share(self, n_bar):
-        total = math.fsum(weight for _, weight in cli._energy_mixture(n_bar))
-        assert abs(total + math.expm1(-n_bar)) <= 1e-10
+        mixture = cli._energy_mixture(n_bar)
+        total = math.fsum(weight for _, weight in mixture)
+        head = self._head_mass(n_bar, mixture[0][0])
+        assert abs(total + head + math.expm1(-n_bar)) <= 1e-10
 
 
 def _golden_section(fn, lo, hi, tol):
@@ -1207,3 +1290,85 @@ class TestBcdLineSearch:
         trace = optimize_delay_bcd(table1_cfg, table1_lib, 8, 2.0, restarts=2)
         assert trace.converged
         assert len(calls) <= 40
+
+    @pytest.mark.parametrize("max_iterations", [1, opt._BCD_MAX_ITERATIONS])
+    def test_one_linearisation_per_iterate(self, table1_cfg, table1_lib, monkeypatch,
+                                           max_iterations):
+        # Each iteration linearises the delay once, and the returned point
+        # once more only when the last step moved to it; the gap is that
+        # of a linearisation at the returned point. One iteration from the
+        # zipf-proportional policy ends on a step that moved; the full run
+        # ends on a rejected one.
+        lib = table1_lib
+        q, m = lib.popularity, lib.cache_size
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        w = table1_cfg.w_total
+        direct = opt._linearised_caching_step
+        calls = []
+
+        def counted(b, w1, *args):
+            result = direct(b, w1, *args)
+            calls.append((b, w1, result))
+            return result
+
+        monkeypatch.setattr(opt, "_linearised_caching_step", counted)
+        monkeypatch.setattr(opt, "_BCD_MAX_ITERATIONS", max_iterations)
+        b0 = baseline_policy("zipf-proportional", lib).b
+        steps, _, gap = opt._bcd_run(b0, q, 8, 2.0, o1, o2, w, m)
+        moved = steps[-1].delay < steps[-2].delay
+        assert moved == (max_iterations == 1)
+        assert len(calls) == len(steps) - 1 + moved
+        b, w1, _ = calls[-1]
+        if moved:
+            assert b is calls[-2][2][0]  # the step's minimiser, now the iterate
+        assert w1 == steps[-1].w1
+        assert opt._snap_budget(b, m).tobytes() == steps[-1].policy.b.tobytes()
+        assert gap == direct(b, w1, q, 8, 2.0, o1, o2, w, m)[1]
+
+
+class TestFrontierStartReuse:
+    """Equal frontier starts share one BCD run."""
+
+    @staticmethod
+    def _counted_runs(monkeypatch):
+        direct = opt._bcd_run
+        calls = []
+
+        def counted(b0, *args):
+            calls.append(b0)
+            return direct(b0, *args)
+
+        monkeypatch.setattr(opt, "_bcd_run", counted)
+        return direct, calls
+
+    def test_single_device_runs_once(self, table1_cfg, monkeypatch):
+        # At k = 1 every rho gives the top-M vertex: one run serves all
+        # eight starts, and the trace is the one from running each.
+        lib = ContentLibrary.zipf(100, 1.0, 4)
+        direct, calls = self._counted_runs(monkeypatch)
+        trace = optimize_delay_bcd(table1_cfg, lib, 1, 2.0, restarts=8)
+        assert len(calls) == 1
+        q, m = lib.popularity, lib.cache_size
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        runs = [direct(opt._energy_form_minimiser(q, 1, 1.0, rho, m)[0], q, 1, 2.0,
+                       o1, o2, table1_cfg.w_total, m)
+                for rho in [1.0, *np.geomspace(2.0, 1e8, 7)]]
+        best = min(range(8), key=lambda i: runs[i][0][-1].delay)
+        steps, converged, gap = runs[best]
+        assert (trace.restarts_used, trace.best_start, trace.converged, trace.gap) == (
+            8, best, converged, gap)
+        assert len(trace.steps) == len(steps)
+        for got, want in zip(trace.steps, steps):
+            assert (got.w1, got.delay) == (want.w1, want.delay)
+            assert got.policy.b.tobytes() == want.policy.b.tobytes()
+
+    def test_distinct_starts_each_run(self, table1_cfg, table1_lib, monkeypatch):
+        # Table 1 at k = 8: starts that differ in any bit run separately.
+        _, calls = self._counted_runs(monkeypatch)
+        trace = optimize_delay_bcd(table1_cfg, table1_lib, 8, 2.0, restarts=8)
+        q, m = table1_lib.popularity, table1_lib.cache_size
+        starts = {opt._energy_form_minimiser(q, 8, 1.0, rho, m)[0].tobytes()
+                  for rho in [1.0, *np.geomspace(2.0, 1e8, 7)]}
+        assert trace.restarts_used == 8
+        assert 1 < len(calls) == len(starts)
+        assert len({b0.tobytes() for b0 in calls}) == len(calls)
