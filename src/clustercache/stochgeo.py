@@ -18,10 +18,11 @@ Numerical conventions
   Gauss-Legendre panels: serving distances r on [0, 14] with breaks where
   r, and where the kernel knee theta**(1/alpha) * r, passes 1, 2 and 4;
   at each r, log L_inter(r) per unit density and the intra-cluster
-  integral I(r) with L_intra = exp(-intensity * I). A coverage is the
-  contraction sum_r w(r) f_R(r) exp(density * log L_inter(r) - intensity
-  * I(r)), so one table serves every sigma and lambda_p, P(R1 > R0)
-  (intensity p*nbar) and every cluster size k (intensity p*k).
+  integral I(r) with L_intra = exp(-intensity * I), both on the grid
+  below. A coverage is the contraction sum_r w(r) f_R(r) exp(density *
+  log L_inter(r) - intensity * I(r)), so one table serves every sigma and
+  lambda_p, P(R1 > R0) (intensity p*nbar) and every cluster size k
+  (intensity p*k).
 * log L_inter of every serving distance of a table is computed on one
   shared grid: cluster-center distances v on panels at most 2 wide on
   [0, c], with c = 13 + the largest kernel knee, and interferer
@@ -33,8 +34,9 @@ Numerical conventions
   phi(s, v) of every r is the matrix product K @ G.T of the kernel
   K[s, u] = w(u) s/(s + u**alpha) with the density G[v, u]. The Bessel
   work of a table thus grows linearly in c and not with its number of
-  r nodes. Beyond c, v is mapped as below and each Rice window is split
-  at its midpoint, above every knee.
+  r nodes. I(r) contracts the same kernel K with the Rayleigh(sqrt(2))
+  density on the whole u rule. Beyond c, v is mapped as below and each
+  Rice window is split at its midpoint, above every knee.
 * Radial breaks closer than a factor 1.25 are one break, the larger:
   near theta = 1 the two scales would otherwise cut sliver panels that
   each get a full rule (at theta = 3 dB, alpha = 4 the panels are those
@@ -60,9 +62,10 @@ Numerical conventions
   the two transforms, ``tests/laplace_oracle.py``, which shares none of
   their quadrature code.
 * Semi-infinite ranges are mapped through v = c*(t/(1-t))**q, with
-  q = 1 unless a heavy tail (alpha < 4) needs it larger; ranges with an
-  exponentially decaying weight are truncated where the weight falls
-  below 1e-18 of its peak.
+  q = 1 unless a heavy tail (alpha < 4) needs it larger. Serving
+  distances are cut at 14 and Rice windows at v +/- 12, where the weight
+  falls below 1e-18 of its peak; I(r) runs over the u rule, up to c + 12
+  >= 25.
 * The Rice density is evaluated with the exponentially scaled Bessel
   function e^(-x) I0(x), so large center distances cannot overflow. It
   is the package's own Cephes Chebyshev evaluation
@@ -104,10 +107,9 @@ _RICE_WINDOW = 12.0
 # Gauss-Legendre points per panel of the coverage tables, as (r, v, u):
 # serving distance, cluster-center distance and interferer distance, in
 # rising order on the same panels. The wide panels get twice the v or u
-# points: the mapped tail of v, its two 12-wide halves of each Rice
-# window and the three panels of the intra-cluster integral. The gap
-# between a rule and the one below it is that rule's error estimate; the
-# next rule is built only when it fails.
+# points: the mapped tail of v and its two 12-wide halves of each Rice
+# window. The gap between a rule and the one below it is that rule's
+# error estimate; the next rule is built only when it fails.
 _RULES = ((12, 6, 16), (16, 8, 24), (24, 12, 32))
 # Radial panel breaks closer than this factor are merged into one.
 _BREAK_RATIO = 1.25
@@ -342,7 +344,8 @@ def _u_edges(kappa_min: float, top: float) -> np.ndarray:
     Every kernel knee kappa >= kappa_min lies in a panel at most a factor
     2, or ``_PANEL``, wide, which a panel's rule resolves without a split
     at kappa. Knees below 2**-30 (or that underflow to 0) share the first
-    panel: its Rice mass, at most u**2 / 2, is below 1e-18.
+    panel: its Rice mass, at most u**2 / 2, and its Rayleigh(sqrt(2))
+    mass, at most u**2 / 4, are below 1e-18.
     """
     lowest = min(math.floor(math.log2(max(kappa_min, 2.0**-30))), 0)
     return np.concatenate([[0.0], 2.0 ** np.arange(lowest, 0),
@@ -350,7 +353,8 @@ def _u_edges(kappa_min: float, top: float) -> np.ndarray:
 
 
 def _log_inter(s_sir: np.ndarray, alpha: float, mu: float, n_v: int, n_u: int):
-    """log L_inter / (lambda_p sigma**2) at each SIR argument, with sigma = 1.
+    """log L_inter / (lambda_p sigma**2) and the intra-cluster integral I
+    at each SIR argument, with sigma = 1.
 
     -2 pi Int_0^inf (1 - exp(-mu phi(s, v))) v dv, with mu = p nbar and
     phi(s, v) = E[s/(s + U**alpha)] for U ~ Rice(v, 1) the Rice-averaged
@@ -360,7 +364,9 @@ def _log_inter(s_sir: np.ndarray, alpha: float, mu: float, n_v: int, n_u: int):
     [0, c + 12]. The Rice density of each (v, u) pair is evaluated once,
     and only for the u panels within the Rice window of the v panel, so
     phi = K @ G.T with K[s, u] = w(u) s/(s + u**alpha) and G[v, u] the
-    Rice density; the cost grows linearly in c.
+    Rice density; the cost grows linearly in c. I(s) = E[s/(s + H**alpha)]
+    for H ~ Rayleigh(sqrt(2)) contracts each pass's K with the density of
+    H at the u columns no earlier pass reached.
 
     Beyond c the integral is mapped to t in (1/2, 1) through
     v = c*(t/(1-t))**q; the integrand decays like v**(1-alpha), so with
@@ -388,10 +394,15 @@ def _log_inter(s_sir: np.ndarray, alpha: float, mu: float, n_v: int, n_u: int):
     # Consecutive v panels of about _RICE_PASS pairs at a time, with the
     # kernel of the u nodes they reach.
     passes = np.flatnonzero(np.diff((np.cumsum(pairs) - 1) // _RICE_PASS)) + 1
+    # The passes reach overlapping runs of u columns that cover the rule.
+    intra = np.zeros(s_sir.size)
+    reached = 0
     for panels in np.split(np.arange(pairs.size), passes):
         lo, hi = first[panels[0]], stop[panels[-1]]
         kernel = s_col / (s_col + u[lo:hi] ** alpha)
         kernel *= u_weights[lo:hi]
+        intra += kernel[:, reached - lo:] @ serving_distance_pdf(u[reached:hi], 1.0)
+        reached = hi
         rice = _rice_pdf(  # the (v, u) pairs of each v panel, u fastest
             np.concatenate([np.tile(u[first[p]:stop[p]], n_v) for p in panels]),
             np.concatenate([np.repeat(v_panels[p], stop[p] - first[p]) for p in panels]),
@@ -415,19 +426,7 @@ def _log_inter(s_sir: np.ndarray, alpha: float, mu: float, n_v: int, n_u: int):
         phi[:, j] = (s_col / (s_col + us**alpha)) @ density
 
     weights = np.concatenate([v_weights * v, t_weights * tail])
-    return -2.0 * math.pi * (-np.expm1(-mu * phi) @ weights)
-
-
-def _intra_integral(s_sir: np.ndarray, alpha: float, n: int) -> np.ndarray:
-    """I at each SIR argument: I(s) = E[s/(s + H**alpha)] with H the
-    Rayleigh(sqrt(2)) interferer distance, cut at 14."""
-    hi = _RAYLEIGH_CUTOFF
-    knee = np.minimum(s_sir ** (1.0 / alpha), hi)
-    edges = np.stack([np.zeros_like(knee), np.minimum(knee, 1.0),
-                      np.maximum(knee, 1.0), np.full_like(knee, hi)], axis=-1)
-    h, w = _gl_rule(edges, n)
-    s_sir = s_sir[:, None]
-    return (w * s_sir / (s_sir + h**alpha) * serving_distance_pdf(h, 1.0)).sum(axis=-1)
+    return -2.0 * math.pi * (-np.expm1(-mu * phi) @ weights), intra
 
 
 def _radial_edges(alpha: float, theta: float) -> list:
@@ -464,8 +463,7 @@ def _coverage_table(alpha: float, theta: float, mu: float, level: int) -> _RuleT
     n_r, n_v, n_u = _RULES[level]
     r, weights = _radial_rule(alpha, theta, n_r)
     s_sir = theta * r**alpha
-    table = _RuleTable(weights, _log_inter(s_sir, alpha, mu, n_v, n_u),
-                       _intra_integral(s_sir, alpha, 2 * n_u))
+    table = _RuleTable(weights, *_log_inter(s_sir, alpha, mu, n_v, n_u))
     for array in table:
         if not np.isfinite(array).all():
             raise NumericFailure(f"coverage table (alpha, theta, mu) = "

@@ -7,6 +7,7 @@ exponential fading only, no shared code with the module under test).
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -35,7 +36,7 @@ from clustercache.stochgeo import (
 from clustercache import stochgeo
 
 from conftest import TABLE1
-from laplace_oracle import checked_quad, laplace_inter, laplace_intra
+from laplace_oracle import checked_quad, intra_integral, laplace_inter, laplace_intra
 
 
 class TestServingDistancePdf:
@@ -382,6 +383,30 @@ class TestCoverageEngine:
         key = (cfg.alpha, cfg.theta, intensity)
         assert value == table(*key, 2).coverage(cfg.lambda_p * cfg.sigma**2, intensity)
 
+    @pytest.mark.parametrize("theta", [0.1, 10.0, 1e4])
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+    def test_intra_integral_exact_at_every_rule(self, alpha, theta, monkeypatch,
+                                                fresh_coverage_caches):
+        # I(r) is contracted on the table's interferer-distance rule, each
+        # u column once across the Rice passes of the build; at theta = 1e4
+        # a build takes several passes.
+        calls = 0
+        rice_pdf = stochgeo._rice_pdf
+
+        def counting(u, v, sigma):
+            nonlocal calls
+            calls += 1
+            return rice_pdf(u, v, sigma)
+
+        monkeypatch.setattr(stochgeo, "_rice_pdf", counting)
+        for level, (n_r, _, _) in enumerate(stochgeo._RULES):
+            table = stochgeo._coverage_table(alpha, theta, 0.5, level)
+            r, _ = stochgeo._radial_rule(alpha, theta, n_r)
+            expected = [intra_integral(theta * x**alpha, 1.0, alpha) for x in r]
+            np.testing.assert_allclose(table.intra, expected, rtol=0.0, atol=2e-11)
+        if theta == 1e4:  # one call per pass and one for the mapped tail
+            assert calls > 2 * len(stochgeo._RULES)
+
     def test_disagreeing_rules_raise(self, table1_cfg, monkeypatch,
                                      fresh_coverage_caches):
         monkeypatch.setattr(stochgeo, "_RULES", ((2, 2, 2), (3, 3, 4), (4, 4, 6)))
@@ -410,17 +435,20 @@ class TestCoverageEngine:
 
     def test_vanishing_threshold(self, table1_cfg, fresh_coverage_caches):
         # Kernel knees far below the first interferer-distance panel, and
-        # SIR arguments that underflow to 0, where the intra-cluster
-        # integral is 0/0.
-        assert d2d_coverage_conditional(replace(table1_cfg, theta=1e-60), 3) == \
-            pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(NumericFailure, match="non-finite"), np.errstate(invalid="ignore"):
-            d2d_coverage_conditional(replace(table1_cfg, theta=1e-320), 3)
+        # SIR arguments that underflow to 0, where the kernel is 0 at every
+        # interferer-distance node.
+        tiny = d2d_coverage_conditional(replace(table1_cfg, theta=1e-60), 3)
+        assert tiny == pytest.approx(1.0, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vanishing = d2d_coverage_conditional(replace(table1_cfg, theta=1e-320), 3)
+        assert vanishing == pytest.approx(tiny, abs=1e-12)
 
     def test_non_finite_table_raises(self, table1_cfg, monkeypatch,
                                      fresh_coverage_caches):
         monkeypatch.setattr(stochgeo, "_log_inter",
-                            lambda s_sir, alpha, mu, n_v, n_u: np.full(s_sir.shape, np.nan))
+                            lambda s_sir, alpha, mu, n_v, n_u:
+                            (np.full(s_sir.shape, np.nan),) * 2)
         with pytest.raises(NumericFailure, match="non-finite"):
             d2d_coverage_conditional(replace(table1_cfg, sigma=23.5), 3)
 
