@@ -42,7 +42,14 @@ from .errors import (
     NumericFailure,
     UnstableQueueError,
 )
-from .model import ContentLibrary, NetworkConfig, _poisson_weights, baseline_policy
+from .model import (
+    ContentLibrary,
+    NetworkConfig,
+    _check_count,
+    _check_load,
+    _poisson_weights,
+    baseline_policy,
+)
 
 __all__ = ["Scenario", "default_table1", "load_scenario", "run_scenario", "main"]
 
@@ -119,20 +126,15 @@ class Scenario:
                 _apply_sweep(self, value)
             except ConfigError as exc:
                 raise ConfigError(f"sweep.grid value {value!r}: {exc}") from exc
-        if self.mc_trials < 1:
-            raise ConfigError("mc_trials must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        _check_count("mc_trials", self.mc_trials, 1)
+        _check_count("seed", self.seed, 0)
         if not 0 <= self.r0_over_w1 < math.inf:
             raise ConfigError("r0_over_w1 must be non-negative and finite")
-        if self.delay_k < 1:
-            raise ConfigError("delay k must be at least 1")
-        if not 0 <= self.zeta_tot < math.inf:
-            raise ConfigError("zeta_tot must be non-negative and finite")
+        _check_count("delay.k", self.delay_k, 1)
+        _check_load(self.zeta_tot)
         if not 0 < self.bandwidth_fraction < 1:
             raise ConfigError("bandwidth_fraction must lie in (0, 1)")
-        if self.bcd_restarts < 1:
-            raise ConfigError("delay restarts must be at least 1")
+        _check_count("delay.restarts", self.bcd_restarts, 1)
 
 
 def _dbm_to_watts(dbm: float) -> float:
@@ -588,8 +590,7 @@ def _write_csv(path: Path, columns, rows):
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
     """Execute all tasks of a scenario; returns the process exit code."""
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    _check_count("--jobs", jobs, 1)
     # Before any task runs and any file is written (InfeasibleAccessProbability).
     points = _validate_points(scenario) if "validate" in scenario.tasks else None
     out = Path(scenario.output_dir)

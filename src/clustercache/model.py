@@ -41,6 +41,13 @@ def _check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
+def _check_load(zeta_tot) -> None:
+    """Reject a request rate ``zeta_tot`` that is not finite and
+    non-negative with :class:`ConfigError`."""
+    if not 0.0 <= zeta_tot < math.inf:
+        raise ConfigError(f"zeta_tot must be finite and non-negative, got {zeta_tot}")
+
+
 def _poisson_weights(mu: float, first: int, floor: float) -> np.ndarray:
     """P(N = m) of N ~ Poisson(mu), mu > 0, up to a common factor, at
     m = 0, 1, ...

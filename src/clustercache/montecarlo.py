@@ -160,8 +160,7 @@ class McEstimate:
     samples: int
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ConfigError("samples must be at least 1")
+        _check_count("samples", self.samples, 1)
 
 
 class _Request:

@@ -53,6 +53,7 @@ from .model import (
     NetworkConfig,
     _BUDGET_TOL,
     _check_count,
+    _check_load,
     _clip_unit,
     _snap_budget,
     baseline_policy,
@@ -449,11 +450,6 @@ def _energy_form_minimiser(x, k, cost_d2d, cost_bs, m):
 # Delay (joint caching and bandwidth minimisation)
 # ---------------------------------------------------------------------------
 
-def _check_load(zeta_tot) -> None:
-    if not 0.0 <= zeta_tot < math.inf:
-        raise ConfigError(f"zeta_tot must be finite and non-negative, got {zeta_tot}")
-
-
 def _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1=None):
     """(W1, weighted delay) for the D2D and BS request fractions a1, a2.
 
@@ -559,18 +555,12 @@ def _linearised_caching_step(b, w1, q, k, zeta_tot, o1, o2, w_total, m):
     return s, float(gap)
 
 
-def _stabilizable(b, q, k, zeta_tot, o1, o2, w_total) -> bool:
-    """Whether some bandwidth split keeps both queues of b stable, by the
-    test of ``_split_delay``."""
-    return math.isfinite(_optimised_delay(b, q, k, zeta_tot, o1, o2, w_total)[1])
-
-
 def optimize_delay_bcd(
     cfg: NetworkConfig,
     lib: ContentLibrary,
     k: int,
     zeta_tot: float,
-    restarts: int = 16,
+    restarts: int,
 ) -> BcdTrace:
     """Minimise the weighted delay over (caching vector, bandwidth split).
 
@@ -594,13 +584,14 @@ def optimize_delay_bcd(
     minimiser s(rho) = ``_energy_form_minimiser(q, k, 1, rho, M)``. Every
     caching step lands on this curve, at rho = c2/c1 of the step's slopes.
     The starts are rho = 1 (top-M) and ``restarts`` - 1 values of rho
-    geometric on [2, 1e8], of which the stable ones run. When none is
+    geometric on [2, 1e8]; each runs, and its run's first evaluation
+    judges it (``_bcd_run``), so only the stable ones count. When none is
     stable the one start is the minimum-load policy: the stability load
     zeta_tot (a1/O1 + a2/O2) / W has the energy form with x = q, so
     ``_energy_form_minimiser`` gives the least load of any policy, and
     no policy is stable if it is not. Starts that are equal to the bit
-    (at k = 1 every rho gives the top-M vertex) run once and share that
-    run: each still counts in ``restarts_used``, and ``best_start`` is
+    (at k = 1 every rho gives the top-M vertex) share one run: each
+    stable one still counts in ``restarts_used``, and ``best_start`` is
     the first index of the least delay. The returned ``gap`` is the one
     ``_bcd_run`` reports, computed by the last linearisation at the
     returned point.
@@ -614,13 +605,16 @@ def optimize_delay_bcd(
     w_total = cfg.w_total
 
     rhos = [1.0, *np.geomspace(2.0, 1e8, restarts - 1)]
-    starts = [
-        b for b in (_energy_form_minimiser(q, k, 1.0, rho, m)[0] for rho in rhos)
-        if _stabilizable(b, q, k, zeta_tot, o1, o2, w_total)
-    ]
-    if not starts:
+    starts = [_energy_form_minimiser(q, k, 1.0, rho, m)[0] for rho in rhos]
+    runs = {}  # keyed by the start's bytes: equal starts share one run
+    for b0 in starts:
+        if b0.tobytes() not in runs:
+            runs[b0.tobytes()] = _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m)
+    results = [run for run in (runs[b0.tobytes()] for b0 in starts) if run is not None]
+    if not results:
         least = _energy_form_minimiser(q, k, 1.0 / o1, 1.0 / o2, m)[0]
-        if not _stabilizable(least, q, k, zeta_tot, o1, o2, w_total):
+        results = [_bcd_run(least, q, k, zeta_tot, o1, o2, w_total, m)]
+        if results[0] is None:
             a1, a2 = _arrival_fractions(least, q, k)
             raise InfeasibleLoadError(
                 f"no caching policy stabilises the queues at zeta_tot = "
@@ -628,22 +622,17 @@ def optimize_delay_bcd(
                 f"of any policy is {zeta_tot * (a1 / o1 + a2 / o2) / w_total:.6g} "
                 f"(stability needs less than 1)"
             )
-        starts = [least]
-
-    runs = {}  # keyed by the start's bytes: equal starts share one run
-    for b0 in starts:
-        if b0.tobytes() not in runs:
-            runs[b0.tobytes()] = _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m)
-    results = [runs[b0.tobytes()] for b0 in starts]
     delays = [steps[-1].delay for steps, _, _ in results]
     best_start = delays.index(min(delays))
     steps, converged, gap = results[best_start]
     return BcdTrace(steps=tuple(steps), converged=converged,
-                    restarts_used=len(starts), gap=gap, best_start=best_start)
+                    restarts_used=len(results), gap=gap, best_start=best_start)
 
 
 def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m):
-    """One BCD run from b0: (steps, converged, final linearisation gap).
+    """One BCD run from b0: (steps, converged, final linearisation gap), or
+    None when no bandwidth split stabilises b0, which the run's first
+    evaluation, the bandwidth-optimised delay at b0, reads as inf.
 
     Each iterate linearises the delay once. A caching step's linear
     minimisation also gives the gap at its own iterate (the Frank-Wolfe
@@ -660,6 +649,8 @@ def _bcd_run(b0, q, k, zeta_tot, o1, o2, w_total, m):
 
     b = b0
     w1, delay = delay_at(b)
+    if delay == math.inf:
+        return None
     steps = [step(b, w1, delay)]
     converged = False
     moved = True  # b0 has no linearisation yet

@@ -26,7 +26,6 @@ from clustercache.optimize import (
     _energy_form_minimiser,
     _linearised_caching_step,
     _optimised_delay,
-    _stabilizable,
 )
 
 # The line search shrinks its bracket by the golden ratio until it is
@@ -94,8 +93,8 @@ def best_of_starts(cfg, lib, k, zeta_tot, restarts, seed):
     q, m, w_total = lib.popularity, lib.cache_size, cfg.w_total
     o1, o2 = queueing.service_coefficients(cfg, lib)
 
-    def stable(b):
-        return _stabilizable(b, q, k, zeta_tot, o1, o2, w_total)
+    def stable(b):  # some bandwidth split keeps both queues stable
+        return math.isfinite(_optimised_delay(b, q, k, zeta_tot, o1, o2, w_total)[1])
 
     anchors = [b for b in (np.full(lib.n_files, m / lib.n_files),
                            baseline_policy("zipf-proportional", lib).b) if stable(b)]

@@ -6,8 +6,8 @@ The set (``tests/golden/``) is the CSVs of the Table-1 sweeps over beta
 seed 1, and of ``clustercache validate --mc-trials 50000 --seed 1``.
 
     python tests/golden_diff.py OLD NEW   # print every moved cell
-    python tests/golden_diff.py --record  # rewrite tests/golden/
-    python tests/golden_diff.py --write DIR
+    PYTHONPATH=src python tests/golden_diff.py --record   # rewrite tests/golden/
+    PYTHONPATH=src python tests/golden_diff.py --write DIR
 
 OLD and NEW are directories of the set's CSVs, or source trees (a
 directory holding ``src/clustercache``), whose set is first written to

@@ -304,8 +304,9 @@ def _criterion_07_runs(table1):
         rows = random_box_simplex(rng, 1, DELAY_LIB_FILES, DELAY_LIB_M)
         if rows.shape[0] == 0:
             continue
-        if not optimize._stabilizable(rows[0], lib.popularity, DELAY_K,
-                                      table1.zeta_tot, o1, o2, cfg.w_total):
+        if not math.isfinite(optimize._optimised_delay(
+                rows[0], lib.popularity, DELAY_K, table1.zeta_tot, o1, o2,
+                cfg.w_total)[1]):
             continue
         runs += 1
         yield runs, (_policy(rows[0], DELAY_LIB_M).b, lib.popularity, DELAY_K,

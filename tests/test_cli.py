@@ -127,6 +127,15 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             replace(base, sweep_variable="bandwidth")
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field, name", [("mc_trials", "mc_trials"), ("seed", "seed"),
+                                             ("delay_k", "delay.k"),
+                                             ("bcd_restarts", "delay.restarts")])
+    def test_replace_rejects_a_count_a_file_would(self, field, name, value):
+        # A Scenario built in code checks its counts as a scenario file does.
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            replace(default_table1(), **{field: value})
+
     def test_scenario_rejects_non_finite_grid(self):
         with pytest.raises(ConfigError, match="finite"):
             replace(default_table1(), grid=(20.0, float("nan"), 10.0))
@@ -794,6 +803,13 @@ class TestMainEntryPoint:
             assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 2
             assert "--jobs" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_non_integral_jobs_rejected_before_any_file(self, tmp_path):
+        out = tmp_path / "out"
+        sc = replace(default_table1(), tasks=("delay",), output_dir=str(out))
+        with pytest.raises(ConfigError, match="--jobs must be an integer"):
+            run_scenario(sc, jobs=2.5)
+        assert not out.exists()
 
     def test_validate_rows_match_benchmark_reference(self, tmp_path):
         # The benchmark's CSV check fails every validate row that has no

@@ -26,6 +26,7 @@ from clustercache.montecarlo import (
     _poisson_cdf,
     _remote_interference,
     ConditionalCoverage,
+    McEstimate,
     PoissonConditionalCoverage,
     ProbRateExceeds,
     SingleLinkCoverage,
@@ -1077,6 +1078,11 @@ class TestArguments:
         with pytest.raises(ConfigError, match="r0_over_w1 must be finite and "
                                               "non-negative, got -1.0"):
             prob_rate_exceeds(table1_cfg, -1.0)
+
+    @pytest.mark.parametrize("samples", [0, True, 2.5])
+    def test_estimate_rejects_bad_samples(self, samples):
+        with pytest.raises(ConfigError, match="samples must be"):
+            McEstimate(0.5, 0.1, samples=samples)
 
     def test_rejects_too_few_trials(self, table1_cfg):
         with pytest.raises(ConfigError, match="trials must be at least 1"):

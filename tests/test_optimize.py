@@ -757,9 +757,9 @@ def _split_of(policy, lib, k, zeta, o1, o2, w_total):
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, math.nan), "zeta_tot"),
-    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, -1.0), "zeta_tot"),
-    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, math.inf), "zeta_tot"),
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, math.nan, restarts=2), "zeta_tot"),
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, -1.0, restarts=2), "zeta_tot"),
+    (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, math.inf, restarts=2), "zeta_tot"),
     (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, 2.0, restarts=2.5), "restarts"),
     (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, 2.0, restarts=True), "restarts"),
     (lambda cfg, lib: optimize_delay_bcd(cfg, lib, 8, 2.0, restarts=0), "restarts"),
@@ -1025,32 +1025,50 @@ class TestDelayBcd:
         d_skew = optimize_delay_bcd(table1_cfg, lib_skew, 8, 2.0, restarts=4).final_delay
         assert d_skew < d_flat
 
+    def test_unstable_start_gives_no_run(self, table1_cfg):
+        # A run's first evaluation judges its start: from the unstable
+        # top-M vertex there is no run, from the stable zipf-proportional
+        # policy at the same load there is.
+        lib = ContentLibrary.zipf(100, 0.5, 4)
+        k = 8
+        zeta = self._zeta_only_proportional_carries(table1_cfg, lib, k)
+        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+        args = (lib.popularity, k, zeta, o1, o2, table1_cfg.w_total, 4)
+        assert opt._bcd_run(baseline_policy("cpf", lib).b, *args) is None
+        steps, converged, _ = opt._bcd_run(baseline_policy("zipf-proportional", lib).b,
+                                           *args)
+        assert converged and math.isfinite(steps[0].delay)
+
     def test_infeasible_load_raises(self, table1_cfg):
         lib = ContentLibrary.zipf(100, 0.5, 4)
         with pytest.raises(InfeasibleLoadError):
             optimize_delay_bcd(table1_cfg, lib, 8, 1e4, restarts=2)
 
-    def test_starts_from_the_only_stable_anchor(self, table1_cfg):
-        # A load between the stability limits of the uniform and top-M
-        # policies and that of the zipf-proportional policy: the top-M
-        # start (rho = 1) is unstable, so of two frontier starts only the
-        # one at rho = 2 runs, and it converges.
-        lib = ContentLibrary.zipf(100, 0.5, 4)
-        k = 8
-        o1, o2 = queueing.service_coefficients(table1_cfg, lib)
+    @staticmethod
+    def _zeta_only_proportional_carries(cfg, lib, k):
+        """A load between the stability limits of the uniform and top-M
+        policies and that of the zipf-proportional policy."""
+        o1, o2 = queueing.service_coefficients(cfg, lib)
 
         def zeta_limit(policy):
             a1, a2 = opt._arrival_fractions(policy.b, lib.popularity, k)
-            return table1_cfg.w_total / (a1 / o1 + a2 / o2)
+            return cfg.w_total / (a1 / o1 + a2 / o2)
 
         uniform, top_m, proportional = (zeta_limit(p) for p in (
-            _policy(np.full(100, 4 / 100), 4),
+            _policy(np.full(lib.n_files, lib.cache_size / lib.n_files), lib.cache_size),
             baseline_policy("cpf", lib),
             baseline_policy("zipf-proportional", lib),
         ))
         next_down = max(uniform, top_m)
         assert proportional > next_down
-        zeta = 0.5 * (proportional + next_down)
+        return 0.5 * (proportional + next_down)
+
+    def test_starts_from_the_only_stable_anchor(self, table1_cfg):
+        # The top-M start (rho = 1) is unstable, so of two frontier starts
+        # only the one at rho = 2 runs, and it converges.
+        lib = ContentLibrary.zipf(100, 0.5, 4)
+        k = 8
+        zeta = self._zeta_only_proportional_carries(table1_cfg, lib, k)
         trace = optimize_delay_bcd(table1_cfg, lib, k, zeta, restarts=2)
         assert math.isfinite(trace.final_delay)
         assert trace.converged
@@ -1277,7 +1295,9 @@ class TestBcdLineSearch:
 
     def test_counts_library_passes(self, table1_cfg, table1_lib, monkeypatch):
         # A caching step makes two passes, one for its slopes and one for
-        # the delay at its full step, and each start one for its stability.
+        # the delay at its full step, and each run one for the delay at its
+        # start, which also judges the start's stability: here two runs of
+        # two caching steps each.
         calls = []
         direct = queueing._arrival_fractions
 
@@ -1289,7 +1309,7 @@ class TestBcdLineSearch:
         monkeypatch.setattr(queueing, "_arrival_fractions", counted)
         trace = optimize_delay_bcd(table1_cfg, table1_lib, 8, 2.0, restarts=2)
         assert trace.converged
-        assert len(calls) <= 40
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize("max_iterations", [1, opt._BCD_MAX_ITERATIONS])
     def test_one_linearisation_per_iterate(self, table1_cfg, table1_lib, monkeypatch,
@@ -1327,7 +1347,8 @@ class TestBcdLineSearch:
 
 
 class TestFrontierStartReuse:
-    """Equal frontier starts share one BCD run."""
+    """Equal frontier starts share one BCD run, and a start's stability is
+    its run's first evaluation."""
 
     @staticmethod
     def _counted_runs(monkeypatch):
@@ -1372,3 +1393,27 @@ class TestFrontierStartReuse:
         assert trace.restarts_used == 8
         assert 1 < len(calls) == len(starts)
         assert len({b0.tobytes() for b0 in calls}) == len(calls)
+
+    @pytest.mark.parametrize("beta, restarts, evaluations", [(1.0, 2, 6), (0.0, 8, 4)])
+    def test_one_evaluation_per_distinct_start(self, table1_cfg, monkeypatch,
+                                               beta, restarts, evaluations):
+        # Table 1 at k = 8: the bandwidth-optimised delay is evaluated once
+        # per distinct start and once per caching step of each run. At
+        # beta = 0 the eight starts are two vectors, top-M and uniform.
+        lib = ContentLibrary.zipf(500, beta, 10)
+        direct_run, runs = opt._bcd_run, []
+        direct_delay, evaluated = opt._optimised_delay, []
+
+        def run(*args):
+            runs.append(direct_run(*args))
+            return runs[-1]
+
+        def delay(*args):
+            evaluated.append(None)
+            return direct_delay(*args)
+
+        monkeypatch.setattr(opt, "_bcd_run", run)
+        monkeypatch.setattr(opt, "_optimised_delay", delay)
+        trace = optimize_delay_bcd(table1_cfg, lib, 8, 2.0, restarts=restarts)
+        assert trace.restarts_used == restarts
+        assert len(evaluated) == sum(len(steps) for steps, _, _ in runs) == evaluations
