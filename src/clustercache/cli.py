@@ -1,11 +1,11 @@
 """Experiment runner: scenario files, sweeps, CSV artifacts.
 
-A scenario is a YAML file with unit-explicit keys (dB only ever appears
-in keys suffixed ``_db``/``_dbm``, densities in ``_per_km2``, bandwidth
-in ``_mhz``) so the linear/dB ambiguity cannot enter the kernel. The
-default parameter set ``_TABLE1`` is the file's schema, one key per
-quantity: a key it lacks, a count that is not an integer, or a bool or
-string where it holds a number or list, is a configuration error.
+A scenario is a YAML or JSON file with unit-explicit keys (dB only ever
+appears in keys suffixed ``_db``/``_dbm``, densities in ``_per_km2``,
+bandwidth in ``_mhz``) so the linear/dB ambiguity cannot enter the
+kernel. The default parameter set ``_TABLE1`` is the file's schema, one
+key per quantity: a key it lacks, a count that is not an integer, or a
+bool or string where it holds a number or list, is a configuration error.
 ``clustercache print-default-config`` prints ``_TABLE1`` as it stands
 (``access_p: auto``). ``clustercache run scenario.yaml`` executes the
 requested tasks over the sweep grid and writes one CSV per task plus a
@@ -47,6 +47,7 @@ from .model import (
     NetworkConfig,
     _check_count,
     _check_load,
+    _check_rate,
     _poisson_weights,
     baseline_policy,
 )
@@ -128,8 +129,7 @@ class Scenario:
                 raise ConfigError(f"sweep.grid value {value!r}: {exc}") from exc
         _check_count("mc_trials", self.mc_trials, 1)
         _check_count("seed", self.seed, 0)
-        if not 0 <= self.r0_over_w1 < math.inf:
-            raise ConfigError("r0_over_w1 must be non-negative and finite")
+        _check_rate(self.r0_over_w1)
         _check_count("delay.k", self.delay_k, 1)
         _check_load(self.zeta_tot)
         if not 0 < self.bandwidth_fraction < 1:
@@ -191,11 +191,11 @@ def default_table1() -> Scenario:
 def _yaml() -> tuple:
     """(yaml, loader, dumper) of the scenario format, built on first use.
 
-    Only reading a scenario file and ``print-default-config`` need yaml,
-    so ``validate`` never imports it. The loader is YAML 1.1 with
-    exponent-form numbers (``2e3``, ``1e-06``) as floats, as YAML 1.2 and
-    JSON read them; the dumper quotes the strings the loader would read
-    as numbers.
+    Only reading a scenario file that is not JSON and
+    ``print-default-config`` need yaml, so ``validate`` and a JSON
+    scenario never import it. The loader is YAML 1.1 with exponent-form
+    numbers (``2e3``, ``1e-06``) as floats, as YAML 1.2 and JSON read
+    them; the dumper quotes the strings the loader would read as numbers.
     """
     import yaml
 
@@ -213,15 +213,33 @@ def _yaml() -> tuple:
     return yaml, Loader, Dumper
 
 
+def _not_json(constant: str):
+    """``json.loads``'s ``parse_constant``: NaN, Infinity and -Infinity
+    are not JSON, and the YAML loader reads them as strings."""
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def load_scenario(path) -> Scenario:
-    """Parse and validate a YAML scenario file."""
-    yaml, loader, _ = _yaml()
+    """Parse and validate a scenario file, JSON or YAML.
+
+    The text is read once. JSON text is parsed by ``json``, without
+    importing yaml; on every JSON text the YAML loader reads, the two give
+    the same mapping. Any other text, NaN and Infinity included, goes to
+    the YAML loader. A value that cannot be built, such as an integer of
+    more digits than ``int`` converts, is a parse error on either path.
+    """
     try:
-        raw = yaml.load(Path(path).read_text(), Loader=loader)
-    except OSError as exc:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
+    try:
+        raw = json.loads(text, parse_constant=_not_json)
+    except ValueError:  # not JSON, or a value json cannot build
+        yaml, loader, _ = _yaml()
+        try:
+            raw = yaml.load(text, Loader=loader)
+        except (yaml.YAMLError, ValueError) as exc:
+            raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a mapping at top level")
     return _parse_scenario(raw, Path(path).stem)
@@ -656,7 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario file")
-    run_p.add_argument("scenario", help="YAML scenario file")
+    run_p.add_argument("scenario", help="YAML or JSON scenario file")
     _common_flags(run_p)
 
     val_p = sub.add_parser(

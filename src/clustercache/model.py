@@ -48,6 +48,14 @@ def _check_load(zeta_tot) -> None:
         raise ConfigError(f"zeta_tot must be finite and non-negative, got {zeta_tot}")
 
 
+def _check_rate(r0_over_w1) -> None:
+    """Reject a spectral-efficiency threshold R0/W1 that is not finite
+    and non-negative with :class:`ConfigError`."""
+    if not 0.0 <= r0_over_w1 < math.inf:
+        raise ConfigError(
+            f"r0_over_w1 must be finite and non-negative, got {r0_over_w1!r}")
+
+
 def _poisson_weights(mu: float, first: int, floor: float) -> np.ndarray:
     """P(N = m) of N ~ Poisson(mu), mu > 0, up to a common factor, at
     m = 0, 1, ...
@@ -125,9 +133,7 @@ def _check_rate_threshold(cfg: NetworkConfig, r0_over_w1: float) -> None:
     (:class:`ConfigError`) or that the ALOHA spectral efficiency
     p log2(1 + theta) does not exceed (:class:`InfeasibleAccessProbability`:
     the probability that the D2D rate exceeds R0 is then zero)."""
-    if not (math.isfinite(r0_over_w1) and r0_over_w1 >= 0):
-        raise ConfigError(
-            f"r0_over_w1 must be finite and non-negative, got {r0_over_w1!r}")
+    _check_rate(r0_over_w1)
     rate = cfg.access_p * math.log2(1.0 + cfg.theta)
     if not rate > r0_over_w1:
         raise InfeasibleAccessProbability(

@@ -18,6 +18,10 @@ relative shift per column, then every cell outside the gate:
 * text cells, and the Monte Carlo cells of ``validate`` (``MC_COLUMNS``
   and the ``analytic`` cell of the exact-vs-approx row), must be
   byte-identical;
+* ``validate``'s ``signed_diff`` and ``z_score`` (``DERIVED_COLUMNS``)
+  must read as ``validate`` computes them from the new row's
+  ``analytic``, ``mc_mean`` and ``mc_hw95`` cells: the cells are ``repr``
+  floats, so the recomputation is exact;
 * every other number is analytic and must agree within ``ANALYTIC_RTOL``
   relative.
 
@@ -43,8 +47,10 @@ SWEEPS = {
     "n_bar": (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0),
     "theta": (0.1, 0.5, 1.0, 2.0, 10.0),
 }
-MC_COLUMNS = ("mc_mean", "mc_hw95", "signed_diff", "z_score", "pass")
-# The validate row whose analytic cell is itself a Monte Carlo mean.
+MC_COLUMNS = ("mc_mean", "mc_hw95", "pass")
+DERIVED_COLUMNS = ("signed_diff", "z_score")
+# The validate row whose analytic cell is itself a Monte Carlo mean; its
+# z_score is empty.
 MC_ROW = "conditional_coverage k=5 (exact vs approx)"
 
 
@@ -76,6 +82,17 @@ def _float(cell: str):
         return None
 
 
+def _derived_cells(row: dict) -> dict:
+    """``signed_diff`` and ``z_score`` as ``validate`` writes them for a
+    row (column -> cell) with its ``analytic``, ``mc_mean`` and
+    ``mc_hw95`` cells."""
+    signed_diff = float(row["analytic"]) - float(row["mc_mean"])
+    half_width = float(row["mc_hw95"])
+    z_score = ("" if half_width <= 0 or row["quantity"] == MC_ROW
+               else repr(signed_diff / (half_width / 1.96)))
+    return {"signed_diff": repr(signed_diff), "z_score": z_score}
+
+
 def diff(old: Path, new: Path) -> tuple:
     """(moved, violations) between two copies of the set.
 
@@ -101,7 +118,12 @@ def diff(old: Path, new: Path) -> tuple:
             if len(row_a) != len(row_b) or key != row_b[0]:
                 violations.append(f"{name}: row {key!r} differs in shape or key")
                 continue
+            derived = (_derived_cells(dict(zip(header, row_b)))
+                       if set(DERIVED_COLUMNS) <= set(header) else {})
             for column, x, y in zip(header, row_a, row_b):
+                if column in derived and y != derived[column]:
+                    violations.append(f"{name} [{key}] {column}: {y} is not "
+                                      f"{derived[column]!r}, recomputed from the row")
                 if x == y:
                     continue
                 fx, fy = _float(x), _float(y)
@@ -110,6 +132,8 @@ def diff(old: Path, new: Path) -> tuple:
                     shift = abs(fy - fx)
                     rel = shift / abs(fx) if fx else math.inf
                 moved.append((name, key, column, x, y, shift, rel))
+                if column in derived:
+                    continue
                 monte_carlo = column in MC_COLUMNS or (column == "analytic" and key == MC_ROW)
                 if (monte_carlo or rel is None
                         or not shift <= ANALYTIC_RTOL * max(abs(fx), abs(fy))):

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercache import cli, montecarlo, optimize, stochgeo
 from clustercache.errors import ConfigError, NumericFailure
@@ -402,6 +405,179 @@ class TestScenarioValidation:
         path = tmp_path / "bad.yaml"
         path.write_text("{:::")
         with pytest.raises(ConfigError):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("suffix", ["json", "yaml"])
+    def test_number_too_long_to_convert(self, tmp_path, capsys, suffix):
+        # int() refuses more than 4300 digits; on either reading that is a
+        # parse error, not a traceback.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["seed"] = 7
+        text = (json.dumps(mapping, indent=2) if suffix == "json"
+                else yaml.safe_dump(mapping, sort_keys=False))
+        path = tmp_path / f"huge.{suffix}"
+        path.write_text(text.replace("seed: 7", "seed: " + "9" * 5000)
+                        .replace('"seed": 7', '"seed": ' + "9" * 5000))
+        with pytest.raises(ConfigError, match="^cannot parse scenario file .*4300 digits"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert "configuration error: cannot parse scenario file" in capsys.readouterr().err
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"name: \xff\n")
+        with pytest.raises(ConfigError, match="^cannot read scenario file"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_one_rate_threshold_rule(self, table1_cfg, value):
+        # A Scenario and the rate-threshold check of prob_rate_exceeds and
+        # ProbRateExceeds reject R0/W1 by one rule, with one message.
+        entry_points = (lambda: replace(default_table1(), r0_over_w1=value),
+                        lambda: stochgeo.prob_rate_exceeds(table1_cfg, value),
+                        lambda: montecarlo.ProbRateExceeds(table1_cfg, value))
+        for entry in entry_points:
+            with pytest.raises(ConfigError) as rejected:
+                entry()
+            assert str(rejected.value) == (
+                f"r0_over_w1 must be finite and non-negative, got {value!r}")
+
+
+def _leaves(mapping, prefix=()):
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,), value
+
+
+# The leaves of the scenario schema. Counts take small numbers only: a
+# loaded library allocates n_files entries.
+_LEAVES = dict(_leaves(cli._TABLE1))
+_COUNTS = {("seed",), ("mc_trials",), ("library", "n_files"),
+           ("library", "cache_size"), ("delay", "k"), ("delay", "restarts")}
+_SMALL = st.integers(-2, 600) | st.sampled_from([-0.0, 0.0, 10.0, 2.5, 1e-06])
+# Any finite double, so that many print in exponent form (1e-06, 1e+20).
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+# BMP characters YAML accepts as they are: no surrogate pair, no control.
+_TEXT = (st.text(alphabet="abz._/ -\u00e9\u00df\u4e2d", max_size=6)
+         | st.sampled_from(["auto", "beta", "sigma", "theta", "offload", "delay"]))
+
+
+def _leaf_values(path, default):
+    if path in _COUNTS:
+        return _SMALL
+    if path == ("tasks",):
+        return st.lists(st.sampled_from(cli._TASKS + ("plot",)), max_size=4)
+    if path == ("sweep", "grid"):
+        grids = st.lists(_FLOATS | st.integers(-5, 5), max_size=4)
+        return grids | grids.map(sorted)
+    if isinstance(default, str):
+        return _TEXT | _SMALL
+    return _FLOATS | st.integers(-10**6, 10**6) | st.lists(_SMALL, max_size=2)
+
+
+@st.composite
+def _scenario_texts(draw):
+    """A scenario mapping over _TABLE1's keys with up to four leaves
+    dropped or drawn, dumped by json.dumps in a drawn layout."""
+    mapping = copy.deepcopy(cli._TABLE1)
+    for path in draw(st.lists(st.sampled_from(list(_LEAVES)), max_size=4, unique=True)):
+        section = mapping
+        for key in path[:-1]:
+            section = section[key]
+        if draw(st.booleans()):
+            section[path[-1]] = draw(_leaf_values(path, _LEAVES[path]))
+        else:
+            del section[path[-1]]
+    return json.dumps(
+        mapping,
+        indent=draw(st.none() | st.integers(0, 4) | st.sampled_from(["", " ", "   "])),
+        separators=draw(st.sampled_from([None, (",", ":"), (", ", ": "), (" ,", " : ")])),
+        ensure_ascii=draw(st.booleans()),
+    )
+
+
+def _outcome(read):
+    """The Scenario ``read()`` returns, every field as text (so -0.0 and
+    0.0 differ and arrays compare by value), or its exception."""
+    try:
+        sc = read()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    fields = {name: repr(getattr(sc, name)) for name in sc.__dataclass_fields__
+              if name != "lib"}
+    for name in [*sc.lib.__dataclass_fields__, "mean_size_mbits"]:
+        value = getattr(sc.lib, name)
+        fields[f"lib.{name}"] = value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+    return fields
+
+
+class TestJsonScenarioFiles:
+    """JSON text is read by json; the YAML loader reads it the same way."""
+
+    @staticmethod
+    def _yaml_reading(path):
+        _, loader, _ = cli._yaml()
+        return lambda: cli._parse_scenario(yaml.load(path.read_text(), Loader=loader),
+                                           path.stem)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_scenario_texts())
+    def test_json_reads_as_the_yaml_loader_does(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "drawn.json"
+        path.write_text(text)
+        assert _outcome(lambda: load_scenario(path)) == _outcome(self._yaml_reading(path))
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_read_as_yaml(self, tmp_path, constant):
+        # Not JSON numbers: the YAML loader reads them as strings, as before.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["delay"]["zeta_tot"] = "ZETA"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(mapping).replace('"ZETA"', constant))
+        with pytest.raises(ConfigError, match=f"^delay.zeta_tot must be a number, "
+                                              f"got '{constant}'$"):
+            load_scenario(path)
+
+    def test_byte_order_mark_reads_as_yaml(self, tmp_path):
+        # json refuses a leading BOM; the YAML loader skips it, as before.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["seed"] = 5
+        path = tmp_path / "scenario.json"
+        path.write_text("\ufeff" + json.dumps(mapping))
+        assert load_scenario(path).seed == 5
+
+    def test_duplicate_keys_keep_the_last(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cli._TABLE1)[:-1] + ', "seed": 3, "seed": 4}')
+        assert load_scenario(path).seed == 4
+
+    def test_tab_indented_json_loads(self, tmp_path):
+        # A scanner error of the YAML loader; valid JSON, so it now loads.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cli._TABLE1, indent="\t"))
+        with pytest.raises(yaml.YAMLError):
+            self._yaml_reading(path)()
+        assert _outcome(lambda: load_scenario(path)) == _outcome(default_table1)
+
+    @pytest.mark.parametrize("name, ensure_ascii", [
+        ("run\U0001f600", True),  # an escaped surrogate pair: two lone surrogates
+        ("run\x80x", False),  # a raw C1 control character: rejected
+        ("run\x85x", False),  # a raw NEL: read as a line break
+    ])
+    def test_string_the_yaml_loader_misread_is_kept(self, tmp_path, name, ensure_ascii):
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping["name"] = name
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(mapping, ensure_ascii=ensure_ascii))
+        assert load_scenario(path).name == name
+
+    def test_long_key_is_an_unknown_key(self, tmp_path):
+        # The YAML loader cannot parse a key of more than 1024 characters.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**cli._TABLE1, "k" * 1100: 1}))
+        with pytest.raises(ConfigError, match=f"^unknown scenario keys: {'k' * 1100}$"):
             load_scenario(path)
 
 
@@ -858,6 +1034,28 @@ class TestMainEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "table1_validate.csv").is_file()
+
+    def test_json_run_leaves_out_yaml(self, tmp_path):
+        # A JSON scenario is read by json; a YAML one, such as the printed
+        # default, still imports yaml.
+        mapping = copy.deepcopy(cli._TABLE1)
+        mapping.update(tasks=["offload"], sweep={"variable": "beta", "grid": [1.0]})
+        mapping["library"].update(n_files=30, cache_size=3)
+        (tmp_path / "scenario.json").write_text(json.dumps(mapping, indent=1))
+        (tmp_path / "table1.yaml").write_text(DEFAULT_CONFIG_YAML)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for name, imports_yaml in (("scenario.json", False), ("table1.yaml", True)):
+            code = ("import sys, clustercache.cli as cli; "
+                    f"code = cli.main(['run', {str(tmp_path / name)!r}, "
+                    f"'--mc-trials', '200', '--out', {str(tmp_path / 'out')!r}]); "
+                    "print('yaml' in sys.modules); sys.exit(code)")
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            # At 200 trials the validate table may fail: exit 4.
+            assert proc.returncode in (0, 4), (name, proc.stderr)
+            assert proc.stdout.strip() == str(imports_yaml), name
+        assert (tmp_path / "out" / "table1_offload.csv").is_file()
+        assert (tmp_path / "out" / "table1_validate.csv").is_file()
 
     def test_cli_import_leaves_out_the_process_pool(self):
         # Only --jobs above 1 needs concurrent.futures, which loads logging.
