@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -226,7 +227,8 @@ def load_scenario(path) -> Scenario:
     importing yaml; on every JSON text the YAML loader reads, the two give
     the same mapping. Any other text, NaN and Infinity included, goes to
     the YAML loader. A value that cannot be built, such as an integer of
-    more digits than ``int`` converts, is a parse error on either path.
+    more digits than ``int`` converts, or nesting deeper than the parser
+    recurses, is a parse error on either path.
     """
     try:
         text = Path(path).read_text()
@@ -234,11 +236,13 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         raw = json.loads(text, parse_constant=_not_json)
+    except RecursionError as exc:  # JSON, but too deep: no YAML retry
+        raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
     except ValueError:  # not JSON, or a value json cannot build
         yaml, loader, _ = _yaml()
         try:
             raw = yaml.load(text, Loader=loader)
-        except (yaml.YAMLError, ValueError) as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a mapping at top level")
@@ -351,15 +355,6 @@ def _apply_sweep(scenario: Scenario, value: float):
     return replace(scenario.cfg, **{field: value * scale}), lib
 
 
-def _point_seed(seed: int, *tags) -> int:
-    """Stable per-row seed: master seed mixed with CRC32 of the tags."""
-    crc = 0
-    for tag in tags:
-        crc = zlib.crc32(str(tag).encode(), crc)
-    ss = np.random.SeedSequence([seed, crc])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -371,7 +366,7 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-task point computations (top level so process pools can pickle them)
+# Per-task point computations
 # ---------------------------------------------------------------------------
 
 def _tables_built_since(start: int) -> dict:
@@ -542,9 +537,11 @@ def _validate_rows(scenario: Scenario, points: list) -> list:
 
     conditional = [montecarlo.ConditionalCoverage(cfg, 5),
                    montecarlo.PoissonConditionalCoverage(cfg, 5)]
+    # The master seed mixed with the CRC32 of the task name.
+    seed = np.random.SeedSequence([scenario.seed, zlib.crc32(b"validate")])
     estimates, mc_s = _timed(
         montecarlo.simulate, [request for _, request, _ in points] + conditional,
-        trials, _point_seed(scenario.seed, "validate"))
+        trials, int(seed.generate_state(1, np.uint64)[0]))
     for i, ((tag, request, analytic_fn), mc) in enumerate(zip(points, estimates)):
         analytic, analytic_s = _timed(analytic_fn, request.cfg)
         add(tag, analytic, mc.mean, mc.half_width_95, 0.02,
@@ -584,8 +581,7 @@ _POINT_FUNCTIONS = {
 }
 
 
-def _compute_task_point(args):
-    scenario, task, value = args
+def _compute_task_point(scenario: Scenario, task: str, value: float):
     started = time.perf_counter()
     try:
         row = _POINT_FUNCTIONS[task](scenario, value)
@@ -597,18 +593,30 @@ def _compute_task_point(args):
     return row, time.perf_counter() - started
 
 
-def _write_csv(path: Path, columns, rows):
-    with path.open("w", newline="") as fh:
-        fh.write(_SCHEMA_LINE + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+def _csv_text(columns, rows) -> str:
+    text = io.StringIO()
+    text.write(_SCHEMA_LINE + "\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+    return text.getvalue()
+
+
+def _write_output(path: Path, text: str) -> None:
+    try:
+        with path.open("w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
-    """Execute all tasks of a scenario; returns the process exit code."""
+    """Execute all tasks of a scenario, every sweep point in this process;
+    returns the process exit code. ``jobs`` is accepted only as 1."""
     _check_count("--jobs", jobs, 1)
+    if jobs != 1:
+        raise ConfigError(f"--jobs must be 1, as sweep points run in one process, "
+                          f"got {jobs}")
     # Before any task runs and any file is written (InfeasibleAccessProbability).
     points = _validate_points(scenario) if "validate" in scenario.tasks else None
     out = Path(scenario.output_dir)
@@ -635,22 +643,12 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
             if any(not r["pass"] for r in rows):
                 exit_code = max(exit_code, 4)
         else:
-            work = [(scenario, task, v) for v in scenario.grid]
-            if jobs > 1:
-                # Imported only here: with the logging it loads, it would
-                # add about 6 ms to every start.
-                import concurrent.futures
-
-                with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(_compute_task_point, work))
-            else:
-                results = [_compute_task_point(w) for w in work]
-            rows = [r for r, _ in results]
-            timings = [t for _, t in results]
+            rows, timings = zip(*[_compute_task_point(scenario, task, v)
+                                  for v in scenario.grid])
             if any("numeric-failure" in str(r.get("error", "")) for r in rows):
                 exit_code = max(exit_code, 3)
         path = out / f"{scenario.name}_{task}.csv"
-        _write_csv(path, _TASK_COLUMNS[task], rows)
+        _write_output(path, _csv_text(_TASK_COLUMNS[task], rows))
         summary["tasks"][task] = {
             "csv": path.name,
             "rows": len(rows),
@@ -660,9 +658,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> int:
         diagnostics = [r.get("diagnostics") for r in rows]  # None: failed point
         if any(diagnostics):
             summary["tasks"][task]["point_diagnostics"] = diagnostics
-    (out / f"{scenario.name}_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    _write_output(out / f"{scenario.name}_summary.json",
+                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return exit_code
 
 
@@ -694,7 +691,7 @@ def _common_flags(p):
     p.add_argument("--mc-trials", type=int, default=None,
                    help="override Monte Carlo trials per estimate")
     p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent sweep points (default 1)")
+                   help="accepted only as 1: sweep points run in one process")
 
 
 def main(argv=None) -> int:

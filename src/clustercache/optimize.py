@@ -352,17 +352,14 @@ def energy_conditional(
     """Mean download energy (joules) for a cluster of exactly k devices.
 
     k * sum_i q_i S_i [ (1-b_i)(1 - (1-b_i)^(k-1)) Pd/R1 + (1-b_i)^k Pb/R2 ]
-    with S_i converted from Mbits to bits so S_i/R is seconds.
+    with S_i converted from Mbits to bits so S_i/R is seconds: the D2D and
+    BS sums are ``_arrival_fractions`` with the weights q_i S_i.
     """
     _check_count("k", k, 1)
     _check_rates(r1, r2)
     _check_policy(policy, lib)
-    q = lib.popularity
-    s_bits = lib.sizes * 1e6
-    miss = 1.0 - policy.b
-    d2d_term = (miss - miss**k) * (cfg.p_d / r1)
-    bs_term = miss**k * (cfg.p_b / r2)
-    return float(k * (q @ (s_bits * (d2d_term + bs_term))))
+    a1, a2 = _arrival_fractions(policy.b, lib.popularity * lib.sizes * 1e6, k)
+    return k * (a1 * (cfg.p_d / r1) + a2 * (cfg.p_b / r2))
 
 
 def _energy_policy_for_multiplier(v, kxa, curvature, exponent):

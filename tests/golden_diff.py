@@ -6,14 +6,17 @@ The set (``tests/golden/``) is the CSVs of the Table-1 sweeps over beta
 seed 1, and of ``clustercache validate --mc-trials 50000 --seed 1``.
 
     python tests/golden_diff.py OLD NEW   # print every moved cell
+    python tests/golden_diff.py HEAD .    # the parent check of a change
     PYTHONPATH=src python tests/golden_diff.py --record   # rewrite tests/golden/
     PYTHONPATH=src python tests/golden_diff.py --write DIR
 
-OLD and NEW are directories of the set's CSVs, or source trees (a
-directory holding ``src/clustercache``), whose set is first written to
-a temporary directory by that tree's package. The diff prints each
-moved cell with its absolute and relative shift, then the largest
-relative shift per column, then every cell outside the gate:
+OLD and NEW are directories of the set's CSVs, source trees (a
+directory holding ``src/clustercache``) or git revisions of this
+repository. The set of a source tree is first written to a temporary
+directory by that tree's package; a revision's ``src/`` is first
+archived to a temporary directory and written as a tree's. The diff
+prints each moved cell with its absolute and relative shift, then the
+largest relative shift per column, then every cell outside the gate:
 
 * text cells, and the Monte Carlo cells of ``validate`` (``MC_COLUMNS``
   and the ``analytic`` cell of the exact-vs-approx row), must be
@@ -32,15 +35,18 @@ a cell beyond it records the set again with ``--record``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+REPO = GOLDEN.parents[1]
 ANALYTIC_RTOL = 1e-9
 SWEEPS = {
     "beta": (0.0, 0.5, 1.0, 1.5, 2.0),
@@ -141,9 +147,24 @@ def diff(old: Path, new: Path) -> tuple:
     return moved, violations
 
 
-def _set_of(path: Path, scratch: str) -> Path:
-    """``path`` itself, or the set written by the source tree at ``path``."""
-    path = Path(path)
+def _source_of(revision: str, scratch: str) -> Path:
+    """A temporary source tree holding ``src/`` of a git revision of this
+    repository."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", revision, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        sys.exit(f"{revision!r} is neither a directory nor a revision of {REPO}: "
+                 f"{archive.stderr.decode().strip()}")
+    tree = Path(tempfile.mkdtemp(dir=scratch))
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def _set_of(arg: str, scratch: str) -> Path:
+    """``arg`` itself, or the set written by the source tree at ``arg``
+    or by the git revision ``arg``."""
+    path = Path(arg) if Path(arg).is_dir() else _source_of(arg, scratch)
     if not (path / "src" / "clustercache").is_dir():
         return path
     out = Path(tempfile.mkdtemp(dir=scratch))
@@ -185,7 +206,7 @@ def main(argv=None) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as scratch:
-        moved, violations = diff(*(_set_of(Path(a), scratch) for a in args))
+        moved, violations = diff(*(_set_of(a, scratch) for a in args))
     _report(moved, violations)
     return 1 if violations else 0
 

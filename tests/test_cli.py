@@ -423,6 +423,22 @@ class TestScenarioValidation:
         assert main(["run", str(path)]) == 2
         assert "configuration error: cannot parse scenario file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", ["json", "yaml"])
+    def test_nesting_too_deep_to_parse(self, tmp_path, capsys, monkeypatch, suffix):
+        # Deeper than either parser recurses: a parse error, not a
+        # RecursionError traceback. JSON text is not read again as YAML.
+        deep = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / f"deep.{suffix}"
+        path.write_text(('{"tasks": %s}' if suffix == "json" else "tasks: %s\n") % deep)
+        if suffix == "json":
+            monkeypatch.setattr(cli, "_yaml", lambda: pytest.fail("read as YAML"))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot parse scenario file")
+        assert "recursion" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_bytes(b"name: \xff\n")
@@ -754,15 +770,6 @@ class TestRunScenario:
         assert second[-1] == ""
         assert float(second[2]) > 0
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        sc1 = _tiny_scenario(tmp_path, output_dir=str(tmp_path / "a"))
-        sc2 = _tiny_scenario(tmp_path, output_dir=str(tmp_path / "b"))
-        run_scenario(sc1, jobs=1)
-        run_scenario(sc2, jobs=2)
-        a = (tmp_path / "a" / "table1_offload.csv").read_bytes()
-        b = (tmp_path / "b" / "table1_offload.csv").read_bytes()
-        assert a == b
-
     def test_validate_rows_and_determinism(self, tmp_path):
         # Byte-identical CSVs for identical seeds; trial count kept small
         # here (the full-size determinism run is an acceptance criterion).
@@ -969,7 +976,7 @@ class TestMainEntryPoint:
         assert "underflows to zero" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
     def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
         scenario = tmp_path / "delay.yaml"
         scenario.write_text(yaml.dump({**cli._TABLE1, "tasks": ["delay"]},
@@ -986,6 +993,23 @@ class TestMainEntryPoint:
         with pytest.raises(ConfigError, match="--jobs must be an integer"):
             run_scenario(sc, jobs=2.5)
         assert not out.exists()
+
+    def test_jobs_above_one_rejected_before_any_file(self, tmp_path):
+        # Sweep points run in one process; --jobs is accepted only as 1.
+        out = tmp_path / "out"
+        sc = replace(default_table1(), tasks=("delay",), output_dir=str(out))
+        with pytest.raises(ConfigError, match="^--jobs must be 1"):
+            run_scenario(sc, jobs=2)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["table1_validate.csv", "table1_summary.json"])
+    def test_unwritable_output_file_exit_code(self, tmp_path, capsys, name):
+        # A directory in the place of an output file.
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["validate", "--mc-trials", "200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write output file {out / name}")
 
     def test_validate_rows_match_benchmark_reference(self, tmp_path):
         # The benchmark's CSV check fails every validate row that has no
@@ -1058,7 +1082,8 @@ class TestMainEntryPoint:
         assert (tmp_path / "out" / "table1_validate.csv").is_file()
 
     def test_cli_import_leaves_out_the_process_pool(self):
-        # Only --jobs above 1 needs concurrent.futures, which loads logging.
+        # Sweep points run in the calling process: nothing imports
+        # concurrent.futures or the logging it would load.
         code = ("import sys, clustercache.cli; "
                 "sys.exit(sorted({'concurrent.futures', 'logging'} & set(sys.modules))"
                 " or None)")

@@ -2,6 +2,10 @@
 
 import csv
 import shutil
+import subprocess
+import sys
+
+import pytest
 
 import golden_diff
 
@@ -60,3 +64,13 @@ def test_derived_cell_changed_alone_fails(tmp_path):
     moved, violations = golden_diff.diff(*_edited_validate(tmp_path, nudge))
     assert [column for _, _, column, *_ in moved] == ["signed_diff"]
     assert len(violations) == 1 and "signed_diff" in violations[0]
+
+
+@pytest.mark.skipif(not (shutil.which("git") and (golden_diff.REPO / ".git").exists()),
+                    reason="needs git and a git checkout of this repository")
+def test_revision_against_itself_moves_nothing(tmp_path):
+    # A revision's src/ is archived and its set written as a source tree's.
+    proc = subprocess.run([sys.executable, golden_diff.__file__, "HEAD", "HEAD"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("0 cells moved; 0 outside the gate\n")
