@@ -49,6 +49,7 @@ from .model import (
     _check_count,
     _check_load,
     _check_rate,
+    _check_real,
     _poisson_weights,
     baseline_policy,
 )
@@ -119,8 +120,8 @@ class Scenario:
             )
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must be non-empty")
-        if not all(math.isfinite(v) for v in self.grid):
-            raise ConfigError(f"sweep grid values must be finite, got {self.grid}")
+        for value in self.grid:
+            _check_real("sweep.grid value", value, -math.inf)
         if list(self.grid) != sorted(self.grid):
             raise ConfigError("sweep grid must be sorted ascending")
         for value in self.grid:  # a value its variable cannot take
@@ -133,8 +134,7 @@ class Scenario:
         _check_rate(self.r0_over_w1)
         _check_count("delay.k", self.delay_k, 1)
         _check_load(self.zeta_tot)
-        if not 0 < self.bandwidth_fraction < 1:
-            raise ConfigError("bandwidth_fraction must lie in (0, 1)")
+        _check_real("bandwidth_fraction", self.bandwidth_fraction, 0.0, 1.0)
         _check_count("delay.restarts", self.bcd_restarts, 1)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,19 +42,25 @@ def _check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
-def _check_load(zeta_tot) -> None:
-    """Reject a request rate ``zeta_tot`` that is not finite and
-    non-negative with :class:`ConfigError`."""
-    if not 0.0 <= zeta_tot < math.inf:
-        raise ConfigError(f"zeta_tot must be finite and non-negative, got {zeta_tot}")
+def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
+                closed_low: bool = False, closed_high: bool = False) -> None:
+    """Reject a ``value`` that is not a real number (bools, strings and
+    NaN included) in the interval from ``low`` to ``high``, each end
+    open unless closed, with :class:`ConfigError`. The default is
+    (0, inf)."""
+    if isinstance(value, float) or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool)):
+        if ((low <= value if closed_low else low < value)
+                and (value <= high if closed_high else value < high)):
+            return
+    interval = (f"{'[' if closed_low else '('}{low:g}, "
+                f"{high:g}{']' if closed_high else ')'}")
+    raise ConfigError(f"{name} must be a real number in {interval}, got {value!r}")
 
 
-def _check_rate(r0_over_w1) -> None:
-    """Reject a spectral-efficiency threshold R0/W1 that is not finite
-    and non-negative with :class:`ConfigError`."""
-    if not 0.0 <= r0_over_w1 < math.inf:
-        raise ConfigError(
-            f"r0_over_w1 must be finite and non-negative, got {r0_over_w1!r}")
+# The request-rate and spectral-efficiency threshold (R0/W1) rules.
+_check_load = partial(_check_real, "zeta_tot", closed_low=True)
+_check_rate = partial(_check_real, "r0_over_w1", closed_low=True)
 
 
 def _poisson_weights(mu: float, first: int, floor: float) -> np.ndarray:
@@ -75,6 +82,10 @@ def _poisson_weights(mu: float, first: int, floor: float) -> np.ndarray:
            or weights[-1] > floor * weights[max(first, mode)]):
         weights.append(weights[-1] * mu / len(weights))
     return np.array(weights)
+
+
+# The NetworkConfig fields not in (0, inf), as _check_real's bound arguments.
+_CONFIG_BOUNDS = {"alpha": (2.0,), "access_p": (0.0, 1.0, True, True)}
 
 
 @dataclass(frozen=True)
@@ -117,19 +128,11 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.alpha > 2:
-            raise ConfigError(f"alpha must exceed 2, got {self.alpha}")
-        if not 0 <= self.access_p <= 1:
-            raise ConfigError(f"access_p must lie in [0, 1], got {self.access_p}")
-        for name in ("theta", "sigma", "lambda_p", "n_bar", "p_d", "p_b", "w_total"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            _check_real(name, getattr(self, name), *_CONFIG_BOUNDS.get(name, ()))
 
 
 def _check_rate_threshold(cfg: NetworkConfig, r0_over_w1: float) -> None:
-    """Reject an R0/W1 that is not finite and non-negative
+    """Reject an R0/W1 that ``_check_rate`` rejects
     (:class:`ConfigError`) or that the ALOHA spectral efficiency
     p log2(1 + theta) does not exceed (:class:`InfeasibleAccessProbability`:
     the probability that the D2D rate exceeds R0 is then zero)."""
@@ -161,6 +164,7 @@ class ContentLibrary:
 
     def __post_init__(self):
         _check_count("n_files", self.n_files, 1)
+        _check_real("beta", self.beta, closed_low=True)
         _check_count("cache_size", self.cache_size, 1)
         q = np.asarray(self.popularity, dtype=float)
         s = np.asarray(self.sizes, dtype=float)
@@ -193,6 +197,7 @@ class ContentLibrary:
         mean_size_mbits: float = 5.0,
     ) -> "ContentLibrary":
         """Build a library with Zipf popularity and uniform sizes."""
+        _check_real("mean_size_mbits", mean_size_mbits)
         return cls(
             n_files=n_files,
             beta=beta,
@@ -218,11 +223,11 @@ class CachingPolicy:
         b = np.asarray(self.b, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ConfigError("b must be a non-empty 1-D vector")
-        if (b < -_BOX_TOL).any() or (b > 1 + _BOX_TOL).any():
+        if not ((b >= -_BOX_TOL) & (b <= 1 + _BOX_TOL)).all():  # NaN fails too
             raise ConfigError("caching probabilities must lie in [0, 1]")
         b = _clip_unit(b)
         _check_count("cache_size", self.cache_size, 1)
-        if abs(b.sum() - self.cache_size) > _BUDGET_TOL:
+        if not abs(b.sum() - self.cache_size) <= _BUDGET_TOL:
             raise ConfigError(
                 f"sum(b) = {b.sum()!r} violates the cache budget M = {self.cache_size}"
             )
@@ -243,8 +248,7 @@ def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
     caching scheme would give it, would silently drop out.
     """
     _check_count("n_files", n_files, 1)
-    if not 0 <= beta < math.inf:
-        raise ConfigError(f"beta must be non-negative and finite, got {beta}")
+    _check_real("beta", beta, closed_low=True)
     ranks = np.arange(1, n_files + 1, dtype=float)
     weights = ranks ** (-beta)
     q = weights / weights.sum()

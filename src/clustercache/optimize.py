@@ -54,6 +54,7 @@ from .model import (
     _BUDGET_TOL,
     _check_count,
     _check_load,
+    _check_real,
     _clip_unit,
     _snap_budget,
     baseline_policy,
@@ -155,6 +156,8 @@ def objective_offloading(
     factor is the probability that at least one cluster member caches
     file i.
     """
+    _check_real("n_bar", n_bar)
+    _check_real("prob_r1", prob_r1, 0.0, 1.0, True, True)
     _check_policy(policy, lib)
     b = policy.b
     q = lib.popularity
@@ -238,8 +241,7 @@ def optimize_offloading(
     otherwise, in closed form. ``_search_multiplier`` finds the multiplier
     with sum(b) = M.
     """
-    if not 0.0 <= prob_r1 <= 1.0:
-        raise ConfigError(f"prob_r1 must lie in [0, 1], got {prob_r1}")
+    _check_real("prob_r1", prob_r1, 0.0, 1.0, True, True)
     q = lib.popularity
     n_bar = cfg.n_bar
     m = lib.cache_size
@@ -337,8 +339,8 @@ def _search_multiplier(policy_at, v_lo, v_hi, m, n, decreasing):
 # ---------------------------------------------------------------------------
 
 def _check_rates(r1, r2) -> None:
-    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
-        raise ConfigError(f"rates must be finite and positive, got r1 = {r1}, r2 = {r2}")
+    _check_real("r1", r1)
+    _check_real("r2", r2)
 
 
 def energy_conditional(
@@ -503,11 +505,9 @@ def weighted_delay(
     _check_count("k", k, 1)
     _check_load(zeta_tot)
     for name, value in (("o1", o1), ("o2", o2), ("w_total", w_total)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        _check_real(name, value)
     _check_policy(policy, lib)
-    if not 0 <= w1 <= w_total:
-        raise ConfigError(f"w1 must lie in [0, {w_total}], got {w1}")
+    _check_real("w1", w1, 0.0, w_total, True, True)
     a1, a2 = _arrival_fractions(policy.b, lib.popularity, k)
     return _split_delay(a1, a2, zeta_tot, o1, o2, w_total, w1)[1]
 

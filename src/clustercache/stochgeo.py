@@ -86,7 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InfeasibleAccessProbability, NumericFailure
-from .model import NetworkConfig, _check_count, _check_rate_threshold
+from .model import NetworkConfig, _check_count, _check_rate_threshold, _check_real
 
 __all__ = [
     "serving_distance_pdf",
@@ -261,8 +261,7 @@ def _hyp2f1_bs(theta: float, delta: float) -> float:
 def serving_distance_pdf(r, sigma: float):
     """Density of the serving distance: Rayleigh with scale sqrt(2)*sigma,
     0 at a negative ``r``."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
+    _check_real("sigma", sigma)
     r = np.asarray(r, dtype=float)
     out = (np.maximum(r, 0.0) / (2.0 * sigma**2)) * np.exp(-(r**2) / (4.0 * sigma**2))
     return out if out.ndim else float(out)
@@ -500,7 +499,8 @@ def _coverage(cfg: NetworkConfig, intensity: float, what: str) -> float:
     )
 
 
-@lru_cache(maxsize=512)
+# typed: r0_over_w1 = True must reach the real-number check, not the entry of 1.0.
+@lru_cache(maxsize=512, typed=True)
 def prob_rate_exceeds(cfg: NetworkConfig, r0_over_w1: float) -> float:
     """Probability that the D2D link rate exceeds the threshold R0.
 
@@ -537,10 +537,8 @@ def bs_coverage(theta: float, alpha: float) -> float:
     the BS density and of all transmit powers (SIR metric). For alpha = 4
     this reduces to 1 / (1 + sqrt(theta) * arctan(sqrt(theta))).
     """
-    if not 0.0 < theta < math.inf:
-        raise ConfigError(f"theta must be finite and positive, got {theta}")
-    if not 2.0 < alpha < math.inf:
-        raise ConfigError(f"alpha must be finite and exceed 2, got {alpha}")
+    _check_real("theta", theta)
+    _check_real("alpha", alpha, 2.0)
     delta = 2.0 / alpha
     denom = _hyp2f1_bs(theta, delta)
     if not math.isfinite(denom) or denom < 1.0:
@@ -571,12 +569,9 @@ def d2d_coverage_single_link(cfg: NetworkConfig) -> float:
 
 def average_rate(w: float, theta: float, coverage: float) -> float:
     """Average throughput W * log2(1 + theta) * P_c in bits/s."""
-    if not 0 <= w < math.inf:
-        raise ConfigError(f"bandwidth must be finite and non-negative, got {w!r}")
-    if not (math.isfinite(theta) and theta > 0):
-        raise ConfigError(f"theta must be finite and positive, got {theta!r}")
-    if not 0.0 <= coverage <= 1.0:
-        raise ConfigError(f"coverage must lie in [0, 1], got {coverage!r}")
+    _check_real("w", w, closed_low=True)
+    _check_real("theta", theta)
+    _check_real("coverage", coverage, 0.0, 1.0, True, True)
     return w * math.log2(1.0 + theta) * coverage
 
 
@@ -587,13 +582,11 @@ def optimal_access_probability(r0_over_w1: float, theta: float) -> float:
     by the relative margin ``_ACCESS_MARGIN``, to stay strictly feasible.
     At R0/W1 = 0 every p > 0 is feasible and no smallest one exists.
     """
-    if not 0 < r0_over_w1 < math.inf:
-        raise ConfigError(f"r0_over_w1 must be positive and finite to choose "
-                          f"access_p, got {r0_over_w1!r}")
-    bits_per_hz = math.log2(1.0 + theta) if theta > 0 else 0.0
-    if not 0 < bits_per_hz < math.inf:  # theta = 1e-320 > 0 has log2(1 + theta) = 0
-        raise ConfigError(f"log2(1 + theta) must be finite and positive, "
-                          f"got theta = {theta!r}")
+    _check_real("r0_over_w1", r0_over_w1)
+    _check_real("theta", theta)
+    bits_per_hz = math.log2(1.0 + theta)
+    if not bits_per_hz > 0:  # theta = 1e-320 > 0 has log2(1 + theta) = 0
+        raise ConfigError(f"log2(1 + theta) must be positive, got theta = {theta!r}")
     p_star = r0_over_w1 / bits_per_hz * (1.0 + _ACCESS_MARGIN)
     if p_star > 1.0:
         raise InfeasibleAccessProbability(

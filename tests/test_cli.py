@@ -140,9 +140,11 @@ class TestScenarioValidation:
             replace(default_table1(), **{field: value})
 
     def test_scenario_rejects_non_finite_grid(self):
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match=r"sweep.grid value must be a real "
+                                              r"number in \(-inf, inf\), got nan"):
             replace(default_table1(), grid=(20.0, float("nan"), 10.0))
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match=r"sweep.grid value must be a real "
+                                              r"number in \(-inf, inf\), got inf"):
             replace(default_table1(), grid=(1.0, float("inf")))
 
     def test_overflowing_decibels_reported(self, tmp_path):
@@ -341,7 +343,7 @@ class TestScenarioValidation:
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(mapping))
         assert main(["run", str(path)]) == 2
-        assert "r0_over_w1 must be positive" in capsys.readouterr().err
+        assert "r0_over_w1 must be a real number in (0, inf)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         mapping["network"]["access_p"] = 0.3
         path.write_text(yaml.safe_dump(mapping))
@@ -456,7 +458,7 @@ class TestScenarioValidation:
             with pytest.raises(ConfigError) as rejected:
                 entry()
             assert str(rejected.value) == (
-                f"r0_over_w1 must be finite and non-negative, got {value!r}")
+                f"r0_over_w1 must be a real number in [0, inf), got {value!r}")
 
 
 def _leaves(mapping, prefix=()):

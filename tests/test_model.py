@@ -158,7 +158,8 @@ class TestDomainTypes:
 
     @pytest.mark.parametrize("field", ["theta", "sigma", "lambda_p", "p_b", "w_total"])
     def test_network_config_rejects_infinity(self, field):
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match=rf"^{field} must be a real number in "
+                                              rf"\(0, inf\), got inf$"):
             NetworkConfig(**{**TABLE1, field: math.inf})
 
     def test_library_rejects_non_finite_values(self):
@@ -203,6 +204,14 @@ class TestDomainTypes:
         policy = CachingPolicy(np.array([0.25, 0.75]), cache_size=1)
         with pytest.raises(ValueError):  # frozen and read-only
             policy.b[0] = 0.9
+
+    @pytest.mark.parametrize("b", [[math.nan, 1.0, 0.0], [math.inf, 0.0, 0.0],
+                                   [math.nan, math.nan, math.nan]])
+    def test_policy_rejects_non_finite_entries(self, b):
+        # NaN fails every ordered comparison: the box and budget tests are
+        # written so that it fails them.
+        with pytest.raises(ConfigError, match="must lie in"):
+            CachingPolicy(np.array(b), cache_size=1)
 
     def test_policy_does_not_alias_the_callers_vector(self):
         b = np.array([0.25, 0.75])

@@ -1067,16 +1067,16 @@ class TestArguments:
             _single_link([table1_cfg], 1000, seed)
 
     def test_rejects_non_finite_rate_threshold(self, table1_cfg):
-        with pytest.raises(ConfigError, match="r0_over_w1 must be finite"):
+        with pytest.raises(ConfigError, match="r0_over_w1 must be a real number"):
             ProbRateExceeds(table1_cfg, math.nan)
 
     def test_rejects_negative_rate_threshold(self, table1_cfg):
         # As the analytic prob_rate_exceeds does.
-        with pytest.raises(ConfigError, match="r0_over_w1 must be finite and "
-                                              "non-negative, got -1.0"):
+        with pytest.raises(ConfigError, match=r"r0_over_w1 must be a real number "
+                                              r"in \[0, inf\), got -1.0"):
             ProbRateExceeds(table1_cfg, -1.0)
-        with pytest.raises(ConfigError, match="r0_over_w1 must be finite and "
-                                              "non-negative, got -1.0"):
+        with pytest.raises(ConfigError, match=r"r0_over_w1 must be a real number "
+                                              r"in \[0, inf\), got -1.0"):
             prob_rate_exceeds(table1_cfg, -1.0)
 
     @pytest.mark.parametrize("samples", [0, True, 2.5])

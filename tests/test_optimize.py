@@ -172,6 +172,17 @@ class TestOffloading:
         with pytest.raises(ConfigError):
             optimize_offloading(table1_cfg, table1_lib, 1.5)
 
+    @pytest.mark.parametrize("n_bar, prob_r1, name", [
+        (5.0, 7.0, "prob_r1"), (5.0, -0.1, "prob_r1"), (5.0, math.nan, "prob_r1"),
+        (-3.0, 0.5, "n_bar"), (0.0, 0.5, "n_bar"), (math.nan, 0.5, "n_bar"),
+    ])
+    def test_objective_rejects_bad_arguments(self, table1_lib, n_bar, prob_r1, name):
+        # Unchecked, these gave an offloading probability of 1.72 (P = 7),
+        # 0.068 (n_bar = -3) and nan.
+        policy = baseline_policy("zipf-proportional", table1_lib)
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number in"):
+            objective_offloading(policy, table1_lib, n_bar, prob_r1)
+
 
 class TestKktKernels:
     """The closed-form offloading stationary point and the multiplier
@@ -767,13 +778,19 @@ def _split_of(policy, lib, k, zeta, o1, o2, w_total):
                                      1e7, 1e-6, 1e-6, cfg.w_total), "zeta_tot"),
     (lambda cfg, lib: weighted_delay(baseline_policy("cpf", lib), lib, 8, -1.0,
                                      1e7, 1e-6, 1e-6, cfg.w_total), "zeta_tot"),
-    (lambda cfg, lib: energy_conditional(baseline_policy("cpf", lib), lib, cfg, 8,
-                                         math.nan, 1e7), "rates"),
-    (lambda cfg, lib: energy_conditional(baseline_policy("cpf", lib), lib, cfg, 8,
-                                         1e7, math.inf), "rates"),
-    (lambda cfg, lib: optimize_energy(cfg, lib, 8, math.nan, 1e7), "rates"),
-    (lambda cfg, lib: optimize_energy(cfg, lib, 8, 1e7, -1.0), "rates"),
-    (lambda cfg, lib: optimize_energy(cfg, lib, 8, 0.0, 1e7), "rates"),
+    # r1 and r2 share one rule, optimize._check_rates, and one id stem.
+    pytest.param(lambda cfg, lib: energy_conditional(baseline_policy("cpf", lib), lib,
+                                                     cfg, 8, math.nan, 1e7),
+                 "^r1 must be", id="<lambda>-rates0"),
+    pytest.param(lambda cfg, lib: energy_conditional(baseline_policy("cpf", lib), lib,
+                                                     cfg, 8, 1e7, math.inf),
+                 "^r2 must be", id="<lambda>-rates1"),
+    pytest.param(lambda cfg, lib: optimize_energy(cfg, lib, 8, math.nan, 1e7),
+                 "^r1 must be", id="<lambda>-rates2"),
+    pytest.param(lambda cfg, lib: optimize_energy(cfg, lib, 8, 1e7, -1.0),
+                 "^r2 must be", id="<lambda>-rates3"),
+    pytest.param(lambda cfg, lib: optimize_energy(cfg, lib, 8, 0.0, 1e7),
+                 "^r1 must be", id="<lambda>-rates4"),
 ] + [
     (lambda cfg, lib, service=service: weighted_delay(
         baseline_policy("cpf", lib), lib, 8, 1.0, 1e6, *service), name)
